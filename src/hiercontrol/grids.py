@@ -14,6 +14,10 @@ two properties are enforced exactly rather than approximately:
   discrete adjoint of an advective term is the matching divergence-form
   term with flipped sign.
 
+The interior-only sparsity pattern of a slice matrix I + tau L, with the
+data slot of every diagonal and neighbour entry, is built here once per
+grid shape (``slice_pattern``); the solvers fill its values.
+
 Fields carry their values on the full node set; boundary entries of a
 Dirichlet field are zero and all solve paths only ever touch interior
 unknowns.  Spatial quadrature is the tensor trapezoid rule.  Because the
@@ -24,6 +28,7 @@ subspace.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -338,20 +343,7 @@ def _as_diag_coeff(grid: SpatialGrid, b: np.ndarray) -> np.ndarray:
     )
 
 
-def check_ellipticity(grid: SpatialGrid, b: np.ndarray, rho0: float, label: str = "b") -> None:
-    """Require b >= rho0 at every node; names the first violating node."""
-    bd = _as_diag_coeff(grid, b)
-    bad = np.argwhere(bd < rho0)
-    if bad.size:
-        node = int(bad[0, 0])
-        raise CoefficientError(
-            f"ellipticity violated for {label}: value {bd[bad[0, 0], bad[0, 1]]:.6g} "
-            f"< rho0={rho0:.6g} at node {node} (x={grid.nodes[node]})"
-        )
-
-
-def assemble_divergence_operator(grid: SpatialGrid, diffusion: np.ndarray,
-                                 rho0: float | None = None) -> sp.csr_matrix:
+def assemble_divergence_operator(grid: SpatialGrid, diffusion: np.ndarray) -> sp.csr_matrix:
     """Assemble -div(b grad .) in conservative flux form.
 
     One axis at a time: row k of the 1D building block is
@@ -362,8 +354,6 @@ def assemble_divergence_operator(grid: SpatialGrid, diffusion: np.ndarray,
     symmetric because each face coefficient is shared by its two rows.
     """
     bd = _as_diag_coeff(grid, diffusion)
-    if rho0 is not None:
-        check_ellipticity(grid, bd, rho0)
     n = grid.n_nodes
     h2 = grid.h * grid.h
     rows: list[np.ndarray] = []
@@ -397,6 +387,81 @@ def assemble_divergence_operator(grid: SpatialGrid, diffusion: np.ndarray,
     )
     A.sum_duplicates()
     return A
+
+
+@dataclass(frozen=True, eq=False)
+class SlicePattern:
+    """Interior-only CSR sparsity of a slice matrix  I + tau L  on one grid shape.
+
+    Rows and columns are the interior unknowns in ``interior_idx`` order.
+    Row r holds the diagonal and, for every axis, the neighbours r -/+ stride
+    that are interior nodes.  ``rows[p]`` is the row of data slot p and
+    ``diag[r]`` the data slot of (r, r);
+    ``neighbours`` holds one (axis, stride, side, rows, slots) entry per axis
+    and side, +1 before -1, where ``rows`` are the interior rows whose
+    neighbour on that side is interior and ``slots`` the data slots of those
+    entries.
+    """
+
+    n: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    rows: np.ndarray
+    diag: np.ndarray
+    neighbours: tuple
+
+    @property
+    def nnz(self) -> int:
+        return self.indices.size
+
+    def csr(self, data: np.ndarray) -> sp.csr_matrix:
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+
+
+def slice_pattern(grid: SpatialGrid) -> SlicePattern:
+    """The slice pattern of the grid's shape, built once per (dim, cells)."""
+    return _slice_pattern(grid.dim, grid.cells)
+
+
+@functools.lru_cache(maxsize=8)
+def _slice_pattern(dim: int, cells: int) -> SlicePattern:
+    grid = build_grid(dim, cells)
+    ii = grid.interior_idx
+    ni = ii.size
+    pos = np.full(grid.n_nodes, -1)
+    pos[ii] = np.arange(ni)
+    strides = (1,) if dim == 1 else (cells + 1, 1)
+    rows, cols, sides = [np.arange(ni)], [np.arange(ni)], []
+    for ax, s in enumerate(strides):
+        for side in (1, -1):
+            nb = pos[ii + side * s]
+            ok = np.flatnonzero(nb >= 0)
+            sides.append((ax, s, side, ok))
+            rows.append(ok)
+            cols.append(nb[ok])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    order = np.lexsort((cols, rows))
+    slot = np.empty_like(order)
+    slot[order] = np.arange(order.size)
+    neighbours = []
+    start = ni
+    for ax, s, side, ok in sides:
+        neighbours.append((ax, s, side, _frozen_int(ok), _frozen_int(slot[start:start + ok.size])))
+        start += ok.size
+    return SlicePattern(
+        n=ni,
+        indptr=_frozen_int(np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=ni))])),
+        indices=_frozen_int(cols[order]),
+        rows=_frozen_int(rows[order]),
+        diag=_frozen_int(slot[:ni]),
+        neighbours=tuple(neighbours),
+    )
+
+
+def _frozen_int(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=np.int32)
+    a.setflags(write=False)
+    return a
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,18 @@ sparse factorization of the monolithic space-time system serves the primal
 solve and, through transposed triangular solves, the transposed solve, so
 Lambda = E K^{-1} D K^{-T} E^T is symmetric positive semidefinite to rounding
 and plain conjugate gradients applies.  The controlled terminal state equals
--eps phi_T identically, which is reported as a consistency defect.
+-eps phi_T identically, which is reported as a consistency defect.  K is
+filled in one vectorised pass: the slice blocks I + tau L_y^m and
+(I + tau L_p^m)^T of all M slices come from one stacked fill of the solvers'
+slice pattern each, placed at their block offsets together with the
+identity and coupling diagonals.
 
 A sweep engine (lagged Picard between the y and p marches) replaces the
 monolithic factorization above a configurable unknown-count threshold; both
-engines solve the same equations and can be cross-checked.  The context is
-penalty-free: one factorization serves a whole epsilon sweep.
+engines solve the same equations and can be cross-checked.  The sweep
+marches use the per-slice factors of the solvers module: LAPACK tridiagonal
+factors in 1D, SuperLU in 2D.  The context is penalty-free: one
+factorization serves a whole epsilon sweep.
 """
 
 from __future__ import annotations
@@ -44,15 +50,16 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConditioningError, NonConvergenceError, ValidationError
-from .grids import Field, SpaceTimeField, stepped_pairing
+from .grids import Field, SpaceTimeField, slice_pattern, stepped_pairing
 from .nash import HierarchicProblem
 from .solvers import (
     LinearCoefficients,
     march_adjoint,
     march_forward,
     sensitivity_factors,
-    slice_operator,
+    sensitivity_slices,
     state_factors,
+    state_slices,
 )
 from .weights import CarlemanWeights, control_energy, observation_weight_trajectory
 
@@ -121,74 +128,43 @@ class GramianContext:
             self._lu = spla.splu(self._assemble())
 
     # ------------------------------------------------------------------ setup
-    def _slice_ops(self):
-        c, grid = self.c, self.grid
-        ii = grid.interior_idx
-
-        def Ly(m):
-            return slice_operator(
-                grid,
-                b=c.b[m],
-                f_adv=None if c.f_adv is None else c.f_adv[m],
-                f0=None if c.f0 is None else c.f0[m],
-            )[ii][:, ii]
-
-        def Lp(m):
-            return slice_operator(
-                grid,
-                b=c.B[m],
-                f_div=None if c.g is None else c.g[m],
-                f0=None if c.g0 is None else -c.g0[m],
-            )[ii][:, ii]
-
-        return Ly, Lp
-
     def _assemble(self) -> sp.csc_matrix:
-        grid, tgrid = self.grid, self.tgrid
+        """Monolithic space-time matrix K of the coupled system, in one pass.
+
+        Unknowns are ordered [y^1..y^M, p_1^1..p_1^M, p_2^1..p_2^M], each
+        slice the interior nodes.  The slice blocks I + tau L_y^m and
+        (I + tau L_p^m)^T come from one stacked slice-pattern fill per roster
+        family, shifted to their block offsets.
+        """
+        grid, tgrid, problem = self.grid, self.tgrid, self.problem
+        pat = slice_pattern(grid)
         ii = grid.interior_idx
         ni, M, tau = ii.size, tgrid.steps, tgrid.tau
-        eye = sp.identity(ni, format="csr")
-        Ly, Lp = self._slice_ops()
-        off = (0, M * ni, 2 * M * ni)
-        Smat = [sp.diags(self.S[0][ii]), sp.diags(self.S[1][ii])]
-        Xstar = sp.diags(self.xi_star[ii])
-        blocks: list[tuple[int, int, sp.spmatrix]] = []
-        F = G = None
-        for m in range(1, M + 1):
-            if F is None or not self._constant:
-                F = (eye + tau * Ly(m)).tocsr()
-                G = (eye + tau * Lp(m)).tocsr()
-            r = off[0] + (m - 1) * ni
-            blocks.append((r, r, F))
-            if m >= 2:
-                blocks.append((r, r - ni, -eye))
-            for k in (1, 2):
-                rk = off[k] + (m - 1) * ni
-                blocks.append((r, rk, (-tau / self.problem.mu[k - 1]) * Smat[k - 1]))
-                blocks.append((rk, rk, G.T.tocsr()))
-                if m <= M - 1:
-                    blocks.append((rk, rk + ni, -eye))
-                if self.problem.nu[k - 1] != 0.0:
-                    blocks.append((rk, r, (tau * self.problem.nu[k - 1]) * Xstar))
-        rows, cols, vals = [], [], []
-        for r0, c0, A in blocks:
-            A = A.tocoo()
-            rows.append(A.row + r0)
-            cols.append(A.col + c0)
-            vals.append(A.data)
-        K = sp.csc_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(3 * M * ni, 3 * M * ni),
-        )
-        return K
+        F = np.broadcast_to(state_slices(self.c), (M, pat.nnz))
+        G = np.broadcast_to(sensitivity_slices(self.c), (M, pat.nnz))
+        base = (np.arange(M) * ni)[:, None]
+        shift = np.arange(ni, M * ni)               # slices 2..M of one block
+        node = (base + np.arange(ni)).ravel()        # slices 1..M of one block
+        rows = [base + pat.rows, shift]
+        cols = [base + pat.indices, shift - ni]
+        vals = [F, np.full(shift.size, -1.0)]
 
-    @property
-    def _constant(self) -> bool:
-        c = self.c
-        for arr in (c.b, c.f_adv, c.f0, c.B, c.g, c.g0):
-            if arr is not None and arr[1:].size and np.ptp(arr[1:], axis=0).max() > 0.0:
-                return False
-        return True
+        def diagonal(r0, c0, v):
+            keep = np.broadcast_to(v != 0.0, (M, ni)).ravel()
+            rows.append(r0 + node[keep])
+            cols.append(c0 + node[keep])
+            vals.append(np.broadcast_to(v, (M, ni)).ravel()[keep])
+
+        for k in (1, 2):
+            off = k * M * ni
+            rows += [off + base + pat.indices, off + shift - ni]
+            cols += [off + base + pat.rows, off + shift]
+            vals += [G, np.full(shift.size, -1.0)]
+            diagonal(0, off, (-tau / problem.mu[k - 1]) * self.S[k - 1][ii])
+            if problem.nu[k - 1] != 0.0:
+                diagonal(off, 0, (tau * problem.nu[k - 1]) * self.xi_star[ii])
+        flat = [np.concatenate([np.ravel(a) for a in part]) for part in (vals, rows, cols)]
+        return sp.csc_matrix((flat[0], (flat[1], flat[2])), shape=(3 * M * ni, 3 * M * ni))
 
     def _get_factors(self):
         if self._factors is None:

@@ -25,6 +25,19 @@ modes:
   modes assemble identical slice matrices and differ only in their time
   alignment conventions.
 
+Every slice matrix I + tau L^m comes from one assembly path.  The grid
+shape fixes an interior-only CSR pattern (``grids.slice_pattern``, built
+once per shape); ``slice_operator`` writes the values of one slice or of a
+whole stack of slices into it with vectorised arithmetic straight from the
+coefficient arrays, equal bit for bit to the flux-form composition of
+``assemble_divergence_operator`` and ``gradient_matrices``.  The linear
+marches (``state_factors``, ``sensitivity_factors``, the continuous mode),
+the quasi-linear march and the leader's space-time matrix all use it, and a
+roster family that does not change in time is assembled and factored once.
+``factor_slice`` factors a slice: in 1D the matrix is tridiagonal and goes
+to LAPACK dgttrf/dgttrs, whose transposed solve on the same factors keeps
+the adjoint march exact; in 2D it goes to SuperLU.
+
 The quasi-linear forward solver freezes the diffusion a(y, grad y) at the
 current iterate and linearizes f around it, with a configurable number of
 within-step refreshes; for constant a and f = 0 every step reduces bit for
@@ -37,8 +50,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import BlowUpError, CoefficientError, SolverError
 from .grids import (
@@ -47,9 +60,8 @@ from .grids import (
     SpaceTimeField,
     SpatialGrid,
     TimeGrid,
-    assemble_divergence_operator,
     gradient,
-    gradient_matrices,
+    slice_pattern,
 )
 
 DEFAULT_RHO0 = 0.1
@@ -172,64 +184,110 @@ def constant_coefficients(
 
 def slice_operator(
     grid: SpatialGrid,
+    tau: float,
     b: np.ndarray | None = None,
     f_adv: np.ndarray | None = None,
     f_div: np.ndarray | None = None,
     f0: np.ndarray | None = None,
-) -> sp.csr_matrix:
-    """Assemble  -div(b grad .) + f_adv . grad + div(f_div .) + f0  at one slice.
+) -> np.ndarray:
+    """Values of  I + tau L  on the grid's slice pattern, one slice or a stack.
 
-    All four terms are optional.  Rows and columns at boundary nodes are zero,
-    so the matrix is the Dirichlet restriction at full-size indexing.
+    L = -div(b grad .) + f_adv . grad + div(f_div .) + f0 restricted to the
+    interior unknowns; every term is optional.  Coefficients are per node,
+    b as (..., n) isotropic or (..., n, dim) diagonal, f_adv and f_div as
+    (..., n, dim), f0 as (..., n); leading axes stack slices and the result
+    has shape (..., nnz).  The diffusion part uses arithmetic-mean faces
+    (b_k + b_{k+s}) / 2 and the first-order parts the central difference
+    +-1/(2h), summed per entry in the order of the flux-form composition
+    assemble_divergence_operator + diag(f_adv) D + D diag(f_div) + diag(f0),
+    so the values equal that composition bit for bit.
     """
-    n = grid.n_nodes
-    L = sp.csr_matrix((n, n))
-    if b is not None:
-        L = L + assemble_divergence_operator(grid, b)
-    if f_adv is not None or f_div is not None:
-        D = gradient_matrices(grid)
-        for ax in range(grid.dim):
-            if f_adv is not None:
-                L = L + sp.diags(f_adv[:, ax]) @ D[ax]
-            if f_div is not None:
-                L = L + D[ax] @ sp.diags(f_div[:, ax])
+    pat = slice_pattern(grid)
+    ii = grid.interior_idx
+    h2 = grid.h * grid.h
+    c = 1.0 / (2 * grid.h)
+    diag = None
+    entries = []
+    for ax, s, side, rows, slots in pat.neighbours:
+        nb = ii + side * s
+        val = None
+        if b is not None:
+            bax = b if b.shape[-1] == grid.n_nodes else b[..., ax]
+            left = ii if side > 0 else nb
+            face = 0.5 * (bax[..., left] + bax[..., left + s]) / h2
+            diag = face if diag is None else diag + face
+            val = -face
+        if f_adv is not None:
+            val = _plus(val, f_adv[..., ii, ax] * (side * c))
+        if f_div is not None:
+            val = _plus(val, (side * c) * f_div[..., nb, ax])
+        if val is not None:
+            entries.append((slots, tau * val[..., rows]))
     if f0 is not None:
-        interior = (~grid.boundary).astype(float)
-        L = L + sp.diags(f0 * interior)
-    return L.tocsr()
+        diag = _plus(diag, f0[..., ii])
+    shapes = [v.shape[:-1] for _, v in entries]
+    if diag is not None:
+        shapes.append(diag.shape[:-1])
+    data = np.zeros(np.broadcast_shapes(*shapes) + (pat.nnz,))
+    data[..., pat.diag] = 1.0 if diag is None else 1.0 + tau * diag
+    for slots, v in entries:
+        data[..., slots] = v
+    return data
+
+
+def _plus(acc, term):
+    return term if acc is None else acc + term
+
+
+class _Tridiagonal:
+    """LAPACK dgttrf factors of one tridiagonal slice matrix."""
+
+    def __init__(self, pattern, data: np.ndarray):
+        upper, lower = (slots for *_, slots in pattern.neighbours)
+        *self._lu, info = dgttrf(data[lower], data[pattern.diag], data[upper])
+        if info > 0:
+            raise SolverError(f"slice matrix is singular (zero pivot {info})")
+
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        return dgttrs(*self._lu, rhs, trans=trans)[0]
+
+
+def factor_slice(grid: SpatialGrid, data: np.ndarray):
+    """LU factors of one slice matrix from its pattern values.
+
+    1D slices are tridiagonal and go to LAPACK dgttrf; 2D slices to SuperLU.
+    Both return an object whose ``solve(rhs, trans)`` applies the inverse
+    (trans="N") or the inverse transpose (trans="T") with the same factors.
+    """
+    pat = slice_pattern(grid)
+    if grid.dim == 1:
+        return _Tridiagonal(pat, data)
+    return spla.splu(pat.csr(data).tocsc())
 
 
 class SliceFactors:
-    """LU factorizations of (I + tau L^m), m = 1..M, on the interior subspace.
+    """Factorizations of (I + tau L^m) on the interior subspace, one per slice.
 
-    ``solve(m, rhs)`` applies (I + tau L^m)^{-1}; ``transpose=True`` applies
-    the inverse transpose using the same factorization, which is what keeps
-    forward/adjoint pairs exactly dual.
+    ``data`` holds the pattern values of slices first, first+1, ... (one row
+    each), or a single row shared by every slice.  ``solve(m, rhs)`` applies
+    (I + tau L^m)^{-1}; ``transpose=True`` applies the inverse transpose with
+    the same factors, which is what keeps forward/adjoint pairs exactly dual.
+    Factors are computed on first use.
     """
 
-    def __init__(self, grid: SpatialGrid, tgrid: TimeGrid, mats: dict[int, sp.csr_matrix]):
+    def __init__(self, grid: SpatialGrid, tgrid: TimeGrid, data: np.ndarray, first: int = 1):
         self.grid = grid
         self.tgrid = tgrid
         self.ii = grid.interior_idx
-        eye = sp.identity(self.ii.size, format="csc")
-        # slices sharing one operator object share one factorization
-        self._key: dict[int, int] = {}
-        self._sub: dict[int, sp.csc_matrix] = {}
-        for m, A in mats.items():
-            k = id(A)
-            if k not in self._sub:
-                self._sub[k] = (eye + tgrid.tau * A[self.ii][:, self.ii]).tocsc()
-            self._key[m] = k
-        self._lu: dict[int, spla.SuperLU] = {}
+        self.data = data
+        self.first = first
+        self._lu: dict[int, object] = {}
 
-    def matrix(self, m: int) -> sp.csc_matrix:
-        return self._sub[self._key[m]]
-
-    def _factor(self, m: int) -> spla.SuperLU:
-        k = self._key[m]
+    def _factor(self, m: int):
+        k = 0 if self.data.shape[0] == 1 else m - self.first
         lu = self._lu.get(k)
         if lu is None:
-            lu = spla.splu(self._sub[k])
+            lu = factor_slice(self.grid, self.data[k])
             self._lu[k] = lu
         return lu
 
@@ -241,31 +299,42 @@ class SliceFactors:
         return out
 
 
-def _time_constant(*arrays, lo: int = 1) -> bool:
+def _time_constant(*arrays, lo: int = 1, hi: int | None = None) -> bool:
+    """True when every given roster array repeats exactly over slices lo..hi-1."""
     for arr in arrays:
-        if arr is not None and arr[lo:].size and np.ptp(arr[lo:], axis=0).max() > 0.0:
+        if arr is not None and arr[lo:hi].size and np.ptp(arr[lo:hi], axis=0).max() > 0.0:
             return False
     return True
 
 
+def _neg(arr):
+    return None if arr is None else -arr
+
+
+def _roster_slices(c: LinearCoefficients, b, f_adv=None, f_div=None, f0=None, first: int = 1):
+    """Pattern values of I + tau L at slices first..first+M-1 of a roster family.
+
+    A time-constant family is assembled once and returned as one row.
+    """
+    fams = (b, f_adv, f_div, f0)
+    hi = first + c.tgrid.steps
+    sel = slice(first, first + 1) if _time_constant(*fams, lo=first, hi=hi) else slice(first, hi)
+    return slice_operator(c.grid, c.tgrid.tau, *(None if a is None else a[sel] for a in fams))
+
+
+def state_slices(c: LinearCoefficients) -> np.ndarray:
+    """I + tau L_y at slices 1..M, L_y = -div(b grad .) + f_adv . grad + f0."""
+    return _roster_slices(c, c.b, f_adv=c.f_adv, f0=c.f0)
+
+
+def sensitivity_slices(c: LinearCoefficients) -> np.ndarray:
+    """I + tau L_p at slices 1..M, L_p = -div(B grad .) + div(g .) - g0."""
+    return _roster_slices(c, c.B, f_div=c.g, f0=_neg(c.g0))
+
+
 def state_factors(c: LinearCoefficients) -> SliceFactors:
     """Factorizations of the forward state operator at slices 1..M."""
-
-    def build(m):
-        return slice_operator(
-            c.grid,
-            b=c.b[m],
-            f_adv=None if c.f_adv is None else c.f_adv[m],
-            f0=None if c.f0 is None else c.f0[m],
-        )
-
-    rng = range(1, c.tgrid.n_slices)
-    if _time_constant(c.b, c.f_adv, c.f0):
-        shared = build(1)
-        mats = {m: shared for m in rng}
-    else:
-        mats = {m: build(m) for m in rng}
-    return SliceFactors(c.grid, c.tgrid, mats)
+    return SliceFactors(c.grid, c.tgrid, state_slices(c))
 
 
 def sensitivity_factors(c: LinearCoefficients) -> SliceFactors:
@@ -275,22 +344,7 @@ def sensitivity_factors(c: LinearCoefficients) -> SliceFactors:
     the follower backward operator; its transposed solves implement the
     follower adjoint marches exactly.
     """
-
-    def build(m):
-        return slice_operator(
-            c.grid,
-            b=c.B[m],
-            f_div=None if c.g is None else c.g[m],
-            f0=None if c.g0 is None else -c.g0[m],
-        )
-
-    rng = range(1, c.tgrid.n_slices)
-    if _time_constant(c.B, c.g, c.g0):
-        shared = build(1)
-        mats = {m: shared for m in rng}
-    else:
-        mats = {m: build(m) for m in rng}
-    return SliceFactors(c.grid, c.tgrid, mats)
+    return SliceFactors(c.grid, c.tgrid, sensitivity_slices(c))
 
 
 # ---------------------------------------------------------------------------
@@ -337,21 +391,8 @@ def march_adjoint(
 
 
 def _continuous_factors(c: LinearCoefficients) -> SliceFactors:
-    def build(m):
-        return slice_operator(
-            c.grid,
-            b=c.B[m],
-            f_adv=None if c.g is None else -c.g[m],
-            f0=None if c.g0 is None else -c.g0[m],
-        )
-
-    rng = range(0, c.tgrid.steps)
-    if _time_constant(c.B, c.g, c.g0, lo=0):
-        shared = build(0)
-        mats = {m: shared for m in rng}
-    else:
-        mats = {m: build(m) for m in rng}
-    return SliceFactors(c.grid, c.tgrid, mats)
+    data = _roster_slices(c, c.B, f_adv=_neg(c.g), f0=_neg(c.g0), first=0)
+    return SliceFactors(c.grid, c.tgrid, data, first=0)
 
 
 def march_backward_continuous(
@@ -647,18 +688,27 @@ def solve_forward_quasilinear(
     """Semi-implicit march for the quasi-linear state equation.
 
     Each step freezes a at the previous slice and linearizes f there, then
-    optionally refreshes both at the new iterate.  A relative jump larger
-    than ``blowup_factor`` in one step raises BlowUpError with the slice
-    index: the trust region of the local model is gone and no further
-    slice would be meaningful.
+    optionally refreshes both at the new iterate.  Each frozen step is one
+    tridiagonal LAPACK solve in 1D and one SuperLU solve in 2D; a step
+    matrix equal to the previous one, as under constant coefficients such
+    as the heat preset, reuses its factors.  BlowUpError,
+    with the slice index, marks the point where the trust region of the
+    local model is gone and no further slice would be meaningful: either a
+    relative jump larger than ``blowup_factor`` in one step, or a frozen
+    step matrix I + tau L with a diagonal entry <= 0.  That entry is
+    1 + tau (diffusion + f_y) at its node; when it is <= 0, so is
+    e_k^T (I + tau L) e_k, and the step matrix is not positive definite:
+    the frozen reaction outgrows diffusion within one step, faster than the
+    implicit step can follow.
     """
     _check_dirichlet(grid, y0.values, "initial state")
     interior = (~grid.boundary).astype(float)
     y = np.zeros((tgrid.n_slices, grid.n_nodes))
     y[0] = y0.values
     ii = grid.interior_idx
-    eye = sp.identity(ii.size, format="csc")
+    diag = slice_pattern(grid).diag
     norm0 = np.sqrt(grid.weights @ y0.values**2)
+    A_prev = lu = None
     for m in range(1, tgrid.n_slices):
         prev = y[m - 1]
         w = prev
@@ -677,14 +727,23 @@ def solve_forward_quasilinear(
             if fz.shape != (grid.n_nodes, grid.dim):
                 fz = fz.reshape(grid.n_nodes, grid.dim)
             f_val = nl.f(w, gw)
-            L = slice_operator(grid, b=a_vals, f_adv=fz, f0=fy)
-            A = (eye + tgrid.tau * L[ii][:, ii]).tocsc()
+            A = slice_operator(grid, tgrid.tau, b=a_vals, f_adv=fz, f0=fy)
+            d = A[diag]
+            if float(d.min()) <= 0.0:
+                k = int(d.argmin())
+                raise BlowUpError(
+                    f"quasi-linear step matrix lost positivity at slice {m}, node {ii[k]}: "
+                    f"diagonal 1 + tau (diffusion + f_y) = {d[k]:.3g} <= 0",
+                    slice_index=m,
+                )
             rhs = prev + tgrid.tau * (
                 (0.0 if source is None else source[m])
                 - interior * (f_val - fy * w - (fz * gw).sum(axis=1))
             )
+            if lu is None or not np.array_equal(A, A_prev):
+                lu, A_prev = factor_slice(grid, A), A
             new = np.zeros(grid.n_nodes)
-            new[ii] = spla.splu(A).solve(np.ascontiguousarray(rhs[ii]))
+            new[ii] = lu.solve(np.ascontiguousarray(rhs[ii]))
             w = new
         jump = np.sqrt(grid.weights @ (w - prev) ** 2)
         scale = 1.0 + max(norm0, np.sqrt(grid.weights @ prev**2))
