@@ -45,8 +45,6 @@ from .grids import (
     build_grid,
     build_time_grid,
     gradient,
-    inner_product,
-    spacetime_inner,
     stepped_norm2,
     stepped_pairing,
 )
@@ -64,7 +62,6 @@ from .solvers import (
     Nonlinearity,
     constant_coefficients,
     nonlinearity_preset,
-    solve_backward_linear,
     solve_forward_linear,
     solve_forward_quasilinear,
 )
@@ -81,9 +78,7 @@ from .nash import (
 from .leader import (
     GramianContext,
     LeaderSolution,
-    gramian_apply,
     leader_duality_gap,
-    solve_coupled_adjoint,
     solve_coupled_primal,
     solve_leader,
 )
@@ -156,8 +151,6 @@ __all__ = [
     "fd_gateaux_residual",
     "gateaux_residual",
     "gradient",
-    "gramian_apply",
-    "inner_product",
     "integral_coefficients",
     "kkt_nash_oracle",
     "lambda_auto",
@@ -170,8 +163,6 @@ __all__ = [
     "probe_carleman",
     "probe_observability",
     "second_order_mu_sweep",
-    "solve_backward_linear",
-    "solve_coupled_adjoint",
     "solve_coupled_primal",
     "solve_forward_linear",
     "solve_forward_quasilinear",

@@ -355,7 +355,6 @@ def cmd_verify(args) -> int:
     from .verification import (
         check_duality,
         check_second_order,
-        kkt_nash_oracle,
         oracle_nash_gap,
         probe_carleman,
         probe_observability,
@@ -368,6 +367,10 @@ def cmd_verify(args) -> int:
         if args.suite == "all"
         else [args.suite]
     )
+    if {"observability", "carleman"} & set(suites):
+        # both probes linearize at the uncontrolled march under the scenario weights
+        z0 = _uncontrolled(problem)
+        w = s.build_carleman_weights(problem)
     reports = {}
     all_pass = True
     for suite in suites:
@@ -389,14 +392,12 @@ def cmd_verify(args) -> int:
             ok = res["relative_gap"] <= 1e-2
             reports[suite] = dict(res, budget=1e-2, passed=ok, name="second-order")
         elif suite == "observability":
-            ctx = linearize_at(problem, _uncontrolled(problem), weights=s.build_carleman_weights(problem))
+            ctx = linearize_at(problem, z0, weights=w)
             rep = probe_observability(ctx, samples=8, seed=s.seed)
             reports[suite] = rep.as_dict()
             ok = rep.passed
         elif suite == "carleman":
-            z0 = _uncontrolled(problem)
             c = coefficients_from_state(problem.nl, z0)
-            w = s.build_carleman_weights(problem)
             rep = probe_carleman(c, w, samples=8, seed=s.seed)
             reports[suite] = rep.as_dict()
             ok = rep.passed

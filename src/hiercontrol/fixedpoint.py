@@ -72,7 +72,6 @@ def linearize_at(
     weights: CarlemanWeights | None = None,
     strategy: str = "auto",
     picard_tol: float = 1e-10,
-    picard_max: int = 400,
 ) -> GramianContext:
     """Gramian context of the linear leader problem frozen at the trajectory z.
 
@@ -99,14 +98,7 @@ def linearize_at(
     )
     if weights is None:
         weights = build_weights(problem.grid, problem.tgrid, problem.focus_box())
-    return GramianContext(
-        problem,
-        weights,
-        c,
-        strategy=strategy,
-        picard_tol=picard_tol,
-        picard_max=picard_max,
-    )
+    return GramianContext(problem, weights, c, strategy=strategy, picard_tol=picard_tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,15 +125,12 @@ def solve_hierarchic(
     problem: HierarchicProblem,
     epsilon: float,
     outer_tol: float = 1e-8,
-    outer_damping: float = 1.0,
     max_outer: int = 12,
     cg_tol: float = 1e-8,
     cg_max: int = 400,
     weights: CarlemanWeights | None = None,
-    strategy: str = "auto",
     data_budget: float = 1.0,
     nash_tol: float = 1e-11,
-    residual_directions: int = 10,
     seed: int = 0,
 ) -> FixedPointReport:
     """Damped Picard on the linearize-and-control map.
@@ -149,7 +138,8 @@ def solve_hierarchic(
     Starts from the uncontrolled quasi-linear trajectory (which carries the
     correct initial slice), freezes coefficients there, solves the penalized
     leader problem, and relaxes the linearization point toward the controlled
-    state.  The step factor is halved on an update-norm increase, floor 1/8.
+    state.  The step factor starts at 1 and is halved on an update-norm
+    increase, floor 1/8.
     Finalization recomputes the follower equilibrium under the found control
     on the true quasi-linear dynamics and reports that terminal norm next to
     the linearized one.
@@ -176,14 +166,14 @@ def solve_hierarchic(
             stacklevel=2,
         )
 
-    theta = outer_damping
+    theta = 1.0
     update_norms: list[float] = []
     converged = False
     ls: LeaderSolution | None = None
     prev_update = np.inf
     iterations = 0
     for iterations in range(1, max_outer + 1):
-        ctx = linearize_at(problem, SpaceTimeField(grid, tgrid, z), weights, strategy=strategy)
+        ctx = linearize_at(problem, SpaceTimeField(grid, tgrid, z), weights)
         ls = solve_leader(ctx, epsilon, cg_tol=cg_tol, cg_max=cg_max)
         z_new = z + theta * (ls.y.values - z)
         update = float(np.sqrt(stepped_norm2(grid, tgrid, z_new - z)))
@@ -201,9 +191,7 @@ def solve_hierarchic(
     v1 = v2 = None
     try:
         nash = compute_nash(problem, u=ls.u, tol=nash_tol)
-        nash = with_first_order_residuals(
-            problem, ls.u, nash, n_directions=residual_directions, seed=seed
-        )
+        nash = with_first_order_residuals(problem, ls.u, nash, seed=seed)
         terminal_norm = float(
             np.sqrt(np.dot(grid.weights * nash.y.values[-1], nash.y.values[-1]))
         )

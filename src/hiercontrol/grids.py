@@ -29,8 +29,7 @@ subspace.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -78,13 +77,6 @@ class SpatialGrid:
     def x(self) -> np.ndarray:
         """Coordinates along the first axis (all nodes)."""
         return self.nodes[:, 0]
-
-    def axis_coords(self) -> np.ndarray:
-        """The shared 1D coordinate array of one axis."""
-        return np.linspace(0.0, 1.0, self.cells + 1)
-
-    def shape(self) -> tuple[int, ...]:
-        return (self.cells + 1,) * self.dim
 
     def same_as(self, other: "SpatialGrid") -> bool:
         return self.dim == other.dim and self.cells == other.cells
@@ -174,9 +166,6 @@ class Field:
             raise CoefficientError("field contains non-finite values")
         object.__setattr__(self, "values", _frozen(v))
 
-    def norm(self) -> float:
-        return float(np.sqrt(space_inner(self, self)))
-
 
 @dataclass(frozen=True, eq=False)
 class SpaceTimeField:
@@ -195,20 +184,6 @@ class SpaceTimeField:
             raise CoefficientError("trajectory contains non-finite values")
         object.__setattr__(self, "values", _frozen(v))
 
-    def slice(self, m: int) -> Field:
-        return Field(self.grid, self.values[m])
-
-    def norm(self) -> float:
-        return float(np.sqrt(spacetime_inner(self, self)))
-
-
-def zero_field(grid: SpatialGrid) -> Field:
-    return Field(grid, np.zeros(grid.n_nodes))
-
-
-def zero_trajectory(grid: SpatialGrid, tgrid: TimeGrid) -> SpaceTimeField:
-    return SpaceTimeField(grid, tgrid, np.zeros((tgrid.n_slices, grid.n_nodes)))
-
 
 # ---------------------------------------------------------------------------
 # quadrature
@@ -219,25 +194,6 @@ def space_inner(f: Field, g: Field) -> float:
     if not f.grid.same_as(g.grid):
         raise GridMismatchError("inner product of fields on different grids")
     return float(np.dot(f.grid.weights * f.values, g.values))
-
-
-def spacetime_inner(f: SpaceTimeField, g: SpaceTimeField) -> float:
-    """Trapezoid-in-time, trapezoid-in-space L2(Q) inner product."""
-    if not (f.grid.same_as(g.grid) and f.tgrid.same_as(g.tgrid)):
-        raise GridMismatchError("inner product of trajectories on different grids")
-    per_slice = (f.values * g.values) @ f.grid.weights
-    tw = np.full(f.tgrid.n_slices, f.tgrid.tau)
-    tw[0] = tw[-1] = f.tgrid.tau / 2.0
-    return float(np.dot(tw, per_slice))
-
-
-def inner_product(f, g) -> float:
-    """Trapezoid inner product over Omega (fields) or Q (trajectories)."""
-    if isinstance(f, Field):
-        return space_inner(f, g)
-    if isinstance(f, SpaceTimeField):
-        return spacetime_inner(f, g)
-    raise TypeError(f"inner_product expects Field or SpaceTimeField, got {type(f)!r}")
 
 
 def stepped_pairing(
@@ -499,10 +455,6 @@ class CutoffRegion:
     inner_mask: np.ndarray
     outer_mask: np.ndarray
 
-    @property
-    def field(self) -> Field:
-        return Field(self.grid, self.values)
-
 
 def _normalize_box(dim: int, iv) -> tuple:
     iv = tuple(iv)
@@ -556,11 +508,3 @@ def build_cutoff(grid: SpatialGrid, inner, outer) -> CutoffRegion:
         inner_mask=box_mask(grid, In),
         outer_mask=box_mask(grid, Out),
     )
-
-
-def axis_profiles(region: CutoffRegion) -> list[np.ndarray]:
-    """Per-axis 1D cutoff profile on the axis coordinate array (diagnostics)."""
-    x = region.grid.axis_coords()
-    return [
-        _axis_bump(x, region.outer[ax], region.inner[ax]) for ax in range(region.grid.dim)
-    ]

@@ -34,8 +34,10 @@ slice pattern each, placed at their block offsets together with the
 identity and coupling diagonals.
 
 A sweep engine (lagged Picard between the y and p marches) replaces the
-monolithic factorization above a configurable unknown-count threshold; both
-engines solve the same equations and can be cross-checked.  The sweep
+monolithic factorization above MONOLITHIC_LIMIT unknowns under
+``strategy="auto"``; both engines solve the same equations and can be
+cross-checked.  An engine named explicitly is the engine that runs: a
+Picard sweep that does not converge raises NonConvergenceError.  The sweep
 marches use the per-slice factors of the solvers module: LAPACK tridiagonal
 factors in 1D, SuperLU in 2D.  The context is penalty-free: one
 factorization serves a whole epsilon sweep.
@@ -50,7 +52,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConditioningError, NonConvergenceError, ValidationError
-from .grids import Field, SpaceTimeField, slice_pattern, stepped_pairing
+from .grids import SpaceTimeField, slice_pattern, stepped_pairing
 from .nash import HierarchicProblem
 from .solvers import (
     LinearCoefficients,
@@ -64,6 +66,7 @@ from .solvers import (
 from .weights import CarlemanWeights, control_energy, observation_weight_trajectory
 
 MONOLITHIC_LIMIT = 200_000
+PICARD_MAX = 400
 
 
 def _wnorm(grid, v: np.ndarray) -> float:
@@ -90,8 +93,6 @@ class GramianContext:
         coefficients: LinearCoefficients,
         strategy: str = "auto",
         picard_tol: float = 1e-10,
-        picard_max: int = 400,
-        monolithic_limit: int = MONOLITHIC_LIMIT,
     ):
         if not weights.grid.same_as(problem.grid) or not weights.tgrid.same_as(problem.tgrid):
             raise ValidationError("weights live on a different discretization than the problem")
@@ -103,8 +104,6 @@ class GramianContext:
         self.grid = problem.grid
         self.tgrid = problem.tgrid
         self.picard_tol = picard_tol
-        self.picard_max = picard_max
-        self.monolithic_limit = monolithic_limit
 
         xi0 = problem.xi("leader")
         self.w7 = observation_weight_trajectory(weights)
@@ -115,7 +114,7 @@ class GramianContext:
 
         size = 3 * self.tgrid.steps * self.grid.n_interior
         if strategy == "auto":
-            strategy = "monolithic" if size <= monolithic_limit else "picard"
+            strategy = "monolithic" if size <= MONOLITHIC_LIMIT else "picard"
         if strategy not in ("monolithic", "picard"):
             raise ValidationError(f"unknown engine strategy {strategy!r}")
         self.strategy = strategy
@@ -170,11 +169,6 @@ class GramianContext:
         if self._factors is None:
             self._factors = (state_factors(self.c), sensitivity_factors(self.c))
         return self._factors
-
-    def _promote_to_monolithic(self):
-        self.strategy = "monolithic"
-        if self._lu is None:
-            self._lu = spla.splu(self._assemble())
 
     # --------------------------------------------------------------- monolith
     def _unpack(self, x: np.ndarray, y_init: np.ndarray | None):
@@ -238,7 +232,7 @@ class GramianContext:
         zeros = np.zeros((tgrid.n_slices, n))
         p = [zeros.copy(), zeros.copy()]
         y_prev = None
-        for _ in range(self.picard_max):
+        for _ in range(PICARD_MAX):
             src = np.zeros((tgrid.n_slices, n))
             if source_y is not None:
                 src += source_y
@@ -263,7 +257,7 @@ class GramianContext:
             y_prev = y
         raise NonConvergenceError(
             f"coupled primal sweep did not reach tol={tol:.1e} "
-            f"in {self.picard_max} iterations"
+            f"in {PICARD_MAX} iterations"
         )
 
     def _solve_transposed_picard(self, phi_T: np.ndarray, tol):
@@ -273,7 +267,7 @@ class GramianContext:
         zeros = np.zeros((tgrid.n_slices, n))
         lam = [zeros.copy(), zeros.copy()]
         phi_prev = None
-        for _ in range(self.picard_max):
+        for _ in range(PICARD_MAX):
             src = np.zeros((tgrid.n_slices, n))
             for k in (1, 2):
                 nu_k = self.problem.nu[k - 1]
@@ -299,7 +293,7 @@ class GramianContext:
         else:
             raise NonConvergenceError(
                 f"coupled transposed sweep did not reach tol={tol:.1e} "
-                f"in {self.picard_max} iterations"
+                f"in {PICARD_MAX} iterations"
             )
         phi = phi_prev
         th1 = -lam[0]
@@ -313,32 +307,18 @@ class GramianContext:
         """Coupled (y, p1, p2) response to a y-source, initial state and targets.
 
         Raw-array interface: trajectories are (n_slices, n_nodes) arrays.
-        A diverging Picard sweep falls back to the monolithic factorization
-        when the unknown count permits it.
         """
         if self.strategy == "monolithic":
             return self._solve_primal_monolithic(source_y, y0, targets)
         tol = self.picard_tol if picard_tol is None else picard_tol
-        try:
-            return self._solve_primal_picard(source_y, y0, targets, tol)
-        except NonConvergenceError:
-            if self.size > self.monolithic_limit:
-                raise
-            self._promote_to_monolithic()
-            return self._solve_primal_monolithic(source_y, y0, targets)
+        return self._solve_primal_picard(source_y, y0, targets, tol)
 
     def solve_transposed(self, phi_T: np.ndarray, picard_tol=None):
         """(phi, theta_1, theta_2) of the transposed coupled system seeded by phi_T."""
         if self.strategy == "monolithic":
             return self._solve_transposed_monolithic(phi_T)
         tol = self.picard_tol if picard_tol is None else picard_tol
-        try:
-            return self._solve_transposed_picard(phi_T, tol)
-        except NonConvergenceError:
-            if self.size > self.monolithic_limit:
-                raise
-            self._promote_to_monolithic()
-            return self._solve_transposed_monolithic(phi_T)
+        return self._solve_transposed_picard(phi_T, tol)
 
     def control_from_seed(self, phi: np.ndarray) -> np.ndarray:
         """u = xi_0 exp(2 lambda nu) beta^7 phi; vanishes at the endpoint slices."""
@@ -366,41 +346,19 @@ class GramianContext:
 
 
 # ---------------------------------------------------------------------------
-# field-typed wrappers over the raw-array context engines
+# field-typed wrapper over the raw-array context engine
 
 
 def solve_coupled_primal(
     ctx: GramianContext,
     u: SpaceTimeField | None,
-    y0: Field | None = None,
-    with_targets: bool = True,
 ) -> tuple[SpaceTimeField, SpaceTimeField, SpaceTimeField]:
-    """Linear coupled forward-backward system at leader control u.
-
-    ``y0`` defaults to the problem's initial state; pass with_targets=False
-    for the homogeneous-data response used by the Gramian.
-    """
+    """Linear coupled forward-backward system at leader control u, from the problem's data."""
     src = None if u is None else ctx.xi0[None, :] * u.values
-    y_init = (ctx.problem.y0 if y0 is None else y0).values
-    targets = tuple(t.values for t in ctx.problem.targets) if with_targets else None
-    y, p1, p2 = ctx.solve_primal(src, y_init, targets)
+    targets = tuple(t.values for t in ctx.problem.targets)
+    y, p1, p2 = ctx.solve_primal(src, ctx.problem.y0.values, targets)
     mk = SpaceTimeField
     return mk(ctx.grid, ctx.tgrid, y), mk(ctx.grid, ctx.tgrid, p1), mk(ctx.grid, ctx.tgrid, p2)
-
-
-def solve_coupled_adjoint(
-    ctx: GramianContext,
-    phi_T: Field,
-) -> tuple[SpaceTimeField, SpaceTimeField, SpaceTimeField]:
-    """Transposed coupled system seeded by the terminal datum phi_T."""
-    phi, th1, th2 = ctx.solve_transposed(np.asarray(phi_T.values, dtype=float))
-    mk = SpaceTimeField
-    return mk(ctx.grid, ctx.tgrid, phi), mk(ctx.grid, ctx.tgrid, th1), mk(ctx.grid, ctx.tgrid, th2)
-
-
-def gramian_apply(ctx: GramianContext, phi_T: Field) -> Field:
-    """Lambda phi_T as a Field (terminal state of the weighted response)."""
-    return Field(ctx.grid, ctx.gramian_apply(np.asarray(phi_T.values, dtype=float)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -432,8 +390,6 @@ class LeaderSolution:
 def solve_leader(
     ctx: GramianContext,
     epsilon: float,
-    y0: Field | None = None,
-    targets: tuple[SpaceTimeField, SpaceTimeField] | None = None,
     cg_tol: float = 1e-8,
     cg_max: int = 400,
     stagnation_window: int = 20,
@@ -454,16 +410,9 @@ def solve_leader(
     grid, tgrid = ctx.grid, ctx.tgrid
     inner_tol = min(ctx.picard_tol, cg_tol / 100.0)
 
-    custom = y0 is not None or targets is not None
-    if custom:
-        y0v = (ctx.problem.y0 if y0 is None else y0).values
-        tgtv = tuple(t.values for t in (ctx.problem.targets if targets is None else targets))
-        yb, _, _ = ctx.solve_primal(None, y0v, tgtv, picard_tol=inner_tol)
-        b = yb[-1].copy()
-    else:
-        y0v = ctx.problem.y0.values
-        tgtv = tuple(t.values for t in ctx.problem.targets)
-        b = ctx.free_terminal(picard_tol=inner_tol)
+    y0v = ctx.problem.y0.values
+    tgtv = tuple(t.values for t in ctx.problem.targets)
+    b = ctx.free_terminal(picard_tol=inner_tol)
     bnorm = _wnorm(grid, b)
     J0 = 0.5 / eps * bnorm**2
 

@@ -77,7 +77,6 @@ class HierarchicProblem:
     nu: tuple[float, float]
     y0: Field
     targets: tuple[SpaceTimeField, SpaceTimeField]
-    control_bound: float | None = None
     name: str = "problem"
 
     def __post_init__(self):
@@ -109,8 +108,6 @@ class HierarchicProblem:
                 )
         if not self.y0.grid.same_as(self.grid):
             raise ValidationError("initial state lives on a different grid")
-        if self.control_bound is not None and self.control_bound <= 0:
-            raise ValidationError("control_bound must be positive when given")
 
     # geometry helpers -------------------------------------------------------
     def focus_box(self) -> tuple[tuple[float, float], ...]:
@@ -156,7 +153,6 @@ class NashSolution:
 def coefficients_from_state(
     nl: Nonlinearity,
     state: SpaceTimeField,
-    rho0: float | None = None,
 ) -> LinearCoefficients:
     """Adjoint-side coefficient roster (A, e, d0) of the linearization at ``state``.
 
@@ -168,7 +164,6 @@ def coefficients_from_state(
     diagonal.
     """
     grid, tgrid = state.grid, state.tgrid
-    r0 = nl.rho0 if rho0 is None else rho0
     M1, n, dim = tgrid.n_slices, grid.n_nodes, grid.dim
     y = state.values
     gy = trajectory_gradient(state)
@@ -208,7 +203,7 @@ def coefficients_from_state(
         B=A,
         g=e,
         g0=g0,
-        rho0=r0,
+        rho0=nl.rho0,
     )
 
 
@@ -259,35 +254,39 @@ def _state(problem: HierarchicProblem, u, v1, v2, refreshes: int) -> SpaceTimeFi
 # the equilibrium iteration
 
 
+def _update_residual(grid, tgrid, v, vhat) -> float:
+    """Largest relative update |vhat_k - v_k| / (1 + |vhat_k|) over both followers."""
+    res = 0.0
+    for vk, vhk in zip(v, vhat):
+        num = np.sqrt(stepped_norm2(grid, tgrid, vhk - vk))
+        den = 1.0 + np.sqrt(stepped_norm2(grid, tgrid, vhk))
+        res = max(res, num / den)
+    return res
+
+
 def compute_nash(
     problem: HierarchicProblem,
     u: SpaceTimeField | None = None,
-    v_init: tuple[SpaceTimeField, SpaceTimeField] | None = None,
     tol: float = 1e-11,
     max_iter: int = 80,
-    damping: float = 1.0,
     refreshes: int = 2,
 ) -> NashSolution:
-    """Damped Picard iteration on  v_k <- (1/mu_k) xi_k p_k[v].
+    """Damped Picard iteration on  v_k <- (1/mu_k) xi_k p_k[v], from v = 0.
 
-    The step factor starts at ``damping`` and is halved (at most five
-    times) whenever the fixed-point residual increases.  On convergence
-    the state and adjoints are recomputed at the accepted controls so the
-    returned fields are mutually consistent.
+    The step factor starts at 1 and is halved (at most five times)
+    whenever the fixed-point residual increases.  On convergence the state
+    and adjoints are recomputed at the accepted controls so the returned
+    fields are mutually consistent.
     """
     grid, tgrid = problem.grid, problem.tgrid
     M1, n = tgrid.n_slices, grid.n_nodes
     zeros = np.zeros((M1, n))
-    if v_init is None:
-        v1 = zeros.copy()
-        v2 = zeros.copy()
-    else:
-        v1 = v_init[0].values.copy()
-        v2 = v_init[1].values.copy()
+    v1 = zeros.copy()
+    v2 = zeros.copy()
 
     xi = [problem.xi("follower1"), problem.xi("follower2")]
     xi_star = problem.xi("tracking")
-    theta = damping
+    theta = 1.0
     halvings = 0
     prev_res = np.inf
     residuals: list[float] = []
@@ -320,11 +319,7 @@ def compute_nash(
     for it in range(1, max_iter + 1):
         y_field, ps, vhat = fixed_point_map(v1, v2)
         p1, p2 = ps
-        res = 0.0
-        for vk, vhk in ((v1, vhat[0]), (v2, vhat[1])):
-            num = np.sqrt(stepped_norm2(grid, tgrid, vhk - vk))
-            den = 1.0 + np.sqrt(stepped_norm2(grid, tgrid, vhk))
-            res = max(res, num / den)
+        res = _update_residual(grid, tgrid, (v1, v2), vhat)
         residuals.append(res)
         if res < tol:
             v1, v2 = vhat
@@ -347,11 +342,7 @@ def compute_nash(
     # one consistency pass at the accepted controls
     y_field, ps, vhat = fixed_point_map(v1, v2)
     p1, p2 = ps
-    final_res = 0.0
-    for vk, vhk in ((v1, vhat[0]), (v2, vhat[1])):
-        num = np.sqrt(stepped_norm2(grid, tgrid, vhk - vk))
-        den = 1.0 + np.sqrt(stepped_norm2(grid, tgrid, vhk))
-        final_res = max(final_res, num / den)
+    final_res = _update_residual(grid, tgrid, (v1, v2), vhat)
     residuals.append(final_res)
 
     v1f = SpaceTimeField(grid, tgrid, v1)
@@ -398,7 +389,6 @@ def gateaux_residual(
     problem: HierarchicProblem,
     u: SpaceTimeField | None,
     solution: NashSolution,
-    directions: list[np.ndarray] | None = None,
     n_directions: int = 10,
     seed: int = 0,
 ) -> tuple[float, float]:
@@ -410,8 +400,8 @@ def gateaux_residual(
         dJ_k[w] = mu_k <v_k, w>_{omega_k} + nu_k <xi_* (y - y_{k,d}), y_s>,
 
     with every inner product the stepped space-time quadrature.  The
-    derivative is linear in w; r_k is the worst |dJ_k| over the supplied
-    (or generated unit-norm) directions, normalized by 1 + |J_k|.
+    derivative is linear in w; r_k is the worst |dJ_k| over ``n_directions``
+    generated unit-norm directions, normalized by 1 + |J_k|.
     """
     grid, tgrid = problem.grid, problem.tgrid
     n = grid.n_nodes
@@ -420,7 +410,7 @@ def gateaux_residual(
     xi_star = problem.xi("tracking")
     out = []
     for k in (1, 2):
-        dirs = directions if directions is not None else random_directions(problem, k, n_directions, seed + k)
+        dirs = random_directions(problem, k, n_directions, seed + k)
         mu_k, nu_k = problem.mu[k - 1], problem.nu[k - 1]
         vk = (solution.v1 if k == 1 else solution.v2).values
         mask = problem.follower_mask(k)

@@ -1,29 +1,21 @@
-"""Implicit parabolic solvers: forward, backward (two modes), quasi-linear.
+"""Implicit parabolic solvers: forward, adjoint, quasi-linear.
 
 Time stepping is backward Euler throughout.  A forward problem
 
     y_t + L^m y = s,   L^m y = -div(b grad y) + f_adv . grad y + f0 y,
 
 advances through (I + tau L^m) y^m = y^{m-1} + tau s^m for m = 1..M, with the
-operator and source sampled at the target slice.  The backward solver has two
-modes:
+operator and source sampled at the target slice.  The backward march is the
+exact discrete adjoint of the forward march.  The recursion
+(I + tau (L^m)^T) p^m = p^{m+1} + tau r^m runs down from a seed at m = M and
+solves against the transposed factorization of the same slice matrices, so
+the summation-by-parts identity
 
-* ``adjoint``: the exact discrete adjoint of the forward march.  The
-  recursion (I + tau (L^m)^T) p^m = p^{m+1} + tau r^m runs down from a seed
-  at m = M and solves against the transposed factorization of the same slice
-  matrices, so the summation-by-parts identity
+    <y^M, seed> - <y^0, p^1> = tau sum_{m=1..M} ( <s^m, p^m> - <y^m, r^m> )
 
-      <y^M, seed> - <y^0, p^1> = tau sum_{m=1..M} ( <s^m, p^m> - <y^m, r^m> )
-
-  holds to rounding.  The returned trajectory stores the multiplier at
-  slices 1..M and repeats slice 1 at slice 0 (the value the identity pairs
-  with the initial datum).
-
-* ``continuous``: the literal backward equation p_t + div(B grad p) + g . grad p
-  + g0 p = r marched as (I - tau Ltilde^m) p^m = p^{m+1} - tau r^m with the
-  operator at the solved slice.  With matching coefficient rosters the two
-  modes assemble identical slice matrices and differ only in their time
-  alignment conventions.
+holds to rounding.  The returned trajectory stores the multiplier at slices
+1..M and repeats slice 1 at slice 0 (the value the identity pairs with the
+initial datum).
 
 Every slice matrix I + tau L^m comes from one assembly path.  The grid
 shape fixes an interior-only CSR pattern (``grids.slice_pattern``, built
@@ -31,9 +23,9 @@ once per shape); ``slice_operator`` writes the values of one slice or of a
 whole stack of slices into it with vectorised arithmetic straight from the
 coefficient arrays, equal bit for bit to the flux-form composition of
 ``assemble_divergence_operator`` and ``gradient_matrices``.  The linear
-marches (``state_factors``, ``sensitivity_factors``, the continuous mode),
-the quasi-linear march and the leader's space-time matrix all use it, and a
-roster family that does not change in time is assembled and factored once.
+marches (``state_factors``, ``sensitivity_factors``), the quasi-linear
+march and the leader's space-time matrix all use it, and a roster family
+that does not change in time is assembled and factored once.
 ``factor_slice`` factors a slice: in 1D the matrix is tridiagonal and goes
 to LAPACK dgttrf/dgttrs, whose transposed solve on the same factors keeps
 the adjoint march exact; in 2D it goes to SuperLU.
@@ -114,15 +106,6 @@ class LinearCoefficients:
             if arr is not None and arr.shape != (M1, n):
                 raise CoefficientError(f"{name} has shape {arr.shape}, expected ({M1}, {n})")
 
-    def budget(self) -> dict[str, float]:
-        """Sup norms of every coefficient family plus their sum (the size of the roster)."""
-        out = {}
-        for name in ("b", "B", "f_adv", "g", "f0", "g0"):
-            arr = getattr(self, name)
-            out[name] = float(np.abs(arr).max()) if arr is not None else 0.0
-        out["total"] = float(sum(out.values()))
-        return out
-
 
 def constant_coefficients(
     grid: SpatialGrid,
@@ -133,7 +116,6 @@ def constant_coefficients(
     B=None,
     g=None,
     g0=None,
-    rho0: float = DEFAULT_RHO0,
 ) -> LinearCoefficients:
     """Broadcast scalars / per-node arrays to full slice-sampled rosters.
 
@@ -174,7 +156,6 @@ def constant_coefficients(
         B=scal(B) if B is not None else bb.copy(),
         g=vec(g),
         g0=scal(g0),
-        rho0=rho0,
     )
 
 
@@ -268,23 +249,22 @@ def factor_slice(grid: SpatialGrid, data: np.ndarray):
 class SliceFactors:
     """Factorizations of (I + tau L^m) on the interior subspace, one per slice.
 
-    ``data`` holds the pattern values of slices first, first+1, ... (one row
-    each), or a single row shared by every slice.  ``solve(m, rhs)`` applies
+    ``data`` holds the pattern values of slices 1..M (one row each), or a
+    single row shared by every slice.  ``solve(m, rhs)`` applies
     (I + tau L^m)^{-1}; ``transpose=True`` applies the inverse transpose with
     the same factors, which is what keeps forward/adjoint pairs exactly dual.
     Factors are computed on first use.
     """
 
-    def __init__(self, grid: SpatialGrid, tgrid: TimeGrid, data: np.ndarray, first: int = 1):
+    def __init__(self, grid: SpatialGrid, tgrid: TimeGrid, data: np.ndarray):
         self.grid = grid
         self.tgrid = tgrid
         self.ii = grid.interior_idx
         self.data = data
-        self.first = first
         self._lu: dict[int, object] = {}
 
     def _factor(self, m: int):
-        k = 0 if self.data.shape[0] == 1 else m - self.first
+        k = 0 if self.data.shape[0] == 1 else m - 1
         lu = self._lu.get(k)
         if lu is None:
             lu = factor_slice(self.grid, self.data[k])
@@ -299,26 +279,21 @@ class SliceFactors:
         return out
 
 
-def _time_constant(*arrays, lo: int = 1, hi: int | None = None) -> bool:
-    """True when every given roster array repeats exactly over slices lo..hi-1."""
+def _time_constant(*arrays) -> bool:
+    """True when every given roster array repeats exactly over slices 1..M."""
     for arr in arrays:
-        if arr is not None and arr[lo:hi].size and np.ptp(arr[lo:hi], axis=0).max() > 0.0:
+        if arr is not None and arr[1:].size and np.ptp(arr[1:], axis=0).max() > 0.0:
             return False
     return True
 
 
-def _neg(arr):
-    return None if arr is None else -arr
-
-
-def _roster_slices(c: LinearCoefficients, b, f_adv=None, f_div=None, f0=None, first: int = 1):
-    """Pattern values of I + tau L at slices first..first+M-1 of a roster family.
+def _roster_slices(c: LinearCoefficients, b, f_adv=None, f_div=None, f0=None):
+    """Pattern values of I + tau L at slices 1..M of a roster family.
 
     A time-constant family is assembled once and returned as one row.
     """
     fams = (b, f_adv, f_div, f0)
-    hi = first + c.tgrid.steps
-    sel = slice(first, first + 1) if _time_constant(*fams, lo=first, hi=hi) else slice(first, hi)
+    sel = slice(1, 2) if _time_constant(*fams) else slice(1, None)
     return slice_operator(c.grid, c.tgrid.tau, *(None if a is None else a[sel] for a in fams))
 
 
@@ -329,7 +304,7 @@ def state_slices(c: LinearCoefficients) -> np.ndarray:
 
 def sensitivity_slices(c: LinearCoefficients) -> np.ndarray:
     """I + tau L_p at slices 1..M, L_p = -div(B grad .) + div(g .) - g0."""
-    return _roster_slices(c, c.B, f_div=c.g, f0=_neg(c.g0))
+    return _roster_slices(c, c.B, f_div=c.g, f0=None if c.g0 is None else -c.g0)
 
 
 def state_factors(c: LinearCoefficients) -> SliceFactors:
@@ -390,28 +365,6 @@ def march_adjoint(
     return p
 
 
-def _continuous_factors(c: LinearCoefficients) -> SliceFactors:
-    data = _roster_slices(c, c.B, f_adv=_neg(c.g), f0=_neg(c.g0), first=0)
-    return SliceFactors(c.grid, c.tgrid, data, first=0)
-
-
-def march_backward_continuous(
-    c: LinearCoefficients, terminal: np.ndarray, sources: np.ndarray | None
-) -> np.ndarray:
-    """March  p_t + div(B grad p) + g . grad p + g0 p = r  down from p(T)."""
-    grid, tgrid = c.grid, c.tgrid
-    _check_dirichlet(grid, terminal, "terminal state")
-    factors = _continuous_factors(c)
-    p = np.zeros((tgrid.n_slices, grid.n_nodes))
-    p[tgrid.steps] = terminal
-    for m in range(tgrid.steps - 1, -1, -1):
-        rhs = p[m + 1] if sources is None else p[m + 1] - tgrid.tau * sources[m]
-        p[m] = factors.solve(m, rhs)
-    if not np.all(np.isfinite(p)):
-        raise SolverError("backward march produced non-finite values")
-    return p
-
-
 # ---------------------------------------------------------------------------
 # public linear solvers
 
@@ -430,28 +383,6 @@ def solve_forward_linear(
                 f"discrete maximum principle violated: max |y| = {worst:.6g} > {m0:.6g}"
             )
     return SpaceTimeField(c.grid, c.tgrid, y)
-
-
-def solve_backward_linear(
-    c: LinearCoefficients,
-    source: SpaceTimeField | None,
-    terminal: Field,
-    form: str = "adjoint",
-) -> SpaceTimeField:
-    """Backward solve in one of two modes (see module docstring).
-
-    ``adjoint`` solves  -p_t + L^T p = r  against the state roster (b, f_adv,
-    f0); ``continuous`` solves  p_t + div(B grad p) + g . grad p + g0 p = r
-    against the adjoint roster.
-    """
-    src = None if source is None else source.values
-    if form == "adjoint":
-        p = march_adjoint(state_factors(c), terminal.values, src)
-    elif form == "continuous":
-        p = march_backward_continuous(c, terminal.values, src)
-    else:
-        raise ValueError(f"unknown backward form {form!r}; use 'adjoint' or 'continuous'")
-    return SpaceTimeField(c.grid, c.tgrid, p)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ bug, not new mathematics.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .leader import GramianContext
 from .nash import (
     HierarchicProblem,
     NashSolution,
+    _state,
     coefficients_from_state,
     compute_nash,
     evaluate_cost,
@@ -373,11 +375,9 @@ def _delta_fields(problem: HierarchicProblem, y: SpaceTimeField, p: np.ndarray):
 def check_second_order(
     problem: HierarchicProblem,
     u: SpaceTimeField | None = None,
-    v1: SpaceTimeField | None = None,
     w: np.ndarray | None = None,
     step: float = 1e-3,
     seed: int = 0,
-    nash: NashSolution | None = None,
     refreshes: int = 2,
 ) -> dict:
     """Second Gateaux derivative of J1: curvature representation vs differences.
@@ -391,11 +391,8 @@ def check_second_order(
     """
     grid, tgrid = problem.grid, problem.tgrid
     n = grid.n_nodes
-    if nash is None:
-        nash = compute_nash(problem, u=u)
-    if v1 is None:
-        v1 = nash.v1
-    v2 = nash.v2
+    nash = compute_nash(problem, u=u)
+    v1, v2 = nash.v1, nash.v2
     if w is None:
         w = random_directions(problem, 1, 1, seed)[0]
 
@@ -404,7 +401,7 @@ def check_second_order(
     xi1 = problem.xi("follower1")
     xi_star = problem.xi("tracking")
 
-    y = _solve_state(problem, u, v1, v2, refreshes)
+    y = _state(problem, u, v1, v2, refreshes)
     mu_term = mu1 * stepped_norm2(grid, tgrid, w, mask=mask1)
 
     coupling = 0.0
@@ -442,12 +439,6 @@ def check_second_order(
         "coupling_term": coupling,
         "step": step,
     }
-
-
-def _solve_state(problem, u, v1, v2, refreshes):
-    from .nash import _state
-
-    return _state(problem, u, v1, v2, refreshes)
 
 
 def second_order_mu_sweep(
@@ -528,49 +519,21 @@ def probe_observability(
         lr = eval_terminal_weights(w, tgrid.times[m])["log_rho_hat"]
         rho2[m] = np.exp(-2.0 * lr)
 
-    ratios = []
-    excluded = 0
-    import warnings as _warnings
-
-    for _ in range(samples):
-        phi_T = _low_mode_terminal(grid, 10, rng, noise_db)
-        phi, th1, th2 = ctx.solve_transposed(phi_T)
-        lhs = float(np.dot(grid.weights * phi[0], phi[0]))
-        for th in (th1, th2):
-            ww = (th * th) @ grid.weights
-            lhs += tgrid.tau * float(np.dot(rho2[1 : tgrid.steps], ww[1 : tgrid.steps]))
-        obs = obs_traj * phi * phi
-        rhs = tgrid.tau * float(
-            (obs[1 : tgrid.steps][:, inner_mask] * grid.weights[inner_mask][None, :]).sum()
-        )
-        if rhs <= 1e-250:
-            excluded += 1
-            _warnings.warn(
-                "observability sample excluded: observation term vanished "
-                "(discretization artifact)",
-                stacklevel=2,
+    def energies():
+        for _ in range(samples):
+            phi_T = _low_mode_terminal(grid, 10, rng, noise_db)
+            phi, th1, th2 = ctx.solve_transposed(phi_T)
+            lhs = float(np.dot(grid.weights * phi[0], phi[0]))
+            for th in (th1, th2):
+                ww = (th * th) @ grid.weights
+                lhs += tgrid.tau * float(np.dot(rho2[1 : tgrid.steps], ww[1 : tgrid.steps]))
+            obs = obs_traj * phi * phi
+            rhs = tgrid.tau * float(
+                (obs[1 : tgrid.steps][:, inner_mask] * grid.weights[inner_mask][None, :]).sum()
             )
-            continue
-        ratios.append(lhs / rhs)
-    worst = float(max(ratios)) if ratios else float("nan")
-    finite = bool(ratios) and bool(np.all(np.isfinite(ratios)))
-    return ProbeReport(
-        name="observability",
-        samples=len(ratios),
-        worst_ratio=worst,
-        ratios=tuple(ratios),
-        parameters={
-            "lambda": w.lam,
-            "mu": w.mu,
-            "grid": f"{grid.cells}x{tgrid.steps}",
-            "dim": grid.dim,
-            "seed": seed,
-            "noise_db": noise_db,
-        },
-        budget=budget,
-        passed=bool(finite and (budget is None or worst <= budget)),
-        excluded=excluded,
-    )
+            yield lhs, rhs
+
+    return _ratio_report("observability", energies(), w, grid, tgrid, seed, noise_db, budget)
 
 
 def probe_carleman(
@@ -611,40 +574,50 @@ def probe_carleman(
         w_grad[m] = np.exp(base + np.log(lam * mu**2) + log_beta)
         w_zero[m] = np.exp(base + np.log(lam**3 * mu**4) + 3.0 * log_beta)
 
+    def energies():
+        for _ in range(samples):
+            v_T = _low_mode_terminal(grid, 10, rng, noise_db)
+            v = march_adjoint(factors, v_T, None)
+            grad_sq = np.zeros((tgrid.n_slices, grid.n_nodes))
+            for m in range(1, tgrid.steps):
+                g = gradient(Field(grid, v[m]))
+                grad_sq[m] = (g * g).sum(axis=-1)
+            lhs_field = w_grad * grad_sq + w_zero * v * v
+            lhs = tgrid.tau * float((lhs_field * grid.weights[None, :]).sum())
+            rhs_field = (w_zero * v * v)[:, obs_mask]
+            rhs = tgrid.tau * float((rhs_field * grid.weights[obs_mask][None, :]).sum())
+            yield lhs, rhs
+
+    return _ratio_report("carleman", energies(), weights, grid, tgrid, seed, noise_db, budget)
+
+
+def _ratio_report(name, energies, w, grid, tgrid, seed, noise_db, budget) -> ProbeReport:
+    """ProbeReport of the ratios lhs / rhs over a probe's sampled energy pairs.
+
+    A sample whose observation term rhs vanished is excluded with a warning.
+    """
     ratios = []
     excluded = 0
-    import warnings as _warnings
-
-    for _ in range(samples):
-        v_T = _low_mode_terminal(grid, 10, rng, noise_db)
-        v = march_adjoint(factors, v_T, None)
-        grad_sq = np.zeros((tgrid.n_slices, grid.n_nodes))
-        for m in range(1, tgrid.steps):
-            g = gradient(Field(grid, v[m]))
-            grad_sq[m] = (g * g).sum(axis=-1)
-        lhs_field = w_grad * grad_sq + w_zero * v * v
-        lhs = tgrid.tau * float((lhs_field * grid.weights[None, :]).sum())
-        rhs_field = (w_zero * v * v)[:, obs_mask]
-        rhs = tgrid.tau * float((rhs_field * grid.weights[obs_mask][None, :]).sum())
+    for lhs, rhs in energies:
         if rhs <= 1e-250:
             excluded += 1
-            _warnings.warn(
-                "Carleman sample excluded: observation term vanished "
+            warnings.warn(
+                f"{name} sample excluded: observation term vanished "
                 "(discretization artifact)",
-                stacklevel=2,
+                stacklevel=3,
             )
             continue
         ratios.append(lhs / rhs)
     worst = float(max(ratios)) if ratios else float("nan")
     finite = bool(ratios) and bool(np.all(np.isfinite(ratios)))
     return ProbeReport(
-        name="carleman",
+        name=name,
         samples=len(ratios),
         worst_ratio=worst,
         ratios=tuple(ratios),
         parameters={
-            "lambda": lam,
-            "mu": mu,
+            "lambda": w.lam,
+            "mu": w.mu,
             "grid": f"{grid.cells}x{tgrid.steps}",
             "dim": grid.dim,
             "seed": seed,

@@ -294,21 +294,3 @@ def control_energy(w: CarlemanWeights, u: np.ndarray, weights_arr: np.ndarray) -
         total += tau * float(np.dot(weights_arr, contrib))
     return total
 
-
-def weighted_target_norm(w: CarlemanWeights, target: np.ndarray, weights_arr: np.ndarray) -> float:
-    """Diagnostic  tau * sum_m <rho_hat^2 y, y>  in log space (inf if it overflows)."""
-    tau = w.tgrid.tau
-    total = 0.0
-    for m in range(w.tgrid.steps):
-        tw = eval_terminal_weights(w, float(w.tgrid.times[m]))
-        ym = target[m]
-        nz = ym != 0.0
-        if not np.any(nz):
-            continue
-        log_vals = 2.0 * tw["log_rho_hat"] + 2.0 * np.log(np.abs(ym[nz]))
-        if np.any(log_vals > 700.0):
-            return math.inf
-        contrib = np.zeros_like(ym)
-        contrib[nz] = np.exp(log_vals)
-        total += tau * float(np.dot(weights_arr, contrib))
-    return total

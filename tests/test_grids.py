@@ -17,12 +17,10 @@ from hiercontrol.grids import (
     build_grid,
     build_time_grid,
     gradient,
-    inner_product,
     smoothstep,
     space_inner,
     stepped_norm2,
     stepped_pairing,
-    zero_field,
 )
 
 
@@ -72,7 +70,7 @@ class TestQuadrature:
         g = build_grid(1, 64)
         f = Field(g, g.x**2)
         # int_0^1 x^2 = 1/3, trapezoid error O(h^2)
-        assert inner_product(f, Field(g, np.ones(g.n_nodes))) == pytest.approx(1 / 3, abs=1e-4)
+        assert space_inner(f, Field(g, np.ones(g.n_nodes))) == pytest.approx(1 / 3, abs=1e-4)
 
     def test_stepped_pairing_skips_slice_zero(self):
         g = build_grid(1, 16)
@@ -154,10 +152,6 @@ class TestFields:
         tg = build_time_grid(1.0, 32)
         with pytest.raises(GridMismatchError):
             SpaceTimeField(g, tg, np.zeros((5, g.n_nodes)))
-
-    def test_zero_field_norm(self):
-        g = build_grid(1, 16)
-        assert zero_field(g).norm() == 0.0
 
     def test_space_inner_matches_weights(self):
         g = build_grid(1, 16)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_problem
+from hiercontrol import leader
 from hiercontrol.errors import NonConvergenceError, ValidationError
 from hiercontrol.fixedpoint import linearize_at
 from hiercontrol.grids import SpaceTimeField, stepped_norm2
@@ -130,9 +131,22 @@ class TestEngines:
         )
         sol_m = solve_leader(mono, 1e-3)
         sol_p = solve_leader(pic, 1e-3)
+        assert sol_p.strategy == "picard"
         scale = max(np.abs(sol_m.u.values).max(), 1e-300)
         assert np.abs(sol_m.u.values - sol_p.u.values).max() / scale < 1e-8
         assert sol_p.terminal_norm == pytest.approx(sol_m.terminal_norm, rel=1e-6)
+
+    def test_requested_engine_is_kept(self, monkeypatch):
+        # a Picard sweep that cannot converge raises; it does not switch the
+        # context to the monolithic factorization
+        problem = make_problem(cells=16, steps=32)
+        ctx = linearize_at(problem, _zero_traj(problem), strategy="picard", picard_tol=0.0)
+        monkeypatch.setattr(leader, "PICARD_MAX", 3)
+        with pytest.raises(NonConvergenceError):
+            ctx.solve_primal(None, problem.y0.values, tuple(t.values for t in problem.targets))
+        with pytest.raises(NonConvergenceError):
+            ctx.solve_transposed(problem.y0.values)
+        assert ctx.strategy == "picard"
 
     def test_unknown_strategy_rejected(self):
         problem = make_problem(cells=16, steps=32)

@@ -21,7 +21,6 @@ from hiercontrol.solvers import (
     march_adjoint,
     march_forward,
     nonlinearity_preset,
-    solve_backward_linear,
     solve_forward_linear,
     solve_forward_quasilinear,
     state_factors,
@@ -119,26 +118,6 @@ class TestTransposition:
             np.testing.assert_allclose(p[m], y[tg.steps + 1 - m], rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(p[0], p[1], rtol=0, atol=0)
 
-    def test_continuous_mode_is_shifted_adjoint_mode(self):
-        # constant roster chosen so the backward operator is the literal
-        # transpose of the forward one; the two marches then differ only by
-        # where the terminal slice sits
-        g = build_grid(1, 24)
-        tg = build_time_grid(1.0, 16)
-        c = constant_coefficients(g, tg, b=1.0, f_adv=0.5, f0=0.3, B=1.0, g=0.5, g0=-0.3)
-        pT = _sine_field(g, amp=1.0).values
-        adj = solve_backward_linear(c, None, Field(g, pT), form="adjoint").values
-        cont = solve_backward_linear(c, None, Field(g, pT), form="continuous").values
-        for m in range(1, tg.steps + 1):
-            np.testing.assert_allclose(adj[m], cont[m - 1], rtol=1e-12, atol=1e-14)
-
-    def test_unknown_backward_form(self):
-        g = build_grid(1, 16)
-        tg = build_time_grid(1.0, 16)
-        c = constant_coefficients(g, tg, b=1.0)
-        with pytest.raises(ValueError):
-            solve_backward_linear(c, None, _sine_field(g), form="sideways")
-
 
 class TestRosterValidation:
     def test_ellipticity_rejected(self):
@@ -155,14 +134,6 @@ class TestRosterValidation:
             LinearCoefficients(
                 grid=g, tgrid=tg, b=ok.b[:-1], f_adv=None, f0=None, B=ok.B, g=None, g0=None
             )
-
-    def test_budget_keys(self):
-        g = build_grid(1, 16)
-        tg = build_time_grid(1.0, 16)
-        c = constant_coefficients(g, tg, b=2.0, f0=0.5)
-        bud = c.budget()
-        assert bud["b"] == 2.0 and bud["f0"] == 0.5
-        assert bud["total"] == pytest.approx(sum(v for k, v in bud.items() if k != "total"))
 
 
 class TestNonlinearity:

@@ -18,7 +18,6 @@ from hiercontrol.weights import (
     lambda_auto,
     observation_weight,
     observation_weight_trajectory,
-    weighted_target_norm,
 )
 
 
@@ -180,14 +179,3 @@ class TestEnergies:
     def test_control_energy_of_zero(self, w_unit):
         u = np.zeros((w_unit.tgrid.n_slices, w_unit.grid.n_nodes))
         assert control_energy(w_unit, u, w_unit.grid.weights) == 0.0
-
-    def test_weighted_target_norm_overflow(self):
-        g = build_grid(1, 16)
-        tg = build_time_grid(1.0, 32)
-        w = build_weights(g, tg, (0.4, 0.6), mu=1.0, lam=5000.0)
-        target = np.ones((tg.n_slices, g.n_nodes))
-        assert weighted_target_norm(w, target, g.weights) == math.inf
-
-    def test_weighted_target_norm_zero(self, w_unit):
-        target = np.zeros((w_unit.tgrid.n_slices, w_unit.grid.n_nodes))
-        assert weighted_target_norm(w_unit, target, w_unit.grid.weights) == 0.0
