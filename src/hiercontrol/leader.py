@@ -26,12 +26,23 @@ the free (u = 0) coupled response.  Lambda is assembled implicitly: one
 sparse factorization of the monolithic space-time system serves the primal
 solve and, through transposed triangular solves, the transposed solve, so
 Lambda = E K^{-1} D K^{-T} E^T is symmetric positive semidefinite to rounding
-and plain conjugate gradients applies.  The controlled terminal state equals
+and a conjugate-gradient solve applies.  The controlled terminal state equals
 -eps phi_T identically, which is reported as a consistency defect.  K is
 filled in one vectorised pass: the slice blocks I + tau L_y^m and
 (I + tau L_p^m)^T of all M slices come from one stacked fill of the solvers'
 slice pattern each, placed at their block offsets together with the
 identity and coupling diagonals.
+
+The Krylov space K_k(Lambda, b) does not depend on eps, so the context
+caches one Lanczos basis of Lambda started from b (plain three-term
+recurrence in the weighted inner product, no reorthogonalization, as CG).
+``solve_leader`` solves the k x k tridiagonal system (T_k + eps I) y = |b| e_1
+for k = 1, 2, ... and takes phi_T = V_k y, which in exact arithmetic is the
+k-th CG iterate; the basis grows, one Gramian application per vector, only
+when a solve needs it.  An epsilon sweep therefore costs as many Gramian
+applications as its hardest epsilon.  The answer depends only on the
+context, eps and cg_tol: a solve on a warm context is bit-identical to the
+same solve on a fresh one.
 
 A sweep engine (lagged Picard between the y and p marches) replaces the
 monolithic factorization above MONOLITHIC_LIMIT unknowns under
@@ -40,7 +51,7 @@ cross-checked.  An engine named explicitly is the engine that runs: a
 Picard sweep that does not converge raises NonConvergenceError.  The sweep
 marches use the per-slice factors of the solvers module: LAPACK tridiagonal
 factors in 1D, SuperLU in 2D.  The context is penalty-free: one
-factorization serves a whole epsilon sweep.
+factorization and one Krylov basis serve a whole epsilon sweep.
 """
 
 from __future__ import annotations
@@ -50,6 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigvalsh_tridiagonal, solve_banded
 
 from .errors import ConditioningError, NonConvergenceError, ValidationError
 from .grids import SpaceTimeField, slice_pattern, stepped_pairing
@@ -77,13 +89,32 @@ def _wdot(grid, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(grid.weights * a, b))
 
 
+@dataclass(eq=False)
+class KrylovBasis:
+    """Lanczos basis of Lambda from v_1 = -b / |b| in the weighted inner product.
+
+    After k Gramian applications it holds v_1..v_{k+1} and the tridiagonal
+    T_k: alpha_1..alpha_k on the diagonal, beta_2..beta_{k+1} beside it.
+    ``tol`` is the inner coupled-solve tolerance b and the basis were
+    computed at (None for the exact monolithic engine).
+    """
+
+    tol: float | None
+    b: np.ndarray
+    bnorm: float
+    v: list
+    alpha: list
+    beta: list
+
+
 class GramianContext:
     """Solver state shared by every Gramian application of one leader problem.
 
     Holds the frozen linearization, the Carleman weights, the coupled-system
-    engine (monolithic LU or Picard sweeps) and the cached free terminal
-    state.  The penalty parameter is deliberately not part of the context,
-    so an epsilon sweep reuses one factorization.
+    engine (monolithic LU or Picard sweeps), the free terminal state b and
+    the Lanczos basis of Lambda started from b.  The penalty parameter is
+    deliberately not part of the context, so an epsilon sweep reuses one
+    factorization and one Krylov basis.
     """
 
     def __init__(
@@ -121,7 +152,7 @@ class GramianContext:
         self.size = size
         self._lu = None
         self._factors = None
-        self._b: np.ndarray | None = None
+        self._krylov: KrylovBasis | None = None
         self.gramian_applications = 0
         if strategy == "monolithic":
             self._lu = spla.splu(self._assemble())
@@ -333,16 +364,41 @@ class GramianContext:
         return y[-1]
 
     def free_terminal(self, picard_tol=None) -> np.ndarray:
-        """b: terminal state of the coupled response to the data alone (u = 0)."""
-        if self._b is None:
+        """b: terminal state of the coupled response to the data alone (u = 0).
+
+        Cached with the Krylov basis under the inner tolerance it was
+        computed at; a call at another tolerance recomputes both.
+        """
+        return self.krylov(0, picard_tol).b
+
+    def krylov(self, k: int, picard_tol=None) -> KrylovBasis:
+        """The cached Lanczos basis, extended to at least k Gramian applications."""
+        tol = None if self.strategy == "monolithic" else (
+            self.picard_tol if picard_tol is None else picard_tol)
+        kb = self._krylov
+        if kb is None or kb.tol != tol:
             y, _, _ = self.solve_primal(
                 None,
                 y0=self.problem.y0.values,
                 targets=tuple(t.values for t in self.problem.targets),
-                picard_tol=picard_tol,
+                picard_tol=tol,
             )
-            self._b = y[-1].copy()
-        return self._b
+            b = y[-1].copy()
+            bnorm = _wnorm(self.grid, b)
+            v1 = [-b / bnorm] if bnorm > 0.0 else []
+            kb = self._krylov = KrylovBasis(tol, b, bnorm, v1, [], [])
+        while kb.v and len(kb.alpha) < k:
+            v = kb.v[-1]
+            w = self.gramian_apply(v, picard_tol=tol)
+            if kb.beta:
+                w = w - kb.beta[-1] * kb.v[-2]
+            alpha = _wdot(self.grid, w, v)
+            w = w - alpha * v
+            beta = _wnorm(self.grid, w)
+            kb.alpha.append(alpha)
+            kb.beta.append(beta)
+            kb.v.append(w / beta if beta > 0.0 else w)
+        return kb
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +439,9 @@ class LeaderSolution:
     J_eps_zero: float
     cg_iterations: int
     cg_residuals: tuple[float, ...]
+    ritz_min: float
+    ritz_max: float
+    eps_over_ritz_max: float
     converged: bool
     strategy: str
 
@@ -396,13 +455,23 @@ def solve_leader(
 ) -> LeaderSolution:
     """Conjugate gradients on (Lambda + eps I) phi_T = -b, then reconstruction.
 
-    The iteration stops at relative residual cg_tol (measured against |b|),
-    raises NonConvergenceError at cg_max, and raises ConditioningError after
-    ``stagnation_window`` consecutive iterations without residual decrease;
-    with a spectrally bounded SPD operator that indicates a weight/penalty
-    combination beyond what the factorization can resolve.  Inner Picard
-    sweeps, when active, run 100x tighter than cg_tol so they cannot pollute
-    Gramian symmetry.
+    CG runs in its Lanczos form on the context's cached Krylov basis: the
+    k-th iterate is V_k y with (T_k + eps I) y = |b| e_1, and its residual
+    is beta_{k+1} |y_k|.  The iteration stops at relative residual cg_tol
+    (measured against |b|), raises NonConvergenceError at cg_max, and raises
+    ConditioningError after ``stagnation_window`` consecutive iterations
+    without residual decrease; with a spectrally bounded SPD operator that
+    indicates a weight/penalty combination beyond what the factorization can
+    resolve.  Inner Picard sweeps, when active, run 100x tighter than cg_tol
+    so they cannot pollute Gramian symmetry.
+
+    ``cg_iterations`` counts the Gramian applications this call made to
+    extend the basis, ``cg_residuals`` the full residual history at this
+    eps (its length is the Krylov dimension CG would have run); on a fresh
+    context the two agree.  The result depends only on (ctx, eps, cg_tol):
+    a solve on a warm context is bit-identical to one on a fresh context.
+    The Ritz values of Lambda from T_k and eps / ritz_max are reported at
+    no extra cost (NaN when no iteration ran).
     """
     if epsilon <= 0:
         raise ValidationError(f"penalty epsilon must be positive, got {epsilon}")
@@ -412,53 +481,56 @@ def solve_leader(
 
     y0v = ctx.problem.y0.values
     tgtv = tuple(t.values for t in ctx.problem.targets)
-    b = ctx.free_terminal(picard_tol=inner_tol)
-    bnorm = _wnorm(grid, b)
+    applied = ctx.gramian_applications
+    kb = ctx.krylov(0, inner_tol)
+    bnorm = kb.bnorm
     J0 = 0.5 / eps * bnorm**2
 
-    n = grid.n_nodes
-    x = np.zeros(n)
+    coef = np.zeros(0)
     residuals: list[float] = []
-    converged = True
-    iterations = 0
-    if bnorm > 0.0:
-        r = -b.copy()
-        p = r.copy()
-        rs = _wdot(grid, r, r)
-        best = np.sqrt(rs) / bnorm
-        stag = 0
-        converged = best <= cg_tol
-        while not converged:
-            if iterations >= cg_max:
-                raise NonConvergenceError(
-                    f"penalized-HUM conjugate gradient did not reach tol={cg_tol:.1e} "
-                    f"in {cg_max} iterations (best residual {best:.3e})",
-                    history=residuals,
+    best = 1.0  # |r_0| / |b|
+    converged = bnorm == 0.0 or best <= cg_tol
+    stag = 0
+    k = 0
+    while not converged:
+        if k >= cg_max:
+            raise NonConvergenceError(
+                f"penalized-HUM conjugate gradient did not reach tol={cg_tol:.1e} "
+                f"in {cg_max} iterations (best residual {best:.3e})",
+                history=residuals,
+            )
+        k += 1
+        kb = ctx.krylov(k, inner_tol)
+        band = np.zeros((3, k))
+        band[0, 1:] = kb.beta[: k - 1]
+        band[1] = np.add(kb.alpha[:k], eps)
+        band[2, :-1] = kb.beta[: k - 1]
+        rhs = np.zeros(k)
+        rhs[0] = bnorm
+        coef = solve_banded((1, 1), band, rhs)
+        res = float(kb.beta[k - 1] * abs(coef[-1]) / bnorm)
+        residuals.append(res)
+        if res < best * (1.0 - 1e-12):
+            best = res
+            stag = 0
+        else:
+            stag += 1
+            if stag >= stagnation_window:
+                raise ConditioningError(
+                    f"conjugate gradient stagnated for {stagnation_window} iterations "
+                    f"at residual {best:.3e} (tol {cg_tol:.1e}); increase epsilon or "
+                    "the weight parameter lambda"
                 )
-            Ap = ctx.gramian_apply(p, picard_tol=inner_tol) + eps * p
-            alpha = rs / _wdot(grid, p, Ap)
-            x = x + alpha * p
-            r = r - alpha * Ap
-            rs_new = _wdot(grid, r, r)
-            res = np.sqrt(rs_new) / bnorm
-            residuals.append(res)
-            iterations += 1
-            if res < best * (1.0 - 1e-12):
-                best = res
-                stag = 0
-            else:
-                stag += 1
-                if stag >= stagnation_window:
-                    raise ConditioningError(
-                        f"conjugate gradient stagnated for {stagnation_window} iterations "
-                        f"at residual {best:.3e} (tol {cg_tol:.1e}); increase epsilon or "
-                        "the weight parameter lambda"
-                    )
-            if res <= cg_tol:
-                converged = True
-                break
-            p = r + (rs_new / rs) * p
-            rs = rs_new
+        converged = res <= cg_tol
+
+    x = np.zeros(grid.n_nodes)
+    for c, v in zip(coef, kb.v):
+        x += c * v
+    if k:
+        ritz = eigvalsh_tridiagonal(np.array(kb.alpha[:k]), np.array(kb.beta[: k - 1]))
+        ritz_min, ritz_max = float(ritz[0]), float(ritz[-1])
+    else:
+        ritz_min = ritz_max = float("nan")
 
     phi, th1, th2 = ctx.solve_transposed(x, picard_tol=inner_tol)
     u = ctx.control_from_seed(phi)
@@ -474,7 +546,7 @@ def solve_leader(
     mk = SpaceTimeField
     return LeaderSolution(
         u=mk(grid, tgrid, u),
-        phi_T=x.copy(),
+        phi_T=x,
         phi=mk(grid, tgrid, phi),
         theta1=mk(grid, tgrid, th1),
         theta2=mk(grid, tgrid, th2),
@@ -489,8 +561,11 @@ def solve_leader(
         control_energy=ce,
         J_eps_value=J,
         J_eps_zero=J0,
-        cg_iterations=iterations,
+        cg_iterations=ctx.gramian_applications - applied,
         cg_residuals=tuple(residuals),
+        ritz_min=ritz_min,
+        ritz_max=ritz_max,
+        eps_over_ritz_max=eps / ritz_max if ritz_max != 0.0 else float("inf"),
         converged=converged,
         strategy=ctx.strategy,
     )

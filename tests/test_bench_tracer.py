@@ -1,11 +1,17 @@
-"""The benchmark's span tracer still binds every function it wraps."""
+"""The benchmark's span tracer still binds every function it wraps, and the
+program's counters still satisfy the tracer's counting contract."""
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import hiercontrol.cli  # noqa: F401  (the tracer wraps cli.main)
+import hiercontrol.fixedpoint
 import hiercontrol.leader
 import hiercontrol.solvers
+from conftest import make_problem
+from hiercontrol.grids import SpaceTimeField
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -33,3 +39,33 @@ def test_tracer_installs_and_uninstalls():
     assert hiercontrol.solvers.march_forward is orig_march
     assert hiercontrol.leader.march_forward is orig_march
     assert vars(hiercontrol.leader.GramianContext)["gramian_apply"] is orig_gramian
+
+
+def _sweep_context():
+    problem = make_problem(cells=16, steps=32)
+    zero = np.zeros((problem.tgrid.n_slices, problem.grid.n_nodes))
+    # looked up at call time, so the tracer's wrapper runs when installed
+    return hiercontrol.fixedpoint.linearize_at(
+        problem, SpaceTimeField(problem.grid, problem.tgrid, zero)
+    )
+
+
+def test_counting_contract_on_an_epsilon_sweep():
+    # the tracer counts Gramian spans under solve_leader as CG iterations and
+    # checks them against sum(cg_iterations) and the contexts' own counters
+    epsilons = (1e-2, 1e-4, 1e-6)
+    cold = _sweep_context()
+    hiercontrol.leader.solve_leader(cold, epsilons[-1])
+    tracer = _load_tracer().Tracer()
+    tracer.install("sweep")
+    try:
+        ctx = _sweep_context()
+        for eps in epsilons:
+            hiercontrol.leader.solve_leader(ctx, eps)
+    finally:
+        tracer.uninstall()
+    metrics, mismatches = tracer.op_report()
+    assert mismatches == []
+    assert metrics["leader.context_calls"] == 1
+    assert metrics["leader.gramian_calls"] == cold.gramian_applications
+    assert metrics["leader.cg_iterations"] == cold.gramian_applications

@@ -49,6 +49,9 @@ class TestSolve:
             assert os.path.exists(os.path.join(out, name)), name
         report = json.loads(_read(os.path.join(out, "solve_report.json")))
         assert report["converged"] is True
+        lead = report["leader"]
+        assert -1e-12 * lead["ritz_max"] <= lead["ritz_min"] <= lead["ritz_max"]
+        assert lead["eps_over_ritz_max"] == report["epsilon"] / lead["ritz_max"]
 
     def test_byte_identical_reruns(self, tmp_path):
         rc1, out1 = _run(os.path.join(tmp_path, "1"), "solve", "--config", LQ)
@@ -78,6 +81,9 @@ class TestLeader:
         report = json.loads(_read(os.path.join(out, "leader_report.json")))
         assert report["terminal_norm"] <= report["free_terminal_norm"]
         assert report["duality_gap"] < 1e-9
+        assert report["cg_iterations"] == len(report["cg_residuals"])
+        assert report["ritz_min"] <= report["ritz_max"]
+        assert report["eps_over_ritz_max"] == report["epsilon"] / report["ritz_max"]
         for name in ("u.csv", "y.csv", "state_norm.svg", "cg_residuals.svg",
                      "control_slices.svg"):
             assert os.path.exists(os.path.join(out, name)), name

@@ -30,10 +30,47 @@ def _seed(rng, grid):
     return v
 
 
+def _ctx16(**kw):
+    problem = make_problem(cells=16, steps=32)
+    return linearize_at(problem, _zero_traj(problem), **kw)
+
+
 @pytest.fixture(scope="module")
 def ctx16():
-    problem = make_problem(cells=16, steps=32)
-    return linearize_at(problem, _zero_traj(problem))
+    return _ctx16()
+
+
+@pytest.fixture(scope="module")
+def pic16():
+    return _ctx16(strategy="picard", picard_tol=1e-13)
+
+
+def _reference_cg(ctx, eps, cg_tol=1e-8):
+    """Textbook CG on (Lambda + eps I) phi_T = -b: the oracle for solve_leader."""
+    grid = ctx.grid
+    inner = min(ctx.picard_tol, cg_tol / 100.0)
+    b = ctx.free_terminal(inner)
+
+    def dot(a, c):
+        return float(np.dot(grid.weights * a, c))
+
+    bnorm = np.sqrt(dot(b, b))
+    x = np.zeros_like(b)
+    r = -b
+    p = r.copy()
+    rs = dot(r, r)
+    residuals = []
+    while np.sqrt(rs) / bnorm > cg_tol:
+        assert len(residuals) < 400
+        Ap = ctx.gramian_apply(p, picard_tol=inner) + eps * p
+        alpha = rs / dot(p, Ap)
+        x = x + alpha * p
+        r = r - alpha * Ap
+        rs_new = dot(r, r)
+        residuals.append(np.sqrt(rs_new) / bnorm)
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    return x, residuals
 
 
 class TestGramian:
@@ -64,6 +101,16 @@ class TestGramian:
         b1 = ctx16.free_terminal()
         b2 = ctx16.free_terminal()
         assert b1 is b2
+
+    def test_free_terminal_follows_tolerance(self):
+        # b is cached under the inner tolerance it was computed at; a call
+        # at another tolerance recomputes it
+        warm = _ctx16(strategy="picard")
+        loose = warm.free_terminal(1e-6)
+        tight = warm.free_terminal(1e-12)
+        fresh = _ctx16(strategy="picard").free_terminal(1e-12)
+        assert np.array_equal(tight, fresh)
+        assert not np.array_equal(loose, fresh)
 
     def test_application_counter(self, ctx16):
         before = ctx16.gramian_applications
@@ -116,6 +163,53 @@ class TestLeaderSolve:
         with pytest.raises(NonConvergenceError) as exc:
             solve_leader(ctx16, 1e-3, cg_max=1, cg_tol=1e-14)
         assert len(exc.value.history) >= 1
+
+
+class TestKrylovBasis:
+    # The Picard engine applies Lambda only to its inner tolerance, so CG
+    # and the Lanczos form, which apply it to different vectors, can differ
+    # by rounding-level amounts once the residual nears that floor (seen:
+    # 3.8859e-13 against 3.8851e-13, 8e-17 apart); hence the absolute floor
+    # of 1e-15 |b| there, seven decades below cg_tol.
+    @pytest.mark.parametrize("which,floor", [("ctx16", 0.0), ("pic16", 1e-15)])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3])
+    def test_matches_reference_cg(self, request, which, floor, eps):
+        ctx = request.getfixturevalue(which)
+        x_ref, res_ref = _reference_cg(ctx, eps)
+        sol = solve_leader(ctx, eps)
+        assert len(sol.cg_residuals) == len(res_ref)
+        np.testing.assert_allclose(sol.cg_residuals, res_ref, rtol=1e-6, atol=floor)
+        err = np.linalg.norm(sol.phi_T - x_ref) / np.linalg.norm(x_ref)
+        assert err < 1e-9
+
+    @pytest.mark.parametrize("strategy", ["monolithic", "picard"])
+    def test_warm_sweep_is_bit_identical_to_cold(self, strategy):
+        warm = _ctx16(strategy=strategy)
+        sweep = []
+        for eps in (1e-2, 1e-3, 1e-4):
+            sol = solve_leader(warm, eps)
+            cold_ctx = _ctx16(strategy=strategy)
+            cold = solve_leader(cold_ctx, eps)
+            for name in ("phi_T", "u", "y"):
+                a, b = getattr(sol, name), getattr(cold, name)
+                a, b = getattr(a, "values", a), getattr(b, "values", b)
+                assert np.array_equal(a, b), name
+            assert sol.cg_residuals == cold.cg_residuals
+            assert cold.cg_iterations == cold_ctx.gramian_applications
+            sweep.append((sol.cg_iterations, cold.cg_iterations))
+        # the sweep pays for its hardest epsilon, not for every epsilon
+        assert sum(w for w, _ in sweep) == warm.gramian_applications
+        assert warm.gramian_applications == sweep[-1][1] == max(c for _, c in sweep)
+        assert warm.gramian_applications < sum(c for _, c in sweep)
+
+    def test_ritz_values_bracket_rayleigh_quotient(self, ctx16):
+        sol = solve_leader(ctx16, 1e-3)
+        b = ctx16.free_terminal()
+        w = ctx16.grid.weights
+        rq = float(np.dot(w * ctx16.gramian_apply(b), b)) / float(np.dot(w * b, b))
+        assert sol.ritz_max >= rq * (1 - 1e-12)
+        assert sol.ritz_min >= -1e-12 * sol.ritz_max
+        assert sol.eps_over_ritz_max == sol.epsilon / sol.ritz_max
 
 
 class TestEngines:
