@@ -356,7 +356,7 @@ def cmd_weights(args) -> int:
 
 def cmd_verify(args) -> int:
     from .fixedpoint import linearize_at
-    from .nash import coefficients_from_state
+    from .nash import coefficients_from_state, compute_nash
     from .outputs import emit_report
     from .verification import (
         check_duality,
@@ -373,6 +373,9 @@ def cmd_verify(args) -> int:
         if args.suite == "all"
         else [args.suite]
     )
+    if {"nash-oracle", "second-order"} & set(suites):
+        # both differentiate at one follower equilibrium, solved at the scenario's tolerance
+        nash = compute_nash(problem, tol=s.tolerance("nash_tol"))
     if {"observability", "carleman"} & set(suites):
         # both probes linearize at the uncontrolled march under the scenario weights
         z0 = _uncontrolled(problem)
@@ -385,7 +388,7 @@ def cmd_verify(args) -> int:
             reports[suite] = rep.as_dict()
             ok = rep.passed
         elif suite == "nash-oracle":
-            gap = oracle_nash_gap(problem, tol=s.tolerance("nash_tol"))
+            gap = oracle_nash_gap(problem, nash=nash)
             ok = gap <= 1e-6
             reports[suite] = {
                 "name": "nash-oracle",
@@ -394,7 +397,7 @@ def cmd_verify(args) -> int:
                 "passed": ok,
             }
         elif suite == "second-order":
-            res = check_second_order(problem, seed=s.seed)
+            res = check_second_order(problem, nash, seed=s.seed)
             ok = res["relative_gap"] <= 1e-2
             reports[suite] = dict(res, budget=1e-2, passed=ok, name="second-order")
         elif suite == "observability":

@@ -44,13 +44,15 @@ applications as its hardest epsilon.  The answer depends only on the
 context, eps and cg_tol: a solve on a warm context is bit-identical to the
 same solve on a fresh one.
 
-A sweep engine (lagged Picard between the y and p marches) replaces the
-monolithic factorization above MONOLITHIC_LIMIT unknowns under
-``strategy="auto"``; both engines solve the same equations and can be
-cross-checked.  An engine named explicitly is the engine that runs: a
-Picard sweep that does not converge raises NonConvergenceError.  The sweep
-marches use the per-slice factors of the solvers module: LAPACK tridiagonal
-factors in 1D, SuperLU in 2D.  The context is penalty-free: one
+A sweep engine replaces the monolithic factorization above MONOLITHIC_LIMIT
+unknowns under ``strategy="auto"``: one block Gauss-Seidel (lagged Picard)
+sweep serves K and K^T.  K^T reverses both marches and swaps the two
+coupling blocks, and both engines take theta_k = -lambda_k from the
+follower blocks of K^T in one place.  Both engines solve the same equations
+and can be cross-checked.  An engine named explicitly is the engine that
+runs: a Picard sweep that does not converge raises NonConvergenceError.  The
+sweep marches use the per-slice factors of the solvers module: LAPACK
+tridiagonal factors in 1D, SuperLU in 2D.  The context is penalty-free: one
 factorization and one Krylov basis serve a whole epsilon sweep.
 """
 
@@ -79,6 +81,7 @@ from .weights import CarlemanWeights, control_energy, observation_weight_traject
 
 MONOLITHIC_LIMIT = 200_000
 PICARD_MAX = 400
+STAGNATION_WINDOW = 20
 
 
 def _wnorm(grid, v: np.ndarray) -> float:
@@ -238,100 +241,55 @@ class GramianContext:
         x = self._lu.solve(rhs)
         return self._unpack(x, y0)
 
-    def _solve_transposed_monolithic(self, phi_T: np.ndarray):
-        grid, tgrid = self.grid, self.tgrid
-        ii = grid.interior_idx
-        ni, M = ii.size, tgrid.steps
-        rhs = np.zeros(3 * M * ni)
-        rhs[(M - 1) * ni : M * ni] = phi_T[ii]
-        x = self._lu.solve(rhs, trans="T")
-        lam_y, lam_1, lam_2 = self._unpack(x, None)
-        phi = lam_y
-        phi[0] = phi[1]
-        th1 = -lam_1
-        th2 = -lam_2
-        th1[0] = 0.0
-        th2[0] = 0.0
-        return phi, th1, th2
-
     # ----------------------------------------------------------------- picard
-    def _solve_primal_picard(self, source_y, y0, targets, tol):
-        grid, tgrid = self.grid, self.tgrid
-        n = grid.n_nodes
-        sf, pf = self._get_factors()
-        y_init = y0 if y0 is not None else np.zeros(n)
-        zeros = np.zeros((tgrid.n_slices, n))
-        p = [zeros.copy(), zeros.copy()]
-        y_prev = None
-        for _ in range(PICARD_MAX):
-            src = np.zeros((tgrid.n_slices, n))
-            if source_y is not None:
-                src += source_y
-            for k in (1, 2):
-                src += (self.S[k - 1][None, :] / self.problem.mu[k - 1]) * p[k - 1]
-            y = march_forward(sf, y_init, src)
-            for k in (1, 2):
-                nu_k = self.problem.nu[k - 1]
-                if nu_k == 0.0:
-                    continue
-                diff = y.copy()
-                if targets is not None:
-                    diff = diff - targets[k - 1]
-                p[k - 1] = march_adjoint(pf, np.zeros(n), -nu_k * self.xi_star[None, :] * diff)
-            if y_prev is not None:
-                num = np.sqrt(stepped_pairing(grid, tgrid, y - y_prev, y - y_prev))
-                den = 1.0 + np.sqrt(stepped_pairing(grid, tgrid, y, y))
-                if num / den < tol:
-                    return y, p[0], p[1]
-            if self.problem.nu[0] == 0.0 and self.problem.nu[1] == 0.0:
-                return y, p[0], p[1]
-            y_prev = y
-        raise NonConvergenceError(
-            f"coupled primal sweep did not reach tol={tol:.1e} "
-            f"in {PICARD_MAX} iterations"
-        )
+    def _sweep(self, transpose: bool, seed, source, targets, tol):
+        """Block Gauss-Seidel sweeps on K, or on K^T, until the lead block settles.
 
-    def _solve_transposed_picard(self, phi_T: np.ndarray, tol):
+        Each sweep marches the lead block x (y, or phi for K^T) with the
+        follower blocks z_k (p_k, or lambda_k) lagged, then marches each z_k
+        from the new x; a coupling block that is identically zero is skipped.
+        The sweep stops when |x - x_prev| / (1 + |x|) < tol, or after one
+        sweep when both nu_k vanish and x no longer depends on z_k.
+        """
         grid, tgrid = self.grid, self.tgrid
         n = grid.n_nodes
         sf, pf = self._get_factors()
-        zeros = np.zeros((tgrid.n_slices, n))
-        lam = [zeros.copy(), zeros.copy()]
-        phi_prev = None
+        s_mu = [self.S[k] / self.problem.mu[k] for k in (0, 1)]       # z_k into x in K
+        nu_xi = [-self.problem.nu[k] * self.xi_star for k in (0, 1)]  # x into z_k in K
+        # K^T reverses both marches and swaps the two coupling blocks; the
+        # marches are looked up at call time, so a wrapper bound to this
+        # module is the one that runs
+        if transpose:
+            lead, follow, into_x, into_z = march_adjoint, march_forward, nu_xi, s_mu
+        else:
+            lead, follow, into_x, into_z = march_forward, march_adjoint, s_mu, nu_xi
+        seed = np.zeros(n) if seed is None else seed
+        z = [np.zeros((tgrid.n_slices, n)) for _ in (0, 1)]
+        x_prev = None
         for _ in range(PICARD_MAX):
             src = np.zeros((tgrid.n_slices, n))
-            for k in (1, 2):
-                nu_k = self.problem.nu[k - 1]
-                if nu_k != 0.0:
-                    src -= nu_k * self.xi_star[None, :] * lam[k - 1]
-            phi = march_adjoint(sf, phi_T, src if src.any() else None)
-            for k in (1, 2):
-                lam[k - 1] = march_forward(
-                    pf,
-                    np.zeros(n),
-                    (self.S[k - 1][None, :] / self.problem.mu[k - 1]) * phi,
-                )
-            if self.problem.nu[0] == 0.0 and self.problem.nu[1] == 0.0:
-                phi_prev = phi
-                break
-            if phi_prev is not None:
-                num = np.sqrt(stepped_pairing(grid, tgrid, phi - phi_prev, phi - phi_prev))
-                den = 1.0 + np.sqrt(stepped_pairing(grid, tgrid, phi, phi))
+            if source is not None:
+                src += source
+            for coef, zk in zip(into_x, z):
+                if coef.any():
+                    src += coef[None, :] * zk
+            x = lead(sf, seed, src if src.any() else None)
+            for k, coef in enumerate(into_z):
+                if coef.any():
+                    dk = x if targets is None else x - targets[k]
+                    z[k] = follow(pf, np.zeros(n), coef[None, :] * dk)
+            if x_prev is not None:
+                num = np.sqrt(stepped_pairing(grid, tgrid, x - x_prev, x - x_prev))
+                den = 1.0 + np.sqrt(stepped_pairing(grid, tgrid, x, x))
                 if num / den < tol:
-                    phi_prev = phi
-                    break
-            phi_prev = phi
-        else:
-            raise NonConvergenceError(
-                f"coupled transposed sweep did not reach tol={tol:.1e} "
-                f"in {PICARD_MAX} iterations"
-            )
-        phi = phi_prev
-        th1 = -lam[0]
-        th2 = -lam[1]
-        th1[0] = 0.0
-        th2[0] = 0.0
-        return phi, th1, th2
+                    return x, z[0], z[1]
+            if self.problem.nu[0] == 0.0 and self.problem.nu[1] == 0.0:
+                return x, z[0], z[1]
+            x_prev = x
+        raise NonConvergenceError(
+            f"coupled {'transposed' if transpose else 'primal'} sweep did not reach "
+            f"tol={tol:.1e} in {PICARD_MAX} iterations"
+        )
 
     # ------------------------------------------------------------- public API
     def solve_primal(self, source_y=None, y0=None, targets=None, picard_tol=None):
@@ -342,14 +300,27 @@ class GramianContext:
         if self.strategy == "monolithic":
             return self._solve_primal_monolithic(source_y, y0, targets)
         tol = self.picard_tol if picard_tol is None else picard_tol
-        return self._solve_primal_picard(source_y, y0, targets, tol)
+        return self._sweep(False, y0, source_y, targets, tol)
 
     def solve_transposed(self, phi_T: np.ndarray, picard_tol=None):
-        """(phi, theta_1, theta_2) of the transposed coupled system seeded by phi_T."""
+        """(phi, theta_1, theta_2) of the transposed coupled system seeded by phi_T.
+
+        theta_k = -lambda_k with theta_k(0) = 0, lambda_k the follower blocks of K^T.
+        """
         if self.strategy == "monolithic":
-            return self._solve_transposed_monolithic(phi_T)
-        tol = self.picard_tol if picard_tol is None else picard_tol
-        return self._solve_transposed_picard(phi_T, tol)
+            ii, M = self.grid.interior_idx, self.tgrid.steps
+            rhs = np.zeros(3 * M * ii.size)
+            rhs[(M - 1) * ii.size : M * ii.size] = phi_T[ii]
+            phi, lam1, lam2 = self._unpack(self._lu.solve(rhs, trans="T"), None)
+            phi[0] = phi[1]
+        else:
+            tol = self.picard_tol if picard_tol is None else picard_tol
+            phi, lam1, lam2 = self._sweep(True, phi_T, None, None, tol)
+        th1 = -lam1
+        th2 = -lam2
+        th1[0] = 0.0
+        th2[0] = 0.0
+        return phi, th1, th2
 
     def control_from_seed(self, phi: np.ndarray) -> np.ndarray:
         """u = xi_0 exp(2 lambda nu) beta^7 phi; vanishes at the endpoint slices."""
@@ -451,7 +422,6 @@ def solve_leader(
     epsilon: float,
     cg_tol: float = 1e-8,
     cg_max: int = 400,
-    stagnation_window: int = 20,
 ) -> LeaderSolution:
     """Conjugate gradients on (Lambda + eps I) phi_T = -b, then reconstruction.
 
@@ -459,7 +429,7 @@ def solve_leader(
     k-th iterate is V_k y with (T_k + eps I) y = |b| e_1, and its residual
     is beta_{k+1} |y_k|.  The iteration stops at relative residual cg_tol
     (measured against |b|), raises NonConvergenceError at cg_max, and raises
-    ConditioningError after ``stagnation_window`` consecutive iterations
+    ConditioningError after STAGNATION_WINDOW consecutive iterations
     without residual decrease; with a spectrally bounded SPD operator that
     indicates a weight/penalty combination beyond what the factorization can
     resolve.  Inner Picard sweeps, when active, run 100x tighter than cg_tol
@@ -515,9 +485,9 @@ def solve_leader(
             stag = 0
         else:
             stag += 1
-            if stag >= stagnation_window:
+            if stag >= STAGNATION_WINDOW:
                 raise ConditioningError(
-                    f"conjugate gradient stagnated for {stagnation_window} iterations "
+                    f"conjugate gradient stagnated for {STAGNATION_WINDOW} iterations "
                     f"at residual {best:.3e} (tol {cg_tol:.1e}); increase epsilon or "
                     "the weight parameter lambda"
                 )

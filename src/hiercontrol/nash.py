@@ -56,6 +56,7 @@ from .solvers import (
 )
 
 CUTOFF_KEYS = ("leader", "follower1", "follower2", "tracking")
+NASH_MAX_ITER = 80
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,7 +219,6 @@ def evaluate_cost(
     v2: SpaceTimeField,
     k: int | None = None,
     state: SpaceTimeField | None = None,
-    refreshes: int = 2,
 ):
     """Follower costs at (v1, v2) under leader control u.
 
@@ -226,7 +226,7 @@ def evaluate_cost(
     With ``k`` in {1, 2} returns that follower's scalar cost; otherwise a
     dict with both costs split into control and tracking parts.
     """
-    y = state if state is not None else _state(problem, u, v1, v2, refreshes)
+    y = state if state is not None else _state(problem, u, v1, v2)
     out = {}
     xi_star = problem.xi("tracking")
     for j, vj in ((1, v1), (2, v2)):
@@ -243,10 +243,10 @@ def evaluate_cost(
     return out
 
 
-def _state(problem: HierarchicProblem, u, v1, v2, refreshes: int) -> SpaceTimeField:
+def _state(problem: HierarchicProblem, u, v1, v2) -> SpaceTimeField:
     src = combine_control_source(problem.cutoffs, u, v1, v2)
     return solve_forward_quasilinear(
-        problem.nl, problem.grid, problem.tgrid, problem.y0, source=src, refreshes=refreshes
+        problem.nl, problem.grid, problem.tgrid, problem.y0, source=src
     )
 
 
@@ -268,8 +268,6 @@ def compute_nash(
     problem: HierarchicProblem,
     u: SpaceTimeField | None = None,
     tol: float = 1e-11,
-    max_iter: int = 80,
-    refreshes: int = 2,
 ) -> NashSolution:
     """Damped Picard iteration on  v_k <- (1/mu_k) xi_k p_k[v], from v = 0.
 
@@ -299,7 +297,6 @@ def compute_nash(
             u,
             SpaceTimeField(grid, tgrid, v1a),
             SpaceTimeField(grid, tgrid, v2a),
-            refreshes,
         )
         c = coefficients_from_state(problem.nl, yf)
         factors = sensitivity_factors(c)
@@ -316,7 +313,7 @@ def compute_nash(
 
     y_field = None
     p1 = p2 = zeros
-    for it in range(1, max_iter + 1):
+    for it in range(1, NASH_MAX_ITER + 1):
         y_field, ps, vhat = fixed_point_map(v1, v2)
         p1, p2 = ps
         res = _update_residual(grid, tgrid, (v1, v2), vhat)
@@ -334,7 +331,7 @@ def compute_nash(
 
     if not converged:
         raise NonConvergenceError(
-            f"Nash iteration did not reach tol={tol:.1e} in {max_iter} iterations "
+            f"Nash iteration did not reach tol={tol:.1e} in {NASH_MAX_ITER} iterations "
             f"(last residual {residuals[-1]:.3e})",
             history=residuals,
         )
@@ -445,7 +442,6 @@ def fd_gateaux_residual(
     n_dirs: int = 3,
     eps: float = 1e-4,
     seed: int = 0,
-    refreshes: int = 2,
 ) -> dict[str, float]:
     """Directional-derivative residual of both costs by central differences.
 
@@ -467,7 +463,7 @@ def fd_gateaux_residual(
                 pair = {1: (vk, base[2]), 2: (base[1], vk)}[k]
                 v1f = SpaceTimeField(grid, tgrid, pair[0])
                 v2f = SpaceTimeField(grid, tgrid, pair[1])
-                vals[sgn] = evaluate_cost(problem, u, v1f, v2f, k=k, refreshes=refreshes)
+                vals[sgn] = evaluate_cost(problem, u, v1f, v2f, k=k)
             deriv = (vals[1.0] - vals[-1.0]) / (2.0 * eps)
             ref = 1.0 + abs(vals[1.0] + vals[-1.0]) / 2.0
             worst = max(worst, abs(deriv) / ref)

@@ -57,6 +57,7 @@ from .grids import (
 )
 
 DEFAULT_RHO0 = 0.1
+BLOWUP_FACTOR = 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +615,6 @@ def solve_forward_quasilinear(
     y0: Field,
     source: np.ndarray | None = None,
     refreshes: int = 2,
-    blowup_factor: float = 10.0,
 ) -> SpaceTimeField:
     """Semi-implicit march for the quasi-linear state equation.
 
@@ -625,7 +625,7 @@ def solve_forward_quasilinear(
     as the heat preset, reuses its factors.  BlowUpError,
     with the slice index, marks the point where the trust region of the
     local model is gone and no further slice would be meaningful: either a
-    relative jump larger than ``blowup_factor`` in one step, or a frozen
+    relative jump larger than BLOWUP_FACTOR in one step, or a frozen
     step matrix I + tau L with a diagonal entry <= 0.  That entry is
     1 + tau (diffusion + f_y) at its node; when it is <= 0, so is
     e_k^T (I + tau L) e_k, and the step matrix is not positive definite:
@@ -678,10 +678,10 @@ def solve_forward_quasilinear(
             w = new
         jump = np.sqrt(grid.weights @ (w - prev) ** 2)
         scale = 1.0 + max(norm0, np.sqrt(grid.weights @ prev**2))
-        if not np.all(np.isfinite(w)) or jump > blowup_factor * scale:
+        if not np.all(np.isfinite(w)) or jump > BLOWUP_FACTOR * scale:
             raise BlowUpError(
                 f"quasi-linear step diverged at slice {m}: relative jump "
-                f"{jump / scale:.3g} exceeds {blowup_factor}",
+                f"{jump / scale:.3g} exceeds {BLOWUP_FACTOR}",
                 slice_index=m,
             )
         y[m] = w

@@ -39,6 +39,9 @@ from .solvers import (
 )
 from .weights import CarlemanWeights, eval_terminal_weights, eval_weights, observation_weight_trajectory
 
+SECOND_ORDER_STEP = 1e-3
+PROBE_NOISE_DB = -40.0
+
 
 @dataclass(frozen=True, eq=False)
 class ProbeReport:
@@ -374,11 +377,10 @@ def _delta_fields(problem: HierarchicProblem, y: SpaceTimeField, p: np.ndarray):
 
 def check_second_order(
     problem: HierarchicProblem,
+    nash: NashSolution,
     u: SpaceTimeField | None = None,
     w: np.ndarray | None = None,
-    step: float = 1e-3,
     seed: int = 0,
-    refreshes: int = 2,
 ) -> dict:
     """Second Gateaux derivative of J1: curvature representation vs differences.
 
@@ -387,11 +389,11 @@ def check_second_order(
     curvature along p against the auxiliary adjoint q.  The finite-difference
     value is the second central difference of J1 in direction w.  With
     nu1 = 0 the W-term carries a zero factor and the representation reduces
-    to the control quadratic exactly.
+    to the control quadratic exactly.  ``nash`` is the follower equilibrium
+    at u that the derivative is taken at.
     """
     grid, tgrid = problem.grid, problem.tgrid
     n = grid.n_nodes
-    nash = compute_nash(problem, u=u)
     v1, v2 = nash.v1, nash.v2
     if w is None:
         w = random_directions(problem, 1, 1, seed)[0]
@@ -401,7 +403,7 @@ def check_second_order(
     xi1 = problem.xi("follower1")
     xi_star = problem.xi("tracking")
 
-    y = _state(problem, u, v1, v2, refreshes)
+    y = _state(problem, u, v1, v2)
     mu_term = mu1 * stepped_norm2(grid, tgrid, w, mask=mask1)
 
     coupling = 0.0
@@ -425,10 +427,10 @@ def check_second_order(
 
     vals = {}
     for sgn in (1.0, 0.0, -1.0):
-        vk = SpaceTimeField(grid, tgrid, v1.values + sgn * step * w)
+        vk = SpaceTimeField(grid, tgrid, v1.values + sgn * SECOND_ORDER_STEP * w)
         state = y if sgn == 0.0 else None
-        vals[sgn] = evaluate_cost(problem, u, vk, v2, k=1, state=state, refreshes=refreshes)
-    fd_value = (vals[1.0] - 2.0 * vals[0.0] + vals[-1.0]) / step**2
+        vals[sgn] = evaluate_cost(problem, u, vk, v2, k=1, state=state)
+    fd_value = (vals[1.0] - 2.0 * vals[0.0] + vals[-1.0]) / SECOND_ORDER_STEP**2
 
     gap = abs(fd_value - rep_value) / max(abs(fd_value), 1e-300)
     return {
@@ -437,7 +439,7 @@ def check_second_order(
         "relative_gap": gap,
         "mu_term": mu_term,
         "coupling_term": coupling,
-        "step": step,
+        "step": SECOND_ORDER_STEP,
     }
 
 
@@ -458,7 +460,7 @@ def second_order_mu_sweep(
     values = []
     for m1 in mu1_values:
         prob_m = replace(problem, mu=(float(m1), problem.mu[1]))
-        res = check_second_order(prob_m, u=u, seed=seed)
+        res = check_second_order(prob_m, compute_nash(prob_m, u=u), u=u, seed=seed)
         values.append(res["rep_value"])
     crossing = None
     for i in range(1, len(values)):
@@ -471,7 +473,7 @@ def second_order_mu_sweep(
 # weighted inequality probes
 
 
-def _low_mode_terminal(grid, count: int, rng, noise_db: float) -> np.ndarray:
+def _low_mode_terminal(grid, count: int, rng) -> np.ndarray:
     """Random mixture of the lowest Dirichlet modes plus broadband noise."""
     n = grid.n_nodes
     if grid.dim == 1:
@@ -486,7 +488,7 @@ def _low_mode_terminal(grid, count: int, rng, noise_db: float) -> np.ndarray:
         modes = [np.sin(np.pi * i * x) * np.sin(np.pi * j * y) for i, j in pairs]
     coefs = rng.standard_normal(len(modes))
     v = sum(c * m for c, m in zip(coefs, modes))
-    noise = rng.standard_normal(n) * 10.0 ** (noise_db / 20.0) * max(np.abs(v).max(), 1.0)
+    noise = rng.standard_normal(n) * 10.0 ** (PROBE_NOISE_DB / 20.0) * max(np.abs(v).max(), 1.0)
     v = v + noise
     v[grid.boundary] = 0.0
     nrm = np.sqrt(np.dot(grid.weights * v, v))
@@ -498,7 +500,6 @@ def probe_observability(
     weights: CarlemanWeights | None = None,
     samples: int = 8,
     seed: int = 0,
-    noise_db: float = -40.0,
     budget: float | None = None,
 ) -> ProbeReport:
     """Initial-plus-trajectory energy of the transposed system vs observation.
@@ -521,7 +522,7 @@ def probe_observability(
 
     def energies():
         for _ in range(samples):
-            phi_T = _low_mode_terminal(grid, 10, rng, noise_db)
+            phi_T = _low_mode_terminal(grid, 10, rng)
             phi, th1, th2 = ctx.solve_transposed(phi_T)
             lhs = float(np.dot(grid.weights * phi[0], phi[0]))
             for th in (th1, th2):
@@ -533,7 +534,7 @@ def probe_observability(
             )
             yield lhs, rhs
 
-    return _ratio_report("observability", energies(), w, grid, tgrid, seed, noise_db, budget)
+    return _ratio_report("observability", energies(), w, grid, tgrid, seed, budget)
 
 
 def probe_carleman(
@@ -541,7 +542,6 @@ def probe_carleman(
     weights: CarlemanWeights,
     samples: int = 8,
     seed: int = 0,
-    noise_db: float = -40.0,
     budget: float | None = None,
 ) -> ProbeReport:
     """Single-equation weighted energy vs observation for backward solutions.
@@ -576,7 +576,7 @@ def probe_carleman(
 
     def energies():
         for _ in range(samples):
-            v_T = _low_mode_terminal(grid, 10, rng, noise_db)
+            v_T = _low_mode_terminal(grid, 10, rng)
             v = march_adjoint(factors, v_T, None)
             grad_sq = np.zeros((tgrid.n_slices, grid.n_nodes))
             for m in range(1, tgrid.steps):
@@ -588,10 +588,10 @@ def probe_carleman(
             rhs = tgrid.tau * float((rhs_field * grid.weights[obs_mask][None, :]).sum())
             yield lhs, rhs
 
-    return _ratio_report("carleman", energies(), weights, grid, tgrid, seed, noise_db, budget)
+    return _ratio_report("carleman", energies(), weights, grid, tgrid, seed, budget)
 
 
-def _ratio_report(name, energies, w, grid, tgrid, seed, noise_db, budget) -> ProbeReport:
+def _ratio_report(name, energies, w, grid, tgrid, seed, budget) -> ProbeReport:
     """ProbeReport of the ratios lhs / rhs over a probe's sampled energy pairs.
 
     A sample whose observation term rhs vanished is excluded with a warning.
@@ -621,7 +621,7 @@ def _ratio_report(name, energies, w, grid, tgrid, seed, noise_db, budget) -> Pro
             "grid": f"{grid.cells}x{tgrid.steps}",
             "dim": grid.dim,
             "seed": seed,
-            "noise_db": noise_db,
+            "noise_db": PROBE_NOISE_DB,
         },
         budget=budget,
         passed=bool(finite and (budget is None or worst <= budget)),

@@ -44,6 +44,8 @@ import numpy as np
 from .errors import EtaConstructionError, WeightDomainError
 from .grids import Field, SpatialGrid, TimeGrid, box_mask, gradient, _frozen, _normalize_box
 
+ETA_TOL_GRAD = 1e-3
+
 
 def _eta_coeffs(c: float, xstar: float) -> np.ndarray:
     """Coefficients of eta(x) = x(1-x)(1 + c(x - xstar)) as [x^3, x^2, x, 1]."""
@@ -108,11 +110,11 @@ def _build_eta_axis(focus: tuple[float, float]) -> tuple[float, float]:
     return c, _eta_argmax(c, xstar)
 
 
-def build_eta(grid: SpatialGrid, focus, tol_grad: float = 1e-3) -> Field:
+def build_eta(grid: SpatialGrid, focus) -> Field:
     """Construct the weight profile: zero on the boundary, max 1, critical point in focus.
 
     The no-critical-point condition is checked on the discrete gradient: every
-    node outside the open focus region must satisfy |grad eta| >= tol_grad (in
+    node outside the open focus region must satisfy |grad eta| >= ETA_TOL_GRAD (in
     2D the tolerance is scaled by h, since a product profile has gradients of
     order h near the corners).
     """
@@ -134,7 +136,7 @@ def build_eta(grid: SpatialGrid, focus, tol_grad: float = 1e-3) -> Field:
     # interior nodes only: a product profile on the square necessarily has
     # a vanishing gradient at the corners, where nothing is integrated
     outside = ~box_mask(grid, F) & ~grid.boundary
-    tol = tol_grad if grid.dim == 1 else tol_grad * grid.h
+    tol = ETA_TOL_GRAD if grid.dim == 1 else ETA_TOL_GRAD * grid.h
     bad = np.flatnonzero(outside & (g < tol))
     if bad.size:
         node = int(bad[0])
@@ -168,7 +170,6 @@ class CarlemanWeights:
     lam: float
     eta: np.ndarray
     eta_max: float
-    tol_grad: float
     focus_mask: np.ndarray
 
     @property
@@ -185,11 +186,10 @@ def build_weights(
     focus,
     mu: float = 2.0,
     lam: float | None = None,
-    tol_grad: float = 1e-3,
 ) -> CarlemanWeights:
     if mu <= 0:
         raise WeightDomainError(f"mu must be positive, got {mu}")
-    eta = build_eta(grid, focus, tol_grad=tol_grad)
+    eta = build_eta(grid, focus)
     eta_max = 1.0
     if lam is None:
         lam = lambda_auto(mu, eta_max, tgrid.T)
@@ -203,7 +203,6 @@ def build_weights(
         lam=float(lam),
         eta=_frozen(eta.values),
         eta_max=eta_max,
-        tol_grad=float(tol_grad),
         focus_mask=box_mask(grid, focus),
     )
 

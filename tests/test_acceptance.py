@@ -197,12 +197,13 @@ class TestAcceptance:
         gaps = {}
         for name in ("heat_lq_16x32", "gradient_diffusion", "mild_quasilinear"):
             s, problem = _scenario(name), _problem(name)
-            res = check_second_order(problem, seed=s.seed)
+            nash = compute_nash(problem, tol=s.tolerance("nash_tol"))
+            res = check_second_order(problem, nash, seed=s.seed)
             gaps[name] = res["relative_gap"]
         decoupled = dataclasses.replace(
             _problem("heat_lq_16x32"), nu=(0.0, _problem("heat_lq_16x32").nu[1])
         )
-        res0 = check_second_order(decoupled, seed=0)
+        res0 = check_second_order(decoupled, compute_nash(decoupled), seed=0)
         exact = (
             res0["coupling_term"] == 0.0
             and abs(res0["rep_value"] - res0["mu_term"]) <= 1e-12 * abs(res0["rep_value"])

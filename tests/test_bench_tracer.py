@@ -5,6 +5,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import hiercontrol.cli  # noqa: F401  (the tracer wraps cli.main)
 import hiercontrol.fixedpoint
@@ -41,25 +42,26 @@ def test_tracer_installs_and_uninstalls():
     assert vars(hiercontrol.leader.GramianContext)["gramian_apply"] is orig_gramian
 
 
-def _sweep_context():
+def _sweep_context(strategy):
     problem = make_problem(cells=16, steps=32)
     zero = np.zeros((problem.tgrid.n_slices, problem.grid.n_nodes))
     # looked up at call time, so the tracer's wrapper runs when installed
     return hiercontrol.fixedpoint.linearize_at(
-        problem, SpaceTimeField(problem.grid, problem.tgrid, zero)
+        problem, SpaceTimeField(problem.grid, problem.tgrid, zero), strategy=strategy
     )
 
 
-def test_counting_contract_on_an_epsilon_sweep():
+@pytest.mark.parametrize("strategy", ["monolithic", "picard"])
+def test_counting_contract_on_an_epsilon_sweep(strategy):
     # the tracer counts Gramian spans under solve_leader as CG iterations and
     # checks them against sum(cg_iterations) and the contexts' own counters
     epsilons = (1e-2, 1e-4, 1e-6)
-    cold = _sweep_context()
+    cold = _sweep_context(strategy)
     hiercontrol.leader.solve_leader(cold, epsilons[-1])
     tracer = _load_tracer().Tracer()
     tracer.install("sweep")
     try:
-        ctx = _sweep_context()
+        ctx = _sweep_context(strategy)
         for eps in epsilons:
             hiercontrol.leader.solve_leader(ctx, eps)
     finally:
@@ -69,3 +71,7 @@ def test_counting_contract_on_an_epsilon_sweep():
     assert metrics["leader.context_calls"] == 1
     assert metrics["leader.gramian_calls"] == cold.gramian_applications
     assert metrics["leader.cg_iterations"] == cold.gramian_applications
+    if strategy == "picard":
+        # the sweep's marches run under the traced coupled solves, so a sweep
+        # that bound the marches before the tracer installed would read 0
+        assert metrics["leader.marches_per_coupled_solve"] > 0

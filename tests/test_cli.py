@@ -129,6 +129,25 @@ class TestVerify:
         assert set(report["reports"]) == {"duality", "nash-oracle", "second-order",
                                           "observability", "carleman"}
 
+    def test_all_suites_solve_the_equilibrium_once(self, tmp_path, monkeypatch):
+        # nash-oracle and second-order differentiate at one equilibrium,
+        # solved at the scenario's nash_tol (1e-12 in heat_lq_16x32)
+        import hiercontrol.nash
+        import hiercontrol.verification
+
+        orig = hiercontrol.nash.compute_nash
+        tols = []
+
+        def counted(problem, u=None, tol=1e-11, **kw):
+            tols.append(tol)
+            return orig(problem, u=u, tol=tol, **kw)
+
+        monkeypatch.setattr(hiercontrol.nash, "compute_nash", counted)
+        monkeypatch.setattr(hiercontrol.verification, "compute_nash", counted)
+        rc, _ = _run(tmp_path, "verify", "--config", LQ, "--suite", "all")
+        assert rc == 0
+        assert tols == [1e-12]
+
 
 class TestFailureModes:
     def test_missing_config(self, tmp_path, capsys):

@@ -7,6 +7,7 @@ from conftest import make_problem
 from hiercontrol.errors import ValidationError
 from hiercontrol.fixedpoint import linearize_at
 from hiercontrol.grids import SpaceTimeField
+from hiercontrol.nash import compute_nash
 from hiercontrol.verification import (
     ProbeReport,
     check_duality,
@@ -135,7 +136,7 @@ class TestSecondOrder:
     def test_zero_direction_is_exactly_zero(self):
         problem = make_problem(cells=16, steps=32)
         w = np.zeros((problem.tgrid.n_slices, problem.grid.n_nodes))
-        res = check_second_order(problem, w=w, seed=1)
+        res = check_second_order(problem, compute_nash(problem), w=w, seed=1)
         assert res["rep_value"] == 0.0
         assert res["fd_value"] == 0.0
         assert res["mu_term"] == 0.0
@@ -143,14 +144,14 @@ class TestSecondOrder:
 
     def test_pure_control_cost_when_tracking_off(self):
         problem = make_problem(cells=16, steps=32, nu=(0.0, 1.0))
-        res = check_second_order(problem, seed=2)
+        res = check_second_order(problem, compute_nash(problem), seed=2)
         assert res["coupling_term"] == 0.0
         assert res["rep_value"] == res["mu_term"]
         assert res["relative_gap"] < 1e-9
 
     def test_representation_matches_differences(self):
         problem = make_problem(cells=16, steps=32)
-        res = check_second_order(problem, seed=3)
+        res = check_second_order(problem, compute_nash(problem), seed=3)
         assert res["relative_gap"] < 1e-6
         assert res["rep_value"] > 0.0
 
