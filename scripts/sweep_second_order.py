@@ -30,7 +30,7 @@ def main() -> int:
 
     s = load_scenario(args.config)
     problem = s.build_problem()
-    res = second_order_mu_sweep(problem, args.mu1, seed=s.seed)
+    res = second_order_mu_sweep(problem, args.mu1, seed=s.seed, tol=s.tolerance("nash_tol"))
     for m, v in zip(res["mu1"], res["rep_values"]):
         print(f"mu1={m:10.3e}  rep_value={v: .6e}")
     if res["crossing"] is None:

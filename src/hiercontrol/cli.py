@@ -130,11 +130,12 @@ def cmd_solve(args) -> int:
             "J_eps_value": rep.leader.J_eps_value,
             "J_eps_zero": rep.leader.J_eps_zero,
             "terminal_defect": rep.leader.terminal_defect,
+            "terminal_residual": rep.leader.terminal_residual,
+            "control_effect": rep.leader.control_effect,
             "ritz_min": rep.leader.ritz_min,
             "ritz_max": rep.leader.ritz_max,
             "eps_over_ritz_max": rep.leader.eps_over_ritz_max,
             "converged": rep.leader.converged,
-            "strategy": rep.leader.strategy,
         },
         "nash": None
         if rep.nash is None
@@ -247,6 +248,8 @@ def cmd_leader(args) -> int:
         "terminal_norm": sol.terminal_norm,
         "predicted_terminal_norm": sol.predicted_terminal_norm,
         "terminal_defect": sol.terminal_defect,
+        "terminal_residual": sol.terminal_residual,
+        "control_effect": sol.control_effect,
         "free_terminal_norm": sol.free_terminal_norm,
         "control_energy": sol.control_energy,
         "J_eps_value": sol.J_eps_value,
@@ -257,7 +260,6 @@ def cmd_leader(args) -> int:
         "ritz_max": sol.ritz_max,
         "eps_over_ritz_max": sol.eps_over_ritz_max,
         "converged": sol.converged,
-        "strategy": sol.strategy,
         "duality_gap": leader_duality_gap(ctx, sol),
     }
     emit_report(summary, os.path.join(out, "leader_report.json"))

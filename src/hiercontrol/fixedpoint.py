@@ -70,7 +70,6 @@ def linearize_at(
     problem: HierarchicProblem,
     z: SpaceTimeField,
     weights: CarlemanWeights | None = None,
-    strategy: str = "auto",
     picard_tol: float = 1e-10,
 ) -> GramianContext:
     """Gramian context of the linear leader problem frozen at the trajectory z.
@@ -98,7 +97,7 @@ def linearize_at(
     )
     if weights is None:
         weights = build_weights(problem.grid, problem.tgrid, problem.focus_box())
-    return GramianContext(problem, weights, c, strategy=strategy, picard_tol=picard_tol)
+    return GramianContext(problem, weights, c, picard_tol=picard_tol)
 
 
 @dataclass(frozen=True, eq=False)

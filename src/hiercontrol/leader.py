@@ -22,16 +22,24 @@ the penalized-HUM equation
     (Lambda + eps I) phi_T = -b,
 
 with Lambda the control-to-terminal-state Gramian and b the terminal value of
-the free (u = 0) coupled response.  Lambda is assembled implicitly: one
-sparse factorization of the monolithic space-time system serves the primal
-solve and, through transposed triangular solves, the transposed solve, so
-Lambda = E K^{-1} D K^{-T} E^T is symmetric positive semidefinite to rounding
-and a conjugate-gradient solve applies.  The controlled terminal state equals
--eps phi_T identically, which is reported as a consistency defect.  K is
-filled in one vectorised pass: the slice blocks I + tau L_y^m and
-(I + tau L_p^m)^T of all M slices come from one stacked fill of the solvers'
-slice pattern each, placed at their block offsets together with the
-identity and coupling diagonals.
+the free (u = 0) coupled response.  Lambda is applied implicitly: one
+coupled solve with K^T gives phi from phi_T, one with K gives y(T) from
+u = d phi, so Lambda = E K^{-1} D K^{-T} E^T is symmetric positive
+semidefinite to the inner tolerance and a conjugate-gradient solve applies.
+The controlled terminal state equals -eps phi_T identically; the residual
+of that identity is reported against |b| and against |y(T)|.
+
+One engine solves K and K^T: block Gauss-Seidel (lagged Picard) sweeps.
+Each sweep marches the lead block (y, or phi for K^T) with the follower
+blocks lagged, then each follower block from the new lead block, using the
+per-slice factors of the solvers module: LAPACK tridiagonal factors in 1D,
+SuperLU in 2D.  K^T reverses both marches and swaps the two coupling
+blocks, and theta_k = -lambda_k is taken from the follower blocks of K^T in
+one place.  A sweep is the fixed-point map of the lead block, so the step
+between two sweeps is its fixed-point residual (the residual of the coupled
+equations, preconditioned by the lead march); the sweep stops when that is
+below the inner tolerance relative to the lead block, and a sweep that does
+not get there raises NonConvergenceError.
 
 The Krylov space K_k(Lambda, b) does not depend on eps, so the context
 caches one Lanczos basis of Lambda started from b (plain three-term
@@ -42,18 +50,8 @@ k-th CG iterate; the basis grows, one Gramian application per vector, only
 when a solve needs it.  An epsilon sweep therefore costs as many Gramian
 applications as its hardest epsilon.  The answer depends only on the
 context, eps and cg_tol: a solve on a warm context is bit-identical to the
-same solve on a fresh one.
-
-A sweep engine replaces the monolithic factorization above MONOLITHIC_LIMIT
-unknowns under ``strategy="auto"``: one block Gauss-Seidel (lagged Picard)
-sweep serves K and K^T.  K^T reverses both marches and swaps the two
-coupling blocks, and both engines take theta_k = -lambda_k from the
-follower blocks of K^T in one place.  Both engines solve the same equations
-and can be cross-checked.  An engine named explicitly is the engine that
-runs: a Picard sweep that does not converge raises NonConvergenceError.  The
-sweep marches use the per-slice factors of the solvers module: LAPACK
-tridiagonal factors in 1D, SuperLU in 2D.  The context is penalty-free: one
-factorization and one Krylov basis serve a whole epsilon sweep.
+same solve on a fresh one.  The context is penalty-free: one set of slice
+factors and one Krylov basis serve a whole epsilon sweep.
 """
 
 from __future__ import annotations
@@ -61,25 +59,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import eigvalsh_tridiagonal, solve_banded
 
 from .errors import ConditioningError, NonConvergenceError, ValidationError
-from .grids import SpaceTimeField, slice_pattern, stepped_pairing
+from .grids import SpaceTimeField, stepped_pairing
 from .nash import HierarchicProblem
 from .solvers import (
     LinearCoefficients,
     march_adjoint,
     march_forward,
     sensitivity_factors,
-    sensitivity_slices,
     state_factors,
-    state_slices,
 )
 from .weights import CarlemanWeights, control_energy, observation_weight_trajectory
 
-MONOLITHIC_LIMIT = 200_000
 PICARD_MAX = 400
 STAGNATION_WINDOW = 20
 
@@ -99,10 +92,10 @@ class KrylovBasis:
     After k Gramian applications it holds v_1..v_{k+1} and the tridiagonal
     T_k: alpha_1..alpha_k on the diagonal, beta_2..beta_{k+1} beside it.
     ``tol`` is the inner coupled-solve tolerance b and the basis were
-    computed at (None for the exact monolithic engine).
+    computed at.
     """
 
-    tol: float | None
+    tol: float
     b: np.ndarray
     bnorm: float
     v: list
@@ -113,19 +106,20 @@ class KrylovBasis:
 class GramianContext:
     """Solver state shared by every Gramian application of one leader problem.
 
-    Holds the frozen linearization, the Carleman weights, the coupled-system
-    engine (monolithic LU or Picard sweeps), the free terminal state b and
-    the Lanczos basis of Lambda started from b.  The penalty parameter is
-    deliberately not part of the context, so an epsilon sweep reuses one
-    factorization and one Krylov basis.
+    Holds the frozen linearization, the Carleman weights, the slice factors
+    the coupled sweeps march with, the free terminal state b and the Lanczos
+    basis of Lambda started from b.  The penalty parameter is deliberately
+    not part of the context, so an epsilon sweep reuses one set of factors
+    and one Krylov basis.
     """
+
+    strategy = "picard"  # the benchmark reads the engine name from here
 
     def __init__(
         self,
         problem: HierarchicProblem,
         weights: CarlemanWeights,
         coefficients: LinearCoefficients,
-        strategy: str = "auto",
         picard_tol: float = 1e-10,
     ):
         if not weights.grid.same_as(problem.grid) or not weights.tgrid.same_as(problem.tgrid):
@@ -146,114 +140,27 @@ class GramianContext:
         self.xi_star = problem.xi("tracking")
         self.S = [problem.xi("follower1") ** 2, problem.xi("follower2") ** 2]
 
-        size = 3 * self.tgrid.steps * self.grid.n_interior
-        if strategy == "auto":
-            strategy = "monolithic" if size <= MONOLITHIC_LIMIT else "picard"
-        if strategy not in ("monolithic", "picard"):
-            raise ValidationError(f"unknown engine strategy {strategy!r}")
-        self.strategy = strategy
-        self.size = size
-        self._lu = None
-        self._factors = None
+        self.size = 3 * self.tgrid.steps * self.grid.n_interior
+        self._factors = (state_factors(coefficients), sensitivity_factors(coefficients))
         self._krylov: KrylovBasis | None = None
         self.gramian_applications = 0
-        if strategy == "monolithic":
-            self._lu = spla.splu(self._assemble())
 
-    # ------------------------------------------------------------------ setup
-    def _assemble(self) -> sp.csc_matrix:
-        """Monolithic space-time matrix K of the coupled system, in one pass.
-
-        Unknowns are ordered [y^1..y^M, p_1^1..p_1^M, p_2^1..p_2^M], each
-        slice the interior nodes.  The slice blocks I + tau L_y^m and
-        (I + tau L_p^m)^T come from one stacked slice-pattern fill per roster
-        family, shifted to their block offsets.
-        """
-        grid, tgrid, problem = self.grid, self.tgrid, self.problem
-        pat = slice_pattern(grid)
-        ii = grid.interior_idx
-        ni, M, tau = ii.size, tgrid.steps, tgrid.tau
-        F = np.broadcast_to(state_slices(self.c), (M, pat.nnz))
-        G = np.broadcast_to(sensitivity_slices(self.c), (M, pat.nnz))
-        base = (np.arange(M) * ni)[:, None]
-        shift = np.arange(ni, M * ni)               # slices 2..M of one block
-        node = (base + np.arange(ni)).ravel()        # slices 1..M of one block
-        rows = [base + pat.rows, shift]
-        cols = [base + pat.indices, shift - ni]
-        vals = [F, np.full(shift.size, -1.0)]
-
-        def diagonal(r0, c0, v):
-            keep = np.broadcast_to(v != 0.0, (M, ni)).ravel()
-            rows.append(r0 + node[keep])
-            cols.append(c0 + node[keep])
-            vals.append(np.broadcast_to(v, (M, ni)).ravel()[keep])
-
-        for k in (1, 2):
-            off = k * M * ni
-            rows += [off + base + pat.indices, off + shift - ni]
-            cols += [off + base + pat.rows, off + shift]
-            vals += [G, np.full(shift.size, -1.0)]
-            diagonal(0, off, (-tau / problem.mu[k - 1]) * self.S[k - 1][ii])
-            if problem.nu[k - 1] != 0.0:
-                diagonal(off, 0, (tau * problem.nu[k - 1]) * self.xi_star[ii])
-        flat = [np.concatenate([np.ravel(a) for a in part]) for part in (vals, rows, cols)]
-        return sp.csc_matrix((flat[0], (flat[1], flat[2])), shape=(3 * M * ni, 3 * M * ni))
-
-    def _get_factors(self):
-        if self._factors is None:
-            self._factors = (state_factors(self.c), sensitivity_factors(self.c))
-        return self._factors
-
-    # --------------------------------------------------------------- monolith
-    def _unpack(self, x: np.ndarray, y_init: np.ndarray | None):
-        grid, tgrid = self.grid, self.tgrid
-        ii = grid.interior_idx
-        ni, M = ii.size, tgrid.steps
-        out = []
-        for blk in range(3):
-            traj = np.zeros((M + 1, grid.n_nodes))
-            seg = x[blk * M * ni : (blk + 1) * M * ni].reshape(M, ni)
-            traj[1:, ii] = seg
-            out.append(traj)
-        y, p1, p2 = out
-        if y_init is not None:
-            y[0] = y_init
-        p1[0] = p1[1]
-        p2[0] = p2[1]
-        return y, p1, p2
-
-    def _solve_primal_monolithic(self, source_y, y0, targets):
-        grid, tgrid = self.grid, self.tgrid
-        ii = grid.interior_idx
-        ni, M, tau = ii.size, tgrid.steps, tgrid.tau
-        rhs = np.zeros(3 * M * ni)
-        if source_y is not None:
-            rhs[: M * ni] = tau * source_y[1:, ii].ravel()
-        if y0 is not None:
-            rhs[:ni] += y0[ii]
-        if targets is not None:
-            for k in (1, 2):
-                nu_k = self.problem.nu[k - 1]
-                if nu_k == 0.0:
-                    continue
-                blk = tau * nu_k * (self.xi_star[None, :] * targets[k - 1])[1:, ii].ravel()
-                rhs[k * M * ni : (k + 1) * M * ni] = blk
-        x = self._lu.solve(rhs)
-        return self._unpack(x, y0)
-
-    # ----------------------------------------------------------------- picard
     def _sweep(self, transpose: bool, seed, source, targets, tol):
         """Block Gauss-Seidel sweeps on K, or on K^T, until the lead block settles.
 
         Each sweep marches the lead block x (y, or phi for K^T) with the
         follower blocks z_k (p_k, or lambda_k) lagged, then marches each z_k
         from the new x; a coupling block that is identically zero is skipped.
-        The sweep stops when |x - x_prev| / (1 + |x|) < tol, or after one
-        sweep when both nu_k vanish and x no longer depends on z_k.
+        One sweep is the fixed-point map x = Phi(x_prev), so x - x_prev is its
+        fixed-point residual; the sweep stops when
+        |x - x_prev| <= tol |x| in the stepped weighted norm, or after one
+        sweep when both nu_k vanish and x no longer depends on z_k.  ``tol``
+        None means the context's picard_tol.
         """
         grid, tgrid = self.grid, self.tgrid
+        tol = self.picard_tol if tol is None else tol
         n = grid.n_nodes
-        sf, pf = self._get_factors()
+        sf, pf = self._factors
         s_mu = [self.S[k] / self.problem.mu[k] for k in (0, 1)]       # z_k into x in K
         nu_xi = [-self.problem.nu[k] * self.xi_star for k in (0, 1)]  # x into z_k in K
         # K^T reverses both marches and swaps the two coupling blocks; the
@@ -279,9 +186,9 @@ class GramianContext:
                     dk = x if targets is None else x - targets[k]
                     z[k] = follow(pf, np.zeros(n), coef[None, :] * dk)
             if x_prev is not None:
-                num = np.sqrt(stepped_pairing(grid, tgrid, x - x_prev, x - x_prev))
-                den = 1.0 + np.sqrt(stepped_pairing(grid, tgrid, x, x))
-                if num / den < tol:
+                # a product, not a ratio, so zero data stops too
+                step = stepped_pairing(grid, tgrid, x - x_prev, x - x_prev)
+                if step <= tol * tol * stepped_pairing(grid, tgrid, x, x):
                     return x, z[0], z[1]
             if self.problem.nu[0] == 0.0 and self.problem.nu[1] == 0.0:
                 return x, z[0], z[1]
@@ -297,25 +204,14 @@ class GramianContext:
 
         Raw-array interface: trajectories are (n_slices, n_nodes) arrays.
         """
-        if self.strategy == "monolithic":
-            return self._solve_primal_monolithic(source_y, y0, targets)
-        tol = self.picard_tol if picard_tol is None else picard_tol
-        return self._sweep(False, y0, source_y, targets, tol)
+        return self._sweep(False, y0, source_y, targets, picard_tol)
 
     def solve_transposed(self, phi_T: np.ndarray, picard_tol=None):
         """(phi, theta_1, theta_2) of the transposed coupled system seeded by phi_T.
 
         theta_k = -lambda_k with theta_k(0) = 0, lambda_k the follower blocks of K^T.
         """
-        if self.strategy == "monolithic":
-            ii, M = self.grid.interior_idx, self.tgrid.steps
-            rhs = np.zeros(3 * M * ii.size)
-            rhs[(M - 1) * ii.size : M * ii.size] = phi_T[ii]
-            phi, lam1, lam2 = self._unpack(self._lu.solve(rhs, trans="T"), None)
-            phi[0] = phi[1]
-        else:
-            tol = self.picard_tol if picard_tol is None else picard_tol
-            phi, lam1, lam2 = self._sweep(True, phi_T, None, None, tol)
+        phi, lam1, lam2 = self._sweep(True, phi_T, None, None, picard_tol)
         th1 = -lam1
         th2 = -lam2
         th1[0] = 0.0
@@ -344,8 +240,7 @@ class GramianContext:
 
     def krylov(self, k: int, picard_tol=None) -> KrylovBasis:
         """The cached Lanczos basis, extended to at least k Gramian applications."""
-        tol = None if self.strategy == "monolithic" else (
-            self.picard_tol if picard_tol is None else picard_tol)
+        tol = self.picard_tol if picard_tol is None else picard_tol
         kb = self._krylov
         if kb is None or kb.tol != tol:
             y, _, _ = self.solve_primal(
@@ -404,6 +299,8 @@ class LeaderSolution:
     terminal_norm: float
     predicted_terminal_norm: float
     terminal_defect: float
+    terminal_residual: float
+    control_effect: float
     free_terminal_norm: float
     control_energy: float
     J_eps_value: float
@@ -414,7 +311,6 @@ class LeaderSolution:
     ritz_max: float
     eps_over_ritz_max: float
     converged: bool
-    strategy: str
 
 
 def solve_leader(
@@ -431,9 +327,9 @@ def solve_leader(
     (measured against |b|), raises NonConvergenceError at cg_max, and raises
     ConditioningError after STAGNATION_WINDOW consecutive iterations
     without residual decrease; with a spectrally bounded SPD operator that
-    indicates a weight/penalty combination beyond what the factorization can
-    resolve.  Inner Picard sweeps, when active, run 100x tighter than cg_tol
-    so they cannot pollute Gramian symmetry.
+    indicates a weight/penalty combination beyond what the discretization
+    can resolve.  The coupled sweeps run 100x tighter than cg_tol so they
+    cannot pollute Gramian symmetry.
 
     ``cg_iterations`` counts the Gramian applications this call made to
     extend the basis, ``cg_residuals`` the full residual history at this
@@ -441,7 +337,10 @@ def solve_leader(
     context the two agree.  The result depends only on (ctx, eps, cg_tol):
     a solve on a warm context is bit-identical to one on a fresh context.
     The Ritz values of Lambda from T_k and eps / ritz_max are reported at
-    no extra cost (NaN when no iteration ran).
+    no extra cost (NaN when no iteration ran).  ``terminal_residual`` is
+    |y(T) + eps phi_T| / |b|, the residual the stop rule bounds, and
+    ``control_effect`` is |y(T)| / |b|, what is left of the free terminal
+    state; ``terminal_defect`` divides the same residual by |y(T)|.
     """
     if epsilon <= 0:
         raise ValidationError(f"penalty epsilon must be positive, got {epsilon}")
@@ -509,7 +408,8 @@ def solve_leader(
     terminal = y[-1]
     tnorm = _wnorm(grid, terminal)
     pred = eps * _wnorm(grid, x)
-    defect = _wnorm(grid, terminal + eps * x) / max(tnorm, pred, 1e-300)
+    residual = _wnorm(grid, terminal + eps * x)
+    defect = residual / max(tnorm, pred, 1e-300)
     ce = control_energy(ctx.weights, u, grid.weights)
     J = 0.5 * ce + 0.5 / eps * tnorm**2
 
@@ -527,6 +427,8 @@ def solve_leader(
         terminal_norm=tnorm,
         predicted_terminal_norm=pred,
         terminal_defect=defect,
+        terminal_residual=residual / max(bnorm, 1e-300),
+        control_effect=tnorm / max(bnorm, 1e-300),
         free_terminal_norm=bnorm,
         control_energy=ce,
         J_eps_value=J,
@@ -537,7 +439,6 @@ def solve_leader(
         ritz_max=ritz_max,
         eps_over_ritz_max=eps / ritz_max if ritz_max != 0.0 else float("inf"),
         converged=converged,
-        strategy=ctx.strategy,
     )
 
 

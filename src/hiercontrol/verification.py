@@ -448,19 +448,21 @@ def second_order_mu_sweep(
     mu1_values,
     u: SpaceTimeField | None = None,
     seed: int = 0,
+    tol: float = 1e-11,
 ) -> dict:
     """rep_value across a mu_1 sweep; reports the empirical sign change.
 
     The positivity threshold of the curvature is not computable in closed
     form, so it is probed: the returned ``crossing`` brackets the last sign
     change of rep_value along the sweep (None when the sign is constant).
+    Each equilibrium is solved to ``tol``, the scenario's nash_tol.
     """
     from dataclasses import replace
 
     values = []
     for m1 in mu1_values:
         prob_m = replace(problem, mu=(float(m1), problem.mu[1]))
-        res = check_second_order(prob_m, compute_nash(prob_m, u=u), u=u, seed=seed)
+        res = check_second_order(prob_m, compute_nash(prob_m, u=u, tol=tol), u=u, seed=seed)
         values.append(res["rep_value"])
     crossing = None
     for i in range(1, len(values)):

@@ -1,27 +1,26 @@
 """Slice-pattern assembly against the flux-form composition it replaces.
 
-The reference functions below build every matrix the way the solvers did
-before the slice pattern existed: assemble_divergence_operator plus
-gradient_matrices products, restricted to interior rows and columns, and
-the monolithic space-time matrix block by block.  The pattern fill must
-reproduce them bit for bit.
+The reference functions in ``reference`` build every matrix the way the
+solvers did before the slice pattern existed: assemble_divergence_operator
+plus gradient_matrices products, restricted to interior rows and columns,
+and the space-time matrix block by block.  The pattern fill must reproduce
+the slices bit for bit, and the coupled sweep must solve the block-assembled
+space-time system.
 """
 
 import itertools
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from conftest import make_problem
+from reference import DirectContext, reference_slice
 from hiercontrol.errors import BlowUpError
 from hiercontrol.fixedpoint import linearize_at
 from hiercontrol.grids import (
     Field,
-    assemble_divergence_operator,
     build_grid,
     build_time_grid,
-    gradient_matrices,
     slice_pattern,
     space_inner,
     stepped_pairing,
@@ -41,60 +40,6 @@ from hiercontrol.solvers import (
     state_slices,
 )
 from hiercontrol.weights import build_weights
-
-
-def _reference_slice(grid, tau, b=None, f_adv=None, f_div=None, f0=None):
-    """I + tau L on the interior unknowns by sparse composition."""
-    n = grid.n_nodes
-    L = sp.csr_matrix((n, n))
-    if b is not None:
-        L = L + assemble_divergence_operator(grid, b)
-    if f_adv is not None or f_div is not None:
-        D = gradient_matrices(grid)
-        for ax in range(grid.dim):
-            if f_adv is not None:
-                L = L + sp.diags(f_adv[:, ax]) @ D[ax]
-            if f_div is not None:
-                L = L + D[ax] @ sp.diags(f_div[:, ax])
-    if f0 is not None:
-        L = L + sp.diags(f0 * (~grid.boundary).astype(float))
-    ii = grid.interior_idx
-    return sp.identity(ii.size, format="csc") + tau * L.tocsr()[ii][:, ii]
-
-
-def _reference_spacetime(ctx):
-    """Monolithic matrix of a GramianContext, one slice block at a time."""
-    grid, tgrid, c, problem = ctx.grid, ctx.tgrid, ctx.c, ctx.problem
-    ii = grid.interior_idx
-    ni, M, tau = ii.size, tgrid.steps, tgrid.tau
-    eye = sp.identity(ni, format="csr")
-    off = (0, M * ni, 2 * M * ni)
-    blocks = []
-    for m in range(1, M + 1):
-        F = _reference_slice(grid, tau, c.b[m], f_adv=c.f_adv[m], f0=c.f0[m])
-        G = _reference_slice(grid, tau, c.B[m], f_div=c.g[m], f0=-c.g0[m])
-        r = (m - 1) * ni
-        blocks.append((r, r, F))
-        if m >= 2:
-            blocks.append((r, r - ni, -eye))
-        for k in (1, 2):
-            rk = off[k] + (m - 1) * ni
-            blocks.append((r, rk, (-tau / problem.mu[k - 1]) * sp.diags(ctx.S[k - 1][ii])))
-            blocks.append((rk, rk, G.T))
-            if m <= M - 1:
-                blocks.append((rk, rk + ni, -eye))
-            if problem.nu[k - 1] != 0.0:
-                blocks.append((rk, r, (tau * problem.nu[k - 1]) * sp.diags(ctx.xi_star[ii])))
-    rows, cols, vals = [], [], []
-    for r0, c0, A in blocks:
-        A = sp.coo_matrix(A)
-        rows.append(A.row + r0)
-        cols.append(A.col + c0)
-        vals.append(A.data)
-    return sp.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(3 * M * ni, 3 * M * ni),
-    )
 
 
 def _random_roster(rng, grid, tgrid, diagonal_B=False):
@@ -128,14 +73,14 @@ class TestSliceFill:
         tau = 0.0137
         pat = slice_pattern(grid)
         data = slice_operator(grid, tau, **kw)
-        ref = _reference_slice(grid, tau, **kw).toarray()
+        ref = reference_slice(grid, tau, **kw).toarray()
         assert np.array_equal(pat.csr(data).toarray(), ref)
 
     def test_diagonal_diffusion_matches(self):
         grid = build_grid(2, 9)
         b = np.random.default_rng(4).uniform(0.5, 2.0, (grid.n_nodes, 2))
         pat = slice_pattern(grid)
-        ref = _reference_slice(grid, 0.01, b=b).toarray()
+        ref = reference_slice(grid, 0.01, b=b).toarray()
         assert np.array_equal(pat.csr(slice_operator(grid, 0.01, b=b)).toarray(), ref)
 
     @pytest.mark.parametrize("dim,cells", [(1, 12), (2, 9)])
@@ -161,18 +106,30 @@ class TestSliceFill:
 
 
 class TestSpaceTimeMatrix:
+    # the sweep solves the block-assembled K and K^T on a time-varying roster
     @pytest.mark.parametrize("dim,cells,nu", [(1, 10, (1.0, 1.0)), (1, 10, (1.0, 0.0)),
                                               (2, 8, (1.0, 1.0))])
     def test_matches_block_assembly(self, dim, cells, nu):
         problem = make_problem(cells=cells, steps=16, dim=dim, nu=nu)
+        grid = problem.grid
         rng = np.random.default_rng(5)
-        c = _random_roster(rng, problem.grid, problem.tgrid, diagonal_B=dim == 2)
-        weights = build_weights(problem.grid, problem.tgrid, problem.focus_box())
-        ctx = GramianContext(problem, weights, c, strategy="picard")
-        K = ctx._assemble()
-        ref = _reference_spacetime(ctx)
-        assert K.nnz == ref.nnz
-        assert np.array_equal(K.toarray(), ref.toarray())
+        c = _random_roster(rng, grid, problem.tgrid, diagonal_B=dim == 2)
+        weights = build_weights(grid, problem.tgrid, problem.focus_box())
+        ctx = GramianContext(problem, weights, c, picard_tol=1e-13)
+        ref = DirectContext(problem, weights, c)
+        source = rng.standard_normal((problem.tgrid.n_slices, grid.n_nodes))
+        source[:, grid.boundary] = 0.0
+        targets = tuple(t.values for t in problem.targets)
+        phi_T = rng.standard_normal(grid.n_nodes)
+        phi_T[grid.boundary] = 0.0
+        pairs = [
+            (ctx.solve_primal(source, problem.y0.values, targets),
+             ref.solve_primal(source, problem.y0.values, targets)),
+            (ctx.solve_transposed(phi_T), ref.solve_transposed(phi_T)),
+        ]
+        for swept, exact in pairs:
+            for a, b in zip(swept, exact):
+                assert np.abs(a - b).max() <= 1e-10 * max(np.abs(b).max(), 1e-300)
 
 
 class TestTridiagonalDuality:
@@ -207,7 +164,7 @@ class TestTridiagonalDuality:
         problem = make_problem(cells=24, steps=32, preset="mild-quasilinear",
                                params={"q": 1.0, "c": 1.0}, nu=(0.0, 0.0), y0_amp=0.5)
         z = solve_forward_quasilinear(problem.nl, problem.grid, problem.tgrid, problem.y0)
-        ctx = linearize_at(problem, z, strategy="picard")
+        ctx = linearize_at(problem, z)
         assert state_slices(ctx.c).shape[0] == problem.tgrid.steps
         sol = solve_leader(ctx, 1e-3)
         assert leader_duality_gap(ctx, sol) < 1e-12

@@ -13,6 +13,7 @@ import hiercontrol.leader
 import hiercontrol.solvers
 from conftest import make_problem
 from hiercontrol.grids import SpaceTimeField
+from reference import direct
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -42,26 +43,34 @@ def test_tracer_installs_and_uninstalls():
     assert vars(hiercontrol.leader.GramianContext)["gramian_apply"] is orig_gramian
 
 
-def _sweep_context(strategy):
+def _sweep_context():
     problem = make_problem(cells=16, steps=32)
     zero = np.zeros((problem.tgrid.n_slices, problem.grid.n_nodes))
     # looked up at call time, so the tracer's wrapper runs when installed
     return hiercontrol.fixedpoint.linearize_at(
-        problem, SpaceTimeField(problem.grid, problem.tgrid, zero), strategy=strategy
+        problem, SpaceTimeField(problem.grid, problem.tgrid, zero)
     )
 
 
-@pytest.mark.parametrize("strategy", ["monolithic", "picard"])
-def test_counting_contract_on_an_epsilon_sweep(strategy):
+def _engine_context(engine, base):
+    return direct(base) if engine == "monolithic" else _sweep_context()
+
+
+# "monolithic" runs the same leader on the direct LU oracle of tests/reference.py
+@pytest.mark.parametrize("engine", ["monolithic", "picard"])
+def test_counting_contract_on_an_epsilon_sweep(engine):
     # the tracer counts Gramian spans under solve_leader as CG iterations and
     # checks them against sum(cg_iterations) and the contexts' own counters
     epsilons = (1e-2, 1e-4, 1e-6)
-    cold = _sweep_context(strategy)
+    # the oracle twins a context linearized before the tracer installs, so
+    # only the oracle's own construction is traced
+    base = _sweep_context() if engine == "monolithic" else None
+    cold = _engine_context(engine, base)
     hiercontrol.leader.solve_leader(cold, epsilons[-1])
     tracer = _load_tracer().Tracer()
     tracer.install("sweep")
     try:
-        ctx = _sweep_context(strategy)
+        ctx = _engine_context(engine, base)
         for eps in epsilons:
             hiercontrol.leader.solve_leader(ctx, eps)
     finally:
@@ -71,7 +80,11 @@ def test_counting_contract_on_an_epsilon_sweep(strategy):
     assert metrics["leader.context_calls"] == 1
     assert metrics["leader.gramian_calls"] == cold.gramian_applications
     assert metrics["leader.cg_iterations"] == cold.gramian_applications
-    if strategy == "picard":
+    if engine == "picard":
         # the sweep's marches run under the traced coupled solves, so a sweep
         # that bound the marches before the tracer installed would read 0
         assert metrics["leader.marches_per_coupled_solve"] > 0
+    else:
+        # the LU oracle solves each coupled system without a march
+        assert metrics["leader.coupled_solves"] > 0
+        assert metrics["leader.marches_per_coupled_solve"] == 0

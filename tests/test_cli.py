@@ -52,6 +52,8 @@ class TestSolve:
         lead = report["leader"]
         assert -1e-12 * lead["ritz_max"] <= lead["ritz_min"] <= lead["ritz_max"]
         assert lead["eps_over_ritz_max"] == report["epsilon"] / lead["ritz_max"]
+        assert lead["terminal_residual"] <= 1.01 * 1e-8  # the scenario's cg_tol
+        assert 0.0 < lead["control_effect"] < 1.0
 
     def test_byte_identical_reruns(self, tmp_path):
         rc1, out1 = _run(os.path.join(tmp_path, "1"), "solve", "--config", LQ)
@@ -84,6 +86,9 @@ class TestLeader:
         assert report["cg_iterations"] == len(report["cg_residuals"])
         assert report["ritz_min"] <= report["ritz_max"]
         assert report["eps_over_ritz_max"] == report["epsilon"] / report["ritz_max"]
+        assert report["control_effect"] == (
+            report["terminal_norm"] / report["free_terminal_norm"])
+        assert report["terminal_residual"] <= 1.01 * 1e-8  # the scenario's cg_tol
         for name in ("u.csv", "y.csv", "state_norm.svg", "cg_residuals.svg",
                      "control_slices.svg"):
             assert os.path.exists(os.path.join(out, name)), name

@@ -1,9 +1,14 @@
 """Independent verification machinery: stacked oracle, probes, reports."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import make_problem
+from conftest import make_problem, scenario_path
+from hiercontrol import verification
 from hiercontrol.errors import ValidationError
 from hiercontrol.fixedpoint import linearize_at
 from hiercontrol.grids import SpaceTimeField
@@ -162,6 +167,37 @@ class TestSecondOrder:
         assert len(out["rep_values"]) == 2
         assert all(v > 0.0 for v in out["rep_values"])
         assert out["crossing"] is None
+
+    def test_mu_sweep_solves_at_its_tolerance(self, monkeypatch):
+        seen = []
+        solve = verification.compute_nash
+
+        def spy(problem, u=None, tol=1e-11):
+            seen.append(tol)
+            return solve(problem, u=u, tol=tol)
+
+        monkeypatch.setattr(verification, "compute_nash", spy)
+        problem = make_problem(cells=16, steps=32)
+        second_order_mu_sweep(problem, [5.0, 50.0], seed=4, tol=1e-9)
+        assert seen == [1e-9, 1e-9]
+
+    def test_sweep_script_passes_the_scenario_nash_tol(self, monkeypatch, tmp_path):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "sweep_second_order.py"
+        spec = importlib.util.spec_from_file_location("sweep_second_order", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        seen = {}
+
+        def spy(problem, mu1_values, **kwargs):
+            seen.update(kwargs)
+            return {"mu1": list(mu1_values), "rep_values": [1.0], "crossing": None}
+
+        monkeypatch.setattr(script, "second_order_mu_sweep", spy)
+        monkeypatch.setattr(sys, "argv", ["sweep_second_order.py", "--config",
+                                          scenario_path("heat_lq_16x32"), "--out",
+                                          str(tmp_path), "--mu1", "20"])
+        assert script.main() == 0
+        assert seen["tol"] == 1e-12  # tolerances.nash_tol of the scenario
 
 
 @pytest.fixture(scope="module")
