@@ -13,9 +13,11 @@ f(0, 0) = 0, so the frozen equation is consistent with the nonlinear one at
 the linearization point itself.  The adjoint-side roster (A, e, d0) is the
 one shared with the follower equilibrium machinery.
 
+The map z -> y[u(z)] is iterated by ``solvers.anderson``, which stops on the
+relative residual |y - z| <= outer_tol |y| in the stepped weighted norm.
 With linear dynamics the map is constant: iteration 2 reproduces iteration 1
-bit for bit and the loop stops with a zero update.  For genuinely nonlinear
-dynamics the loop reports its update history verbatim; non-convergence is a
+bit for bit and the loop stops with a zero residual.  For genuinely nonlinear
+dynamics the loop reports its residual history verbatim; non-convergence is a
 reported outcome, not an exception, because partial results (the last control
 and its linearized performance) remain diagnostic.
 """
@@ -27,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, NonConvergenceError
-from .grids import SpaceTimeField, stepped_norm2, trajectory_gradient
+from .errors import BlowUpError, NonConvergenceError, ValidationError
+from .grids import SpaceTimeField, trajectory_gradient
 from .leader import GramianContext, LeaderSolution, solve_leader
 from .nash import (
     HierarchicProblem,
@@ -37,7 +39,7 @@ from .nash import (
     compute_nash,
     with_first_order_residuals,
 )
-from .solvers import LinearCoefficients, Nonlinearity, solve_forward_quasilinear
+from .solvers import LinearCoefficients, Nonlinearity, anderson, solve_forward_quasilinear
 from .weights import CarlemanWeights, build_weights
 
 _GAUSS_S, _GAUSS_W = np.polynomial.legendre.leggauss(8)
@@ -132,17 +134,20 @@ def solve_hierarchic(
     nash_tol: float = 1e-11,
     seed: int = 0,
 ) -> FixedPointReport:
-    """Damped Picard on the linearize-and-control map.
+    """Anderson-mixed fixed point of the linearize-and-control map.
 
     Starts from the uncontrolled quasi-linear trajectory (which carries the
-    correct initial slice), freezes coefficients there, solves the penalized
-    leader problem, and relaxes the linearization point toward the controlled
-    state.  The step factor starts at 1 and is halved on an update-norm
-    increase, floor 1/8.
-    Finalization recomputes the follower equilibrium under the found control
-    on the true quasi-linear dynamics and reports that terminal norm next to
-    the linearized one.
+    correct initial slice), freezes coefficients at the linearization point
+    z, solves the penalized leader problem there, and takes the controlled
+    state y as Phi(z); ``solvers.anderson`` mixes the iterates and stops
+    when |y - z| <= outer_tol |y|.  ``update_norms`` is that relative
+    residual per iteration, and at most ``max_outer`` >= 1 linearizations
+    run.  Finalization recomputes the follower equilibrium under the found
+    control on the true quasi-linear dynamics and reports that terminal norm
+    next to the linearized one.
     """
+    if max_outer < 1:
+        raise ValidationError(f"max_outer must be >= 1, got {max_outer}")
     grid, tgrid = problem.grid, problem.tgrid
     data_size = float(np.abs(problem.y0.values).max())
     for t in problem.targets:
@@ -165,25 +170,16 @@ def solve_hierarchic(
             stacklevel=2,
         )
 
-    theta = 1.0
-    update_norms: list[float] = []
-    converged = False
-    ls: LeaderSolution | None = None
-    prev_update = np.inf
-    iterations = 0
-    for iterations in range(1, max_outer + 1):
-        ctx = linearize_at(problem, SpaceTimeField(grid, tgrid, z), weights)
-        ls = solve_leader(ctx, epsilon, cg_tol=cg_tol, cg_max=cg_max)
-        z_new = z + theta * (ls.y.values - z)
-        update = float(np.sqrt(stepped_norm2(grid, tgrid, z_new - z)))
-        update_norms.append(update)
-        z = z_new
-        if update < outer_tol:
-            converged = True
-            break
-        if update > prev_update:
-            theta = max(theta * 0.5, 0.125)
-        prev_update = update
+    def linearize_and_control(z):
+        ls = solve_leader(
+            linearize_at(problem, SpaceTimeField(grid, tgrid, z), weights),
+            epsilon, cg_tol=cg_tol, cg_max=cg_max,
+        )
+        return ls.y.values, ls
+
+    _, ls, update_norms, converged = anderson(
+        linearize_and_control, z, grid, tgrid, outer_tol, max_outer
+    )
 
     nash: NashSolution | None = None
     terminal_norm = float("nan")
@@ -202,7 +198,7 @@ def solve_hierarchic(
     p1 = nash.p1 if nash is not None else ls.p1
     p2 = nash.p2 if nash is not None else ls.p2
     return FixedPointReport(
-        iterations=iterations,
+        iterations=len(update_norms),
         update_norms=tuple(update_norms),
         u=ls.u,
         y=y_final,

@@ -29,17 +29,17 @@ semidefinite to the inner tolerance and a conjugate-gradient solve applies.
 The controlled terminal state equals -eps phi_T identically; the residual
 of that identity is reported against |b| and against |y(T)|.
 
-One engine solves K and K^T: block Gauss-Seidel (lagged Picard) sweeps.
-Each sweep marches the lead block (y, or phi for K^T) with the follower
-blocks lagged, then each follower block from the new lead block, using the
+One engine solves K and K^T: block Gauss-Seidel sweeps, using the
 per-slice factors of the solvers module: LAPACK tridiagonal factors in 1D,
-SuperLU in 2D.  K^T reverses both marches and swaps the two coupling
-blocks, and theta_k = -lambda_k is taken from the follower blocks of K^T in
-one place.  A sweep is the fixed-point map of the lead block, so the step
-between two sweeps is its fixed-point residual (the residual of the coupled
-equations, preconditioned by the lead march); the sweep stops when that is
-below the inner tolerance relative to the lead block, and a sweep that does
-not get there raises NonConvergenceError.
+SuperLU in 2D.  A sweep marches each follower block from the lead block x
+(y, or phi for K^T), then the lead block from the follower blocks.  K^T
+reverses both marches and swaps the two coupling blocks, and
+theta_k = -lambda_k is taken from the follower blocks of K^T in one place.
+A sweep is the fixed-point map of the lead block, and its fixed-point
+residual is the residual of the coupled equations preconditioned by the
+lead march, so ``solvers.anderson`` iterates it: Anderson mixing stops when
+that residual is below the inner tolerance relative to the lead block, and
+a sweep that does not get there raises NonConvergenceError.
 
 The Krylov space K_k(Lambda, b) does not depend on eps, so the context
 caches one Lanczos basis of Lambda started from b (plain three-term
@@ -66,6 +66,7 @@ from .grids import SpaceTimeField, stepped_pairing
 from .nash import HierarchicProblem
 from .solvers import (
     LinearCoefficients,
+    anderson,
     march_adjoint,
     march_forward,
     sensitivity_factors,
@@ -148,14 +149,15 @@ class GramianContext:
     def _sweep(self, transpose: bool, seed, source, targets, tol):
         """Block Gauss-Seidel sweeps on K, or on K^T, until the lead block settles.
 
-        Each sweep marches the lead block x (y, or phi for K^T) with the
-        follower blocks z_k (p_k, or lambda_k) lagged, then marches each z_k
-        from the new x; a coupling block that is identically zero is skipped.
-        One sweep is the fixed-point map x = Phi(x_prev), so x - x_prev is its
-        fixed-point residual; the sweep stops when
-        |x - x_prev| <= tol |x| in the stepped weighted norm, or after one
-        sweep when both nu_k vanish and x no longer depends on z_k.  ``tol``
-        None means the context's picard_tol.
+        The lead block x (y, or phi for K^T) is marched once with the
+        follower blocks z_k (p_k, or lambda_k) at zero.  One sweep
+        x -> Phi(x) marches each z_k from x, then x from the z_k; a coupling
+        block that is identically zero is skipped.  ``solvers.anderson``
+        iterates Phi until |Phi(x) - x| <= tol |Phi(x)| in the stepped
+        weighted norm, and the last Phi(x) is returned with the z_k that
+        produced it.  When both nu_k vanish x does not depend on z_k, and
+        the first march is returned with its follower blocks.  ``tol`` None
+        means the context's picard_tol.
         """
         grid, tgrid = self.grid, self.tgrid
         tol = self.picard_tol if tol is None else tol
@@ -171,32 +173,38 @@ class GramianContext:
         else:
             lead, follow, into_x, into_z = march_forward, march_adjoint, s_mu, nu_xi
         seed = np.zeros(n) if seed is None else seed
-        z = [np.zeros((tgrid.n_slices, n)) for _ in (0, 1)]
-        x_prev = None
-        for _ in range(PICARD_MAX):
+
+        def lead_block(z):
             src = np.zeros((tgrid.n_slices, n))
             if source is not None:
                 src += source
             for coef, zk in zip(into_x, z):
                 if coef.any():
                     src += coef[None, :] * zk
-            x = lead(sf, seed, src if src.any() else None)
+            return lead(sf, seed, src if src.any() else None)
+
+        def follower_blocks(x):
+            z = [np.zeros((tgrid.n_slices, n)) for _ in (0, 1)]
             for k, coef in enumerate(into_z):
                 if coef.any():
                     dk = x if targets is None else x - targets[k]
                     z[k] = follow(pf, np.zeros(n), coef[None, :] * dk)
-            if x_prev is not None:
-                # a product, not a ratio, so zero data stops too
-                step = stepped_pairing(grid, tgrid, x - x_prev, x - x_prev)
-                if step <= tol * tol * stepped_pairing(grid, tgrid, x, x):
-                    return x, z[0], z[1]
-            if self.problem.nu[0] == 0.0 and self.problem.nu[1] == 0.0:
-                return x, z[0], z[1]
-            x_prev = x
-        raise NonConvergenceError(
-            f"coupled {'transposed' if transpose else 'primal'} sweep did not reach "
-            f"tol={tol:.1e} in {PICARD_MAX} iterations"
-        )
+            return z
+
+        def sweep(x):
+            z = follower_blocks(x)
+            return lead_block(z), z
+
+        x = lead_block((0.0, 0.0))
+        if self.problem.nu[0] == 0.0 and self.problem.nu[1] == 0.0:
+            return (x, *follower_blocks(x))
+        x, z, _, converged = anderson(sweep, x, grid, tgrid, tol, PICARD_MAX)
+        if not converged:
+            raise NonConvergenceError(
+                f"coupled {'transposed' if transpose else 'primal'} sweep did not reach "
+                f"tol={tol:.1e} in {PICARD_MAX} iterations"
+            )
+        return x, z[0], z[1]
 
     # ------------------------------------------------------------- public API
     def solve_primal(self, source_y=None, y0=None, targets=None, picard_tol=None):

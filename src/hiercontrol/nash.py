@@ -13,10 +13,10 @@ with the fixed point
 
 where p_k solves the adjoint of the state linearization with source
 -nu_k xi_* (y - y_{k,d}) and vanishing terminal datum.  ``compute_nash``
-iterates that map with adaptive damping; every adjoint solve reuses one
-factorization per slice through transposed triangular solves, so the
-stationarity identity holds at the level of rounding once the iteration
-has converged.
+iterates that map on the stacked pair (v1, v2) through ``solvers.anderson``;
+every adjoint solve reuses one factorization per slice through transposed
+triangular solves, so the stationarity identity holds at the level of
+rounding once the iteration has converged.
 
 Cost functionals and duality pairings use the right-endpoint rule
 tau * sum_{m=1..M}: backward Euler's summation-by-parts identity is exact
@@ -51,6 +51,8 @@ from .solvers import (
     combine_control_source,
     march_adjoint,
     march_forward,
+    anderson,
+    fixed_point_residual,
     sensitivity_factors,
     solve_forward_quasilinear,
 )
@@ -130,8 +132,9 @@ class NashSolution:
     """Equilibrium triple with its adjoint states and iteration record.
 
     ``first_order_residuals`` stays None until a caller attaches the
-    stationarity check (see ``with_first_order_residuals``); the update
-    history of the Picard loop itself is in ``residuals``.
+    stationarity check (see ``with_first_order_residuals``); the relative
+    residuals of the fixed-point loop, then of the consistency pass, are in
+    ``residuals``.
     """
 
     y: SpaceTimeField
@@ -254,49 +257,33 @@ def _state(problem: HierarchicProblem, u, v1, v2) -> SpaceTimeField:
 # the equilibrium iteration
 
 
-def _update_residual(grid, tgrid, v, vhat) -> float:
-    """Largest relative update |vhat_k - v_k| / (1 + |vhat_k|) over both followers."""
-    res = 0.0
-    for vk, vhk in zip(v, vhat):
-        num = np.sqrt(stepped_norm2(grid, tgrid, vhk - vk))
-        den = 1.0 + np.sqrt(stepped_norm2(grid, tgrid, vhk))
-        res = max(res, num / den)
-    return res
-
-
 def compute_nash(
     problem: HierarchicProblem,
     u: SpaceTimeField | None = None,
     tol: float = 1e-11,
 ) -> NashSolution:
-    """Damped Picard iteration on  v_k <- (1/mu_k) xi_k p_k[v], from v = 0.
+    """Fixed point of  v_k <- (1/mu_k) xi_k p_k[v]  from v = 0.
 
-    The step factor starts at 1 and is halved (at most five times)
-    whenever the fixed-point residual increases.  On convergence the state
-    and adjoints are recomputed at the accepted controls so the returned
-    fields are mutually consistent.
+    ``solvers.anderson`` iterates the map on the stacked pair (v1, v2) and
+    stops when its relative residual |vhat - v| / |vhat| reaches ``tol``;
+    NonConvergenceError is raised after NASH_MAX_ITER evaluations.  The
+    accepted controls are the last map output, and one consistency pass
+    recomputes the state and adjoints there, so the returned fields are
+    mutually consistent; ``final_update_norm`` is the same residual at that
+    pass.
     """
     grid, tgrid = problem.grid, problem.tgrid
     M1, n = tgrid.n_slices, grid.n_nodes
     zeros = np.zeros((M1, n))
-    v1 = zeros.copy()
-    v2 = zeros.copy()
-
     xi = [problem.xi("follower1"), problem.xi("follower2")]
     xi_star = problem.xi("tracking")
-    theta = 1.0
-    halvings = 0
-    prev_res = np.inf
-    residuals: list[float] = []
-    converged = False
-    it = 0
 
-    def fixed_point_map(v1a, v2a):
+    def fixed_point_map(v):
         yf = _state(
             problem,
             u,
-            SpaceTimeField(grid, tgrid, v1a),
-            SpaceTimeField(grid, tgrid, v2a),
+            SpaceTimeField(grid, tgrid, v[0]),
+            SpaceTimeField(grid, tgrid, v[1]),
         )
         c = coefficients_from_state(problem.nl, yf)
         factors = sensitivity_factors(c)
@@ -304,46 +291,31 @@ def compute_nash(
         for k in (1, 2):
             nu_k = problem.nu[k - 1]
             if nu_k == 0.0:
-                ps.append(zeros.copy())
+                ps.append(zeros)
                 continue
             src = -nu_k * xi_star[None, :] * (yf.values - problem.targets[k - 1].values)
             ps.append(march_adjoint(factors, np.zeros(n), src))
-        vhat = [xi[k][None, :] * ps[k] / problem.mu[k] for k in (0, 1)]
-        return yf, ps, vhat
+        vhat = np.stack([xi[k][None, :] * ps[k] / problem.mu[k] for k in (0, 1)])
+        return vhat, (yf, ps)
 
-    y_field = None
-    p1 = p2 = zeros
-    for it in range(1, NASH_MAX_ITER + 1):
-        y_field, ps, vhat = fixed_point_map(v1, v2)
-        p1, p2 = ps
-        res = _update_residual(grid, tgrid, (v1, v2), vhat)
-        residuals.append(res)
-        if res < tol:
-            v1, v2 = vhat
-            converged = True
-            break
-        if res > prev_res and halvings < 5:
-            theta *= 0.5
-            halvings += 1
-        v1 = v1 + theta * (vhat[0] - v1)
-        v2 = v2 + theta * (vhat[1] - v2)
-        prev_res = res
-
+    v, _, residuals, converged = anderson(
+        fixed_point_map, np.zeros((2, M1, n)), grid, tgrid, tol, NASH_MAX_ITER
+    )
     if not converged:
         raise NonConvergenceError(
             f"Nash iteration did not reach tol={tol:.1e} in {NASH_MAX_ITER} iterations "
             f"(last residual {residuals[-1]:.3e})",
             history=residuals,
         )
+    iterations = len(residuals)
 
     # one consistency pass at the accepted controls
-    y_field, ps, vhat = fixed_point_map(v1, v2)
-    p1, p2 = ps
-    final_res = _update_residual(grid, tgrid, (v1, v2), vhat)
+    vhat, (y_field, (p1, p2)) = fixed_point_map(v)
+    final_res = fixed_point_residual(grid, tgrid, v, vhat)
     residuals.append(final_res)
 
-    v1f = SpaceTimeField(grid, tgrid, v1)
-    v2f = SpaceTimeField(grid, tgrid, v2)
+    v1f = SpaceTimeField(grid, tgrid, v[0])
+    v2f = SpaceTimeField(grid, tgrid, v[1])
     costs = evaluate_cost(problem, u, v1f, v2f, state=y_field)
     return NashSolution(
         y=y_field,
@@ -351,7 +323,7 @@ def compute_nash(
         v2=v2f,
         p1=SpaceTimeField(grid, tgrid, p1),
         p2=SpaceTimeField(grid, tgrid, p2),
-        picard_iterations=it,
+        picard_iterations=iterations,
         final_update_norm=final_res,
         residuals=tuple(residuals),
         converged=True,

@@ -34,6 +34,11 @@ The quasi-linear forward solver freezes the diffusion a(y, grad y) at the
 current iterate and linearizes f around it, with a configurable number of
 within-step refreshes; for constant a and f = 0 every step reduces bit for
 bit to the linear heat step.
+
+``anderson`` is the one fixed-point loop of the package: the outer
+linearize-and-control iteration, the follower equilibrium and the coupled
+block Gauss-Seidel sweep all run through it, with Anderson mixing and one
+relative stop in the stepped weighted norm.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ from .grids import (
 
 DEFAULT_RHO0 = 0.1
 BLOWUP_FACTOR = 10.0
+ANDERSON_DEPTH = 5   # difference window of the fixed-point mixing
 
 
 # ---------------------------------------------------------------------------
@@ -686,3 +692,78 @@ def solve_forward_quasilinear(
             )
         y[m] = w
     return SpaceTimeField(grid, tgrid, y)
+
+
+# ---------------------------------------------------------------------------
+# fixed-point iteration
+
+
+def _stepped(grid: SpatialGrid, tgrid: TimeGrid, a: np.ndarray) -> np.ndarray:
+    """Slices 1..M of ``a`` (or of a stack of trajectories) scaled by the
+    square root of the stepped weights tau * w_i and flattened, so that its
+    squared 2-norm is the stepped norm of ``stepped_pairing``."""
+    return (a[..., 1:, :] * np.sqrt(tgrid.tau * grid.weights)).ravel()
+
+
+def _relative(f: np.ndarray, g: np.ndarray) -> float:
+    """|f| / |g| for scaled vectors; 0 when f = 0, even when g = 0 too."""
+    num = float(f @ f)
+    if num == 0.0:
+        return 0.0
+    den = float(g @ g)
+    return float(np.sqrt(num / den)) if den > 0.0 else float("inf")
+
+
+def fixed_point_residual(grid: SpatialGrid, tgrid: TimeGrid, x: np.ndarray, g: np.ndarray) -> float:
+    """Relative residual |g - x| / |g| of g = Phi(x) in the stepped weighted norm.
+
+    The residual ``anderson`` stops on; ``x`` and ``g`` may be stacks of
+    trajectories, whose norm sums over the stack.
+    """
+    return _relative(_stepped(grid, tgrid, g - x), _stepped(grid, tgrid, g))
+
+
+def anderson(phi, x0: np.ndarray, grid: SpatialGrid, tgrid: TimeGrid, tol: float, max_iter: int):
+    """Anderson-mixed fixed-point iteration x = Phi(x) from x0.
+
+    ``phi(x)`` returns ``(g, aux)`` with g = Phi(x) shaped like x: one
+    trajectory or a stack of them.  Each evaluation is checked first: the
+    loop stops when f = g - x satisfies |f| <= tol |g| in the stepped
+    weighted norm (slices 1..M), and a zero residual stops even at g = 0,
+    so zero data stops at the first evaluation.  Otherwise the next iterate
+    is type-II Anderson mixing over the last ANDERSON_DEPTH differences,
+
+        x_next = g - sum_j gamma_j dg_j,   gamma = argmin |f - sum_j gamma_j df_j|,
+
+    with the least squares in the same weighted norm; the first step is the
+    plain x_next = g.  On a linear map the mixing is essentially GMRES on
+    (I - Phi) x = Phi(0) (Walker & Ni, SINUM 2011), so it converges where
+    the plain iteration diverges.
+
+    Returns ``(g, aux, history, converged)`` from the last of at most
+    ``max_iter`` >= 1 evaluations; ``history`` holds every relative
+    residual, and ``converged`` is ``history[-1] <= tol``.  Non-convergence
+    is returned, not raised: each caller decides what it means.
+    """
+    history: list[float] = []
+    df: list[np.ndarray] = []
+    dg: list[np.ndarray] = []
+    x = x0
+    f_prev = g_prev = None
+    for _ in range(max_iter):
+        g, aux = phi(x)
+        f = _stepped(grid, tgrid, g - x)
+        history.append(_relative(f, _stepped(grid, tgrid, g)))
+        if history[-1] <= tol:
+            return g, aux, history, True
+        if f_prev is not None:
+            df.append(f - f_prev)
+            dg.append(g - g_prev)
+            del df[:-ANDERSON_DEPTH], dg[:-ANDERSON_DEPTH]
+        f_prev, g_prev = f, g
+        x = g
+        if df:
+            gamma = np.linalg.lstsq(np.stack(df, axis=1), f, rcond=None)[0]
+            for c, d in zip(gamma, dg):
+                x = x - c * d
+    return g, aux, history, False

@@ -173,6 +173,13 @@ class TestFailureModes:
         assert rc == 2
         assert "mu1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_max_outer_override_below_one(self, tmp_path, capsys, cap):
+        # the override bypasses the scenario loader's check on max_outer
+        rc, _ = _run(tmp_path, "solve", "--config", LQ, "--max-outer", cap)
+        assert rc == 2
+        assert "max_outer" in capsys.readouterr().err
+
     def test_parse_error_position(self, tmp_path, capsys):
         bad = os.path.join(tmp_path, "torn.cfg")
         with open(bad, "w", encoding="utf-8") as fh:

@@ -1,5 +1,7 @@
 """Outer controllability loop and the averaged linearization."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from hiercontrol.fixedpoint import (
     solve_hierarchic,
 )
 from hiercontrol.grids import SpaceTimeField, trajectory_gradient
-from hiercontrol.solvers import nonlinearity_preset
+from hiercontrol.solvers import ANDERSON_DEPTH, anderson, nonlinearity_preset
 
 
 def _random_traj(problem, seed=0, amp=0.4):
@@ -18,6 +20,92 @@ def _random_traj(problem, seed=0, amp=0.4):
     vals = amp * rng.standard_normal((problem.tgrid.n_slices, problem.grid.n_nodes))
     vals[:, problem.grid.boundary] = 0.0
     return SpaceTimeField(problem.grid, problem.tgrid, vals)
+
+
+# A stand-in discretization for the helper, which reads only the node
+# weights and the step: one "slice" of n unknowns after the unused slice 0,
+# so the stepped weighted norm is the Euclidean norm of row 1.
+def _flat(n):
+    return SimpleNamespace(weights=np.ones(n)), SimpleNamespace(tau=1.0)
+
+
+def _affine(A, b, calls):
+    """x -> A x + b on row 1, counting evaluations; aux is the count."""
+
+    def phi(x):
+        calls.append(1)
+        g = np.zeros_like(x)
+        g[1] = A @ x[1] + b
+        return g, len(calls)
+
+    return phi
+
+
+class TestAnderson:
+    def test_linear_contraction_converges_to_the_fixed_point(self):
+        rng = np.random.default_rng(0)
+        n = 8
+        A = rng.standard_normal((n, n))
+        A *= 0.5 / np.linalg.norm(A, 2)
+        b = rng.standard_normal(n)
+        exact = np.linalg.solve(np.eye(n) - A, b)
+        calls = []
+        grid, tgrid = _flat(n)
+        g, aux, history, converged = anderson(
+            _affine(A, b, calls), np.zeros((2, n)), grid, tgrid, 1e-10, 50
+        )
+        assert converged
+        assert aux == len(calls) == len(history)
+        assert history[-1] <= 1e-10 < history[-2]
+        # |g - x*| <= |A| |(I - A)^-1| |g - x| <= 1e-10 |g| for |A| = 1/2
+        assert np.linalg.norm(g[1] - exact) <= 2e-10 * np.linalg.norm(exact)
+
+    def test_mixing_converges_where_plain_iteration_diverges(self):
+        # spectral radius 1.5: the plain iteration blows up, while mixing over
+        # a window >= n acts as GMRES on (I - A) x = b and is exact after n
+        # differences
+        S = np.array([[1.0, 0.2, -0.1], [0.3, 1.0, 0.2], [-0.2, 0.1, 1.0]])
+        A = S @ np.diag([1.5, -0.5, 0.3]) @ np.linalg.inv(S)
+        b = np.array([1.0, -2.0, 0.5])
+        assert ANDERSON_DEPTH >= 3
+        x = np.zeros(3)
+        for _ in range(30):
+            x = A @ x + b
+        assert np.linalg.norm(x) > 1e4
+        calls = []
+        grid, tgrid = _flat(3)
+        g, _, history, converged = anderson(
+            _affine(A, b, calls), np.zeros((2, 3)), grid, tgrid, 1e-10, 5
+        )
+        assert converged and len(calls) <= 5
+        np.testing.assert_allclose(g[1], np.linalg.solve(np.eye(3) - A, b), rtol=1e-9)
+
+    def test_zero_data_stops_at_the_first_evaluation(self):
+        calls = []
+        grid, tgrid = _flat(4)
+        g, _, history, converged = anderson(
+            _affine(np.eye(4) * 0.9, np.zeros(4), calls), np.zeros((2, 4)), grid, tgrid, 0.0, 10
+        )
+        assert converged and history == [0.0] and len(calls) == 1
+        assert not g.any()
+
+    @pytest.mark.parametrize("tol, converges", [(0.3, True), (1e-12, False), (0.0, False)])
+    def test_converged_is_the_last_residual_against_tol(self, tol, converges):
+        # a 6-dimensional map cannot be solved exactly from 3 differences, so
+        # the two small tolerances exhaust the cap of 4 evaluations
+        rng = np.random.default_rng(3)
+        A = 0.6 * np.linalg.qr(rng.standard_normal((6, 6)))[0]
+        b = rng.standard_normal(6)
+        grid, tgrid = _flat(6)
+        calls = []
+        _, aux, history, converged = anderson(
+            _affine(A, b, calls), np.zeros((2, 6)), grid, tgrid, tol, 4
+        )
+        assert len(history) == len(calls) == aux
+        assert converged == (history[-1] <= tol)
+        assert all(r > tol for r in history[:-1])
+        assert converged is converges
+        assert converged or len(history) == 4
 
 
 class TestIntegralCoefficients:

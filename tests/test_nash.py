@@ -16,6 +16,7 @@ from hiercontrol.nash import (
     with_first_order_residuals,
 )
 from hiercontrol.solvers import solve_forward_quasilinear
+from hiercontrol.verification import oracle_nash_gap
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +93,14 @@ class TestLimits:
             problem.nl, problem.grid, problem.tgrid, problem.y0
         )
         assert np.abs(sol.y.values - free.values).max() < 1e-9
+
+    def test_cheap_controls_converge(self):
+        # at mu = 3e-4 the plain iteration diverges; the mixed one converges
+        # within NASH_MAX_ITER onto the stacked-KKT equilibrium
+        problem = make_problem(cells=16, steps=32, mu=(3e-4, 3e-4))
+        sol = compute_nash(problem)
+        assert sol.converged
+        assert oracle_nash_gap(problem, None, sol) <= 1e-6
 
     def test_zero_tracking_weights_give_zero_controls(self):
         problem = make_problem(cells=16, steps=32, nu=(0.0, 0.0))

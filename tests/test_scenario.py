@@ -10,6 +10,7 @@ from conftest import SCENARIO_DIR, scenario_path
 from hiercontrol.errors import ValidationError
 from hiercontrol.grids import build_grid
 from hiercontrol.scenario import (
+    _TOLERANCE_DEFAULTS,
     Scenario,
     emit_scenario,
     evaluate_profile,
@@ -149,6 +150,15 @@ class TestAliasesAndDefaults:
         assert s.tolerance("outer_tol") == 1e-8
         assert s.tolerance("cg_tol") == 1e-8
         assert s.tolerance("max_outer") == 12
+
+    def test_documented_defaults_match_the_loader(self):
+        # the YAML block under "## `tolerances`" in docs/scenario_format.md
+        doc = os.path.join(SCENARIO_DIR, "..", "docs", "scenario_format.md")
+        with open(doc, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        section = text.split("## `tolerances`", 1)[1]
+        block = section.split("```yaml", 1)[1].split("```", 1)[0]
+        assert yaml.safe_load(block)["tolerances"] == _TOLERANCE_DEFAULTS
 
     def test_unknown_tolerance_key(self):
         tree = _base_tree()
