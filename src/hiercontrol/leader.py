@@ -31,8 +31,9 @@ of that identity is reported against |b| and against |y(T)|.
 
 One engine solves K and K^T: block Gauss-Seidel sweeps, using the
 per-slice factors of the solvers module: LAPACK tridiagonal factors in 1D,
-SuperLU in 2D.  A sweep marches each follower block from the lead block x
-(y, or phi for K^T), then the lead block from the follower blocks.  K^T
+SuperLU in 2D.  A sweep marches both follower blocks from the lead block x
+(y, or phi for K^T) as one two-column march, since they share the
+sensitivity factors, then the lead block from the follower blocks.  K^T
 reverses both marches and swaps the two coupling blocks, and
 theta_k = -lambda_k is taken from the follower blocks of K^T in one place.
 A sweep is the fixed-point map of the lead block, and its fixed-point
@@ -151,8 +152,10 @@ class GramianContext:
 
         The lead block x (y, or phi for K^T) is marched once with the
         follower blocks z_k (p_k, or lambda_k) at zero.  One sweep
-        x -> Phi(x) marches each z_k from x, then x from the z_k; a coupling
-        block that is identically zero is skipped.  ``solvers.anderson``
+        x -> Phi(x) marches the z_k from x, both in one stacked march on
+        the shared sensitivity factors, then x from the z_k; a block whose
+        coupling coefficient is identically zero is left out of the stack
+        and stays zero.  ``solvers.anderson``
         iterates Phi until |Phi(x) - x| <= tol |Phi(x)| in the stepped
         weighted norm, and the last Phi(x) is returned with the z_k that
         produced it.  When both nu_k vanish x does not depend on z_k, and
@@ -183,13 +186,18 @@ class GramianContext:
                     src += coef[None, :] * zk
             return lead(sf, seed, src if src.any() else None)
 
+        live = [k for k in (0, 1) if into_z[k].any()]
+
         def follower_blocks(x):
-            z = [np.zeros((tgrid.n_slices, n)) for _ in (0, 1)]
-            for k, coef in enumerate(into_z):
-                if coef.any():
-                    dk = x if targets is None else x - targets[k]
-                    z[k] = follow(pf, np.zeros(n), coef[None, :] * dk)
-            return z
+            src = np.empty((len(live), tgrid.n_slices, n))
+            for j, k in enumerate(live):
+                if targets is None:
+                    np.multiply(x, into_z[k], out=src[j])
+                else:
+                    np.subtract(x, targets[k], out=src[j])
+                    src[j] *= into_z[k]
+            zs = iter(follow(pf, np.zeros((len(live), n)), src) if live else ())
+            return [next(zs) if k in live else np.zeros((tgrid.n_slices, n)) for k in (0, 1)]
 
         def sweep(x):
             z = follower_blocks(x)

@@ -269,14 +269,19 @@ def compute_nash(
     NonConvergenceError is raised after NASH_MAX_ITER evaluations.  The
     accepted controls are the last map output, and one consistency pass
     recomputes the state and adjoints there, so the returned fields are
-    mutually consistent; ``final_update_norm`` is the same residual at that
-    pass.
+    mutually consistent.  The two follower adjoints share the sensitivity
+    factors, so each map evaluation marches them as one two-column stack.
+
+    ``final_update_norm`` is the relative residual of that consistency pass:
+    one unmixed map application past the accepted controls, not the residual
+    the stop was taken on.  Where the map expands it can exceed ``tol``.
     """
     grid, tgrid = problem.grid, problem.tgrid
     M1, n = tgrid.n_slices, grid.n_nodes
     zeros = np.zeros((M1, n))
     xi = [problem.xi("follower1"), problem.xi("follower2")]
     xi_star = problem.xi("tracking")
+    live = [k for k in (0, 1) if problem.nu[k] != 0.0]
 
     def fixed_point_map(v):
         yf = _state(
@@ -287,14 +292,13 @@ def compute_nash(
         )
         c = coefficients_from_state(problem.nl, yf)
         factors = sensitivity_factors(c)
-        ps = []
-        for k in (1, 2):
-            nu_k = problem.nu[k - 1]
-            if nu_k == 0.0:
-                ps.append(zeros)
-                continue
-            src = -nu_k * xi_star[None, :] * (yf.values - problem.targets[k - 1].values)
-            ps.append(march_adjoint(factors, np.zeros(n), src))
+        # both adjoints march on the same factors: one stacked march
+        src = np.empty((len(live), M1, n))
+        for j, k in enumerate(live):
+            np.subtract(yf.values, problem.targets[k].values, out=src[j])
+            src[j] *= -problem.nu[k] * xi_star
+        marched = iter(march_adjoint(factors, np.zeros((len(live), n)), src) if live else ())
+        ps = [next(marched) if k in live else zeros for k in (0, 1)]
         vhat = np.stack([xi[k][None, :] * ps[k] / problem.mu[k] for k in (0, 1)])
         return vhat, (yf, ps)
 
@@ -370,7 +374,8 @@ def gateaux_residual(
 
     with every inner product the stepped space-time quadrature.  The
     derivative is linear in w; r_k is the worst |dJ_k| over ``n_directions``
-    generated unit-norm directions, normalized by 1 + |J_k|.
+    generated unit-norm directions, normalized by 1 + |J_k|.  The sensitivity
+    states of one follower's directions come from one stacked march.
     """
     grid, tgrid = problem.grid, problem.tgrid
     n = grid.n_nodes
@@ -384,12 +389,17 @@ def gateaux_residual(
         vk = (solution.v1 if k == 1 else solution.v2).values
         mask = problem.follower_mask(k)
         diff = xi_star[None, :] * (solution.y.values - problem.targets[k - 1].values)
+        if nu_k != 0.0:
+            xi_k = problem.xi(f"follower{k}")
+            src = np.empty((len(dirs),) + diff.shape)
+            for j, w in enumerate(dirs):
+                np.multiply(w, xi_k, out=src[j])
+            y_s = march_forward(factors, np.zeros((len(dirs), n)), src)
         worst = 0.0
-        for w in dirs:
+        for j, w in enumerate(dirs):
             deriv = mu_k * stepped_pairing(grid, tgrid, vk, w, mask=mask)
             if nu_k != 0.0:
-                y_s = march_forward(factors, np.zeros(n), problem.xi(f"follower{k}")[None, :] * w)
-                deriv += nu_k * stepped_pairing(grid, tgrid, diff, y_s)
+                deriv += nu_k * stepped_pairing(grid, tgrid, diff, y_s[j])
             worst = max(worst, abs(deriv))
         out.append(worst / (1.0 + abs(solution.costs[f"J{k}"])))
     return out[0], out[1]

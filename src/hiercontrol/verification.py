@@ -272,7 +272,8 @@ def check_duality(
 
     For each draw w the pairing <xi_k p_k, w> is matched against
     -nu_k <xi_* (y - y_kd), y_s[w]>, the two sides coming from one backward
-    and one forward march against the same frozen linearization.  The gap is
+    and one forward march against the same frozen linearization; the forward
+    marches of one follower's draws run as one stacked march.  The gap is
     normalized by the larger magnitude.
     """
     grid, tgrid = problem.grid, problem.tgrid
@@ -291,10 +292,14 @@ def check_duality(
         diff = xi_star[None, :] * (state.values - problem.targets[k - 1].values)
         p_k = march_adjoint(factors, np.zeros(n), -nu_k * diff) if nu_k != 0.0 else np.zeros_like(diff)
         xi_k = problem.xi(f"follower{k}")
-        for w in random_directions(problem, k, trials, seed + 17 * k):
+        dirs = random_directions(problem, k, trials, seed + 17 * k)
+        src = np.empty((len(dirs),) + diff.shape)
+        for j, w in enumerate(dirs):
+            np.multiply(w, xi_k, out=src[j])
+        y_s = march_forward(factors, np.zeros((len(dirs), n)), src)
+        for j, w in enumerate(dirs):
             lhs = stepped_pairing(grid, tgrid, xi_k[None, :] * p_k, w)
-            y_s = march_forward(factors, np.zeros(n), xi_k[None, :] * w)
-            rhs = -nu_k * stepped_pairing(grid, tgrid, diff, y_s)
+            rhs = -nu_k * stepped_pairing(grid, tgrid, diff, y_s[j])
             scale = max(abs(lhs), abs(rhs), 1e-300)
             gap = abs(lhs - rhs) / scale if max(abs(lhs), abs(rhs)) > 0 else 0.0
             ratios.append(gap)

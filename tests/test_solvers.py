@@ -4,12 +4,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+import hiercontrol.solvers as solvers
 from hiercontrol.errors import BlowUpError, CoefficientError
 from hiercontrol.grids import (
     Field,
     build_grid,
     build_time_grid,
+    slice_pattern,
     space_inner,
     stepped_pairing,
 )
@@ -18,9 +21,12 @@ from hiercontrol.solvers import (
     Nonlinearity,
     combine_control_source,
     constant_coefficients,
+    factor_slice,
     march_adjoint,
     march_forward,
     nonlinearity_preset,
+    sensitivity_factors,
+    slice_operator,
     solve_forward_linear,
     solve_forward_quasilinear,
     state_factors,
@@ -119,6 +125,93 @@ class TestTransposition:
         np.testing.assert_allclose(p[0], p[1], rtol=0, atol=0)
 
 
+class TestStackedMarch:
+    """A (k, n) seed marches k trajectories through one solve per step."""
+
+    def _roster(self, g, tg):
+        # time- and space-varying, with advection, so every slice has its own
+        # nonsymmetric factor
+        x = g.nodes[:, 0]
+        t = tg.times[:, None]
+        b = 1.0 + 0.3 * np.sin(2.0 * np.pi * t) * x * (1.0 - x)
+        f_adv = np.repeat((0.4 * np.cos(3.0 * t) + 0.2 * x)[:, :, None], g.dim, axis=2)
+        return LinearCoefficients(
+            grid=g, tgrid=tg, b=b, f_adv=f_adv, f0=0.5 * np.sin(t + x),
+            B=b[::-1].copy(), g=0.3 * f_adv, g0=0.2 * np.cos(t + 2 * x),
+        )
+
+    def _data(self, g, tg, k, rng):
+        s = rng.standard_normal((k, tg.n_slices, g.n_nodes))
+        r = rng.standard_normal((k, tg.n_slices, g.n_nodes))
+        seeds = rng.standard_normal((k, g.n_nodes))
+        for a in (s, r, seeds):
+            a[..., g.boundary] = 0.0
+        return s, r, seeds
+
+    @pytest.mark.parametrize("dim,cells,steps,rel", [(1, 24, 30, 0.0), (2, 10, 16, 1e-14)])
+    @pytest.mark.parametrize("build", [state_factors, sensitivity_factors])
+    def test_stack_equals_columns(self, build, dim, cells, steps, rel):
+        g, tg = build_grid(dim, cells), build_time_grid(1.0, steps)
+        factors = build(self._roster(g, tg))
+        s, r, seeds = self._data(g, tg, 3, np.random.default_rng(5))
+        y = march_forward(factors, seeds, s)
+        p = march_adjoint(factors, seeds, r)
+        assert y.shape == p.shape == s.shape
+        for j in range(3):
+            for stacked, single in ((y[j], march_forward(factors, seeds[j], s[j])),
+                                    (p[j], march_adjoint(factors, seeds[j], r[j]))):
+                if rel == 0.0:
+                    assert stacked.tobytes() == single.tobytes()
+                else:
+                    assert np.abs(stacked - single).max() <= rel * np.abs(single).max()
+
+    @pytest.mark.parametrize("dim,cells,steps", [(1, 24, 30), (2, 10, 16)])
+    def test_each_column_satisfies_summation_by_parts(self, dim, cells, steps):
+        g, tg = build_grid(dim, cells), build_time_grid(1.0, steps)
+        factors = sensitivity_factors(self._roster(g, tg))
+        s, r, pT = self._data(g, tg, 4, np.random.default_rng(6))
+        y = march_forward(factors, np.zeros((4, g.n_nodes)), s)
+        p = march_adjoint(factors, pT, r)
+        for j in range(4):
+            lhs = stepped_pairing(g, tg, s[j], p[j])
+            rhs = stepped_pairing(g, tg, y[j], r[j]) + space_inner(Field(g, y[j, -1]), Field(g, pT[j]))
+            assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), abs(rhs))
+
+    def test_stacked_seed_checks_the_boundary(self):
+        g, tg = build_grid(1, 16), build_time_grid(1.0, 16)
+        factors = state_factors(constant_coefficients(g, tg))
+        seeds = np.zeros((2, g.n_nodes))
+        seeds[1, 0] = 1.0
+        with pytest.raises(solvers.SolverError, match="Dirichlet"):
+            march_forward(factors, seeds, None)
+
+
+class TestSliceOrdering:
+    """2D slices are factored in a fill-reducing symmetric ordering."""
+
+    def _slices(self):
+        g = build_grid(2, 40)
+        x, y = g.nodes[:, 0], g.nodes[:, 1]
+        heat = slice_operator(g, 0.01, b=np.ones(g.n_nodes))
+        adv = slice_operator(
+            g, 0.01, b=1.0 + 0.5 * x * y,
+            f_adv=np.stack([3.0 * np.cos(y), -2.0 + x], axis=-1), f0=np.sin(x),
+        )
+        return g, {"heat": heat, "advection": adv}
+
+    @pytest.mark.parametrize("name", ["heat", "advection"])
+    def test_fill_and_solves(self, name):
+        g, slices = self._slices()
+        A = slice_pattern(g).csr(slices[name]).tocsc()
+        lu = factor_slice(g, slices[name])
+        default = spla.splu(A)
+        assert lu.L.nnz + lu.U.nnz <= 0.7 * (default.L.nnz + default.U.nnz)
+        rhs = np.random.default_rng(8).standard_normal(A.shape[0])
+        for trans, M in (("N", A), ("T", A.T.tocsc())):
+            ref = spla.spsolve(M, rhs)
+            assert np.abs(lu.solve(rhs, trans=trans) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 class TestRosterValidation:
     def test_ellipticity_rejected(self):
         g = build_grid(1, 16)
@@ -210,6 +303,24 @@ class TestQuasilinearForward:
         c = constant_coefficients(g, tg, b=1.0)
         ylin = solve_forward_linear(c, None, y0)
         np.testing.assert_allclose(ynl.values, ylin.values, rtol=1e-11, atol=1e-13)
+
+    @pytest.mark.parametrize("preset,per_step", [("heat", 2), ("mild-quasilinear", 3)])
+    def test_refreshes_stop_at_a_fixed_point(self, monkeypatch, preset, per_step):
+        # a refresh that returns its input bit for bit ends the step: under
+        # the heat preset the first refresh already does, under a quasi-linear
+        # diffusion both refreshes run
+        g, tg = build_grid(1, 32), build_time_grid(0.5, 16)
+        calls = []
+        assemble = solvers.slice_operator
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "slice_operator", counted)
+        nl = nonlinearity_preset(preset, a0=1.0)
+        solve_forward_quasilinear(nl, g, tg, _sine_field(g, amp=0.5))
+        assert len(calls) == per_step * tg.steps
 
     def test_blowup_reports_slice(self):
         # focusing nonlinearity: f = -c y^3 with large c feeds energy back
