@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Alternating A/B runs of the benchmark between two checkouts.
+
+    python3 scripts/ab_bench.py BASE CHANGE --workload solve-1d-nonlinear \\
+        --pairs 10 --seeds 101-110 --seconds 40
+
+Each pair runs ``bench/run.py --trace 0`` once in each checkout with the
+same seed, one after the other; even pairs run BASE first, odd pairs run
+CHANGE first, so a drift of the machine's speed hits both sides alike.
+Pair k uses the k-th seed of the inclusive range, cycling when there are
+more pairs than seeds.  The script prints every pair, then per side the
+median and quartiles of ``op_s``, ``setup_s`` and ``peak_rss_mb`` and the
+number of pairs in which CHANGE has the lower ``op_s``.  It writes no file
+itself; each ``bench/run.py`` keeps its scratch in its own checkout's
+``.bench_work`` and ``.bench_out``.  The exit code is 1 when any run
+failed or reported ``"correct": false``.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+METRICS = ("op_s", "setup_s", "peak_rss_mb")
+
+
+def seed_range(text: str) -> list[int]:
+    lo, _, hi = text.partition("-")
+    seeds = list(range(int(lo), int(hi or lo) + 1))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return seeds
+
+
+def run_bench(checkout: str, workload: str, seed: int, seconds: int) -> dict:
+    """One ``bench/run.py --trace 0`` run; its last output line is the result."""
+    cmd = [sys.executable, os.path.join(checkout, "bench", "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        return {"correct": False, "failed": None, "error": proc.stderr.strip()[-300:]}
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("base", help="checkout of the reference version")
+    ap.add_argument("change", help="checkout of the changed version")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seeds", type=seed_range, required=True, help="inclusive range, e.g. 101-110")
+    ap.add_argument("--seconds", type=int, default=40)
+    args = ap.parse_args()
+    sides = {"base": os.path.abspath(args.base), "change": os.path.abspath(args.change)}
+
+    results = {name: [] for name in sides}
+    ok = True
+    won = complete = 0
+    for k in range(args.pairs):
+        seed = args.seeds[k % len(args.seeds)]
+        order = ("base", "change") if k % 2 == 0 else ("change", "base")
+        pair = {}
+        for name in order:
+            res = run_bench(sides[name], args.workload, seed, args.seconds)
+            if not res.get("correct") or res.get("failed"):
+                ok = False
+                print(f"pair {k} seed {seed} {name}: not correct: {res.get('error', res.get('failed'))}")
+                continue
+            pair[name] = {m: res["metrics"][m]["value"] for m in METRICS}
+            results[name].append(pair[name])
+        if len(pair) == 2:
+            complete += 1
+            won += pair["change"]["op_s"] < pair["base"]["op_s"]
+            print(f"pair {k} seed {seed} ({order[0]} first): op_s base {pair['base']['op_s']:.4f} "
+                  f"change {pair['change']['op_s']:.4f}", flush=True)
+
+    print(f"\n{args.workload}: {args.pairs} pairs, seeds {args.seeds[0]}-{args.seeds[-1]}")
+    for m in METRICS:
+        for name in sides:
+            values = [r[m] for r in results[name]]
+            if values:
+                q1, q2, q3 = quartiles(values)
+                print(f"  {m:12s} {name:6s} median {q2:.4f}  quartiles {q1:.4f} / {q3:.4f}  "
+                      f"(n={len(values)})")
+    print(f"  change has the lower op_s in {won} of {complete} pairs")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -311,7 +311,9 @@ def cmd_leader(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    from .outputs import emit_report, write_rows
+    import numpy as np
+
+    from .outputs import emit_report, write_block
     from .weights import build_weights, eval_terminal_weights, eval_weights
 
     s, problem = _load(args)
@@ -325,18 +327,19 @@ def cmd_weights(args) -> int:
     if grid.dim == 2:
         header = ["t", "x", "y", "beta", "nu", "rho_hat"]
 
-    def rows():
-        # beta and nu blow up at t=0 and t=T; interior slices only
-        for m in range(1, tgrid.steps):
-            t = tgrid.times[m]
-            ev = eval_weights(w, t)
-            tv = eval_terminal_weights(w, t)
-            for i in range(grid.n_nodes):
-                coords = tuple(grid.nodes[i])
-                yield (t, *coords, ev["beta"][i], ev["nu"][i], tv["rho_hat"])
+    # beta and nu blow up at t=0 and t=T; interior slices only
+    times = tgrid.times[1:-1]
+    block = np.empty((times.size, grid.n_nodes, len(header)))
+    block[..., 0] = times[:, None]
+    block[..., 1:-3] = grid.nodes
+    for k, t in enumerate(times):
+        ev = eval_weights(w, t)
+        block[k, :, -3] = ev["beta"]
+        block[k, :, -2] = ev["nu"]
+        block[k, :, -1] = eval_terminal_weights(w, t)["rho_hat"]
 
     path = os.path.join(out, "weights.csv")
-    write_rows(path, header, rows())
+    write_block(path, header, block.reshape(-1, len(header)))
     emit_report(
         {
             "scenario": s.name,

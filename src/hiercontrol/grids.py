@@ -247,39 +247,41 @@ def gradient_matrices(grid: SpatialGrid) -> list[sp.csr_matrix]:
     return [Dx.tocsr(), Dy.tocsr()]
 
 
-def gradient(f: Field) -> np.ndarray:
-    """Pointwise gradient, (n_nodes, dim): central inside, one-sided on the boundary."""
-    g = f.grid
-    h = g.h
-    if g.dim == 1:
-        v = f.values
-        out = np.empty((g.n_nodes, 1))
-        out[1:-1, 0] = (v[2:] - v[:-2]) / (2 * h)
-        out[0, 0] = (v[1] - v[0]) / h
-        out[-1, 0] = (v[-1] - v[-2]) / h
+def gradient(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
+    """Pointwise gradient of nodal values: central inside, one-sided on the boundary.
+
+    ``values`` has shape (..., n_nodes): one field (n_nodes,), a trajectory
+    (M+1, n_nodes) or any stack of them.  The result has shape
+    (..., n_nodes, dim), and every slice of a stack equals the gradient of
+    that slice alone bit for bit.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.shape[-1:] != (grid.n_nodes,):
+        raise GridMismatchError(
+            f"values of shape {v.shape} do not end in the grid's {grid.n_nodes} nodes"
+        )
+    h = grid.h
+    if grid.dim == 1:
+        out = np.empty(v.shape + (1,))
+        out[..., 1:-1, 0] = (v[..., 2:] - v[..., :-2]) / (2 * h)
+        out[..., 0, 0] = (v[..., 1] - v[..., 0]) / h
+        out[..., -1, 0] = (v[..., -1] - v[..., -2]) / h
         return out
-    n1 = g.cells + 1
-    v = f.values.reshape(n1, n1)
-    out = np.empty((g.n_nodes, 2))
-    gx = np.empty_like(v)
-    gx[1:-1, :] = (v[2:, :] - v[:-2, :]) / (2 * h)
-    gx[0, :] = (v[1, :] - v[0, :]) / h
-    gx[-1, :] = (v[-1, :] - v[-2, :]) / h
-    gy = np.empty_like(v)
-    gy[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2 * h)
-    gy[:, 0] = (v[:, 1] - v[:, 0]) / h
-    gy[:, -1] = (v[:, -1] - v[:, -2]) / h
-    out[:, 0] = gx.ravel()
-    out[:, 1] = gy.ravel()
-    return out
+    n1 = grid.cells + 1
+    v = v.reshape(v.shape[:-1] + (n1, n1))
+    out = np.empty(v.shape + (2,))
+    out[..., 1:-1, :, 0] = (v[..., 2:, :] - v[..., :-2, :]) / (2 * h)
+    out[..., 0, :, 0] = (v[..., 1, :] - v[..., 0, :]) / h
+    out[..., -1, :, 0] = (v[..., -1, :] - v[..., -2, :]) / h
+    out[..., :, 1:-1, 1] = (v[..., :, 2:] - v[..., :, :-2]) / (2 * h)
+    out[..., :, 0, 1] = (v[..., :, 1] - v[..., :, 0]) / h
+    out[..., :, -1, 1] = (v[..., :, -1] - v[..., :, -2]) / h
+    return out.reshape(v.shape[:-2] + (grid.n_nodes, 2))
 
 
 def trajectory_gradient(y: SpaceTimeField) -> np.ndarray:
     """Gradient of every slice, shape (M+1, n_nodes, dim)."""
-    out = np.empty((y.tgrid.n_slices, y.grid.n_nodes, y.grid.dim))
-    for m in range(y.tgrid.n_slices):
-        out[m] = gradient(Field(y.grid, y.values[m]))
-    return out
+    return gradient(y.grid, y.values)
 
 
 def _as_diag_coeff(grid: SpatialGrid, b: np.ndarray) -> np.ndarray:

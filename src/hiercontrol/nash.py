@@ -189,13 +189,10 @@ def coefficients_from_state(
     f_z = np.asarray(nl.f_z(y, gy), dtype=float).reshape(M1, n, dim)
     e = f_z - a_y[:, :, None] * gy
 
-    # discrete divergence of the sampled zeta-gradient field, slice by slice
+    # discrete divergence of the sampled zeta-gradient field, all slices at once
     div_fz = np.zeros((M1, n))
-    for m in range(M1):
-        acc = np.zeros(n)
-        for ax in range(dim):
-            acc += gradient(Field(grid, f_z[m, :, ax]))[:, ax]
-        div_fz[m] = acc
+    for ax in range(dim):
+        div_fz += gradient(grid, f_z[:, :, ax])[..., ax]
     g0 = -f_y + div_fz
 
     return LinearCoefficients(

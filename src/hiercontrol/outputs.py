@@ -3,6 +3,13 @@
 Every writer is bit-exact for identical inputs: fixed float formatting
 (17 significant digits in CSV, sorted keys in JSON), fixed newlines, no
 timestamps, no environment-dependent content.
+
+Numeric CSV tables (trajectories, weight fields) are written as one
+(rows, cols) float block with a single %-format call over all of its
+values.  The block gets ``+ 0.0`` first, which turns -0.0 into 0.0, so
+every cell reads exactly as ``format_value`` renders it: "%.17g", with
+zero of either sign as plain 0.  ``write_rows`` is the cell-by-cell
+writer for rows that mix strings and numbers.
 """
 
 from __future__ import annotations
@@ -36,6 +43,19 @@ def write_rows(path: str, header: list[str], rows) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
+def write_block(path: str, header: list[str], block: np.ndarray) -> None:
+    """CSV writer for a (rows, cols) float block, each cell as format_value renders it."""
+    rows, cols = block.shape
+    line = "%.17g," * (cols - 1) + "%.17g\n"
+    text = (line * rows) % tuple((block + 0.0).ravel().tolist())
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
+
+
 def emit_csv(trajectory: SpaceTimeField, path: str) -> None:
     """Full space-time trajectory, time-major then space-major.
 
@@ -44,15 +64,11 @@ def emit_csv(trajectory: SpaceTimeField, path: str) -> None:
     """
     grid, tgrid = trajectory.grid, trajectory.tgrid
     header = ["t", "x", "value"] if grid.dim == 1 else ["t", "x", "y", "value"]
-
-    def rows():
-        for m in range(tgrid.n_slices):
-            t = tgrid.times[m]
-            for i in range(grid.n_nodes):
-                coords = tuple(grid.nodes[i])
-                yield (t, *coords, trajectory.values[m, i])
-
-    write_rows(path, header, rows())
+    block = np.empty((tgrid.n_slices, grid.n_nodes, grid.dim + 2))
+    block[..., 0] = tgrid.times[:, None]
+    block[..., 1:-1] = grid.nodes
+    block[..., -1] = trajectory.values
+    write_block(path, header, block.reshape(-1, grid.dim + 2))
 
 
 def emit_report(report, path: str) -> None:

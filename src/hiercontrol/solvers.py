@@ -24,15 +24,22 @@ of a stacked march is the march of seed j and source j; in 1D it equals
 that single march bit for bit, in 2D to rounding, and the identity above
 holds column by column.
 
-Every slice matrix I + tau L^m comes from one assembly path.  The grid
-shape fixes an interior-only CSR pattern (``grids.slice_pattern``, built
-once per shape); ``slice_operator`` writes the values of one slice or of a
-whole stack of slices into it with vectorised arithmetic straight from the
-coefficient arrays, equal bit for bit to the flux-form composition of
-``assemble_divergence_operator`` and ``gradient_matrices``.  The linear
-marches (``state_factors``, ``sensitivity_factors``), the quasi-linear
-march and the leader's space-time matrix all use it, and a roster family
-that does not change in time is assembled and factored once.
+Every slice matrix I + tau L^m comes from one assembly path, with one
+exception below.  The grid shape fixes an interior-only CSR pattern
+(``grids.slice_pattern``, built once per shape); ``slice_operator`` writes
+the values of one slice or of a whole stack of slices into it with
+vectorised arithmetic straight from the coefficient arrays, equal bit for
+bit to the flux-form composition of ``assemble_divergence_operator`` and
+``gradient_matrices``.  The linear marches (``state_factors``,
+``sensitivity_factors``), the 2D quasi-linear march and the leader's
+space-time matrix all use it, and a roster family that does not change in
+time is assembled and factored once.  The exception is the 1D quasi-linear
+step: it rebuilds its matrix up to three times per time step from
+coefficients that only exist at the current iterate, and filling the
+pattern took more than ten times as long as the tridiagonal solve it
+feeds.  So it writes the three bands straight from a, f_y and f_z, in the
+summation order of ``slice_operator``, which keeps them equal to its
+entries bit for bit (``_step_matrix``; the tests compare the two).
 ``factor_slice`` factors a slice: in 1D the matrix is tridiagonal and goes
 to LAPACK dgttrf/dgttrs, whose transposed solve on the same factors keeps
 the adjoint march exact; in 2D it goes to SuperLU with the minimum-degree
@@ -238,15 +245,16 @@ def _plus(acc, term):
 
 
 class _Tridiagonal:
-    """LAPACK dgttrf factors of one tridiagonal slice matrix.
+    """LAPACK dgttrf factors of one tridiagonal slice matrix from its bands.
 
-    ``solve`` takes rhs of shape (n,) or (n, k); dgttrs solves the k columns
-    in one call, each bit for bit as it would solve it alone.
+    ``lower`` holds the entries (r, r-1) and ``upper`` the entries (r, r+1)
+    in row order.  ``solve`` takes rhs of shape (n,) or (n, k); dgttrs
+    solves the k columns in one call, each bit for bit as it would solve it
+    alone.
     """
 
-    def __init__(self, pattern, data: np.ndarray):
-        upper, lower = (slots for *_, slots in pattern.neighbours)
-        *self._lu, info = dgttrf(data[lower], data[pattern.diag], data[upper])
+    def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
+        *self._lu, info = dgttrf(lower, diag, upper)
         if info > 0:
             raise SolverError(f"slice matrix is singular (zero pivot {info})")
 
@@ -268,7 +276,8 @@ def factor_slice(grid: SpatialGrid, data: np.ndarray):
     """
     pat = slice_pattern(grid)
     if grid.dim == 1:
-        return _Tridiagonal(pat, data)
+        upper, lower = (slots for *_, slots in pat.neighbours)
+        return _Tridiagonal(data[lower], data[pat.diag], data[upper])
     return spla.splu(pat.csr(data).tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
@@ -652,6 +661,32 @@ def combine_control_source(
     return out
 
 
+def _step_matrix(grid: SpatialGrid, tau: float, a: np.ndarray, fy: np.ndarray, fz: np.ndarray):
+    """I + tau L of one quasi-linear step, L = -div(a grad .) + fz . grad + fy.
+
+    Returns ``(bands, diagonal)``: the arrays that fix the matrix, and its
+    diagonal over the interior unknowns.  In 1D the bands are (lower,
+    diagonal, upper) of the tridiagonal matrix, written straight from the
+    nodal coefficients: faces F = (a_k + a_{k+1}) / 2 / h^2, diagonal
+    1 + tau ((F_right + F_left) + fy), upper tau (-F_right + fz c) and lower
+    tau (-F_left + fz (-c)) with c = 1 / (2h).  That is the summation order
+    of ``slice_operator``, so each band equals its entries bit for bit.  In
+    2D the one band is the slice pattern values from ``slice_operator``.
+    """
+    if grid.dim > 1:
+        data = slice_operator(grid, tau, b=a, f_adv=fz, f0=fy)
+        return (data,), data[slice_pattern(grid).diag]
+    h2 = grid.h * grid.h
+    c = 1.0 / (2 * grid.h)
+    face = 0.5 * (a[:-1] + a[1:]) / h2
+    right, left = face[1:], face[:-1]
+    fzi = fz[1:-1, 0]
+    diag = 1.0 + tau * ((right + left) + fy[1:-1])
+    upper = tau * (-right + fzi * c)
+    lower = tau * (-left + fzi * (-c))
+    return (lower[1:], diag, upper[:-1]), diag
+
+
 def solve_forward_quasilinear(
     nl: Nonlinearity,
     grid: SpatialGrid,
@@ -665,34 +700,39 @@ def solve_forward_quasilinear(
     Each step freezes a at the previous slice and linearizes f there, then
     optionally refreshes both at the new iterate; the refreshes stop early
     once one returns its input bit for bit, as under constant coefficients
-    and f = 0, since every later one would recompute the same array.  Each
-    frozen step is one
-    tridiagonal LAPACK solve in 1D and one SuperLU solve in 2D; a step
-    matrix equal to the previous one, as under constant coefficients such
-    as the heat preset, reuses its factors.  BlowUpError,
-    with the slice index, marks the point where the trust region of the
-    local model is gone and no further slice would be meaningful: either a
-    relative jump larger than BLOWUP_FACTOR in one step, or a frozen
-    step matrix I + tau L with a diagonal entry <= 0.  That entry is
-    1 + tau (diffusion + f_y) at its node; when it is <= 0, so is
-    e_k^T (I + tau L) e_k, and the step matrix is not positive definite:
-    the frozen reaction outgrows diffusion within one step, faster than the
-    implicit step can follow.
+    and f = 0, since every later one would recompute the same array.  A
+    refresh works on the raw iterate: one nodal gradient, the four
+    nonlinearity callbacks and the step matrix.  In 1D that matrix is three
+    bands written straight from a, f_y and f_z, bit-equal to the entries of
+    ``slice_operator`` and factored by LAPACK dgttrf, so a refresh builds
+    no sparse matrix; in 2D it is the slice pattern of ``slice_operator``
+    factored by SuperLU.  A step matrix equal to the previous one, as under
+    constant coefficients such as the heat preset, reuses its factors.
+
+    CoefficientError, with slice and node, reports a diffusion a below
+    rho0.  BlowUpError, with the slice index, marks the point where the
+    trust region of the local model is gone and no further slice would be
+    meaningful: a refresh whose solve is not finite, a relative jump larger
+    than BLOWUP_FACTOR in one step, or a frozen step matrix I + tau L with a
+    diagonal entry <= 0.  That entry is 1 + tau (diffusion + f_y) at its
+    node; when it is <= 0, so is e_k^T (I + tau L) e_k, and the step matrix
+    is not positive definite: the frozen reaction outgrows diffusion within
+    one step, faster than the implicit step can follow.
     """
     _check_dirichlet(grid, y0.values, "initial state")
+    tau = tgrid.tau
     interior = (~grid.boundary).astype(float)
     y = np.zeros((tgrid.n_slices, grid.n_nodes))
     y[0] = y0.values
     ii = grid.interior_idx
-    diag = slice_pattern(grid).diag
+    rows = slice(1, -1) if grid.dim == 1 else ii
     norm0 = np.sqrt(grid.weights @ y0.values**2)
-    A_prev = lu = None
+    bands_prev = lu = None
     for m in range(1, tgrid.n_slices):
         prev = y[m - 1]
         w = prev
         for _ in range(refreshes + 1):
-            wf = Field(grid, w)
-            gw = gradient(wf)
+            gw = gradient(grid, w)
             a_vals = nl.a(w, gw)
             if float(a_vals.min()) < nl.rho0:
                 node = int(a_vals.argmin())
@@ -705,8 +745,7 @@ def solve_forward_quasilinear(
             if fz.shape != (grid.n_nodes, grid.dim):
                 fz = fz.reshape(grid.n_nodes, grid.dim)
             f_val = nl.f(w, gw)
-            A = slice_operator(grid, tgrid.tau, b=a_vals, f_adv=fz, f0=fy)
-            d = A[diag]
+            bands, d = _step_matrix(grid, tau, a_vals, fy, fz)
             if float(d.min()) <= 0.0:
                 k = int(d.argmin())
                 raise BlowUpError(
@@ -714,20 +753,27 @@ def solve_forward_quasilinear(
                     f"diagonal 1 + tau (diffusion + f_y) = {d[k]:.3g} <= 0",
                     slice_index=m,
                 )
-            rhs = prev + tgrid.tau * (
+            rhs = prev + tau * (
                 (0.0 if source is None else source[m])
                 - interior * (f_val - fy * w - (fz * gw).sum(axis=1))
             )
-            if lu is None or not np.array_equal(A, A_prev):
-                lu, A_prev = factor_slice(grid, A), A
+            if lu is None or not all(map(np.array_equal, bands, bands_prev)):
+                lu = _Tridiagonal(*bands) if grid.dim == 1 else factor_slice(grid, *bands)
+                bands_prev = bands
+            x = lu.solve(np.ascontiguousarray(rhs[rows]))
+            if not np.all(np.isfinite(x)):
+                raise BlowUpError(
+                    f"quasi-linear step produced non-finite values at slice {m}",
+                    slice_index=m,
+                )
             new = np.zeros(grid.n_nodes)
-            new[ii] = lu.solve(np.ascontiguousarray(rhs[ii]))
+            new[rows] = x
             if new.tobytes() == w.tobytes():
                 break  # every later refresh would recompute the same array
             w = new
         jump = np.sqrt(grid.weights @ (w - prev) ** 2)
         scale = 1.0 + max(norm0, np.sqrt(grid.weights @ prev**2))
-        if not np.all(np.isfinite(w)) or jump > BLOWUP_FACTOR * scale:
+        if jump > BLOWUP_FACTOR * scale:
             raise BlowUpError(
                 f"quasi-linear step diverged at slice {m}: relative jump "
                 f"{jump / scale:.3g} exceeds {BLOWUP_FACTOR}",

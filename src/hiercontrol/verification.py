@@ -19,7 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import OracleError, ValidationError
-from .grids import Field, SpaceTimeField, gradient, stepped_pairing, stepped_norm2, trajectory_gradient
+from .grids import SpaceTimeField, gradient, stepped_pairing, stepped_norm2, trajectory_gradient
 from .leader import GramianContext
 from .nash import (
     HierarchicProblem,
@@ -335,7 +335,7 @@ def _delta_fields(problem: HierarchicProblem, y: SpaceTimeField, p: np.ndarray):
     M1, n, dim = tgrid.n_slices, grid.n_nodes, grid.dim
     yv = y.values
     gy = trajectory_gradient(y)
-    gp = trajectory_gradient(SpaceTimeField(grid, tgrid, p))
+    gp = gradient(grid, p)
 
     a_y = np.asarray(nl.a_y(yv, gy), dtype=float)
     a_z = np.asarray(nl.a_z(yv, gy), dtype=float).reshape(M1, n, dim)
@@ -374,9 +374,8 @@ def _delta_fields(problem: HierarchicProblem, y: SpaceTimeField, p: np.ndarray):
         for i in range(dim):
             dfz[:, :, l] += f_zz[:, :, l, i] * gp[:, :, i]
     dd0 = -(f_yy * p + (f_yz * gp).sum(axis=-1))
-    for m in range(M1):
-        for l in range(dim):
-            dd0[m] += gradient(Field(grid, dfz[m, :, l]))[:, l]
+    for l in range(dim):
+        dd0 += gradient(grid, dfz[..., l])[..., l]
     return dA, de, dd0
 
 
@@ -420,12 +419,11 @@ def check_second_order(
             factors, np.zeros(n), xi_star[None, :] * (y.values - problem.targets[0].values)
         )
         dA, de, dd0 = _delta_fields(problem, y, p)
-        gq = trajectory_gradient(SpaceTimeField(grid, tgrid, q))
+        gq = gradient(grid, q)
         src = xi_star[None, :] * p + dd0 * q + (de * gq).sum(axis=-1)
         flux = dA * gq
-        for m in range(tgrid.n_slices):
-            for ax in range(grid.dim):
-                src[m] += gradient(Field(grid, flux[m, :, ax]))[:, ax]
+        for ax in range(grid.dim):
+            src += gradient(grid, flux[..., ax])[..., ax]
         W = march_adjoint(factors, np.zeros(n), src)
         coupling = nu1 * stepped_pairing(grid, tgrid, xi1[None, :] * w, W)
     rep_value = mu_term + coupling
@@ -586,9 +584,8 @@ def probe_carleman(
             v_T = _low_mode_terminal(grid, 10, rng)
             v = march_adjoint(factors, v_T, None)
             grad_sq = np.zeros((tgrid.n_slices, grid.n_nodes))
-            for m in range(1, tgrid.steps):
-                g = gradient(Field(grid, v[m]))
-                grad_sq[m] = (g * g).sum(axis=-1)
+            g = gradient(grid, v[1:-1])
+            grad_sq[1:-1] = (g * g).sum(axis=-1)
             lhs_field = w_grad * grad_sq + w_zero * v * v
             lhs = tgrid.tau * float((lhs_field * grid.weights[None, :]).sum())
             rhs_field = (w_zero * v * v)[:, obs_mask]

@@ -132,7 +132,7 @@ def build_eta(grid: SpatialGrid, focus) -> Field:
         peak = np.polyval(_eta_coeffs(c, xstar), xm)
         vals *= prof / peak
     eta = Field(grid, vals)
-    g = np.linalg.norm(gradient(eta), axis=1)
+    g = np.linalg.norm(gradient(grid, eta.values), axis=1)
     # interior nodes only: a product profile on the square necessarily has
     # a vanishing gradient at the corners, where nothing is integrated
     outside = ~box_mask(grid, F) & ~grid.boundary

@@ -12,7 +12,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hiercontrol.solvers as solvers
 from conftest import make_problem
 from reference import DirectContext, reference_slice
 from hiercontrol.errors import BlowUpError
@@ -192,3 +195,58 @@ class TestQuasilinearStepPositivity:
         ynl = solve_forward_quasilinear(nl, grid, tgrid, y0)
         ylin = solve_forward_linear(constant_coefficients(grid, tgrid, b=1.0, f0=-20.0), None, y0)
         np.testing.assert_allclose(ynl.values, ylin.values, rtol=1e-11, atol=1e-13)
+
+
+class TestQuasilinearBands:
+    """The 1D quasi-linear step writes its three bands without slice_operator."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cells=st.integers(8, 64),
+        tau=st.floats(1e-4, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        rho0=st.floats(1e-3, 10.0),
+    )
+    def test_bands_equal_slice_operator(self, cells, tau, seed, rho0):
+        grid = build_grid(1, cells)
+        rng = np.random.default_rng(seed)
+        n = grid.n_nodes
+        a = rho0 * (1.0 + rng.exponential(size=n))
+        fy = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        fz = rng.standard_normal((n, 1)) * 10.0 ** rng.uniform(-3, 3)
+        (lower, diag, upper), d = solvers._step_matrix(grid, tau, a, fy, fz)
+        data = slice_operator(grid, tau, b=a, f_adv=fz, f0=fy)
+        pat = slice_pattern(grid)
+        (*_, up_slots), (*_, lo_slots) = pat.neighbours
+        assert d is diag
+        assert diag.tobytes() == data[pat.diag].tobytes()
+        assert upper.tobytes() == data[up_slots].tobytes()
+        assert lower.tobytes() == data[lo_slots].tobytes()
+
+    @pytest.mark.parametrize("preset,params", [
+        ("mild-quasilinear", {"q": 1.0, "c": 1.0}),
+        ("gradient-diffusion", {"c": 0.5}),
+        ("heat", {}),
+        ("burgers-f", {"c": 0.5}),
+    ])
+    @pytest.mark.parametrize("with_source", [False, True])
+    def test_band_march_equals_assembled_march(self, monkeypatch, preset, params, with_source):
+        grid, tgrid = build_grid(1, 24), build_time_grid(0.5, 32)
+        nl = nonlinearity_preset(preset, a0=1.0, **params)
+        y0 = np.sin(np.pi * grid.x)
+        y0[grid.boundary] = 0.0
+        source = None
+        if with_source:
+            source = np.cos(3.0 * tgrid.times)[:, None] * np.sin(2.0 * np.pi * grid.x)[None, :]
+        bands = solve_forward_quasilinear(nl, grid, tgrid, Field(grid, y0), source)
+
+        def assembled(grid, tau, a, fy, fz):
+            # the bands as factor_slice reads them off the filled pattern
+            data = slice_operator(grid, tau, b=a, f_adv=fz, f0=fy)
+            pat = slice_pattern(grid)
+            (*_, up_slots), (*_, lo_slots) = pat.neighbours
+            return (data[lo_slots], data[pat.diag], data[up_slots]), data[pat.diag]
+
+        monkeypatch.setattr(solvers, "_step_matrix", assembled)
+        reference = solve_forward_quasilinear(nl, grid, tgrid, Field(grid, y0), source)
+        assert bands.values.tobytes() == reference.values.tobytes()

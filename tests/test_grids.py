@@ -103,14 +103,32 @@ class TestDifferenceOperators:
     def test_gradient_linear_exact(self):
         g = build_grid(1, 16)
         f = Field(g, 2.0 * g.x + 1.0)
-        assert np.allclose(gradient(f)[:, 0], 2.0)
+        assert np.allclose(gradient(g, f.values)[:, 0], 2.0)
 
     def test_gradient_2d_plane_exact(self):
         g = build_grid(2, 8)
         f = Field(g, 3.0 * g.nodes[:, 0] - 2.0 * g.nodes[:, 1])
-        gr = gradient(f)
+        gr = gradient(g, f.values)
         assert np.allclose(gr[:, 0], 3.0)
         assert np.allclose(gr[:, 1], -2.0)
+
+    @pytest.mark.parametrize("dim,cells", [(1, 16), (2, 9)])
+    def test_gradient_of_a_stack_equals_each_slice(self, dim, cells):
+        g = build_grid(dim, cells)
+        rng = np.random.default_rng(4)
+        stack = rng.standard_normal((3, 17, g.n_nodes))
+        stack[0, 0] = -0.0
+        whole = gradient(g, stack)
+        assert whole.shape == (3, 17, g.n_nodes, dim)
+        for k in range(3):
+            traj = gradient(g, stack[k])
+            assert traj.tobytes() == whole[k].tobytes()
+            for m in range(17):
+                assert gradient(g, stack[k, m]).tobytes() == whole[k, m].tobytes()
+
+    def test_gradient_rejects_a_foreign_node_count(self):
+        with pytest.raises(GridMismatchError):
+            gradient(build_grid(1, 16), np.zeros((4, 16)))
 
     def test_divergence_operator_symmetric(self):
         g = build_grid(1, 16)

@@ -12,6 +12,7 @@ from hiercontrol.outputs import (
     emit_report,
     emit_svg,
     format_value,
+    write_block,
     write_rows,
 )
 
@@ -66,6 +67,32 @@ class TestCsv:
         emit_csv(traj, path)
         with open(path, "r", encoding="utf-8") as fh:
             assert fh.readline().strip() == "t,x,y,value"
+
+    @pytest.mark.parametrize("dim,cells", [(1, 8), (2, 8)])
+    def test_block_matches_per_cell_rendering(self, tmp_path, dim, cells):
+        g = build_grid(dim, cells)
+        tg = build_time_grid(0.7, 16)
+        rng = np.random.default_rng(dim)
+        shape = (tg.n_slices, g.n_nodes)
+        vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        vals[1, :4] = (-0.0, 5e-324, 1e300, -1e300)
+        vals[2] = 0.0
+        vals[3] = -0.0
+        traj = SpaceTimeField(g, tg, vals)
+        path = os.path.join(tmp_path, "y.csv")
+        emit_csv(traj, path)
+        header = ["t", "x", "value"] if dim == 1 else ["t", "x", "y", "value"]
+        lines = [",".join(header)]
+        for m in range(tg.n_slices):
+            for i in range(g.n_nodes):
+                row = (tg.times[m], *g.nodes[i], vals[m, i])
+                lines.append(",".join(format_value(float(c)) for c in row))
+        with open(path, "rb") as fh:
+            assert fh.read() == ("\n".join(lines) + "\n").encode()
+
+    def test_write_block_bad_path(self, tmp_path):
+        with pytest.raises(OSError, match="cannot write"):
+            write_block(os.path.join(tmp_path, "nope", "b.csv"), ["a"], np.zeros((1, 1)))
 
     def test_deterministic_bytes(self, tmp_path):
         a = os.path.join(tmp_path, "a.csv")

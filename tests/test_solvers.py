@@ -304,23 +304,32 @@ class TestQuasilinearForward:
         ylin = solve_forward_linear(c, None, y0)
         np.testing.assert_allclose(ynl.values, ylin.values, rtol=1e-11, atol=1e-13)
 
+    @staticmethod
+    def _refresh_passes(preset, dim, cells):
+        # one call of the diffusion callback per refresh pass
+        g, tg = build_grid(dim, cells), build_time_grid(0.5, 16)
+        nl = nonlinearity_preset(preset, a0=1.0)
+        calls = []
+
+        def counted(s, eta):
+            calls.append(1)
+            return nl.a(s, eta)
+
+        solve_forward_quasilinear(dataclasses.replace(nl, a=counted), g, tg, _sine_field(g, amp=0.5))
+        return len(calls), tg.steps
+
     @pytest.mark.parametrize("preset,per_step", [("heat", 2), ("mild-quasilinear", 3)])
-    def test_refreshes_stop_at_a_fixed_point(self, monkeypatch, preset, per_step):
+    def test_refreshes_stop_at_a_fixed_point(self, preset, per_step):
         # a refresh that returns its input bit for bit ends the step: under
         # the heat preset the first refresh already does, under a quasi-linear
         # diffusion both refreshes run
-        g, tg = build_grid(1, 32), build_time_grid(0.5, 16)
-        calls = []
-        assemble = solvers.slice_operator
+        passes, steps = self._refresh_passes(preset, 1, 32)
+        assert passes == per_step * steps
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return assemble(*args, **kwargs)
-
-        monkeypatch.setattr(solvers, "slice_operator", counted)
-        nl = nonlinearity_preset(preset, a0=1.0)
-        solve_forward_quasilinear(nl, g, tg, _sine_field(g, amp=0.5))
-        assert len(calls) == per_step * tg.steps
+    @pytest.mark.parametrize("preset,per_step", [("heat", 2), ("mild-quasilinear", 3)])
+    def test_refreshes_stop_at_a_fixed_point_2d(self, preset, per_step):
+        passes, steps = self._refresh_passes(preset, 2, 8)
+        assert passes == per_step * steps
 
     def test_blowup_reports_slice(self):
         # focusing nonlinearity: f = -c y^3 with large c feeds energy back
@@ -330,6 +339,25 @@ class TestQuasilinearForward:
         with pytest.raises(BlowUpError) as exc:
             solve_forward_quasilinear(nl, g, tg, _sine_field(g, amp=10.0))
         assert exc.value.slice_index >= 1
+
+    def test_non_finite_refresh_is_a_blowup_at_its_slice(self):
+        # growth f = -20 y on a sine (rate about 20 - pi^2) crosses |y| = 3
+        # within the horizon; above that f reads inf, so the refresh at the
+        # first slice whose iterate crosses it cannot be solved
+        g, tg = build_grid(1, 32), build_time_grid(1.0, 16)
+        lin = nonlinearity_preset("linear-f", a0=1.0, c1=-20.0)
+        y0 = _sine_field(g)
+        ref = solve_forward_quasilinear(lin, g, tg, y0).values
+        crossed = np.flatnonzero(np.abs(ref).max(axis=1) > 3.0)
+        assert crossed.size and crossed[0] >= 2
+
+        def f(s, eta):
+            return np.where(np.abs(s) > 3.0, np.inf, lin.f(s, eta))
+
+        nl = dataclasses.replace(lin, f=f, name="capped")
+        with pytest.raises(BlowUpError, match="non-finite") as exc:
+            solve_forward_quasilinear(nl, g, tg, y0)
+        assert exc.value.slice_index == crossed[0]
 
     def test_ellipticity_loss_reports_node(self):
         nl = nonlinearity_preset("mild-quasilinear", a0=1.0, q=-2.0, c=0.0)
