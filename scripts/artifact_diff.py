@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Byte comparison of the CLI artifacts of two checkouts.
+
+    python3 scripts/artifact_diff.py PARENT CHANGE --out DIR
+
+Runs the same fixed set of commands in both checkouts, each with that
+checkout's ``src`` on PYTHONPATH and its own ``scenarios/`` files, under
+HIERCONTROL_THREADS=1:
+
+* ``solve`` on every shipped scenario (the ``*.cfg`` files of CHANGE),
+* ``verify --suite all`` on heat_lq_16x32,
+* ``verify --suite duality`` on gradient_diffusion,
+* ``leader`` on heat_1d and on mild_quasilinear,
+* ``nash`` on gradient_diffusion,
+* ``weights`` on heat_2d.
+
+Every command writes into ``DIR/<side>/<run>`` and runs there; bytecode
+goes to ``DIR/pycache``, so nothing is written outside DIR.  The script
+prints every artifact as identical or different, with max|delta| / max|value|
+over the cells of a differing CSV, and every exit code.  It exits 0 only
+when both checkouts write the same files with the same bytes and every
+command returns the same exit code.
+"""
+
+import argparse
+import glob
+import os
+import subprocess
+import sys
+
+import numpy as np
+
+FIXED_RUNS = (
+    ("verify-all-heat_lq_16x32", ["verify", "--suite", "all"], "heat_lq_16x32"),
+    ("verify-duality-gradient_diffusion", ["verify", "--suite", "duality"], "gradient_diffusion"),
+    ("leader-heat_1d", ["leader"], "heat_1d"),
+    ("leader-mild_quasilinear", ["leader"], "mild_quasilinear"),
+    ("nash-gradient_diffusion", ["nash"], "gradient_diffusion"),
+    ("weights-heat_2d", ["weights"], "heat_2d"),
+)
+
+
+def runs(change: str) -> list[tuple[str, list[str], str]]:
+    names = sorted(os.path.basename(p)[:-4] for p in glob.glob(os.path.join(change, "scenarios", "*.cfg")))
+    return [(f"solve-{name}", ["solve"], name) for name in names] + list(FIXED_RUNS)
+
+
+def run_cli(checkout: str, argv: list[str], scenario: str, out: str, pycache: str) -> int:
+    os.makedirs(out, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), HIERCONTROL_THREADS="1",
+               PYTHONPYCACHEPREFIX=pycache)
+    config = os.path.join(checkout, "scenarios", f"{scenario}.cfg")
+    cmd = [sys.executable, "-m", "hiercontrol.cli", *argv, "--config", config, "--out", out]
+    return subprocess.run(cmd, cwd=out, env=env, capture_output=True).returncode
+
+
+def csv_gap(a: str, b: str) -> str:
+    """max|delta| / max|value| over the cells of two CSV files of the same shape."""
+    try:
+        x = np.loadtxt(a, delimiter=",", skiprows=1, ndmin=2)
+        y = np.loadtxt(b, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        return f"not numeric ({exc})"
+    if x.shape != y.shape:
+        return f"shapes {x.shape} vs {y.shape}"
+    scale = max(float(np.abs(x).max(initial=0.0)), float(np.abs(y).max(initial=0.0)), 1e-300)
+    return f"max|delta|/max|value| = {float(np.abs(x - y).max(initial=0.0)) / scale:.3e}"
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", help="checkout of the reference version")
+    ap.add_argument("change", help="checkout of the changed version")
+    ap.add_argument("--out", required=True, help="directory for every artifact and bytecode")
+    args = ap.parse_args()
+    sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    out = os.path.abspath(args.out)
+    pycache = os.path.join(out, "pycache")
+
+    codes_ok = True
+    files = same = 0
+    for label, argv, scenario in runs(sides["change"]):
+        dirs = {side: os.path.join(out, side, label) for side in sides}
+        codes = {side: run_cli(sides[side], argv, scenario, dirs[side], pycache) for side in sides}
+        match = codes["parent"] == codes["change"]
+        codes_ok &= match
+        print(f"{label}: exit {codes['parent']} / {codes['change']}"
+              f"{'' if match else '  EXIT CODES DIFFER'}", flush=True)
+        names = sorted(set(os.listdir(dirs["parent"])) | set(os.listdir(dirs["change"])))
+        for name in names:
+            a, b = (os.path.join(dirs[side], name) for side in sides)
+            files += 1
+            if not (os.path.exists(a) and os.path.exists(b)):
+                print(f"  only in {'parent' if os.path.exists(a) else 'change'}  {name}")
+                continue
+            with open(a, "rb") as fa, open(b, "rb") as fb:
+                identical = fa.read() == fb.read()
+            if identical:
+                same += 1
+                print(f"  identical  {name}")
+            else:
+                gap = f"  {csv_gap(a, b)}" if name.endswith(".csv") else ""
+                print(f"  different  {name}{gap}")
+    print(f"\n{same} of {files} files identical; exit codes {'all match' if codes_ok else 'differ'}")
+    return 0 if codes_ok and same == files else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -62,7 +62,6 @@ from .solvers import (
     Nonlinearity,
     constant_coefficients,
     nonlinearity_preset,
-    solve_forward_linear,
     solve_forward_quasilinear,
 )
 from .nash import (
@@ -79,7 +78,6 @@ from .leader import (
     GramianContext,
     LeaderSolution,
     leader_duality_gap,
-    solve_coupled_primal,
     solve_leader,
 )
 from .fixedpoint import (
@@ -163,8 +161,6 @@ __all__ = [
     "probe_carleman",
     "probe_observability",
     "second_order_mu_sweep",
-    "solve_coupled_primal",
-    "solve_forward_linear",
     "solve_forward_quasilinear",
     "solve_hierarchic",
     "solve_leader",

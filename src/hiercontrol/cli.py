@@ -80,12 +80,12 @@ def _uncontrolled(problem):
     return solve_forward_quasilinear(problem.nl, problem.grid, problem.tgrid, problem.y0)
 
 
-def _weighted_time_norms(problem, traj):
+def _weighted_time_norms(problem, values):
+    """|y(t_m)| in the weighted norm for every slice of a (M+1, n) trajectory."""
     import numpy as np
 
     w = problem.grid.weights
-    return [float(np.sqrt(np.dot(w * traj.values[m], traj.values[m])))
-            for m in range(problem.tgrid.n_slices)]
+    return [float(np.sqrt(np.dot(w * v, v))) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -153,21 +153,21 @@ def cmd_solve(args) -> int:
     if rep.v1 is not None:
         emit_csv(rep.v1, os.path.join(out, "v1.csv"))
         emit_csv(rep.v2, os.path.join(out, "v2.csv"))
-    if rep.update_norms:
-        emit_svg(
-            [{"label": "outer update", "x": list(range(1, len(rep.update_norms) + 1)),
-              "y": list(rep.update_norms)}],
-            os.path.join(out, "update_norms.svg"),
-            title=f"{s.name}: fixed-point updates",
-            xlabel="outer iteration",
-            ylabel="log10 update",
-            ylog=True,
-        )
+    emit_svg(
+        [{"label": "outer update", "x": list(range(1, len(rep.update_norms) + 1)),
+          "y": list(rep.update_norms)}],
+        os.path.join(out, "update_norms.svg"),
+        title=f"{s.name}: fixed-point updates",
+        xlabel="outer iteration",
+        ylabel="log10 update",
+        ylog=True,
+    )
     times = [float(t) for t in problem.tgrid.times]
-    curves = [{"label": "|y(t)|", "x": times, "y": _weighted_time_norms(problem, rep.y)}]
+    curves = [{"label": "|y(t)|", "x": times, "y": _weighted_time_norms(problem, rep.y.values)}]
     if not np.isnan(rep.terminal_norm):
         curves.append(
-            {"label": "|y_lin(t)|", "x": times, "y": _weighted_time_norms(problem, rep.leader.y)}
+            {"label": "|y_lin(t)|", "x": times,
+             "y": _weighted_time_norms(problem, rep.leader.y.values)}
         )
     emit_svg(
         curves,
@@ -224,7 +224,7 @@ def cmd_leader(args) -> int:
     import numpy as np
 
     from .fixedpoint import linearize_at
-    from .leader import leader_duality_gap, solve_coupled_primal, solve_leader
+    from .leader import leader_duality_gap, solve_leader
     from .outputs import emit_csv, emit_report, emit_svg
     from .weights import build_weights
 
@@ -266,10 +266,13 @@ def cmd_leader(args) -> int:
     emit_csv(sol.u, os.path.join(out, "u.csv"))
     emit_csv(sol.y, os.path.join(out, "y.csv"))
 
-    y_free, _, _ = solve_coupled_primal(ctx, None)
+    y_free, _, _ = ctx.solve_primal(
+        None, problem.y0.values, tuple(t.values for t in problem.targets)
+    )
     times = [float(t) for t in problem.tgrid.times]
     emit_svg(
-        [{"label": "|y(t)| controlled", "x": times, "y": _weighted_time_norms(problem, sol.y)},
+        [{"label": "|y(t)| controlled", "x": times,
+          "y": _weighted_time_norms(problem, sol.y.values)},
          {"label": "|y(t)| free", "x": times, "y": _weighted_time_norms(problem, y_free)}],
         os.path.join(out, "state_norm.svg"),
         title=f"{s.name}: leader null-control",
@@ -277,16 +280,15 @@ def cmd_leader(args) -> int:
         ylabel="log10 norm",
         ylog=True,
     )
-    if sol.cg_residuals:
-        emit_svg(
-            [{"label": "CG residual", "x": list(range(1, len(sol.cg_residuals) + 1)),
-              "y": list(sol.cg_residuals)}],
-            os.path.join(out, "cg_residuals.svg"),
-            title=f"{s.name}: conjugate gradient history",
-            xlabel="iteration",
-            ylabel="log10 residual",
-            ylog=True,
-        )
+    emit_svg(
+        [{"label": "CG residual", "x": list(range(1, len(sol.cg_residuals) + 1)),
+          "y": list(sol.cg_residuals)}],
+        os.path.join(out, "cg_residuals.svg"),
+        title=f"{s.name}: conjugate gradient history",
+        xlabel="iteration",
+        ylabel="log10 residual",
+        ylog=True,
+    )
     if problem.grid.dim == 1:
         M = problem.tgrid.steps
         snaps = sorted({max(1, M // 8), M // 4, M // 2, 3 * M // 4, M - 1})
@@ -381,15 +383,16 @@ def cmd_verify(args) -> int:
     if {"nash-oracle", "second-order"} & set(suites):
         # both differentiate at one follower equilibrium, solved at the scenario's tolerance
         nash = compute_nash(problem, tol=s.tolerance("nash_tol"))
-    if {"observability", "carleman"} & set(suites):
-        # both probes linearize at the uncontrolled march under the scenario weights
+    if {"duality", "observability", "carleman"} & set(suites):
+        # the duality check and both probes linearize at the uncontrolled march
         z0 = _uncontrolled(problem)
+    if {"observability", "carleman"} & set(suites):
         w = s.build_carleman_weights(problem)
     reports = {}
     all_pass = True
     for suite in suites:
         if suite == "duality":
-            rep = check_duality(problem, trials=50, seed=s.seed, budget=1e-10)
+            rep = check_duality(problem, state=z0, trials=50, seed=s.seed, budget=1e-10)
             reports[suite] = rep.as_dict()
             ok = rep.passed
         elif suite == "nash-oracle":

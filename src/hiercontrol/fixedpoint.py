@@ -63,8 +63,8 @@ def integral_coefficients(
     F1 = np.zeros((M1, n))
     F2 = np.zeros((M1, n, dim))
     for s, w in zip(_GAUSS_S, _GAUSS_W):
-        F1 += w * np.asarray(nl.f_y(s * zv, s * gz), dtype=float)
-        F2 += w * np.asarray(nl.f_z(s * zv, s * gz), dtype=float).reshape(M1, n, dim)
+        F1 += w * nl.f_y(s * zv, s * gz)
+        F2 += w * nl.f_z(s * zv, s * gz)
     return F1, F2
 
 
@@ -84,7 +84,7 @@ def linearize_at(
     adj = coefficients_from_state(problem.nl, z)
     zv = z.values
     gz = trajectory_gradient(z)
-    a = np.asarray(problem.nl.a(zv, gz), dtype=float)
+    a = problem.nl.a(zv, gz)
     F1, F2 = integral_coefficients(problem.nl, z)
     c = LinearCoefficients(
         grid=problem.grid,
@@ -95,7 +95,6 @@ def linearize_at(
         B=adj.B,
         g=adj.g,
         g0=adj.g0,
-        rho0=adj.rho0,
     )
     if weights is None:
         weights = build_weights(problem.grid, problem.tgrid, problem.focus_box())

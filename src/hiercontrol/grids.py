@@ -189,13 +189,6 @@ class SpaceTimeField:
 # quadrature
 
 
-def space_inner(f: Field, g: Field) -> float:
-    """Trapezoid L2(Omega) inner product."""
-    if not f.grid.same_as(g.grid):
-        raise GridMismatchError("inner product of fields on different grids")
-    return float(np.dot(f.grid.weights * f.values, g.values))
-
-
 def stepped_pairing(
     grid: SpatialGrid,
     tgrid: TimeGrid,
@@ -446,8 +439,8 @@ class CutoffRegion:
 
     Regions are open intervals (dim=1) or axis-aligned open rectangles
     (dim=2, one interval per axis).  ``values`` samples xi on the grid;
-    ``inner_mask`` / ``outer_mask`` are strict-interior node indicators of
-    the two regions, used for restricted quadratures.
+    ``inner_mask`` / ``outer_mask`` are read-only strict-interior node
+    indicators of the two regions, used for restricted quadratures.
     """
 
     grid: SpatialGrid
@@ -502,11 +495,14 @@ def build_cutoff(grid: SpatialGrid, inner, outer) -> CutoffRegion:
     vals = np.ones(grid.n_nodes)
     for ax in range(grid.dim):
         vals *= _axis_bump(grid.nodes[:, ax], Out[ax], In[ax])
+    masks = box_mask(grid, In), box_mask(grid, Out)
+    for mask in masks:
+        mask.setflags(write=False)
     return CutoffRegion(
         grid=grid,
         inner=In,
         outer=Out,
         values=_frozen(vals),
-        inner_mask=box_mask(grid, In),
-        outer_mask=box_mask(grid, Out),
+        inner_mask=masks[0],
+        outer_mask=masks[1],
     )

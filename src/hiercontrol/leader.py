@@ -137,7 +137,9 @@ class GramianContext:
 
         xi0 = problem.xi("leader")
         self.w7 = observation_weight_trajectory(weights)
-        self.d = xi0[None, :] * self.w7          # control weight: u = d * phi
+        # control weight: u = d * phi = xi_0 exp(2 lambda nu) beta^7 phi,
+        # which vanishes at the endpoint slices
+        self.d = xi0[None, :] * self.w7
         self.xi0 = xi0
         self.xi_star = problem.xi("tracking")
         self.S = [problem.xi("follower1") ** 2, problem.xi("follower2") ** 2]
@@ -234,14 +236,10 @@ class GramianContext:
         th2[0] = 0.0
         return phi, th1, th2
 
-    def control_from_seed(self, phi: np.ndarray) -> np.ndarray:
-        """u = xi_0 exp(2 lambda nu) beta^7 phi; vanishes at the endpoint slices."""
-        return self.d * phi
-
     def gramian_apply(self, phi_T: np.ndarray, picard_tol=None) -> np.ndarray:
         """Lambda phi_T: terminal state of the zero-data response to u = d phi."""
         phi, _, _ = self.solve_transposed(phi_T, picard_tol)
-        u = self.control_from_seed(phi)
+        u = self.d * phi
         y, _, _ = self.solve_primal(self.xi0[None, :] * u, picard_tol=picard_tol)
         self.gramian_applications += 1
         return y[-1]
@@ -281,22 +279,6 @@ class GramianContext:
             kb.beta.append(beta)
             kb.v.append(w / beta if beta > 0.0 else w)
         return kb
-
-
-# ---------------------------------------------------------------------------
-# field-typed wrapper over the raw-array context engine
-
-
-def solve_coupled_primal(
-    ctx: GramianContext,
-    u: SpaceTimeField | None,
-) -> tuple[SpaceTimeField, SpaceTimeField, SpaceTimeField]:
-    """Linear coupled forward-backward system at leader control u, from the problem's data."""
-    src = None if u is None else ctx.xi0[None, :] * u.values
-    targets = tuple(t.values for t in ctx.problem.targets)
-    y, p1, p2 = ctx.solve_primal(src, ctx.problem.y0.values, targets)
-    mk = SpaceTimeField
-    return mk(ctx.grid, ctx.tgrid, y), mk(ctx.grid, ctx.tgrid, p1), mk(ctx.grid, ctx.tgrid, p2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,7 +400,7 @@ def solve_leader(
         ritz_min = ritz_max = float("nan")
 
     phi, th1, th2 = ctx.solve_transposed(x, picard_tol=inner_tol)
-    u = ctx.control_from_seed(phi)
+    u = ctx.d * phi
     y, p1, p2 = ctx.solve_primal(ctx.xi0[None, :] * u, y0v, tgtv, picard_tol=inner_tol)
 
     terminal = y[-1]

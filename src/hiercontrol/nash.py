@@ -38,7 +38,6 @@ from .grids import (
     SpaceTimeField,
     SpatialGrid,
     TimeGrid,
-    box_mask,
     boxes_intersect,
     gradient,
     stepped_pairing,
@@ -59,6 +58,7 @@ from .solvers import (
 
 CUTOFF_KEYS = ("leader", "follower1", "follower2", "tracking")
 NASH_MAX_ITER = 80
+FIRST_ORDER_DIRECTIONS = 10   # random directions per follower in gateaux_residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,8 +120,8 @@ class HierarchicProblem:
         return tuple((max(al, bl), min(ah, bh)) for (al, ah), (bl, bh) in zip(a, b))
 
     def follower_mask(self, k: int) -> np.ndarray:
-        """Nodes of omega_k, the outer control box of follower k (1-based)."""
-        return box_mask(self.grid, self.cutoffs[f"follower{k}"].outer)
+        """Nodes of omega_k, the outer control box of follower k (1-based); read-only."""
+        return self.cutoffs[f"follower{k}"].outer_mask
 
     def xi(self, key: str) -> np.ndarray:
         return self.cutoffs[key].values
@@ -174,7 +174,7 @@ def coefficients_from_state(
 
     a = nl.a(y, gy)
     a_y = nl.a_y(y, gy)
-    a_z = np.asarray(nl.a_z(y, gy), dtype=float).reshape(M1, n, dim)
+    a_z = nl.a_z(y, gy)
     if dim > 1 and float(np.abs(a_z).max()) > 0.0:
         raise ValidationError(
             "gradient-dependent diffusion is restricted to one dimension: "
@@ -185,8 +185,8 @@ def coefficients_from_state(
     for ax in range(dim):
         A[:, :, ax] = a + gy[:, :, ax] * a_z[:, :, ax]
 
-    f_y = np.asarray(nl.f_y(y, gy), dtype=float)
-    f_z = np.asarray(nl.f_z(y, gy), dtype=float).reshape(M1, n, dim)
+    f_y = nl.f_y(y, gy)
+    f_z = nl.f_z(y, gy)
     e = f_z - a_y[:, :, None] * gy
 
     # discrete divergence of the sampled zeta-gradient field, all slices at once
@@ -204,7 +204,6 @@ def coefficients_from_state(
         B=A,
         g=e,
         g0=g0,
-        rho0=nl.rho0,
     )
 
 
@@ -359,7 +358,6 @@ def gateaux_residual(
     problem: HierarchicProblem,
     u: SpaceTimeField | None,
     solution: NashSolution,
-    n_directions: int = 10,
     seed: int = 0,
 ) -> tuple[float, float]:
     """First-order residuals (r1, r2) of both costs at the equilibrium.
@@ -370,9 +368,10 @@ def gateaux_residual(
         dJ_k[w] = mu_k <v_k, w>_{omega_k} + nu_k <xi_* (y - y_{k,d}), y_s>,
 
     with every inner product the stepped space-time quadrature.  The
-    derivative is linear in w; r_k is the worst |dJ_k| over ``n_directions``
-    generated unit-norm directions, normalized by 1 + |J_k|.  The sensitivity
-    states of one follower's directions come from one stacked march.
+    derivative is linear in w; r_k is the worst |dJ_k| over
+    FIRST_ORDER_DIRECTIONS generated unit-norm directions, normalized by
+    1 + |J_k|.  The sensitivity states of one follower's directions come
+    from one stacked march.
     """
     grid, tgrid = problem.grid, problem.tgrid
     n = grid.n_nodes
@@ -381,7 +380,7 @@ def gateaux_residual(
     xi_star = problem.xi("tracking")
     out = []
     for k in (1, 2):
-        dirs = random_directions(problem, k, n_directions, seed + k)
+        dirs = random_directions(problem, k, FIRST_ORDER_DIRECTIONS, seed + k)
         mu_k, nu_k = problem.mu[k - 1], problem.nu[k - 1]
         vk = (solution.v1 if k == 1 else solution.v2).values
         mask = problem.follower_mask(k)
@@ -406,11 +405,10 @@ def with_first_order_residuals(
     problem: HierarchicProblem,
     u: SpaceTimeField | None,
     solution: NashSolution,
-    n_directions: int = 10,
     seed: int = 0,
 ) -> NashSolution:
     """Copy of ``solution`` with the stationarity residuals filled in."""
-    r = gateaux_residual(problem, u, solution, n_directions=n_directions, seed=seed)
+    r = gateaux_residual(problem, u, solution, seed=seed)
     return replace(solution, first_order_residuals=r)
 
 

@@ -120,7 +120,10 @@ def emit_svg(series, path: str, title: str = "", xlabel: str = "", ylabel: str =
 
     ``series`` is a list of {"label": str, "x": seq, "y": seq}.  With
     ``ylog`` the y data are log10-transformed (nonpositive values are
-    dropped from that curve).
+    dropped from that curve).  When no point is left to draw, as for a
+    log-scale chart of zero data, the chart is the frame on the unit box
+    with no curve.  An empty ``series`` list or a series whose x and y
+    differ in shape raises ValidationError.
     """
     if not series:
         raise ValidationError("emit_svg needs at least one series")
@@ -135,13 +138,11 @@ def emit_svg(series, path: str, title: str = "", xlabel: str = "", ylabel: str =
             x, y = x[keep], np.log10(y[keep])
         if x.size:
             curves.append((str(s.get("label", "")), x, y))
-    if not curves:
-        raise ValidationError("emit_svg: no plottable points after filtering")
 
-    xlo = min(float(c[1].min()) for c in curves)
-    xhi = max(float(c[1].max()) for c in curves)
-    ylo = min(float(c[2].min()) for c in curves)
-    yhi = max(float(c[2].max()) for c in curves)
+    xlo = min((float(c[1].min()) for c in curves), default=0.0)
+    xhi = max((float(c[1].max()) for c in curves), default=1.0)
+    ylo = min((float(c[2].min()) for c in curves), default=0.0)
+    yhi = max((float(c[2].max()) for c in curves), default=1.0)
     if xhi <= xlo:
         xhi = xlo + 1.0
     if yhi <= ylo:

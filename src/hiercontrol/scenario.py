@@ -207,21 +207,33 @@ def _need(tree: dict, key: str, where: str):
     return tree[key]
 
 
-def _positive(value, key: str) -> float:
+def _number(value, key: str) -> float:
     try:
-        v = float(value)
+        return float(value)
     except (TypeError, ValueError):
         raise ValidationError(f"{key} must be a number, got {value!r}") from None
+
+
+def _integer(value, key: str) -> int:
+    """An integer; an integral float such as 16.0 is accepted, 16.5 is not."""
+    try:
+        v = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{key} must be an integer, got {value!r}") from None
+    if isinstance(value, float) and v != value:
+        raise ValidationError(f"{key} must be an integer, got {value!r}")
+    return v
+
+
+def _positive(value, key: str) -> float:
+    v = _number(value, key)
     if not np.isfinite(v) or v <= 0:
         raise ValidationError(f"{key} must be positive, got {value!r}")
     return v
 
 
 def _nonnegative(value, key: str) -> float:
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{key} must be a number, got {value!r}") from None
+    v = _number(value, key)
     if not np.isfinite(v) or v < 0:
         raise ValidationError(f"{key} must be nonnegative, got {value!r}")
     return v
@@ -229,7 +241,10 @@ def _nonnegative(value, key: str) -> float:
 
 def _normalize_region(value, dim: int, key: str) -> tuple:
     """Per-axis closed intervals inside (0, 1), as a tuple of (lo, hi) pairs."""
-    arr = np.asarray(value, dtype=float)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):  # a non-number or a ragged list
+        arr = np.empty(0)
     if dim == 1 and arr.shape == (2,):
         arr = arr[None, :]
     if arr.shape != (dim, 2):
@@ -264,10 +279,10 @@ def _normalize_spec(value, key: str) -> tuple:
     for k, v in value.items():
         if k in ("profile", "path"):
             out[k] = str(v)
-        elif k in ("modes", "center"):
-            out[k] = tuple(float(x) for x in v) if isinstance(v, (list, tuple)) else float(v)
+        elif k in ("modes", "center") and isinstance(v, (list, tuple)):
+            out[k] = tuple(_number(x, f"{key}.{k}") for x in v)
         else:
-            out[k] = float(v)
+            out[k] = _number(v, f"{key}.{k}")
     return tuple(sorted(out.items()))
 
 
@@ -302,14 +317,14 @@ def scenario_from_tree(raw: dict) -> Scenario:
             raise ValidationError(f"unknown top-level key {k!r}")
 
     g = _need(raw, "grid", "")
-    dim = int(_need(g, "dim", "grid."))
+    dim = _integer(_need(g, "dim", "grid."), "grid.dim")
     if dim not in (1, 2):
         raise ValidationError(f"grid.dim must be 1 or 2, got {dim}")
-    cells = int(_need(g, "cells", "grid."))
+    cells = _integer(_need(g, "cells", "grid."), "grid.cells")
     if cells < 8:
         raise ValidationError(f"grid.cells must be >= 8, got {cells}")
     T = _positive(_need(g, "T", "grid."), "grid.T")
-    steps = int(_need(g, "steps", "grid."))
+    steps = _integer(_need(g, "steps", "grid."), "grid.steps")
     if steps < 16:
         raise ValidationError(f"grid.steps must be >= 16, got {steps}")
 
@@ -344,7 +359,9 @@ def scenario_from_tree(raw: dict) -> Scenario:
     params = nltree.get("params", {}) or {}
     if not isinstance(params, dict):
         raise ValidationError("nonlinearity.params must be a mapping of numbers")
-    norm_params = tuple(sorted((str(k), float(v)) for k, v in params.items()))
+    norm_params = tuple(sorted(
+        (str(k), _number(v, f"nonlinearity.params.{k}")) for k, v in params.items()
+    ))
     try:
         nonlinearity_preset(preset, **dict(norm_params))
     except CoefficientError as exc:
@@ -360,15 +377,14 @@ def scenario_from_tree(raw: dict) -> Scenario:
     for k, v in tol_tree.items():
         if k not in _TOLERANCE_DEFAULTS:
             raise ValidationError(f"unknown tolerance key tolerances.{k!r}")
-        tol[k] = _positive(v, f"tolerances.{k}") if k not in ("max_outer", "cg_max") else int(v)
-    tol["max_outer"] = int(tol["max_outer"])
-    tol["cg_max"] = int(tol["cg_max"])
+        key = f"tolerances.{k}"
+        tol[k] = _integer(v, key) if k in ("max_outer", "cg_max") else _positive(v, key)
     if tol["max_outer"] < 1:
         raise ValidationError(f"tolerances.max_outer must be >= 1, got {tol['max_outer']}")
     if tol["cg_max"] < 1:
         raise ValidationError(f"tolerances.cg_max must be >= 1, got {tol['cg_max']}")
 
-    seed = int(raw.get("seed", 0))
+    seed = _integer(raw.get("seed", 0), "seed")
 
     return Scenario(
         name=str(raw.get("name", "scenario")),

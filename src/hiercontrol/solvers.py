@@ -50,7 +50,11 @@ The quasi-linear forward solver freezes the diffusion a(y, grad y) at the
 current iterate and linearizes f around it, with a configurable number of
 within-step refreshes, which stop once one returns its input bit for bit;
 for constant a and f = 0 every step reduces bit for bit to the linear heat
-step.
+step.  a and f come as a ``Nonlinearity``: twelve callbacks, the values and
+the first and second derivatives, whose output shapes are checked once when
+it is built, so this module, the follower and leader linearizations and the
+second-order check use the outputs as they come.  Every diffusion, frozen or
+linearized, must stay at or above one floor, RHO0.
 
 ``anderson`` is the one fixed-point loop of the package: the outer
 linearize-and-control iteration, the follower equilibrium and the coupled
@@ -78,7 +82,7 @@ from .grids import (
     slice_pattern,
 )
 
-DEFAULT_RHO0 = 0.1
+RHO0 = 0.1           # ellipticity floor of every diffusion coefficient
 BLOWUP_FACTOR = 10.0
 ANDERSON_DEPTH = 5   # difference window of the fixed-point mixing
 
@@ -95,7 +99,8 @@ class LinearCoefficients:
     + f_adv . grad y + f0 y.  The follower adjoint equations use
     (B, g, g0):   p_t + div(B grad p) + g . grad p + g0 p = r, whose
     formal-adjoint forward form is  w_t - div(B grad w) + div(g w) - g0 w.
-    All arrays are sampled per slice: leading axis M+1.
+    All arrays are sampled per slice: leading axis M+1.  Both diffusions
+    must stay at or above RHO0.
     """
 
     grid: SpatialGrid
@@ -106,7 +111,6 @@ class LinearCoefficients:
     B: np.ndarray
     g: np.ndarray | None
     g0: np.ndarray | None
-    rho0: float = DEFAULT_RHO0
 
     def __post_init__(self):
         M1, n = self.tgrid.n_slices, self.grid.n_nodes
@@ -114,11 +118,11 @@ class LinearCoefficients:
             arr = getattr(self, name)
             if arr.shape not in ((M1, n), (M1, n, self.grid.dim)):
                 raise CoefficientError(f"{name} has shape {arr.shape}, expected ({M1}, {n}[, dim])")
-            if float(arr.min()) < self.rho0:
+            if float(arr.min()) < RHO0:
                 m, rest = divmod(int(arr.argmin()), arr[0].size)
                 node = rest if arr.ndim == 2 else rest // self.grid.dim
                 raise CoefficientError(
-                    f"ellipticity violated for {name}: min {arr.min():.6g} < rho0={self.rho0} "
+                    f"ellipticity violated for {name}: min {arr.min():.6g} < rho0={RHO0} "
                     f"at slice {m}, node {node}"
                 )
         for name in ("f_adv", "g"):
@@ -420,26 +424,6 @@ def march_adjoint(
 
 
 # ---------------------------------------------------------------------------
-# public linear solvers
-
-
-def solve_forward_linear(
-    c: LinearCoefficients, source: SpaceTimeField | None, y0: Field
-) -> SpaceTimeField:
-    """Implicit Euler for the state equation; pure-diffusion runs assert the max principle."""
-    src = None if source is None else source.values
-    y = march_forward(state_factors(c), y0.values, src)
-    if c.f_adv is None and c.f0 is None and (src is None or not src.any()):
-        m0 = float(np.abs(y0.values).max())
-        worst = float(np.abs(y).max())
-        if worst > m0 * (1.0 + 1e-12) + 1e-300:
-            raise SolverError(
-                f"discrete maximum principle violated: max |y| = {worst:.6g} > {m0:.6g}"
-            )
-    return SpaceTimeField(c.grid, c.tgrid, y)
-
-
-# ---------------------------------------------------------------------------
 # nonlinearity
 
 
@@ -454,7 +438,7 @@ def _fd_check(fn, dfn_y, dfn_z, rng, dim, label):
         )
         if abs(fd - fy) > tol * (1.0 + abs(fy)):
             raise CoefficientError(f"{label}: d/dy inconsistent at (s={s:.4g}): {fd} vs {fy}")
-        fz = np.atleast_2d(dfn_z(np.array([s]), eta[None, :]))[0]
+        fz = dfn_z(np.array([s]), eta[None, :])[0]
         for ax in range(dim):
             ep = eta.copy()
             ep[ax] += step
@@ -467,16 +451,28 @@ def _fd_check(fn, dfn_y, dfn_z, rng, dim, label):
                 )
 
 
+# callback -> number of trailing dim axes its output adds to the shape of s
+_CALLBACK_AXES = (
+    ("a", 0), ("a_y", 0), ("a_z", 1), ("f", 0), ("f_y", 0), ("f_z", 1),
+    ("a_yy", 0), ("a_yz", 1), ("a_zz", 2), ("f_yy", 0), ("f_yz", 1), ("f_zz", 2),
+)
+
+
 @dataclass(frozen=True, eq=False)
 class Nonlinearity:
     """Isotropic quasi-linear structure  y_t - div(a(y, grad y) grad y) + f(y, grad y).
 
-    ``a`` and ``f`` take (s, eta) with s of shape (...,) and eta of shape
-    (..., dim) and return (...,); the zeta-gradients return (..., dim).
-    f(0, 0) = 0 is required so the secant linearization is exact.  Optional
-    second derivatives feed the curvature terms of the second-order cost
-    analysis; when absent they are approximated by central differences of
-    the first derivatives.
+    The contract: every callback takes (s, eta), s of any shape S and eta
+    of shape S + (dim,), and returns a float ndarray of shape S (a, f and
+    their y-derivatives a_y, f_y, a_yy, f_yy), S + (dim,) (the
+    zeta-gradients a_z, f_z, a_yz, f_yz) or S + (dim, dim) (the Hessians
+    a_zz, f_zz).  Construction checks it once, on a stacked probe with
+    S = (2, 3) in dim 1 and in dim 2, and raises CoefficientError naming
+    the first callback that returns anything else; every caller then uses
+    the outputs as they come, with no reshaping.  f(0, 0) = 0 is required
+    so the secant linearization is exact.  The second derivatives feed the
+    curvature terms of the second-order check.  A diffusion a below RHO0
+    is rejected where the state equation evaluates it.
     """
 
     a: Callable
@@ -485,16 +481,29 @@ class Nonlinearity:
     f: Callable
     f_y: Callable
     f_z: Callable
-    rho0: float = DEFAULT_RHO0
-    a_yy: Callable | None = None
-    a_yz: Callable | None = None
-    a_zz: Callable | None = None
-    f_yy: Callable | None = None
-    f_yz: Callable | None = None
-    f_zz: Callable | None = None
+    a_yy: Callable
+    a_yz: Callable
+    a_zz: Callable
+    f_yy: Callable
+    f_yz: Callable
+    f_zz: Callable
     name: str = "custom"
 
     def __post_init__(self):
+        s = np.linspace(-0.5, 0.5, 6).reshape(2, 3)
+        for dim in (1, 2):
+            eta = np.linspace(-0.3, 0.7, 6 * dim).reshape(2, 3, dim)
+            for key, axes in _CALLBACK_AXES:
+                out = getattr(self, key)(s, eta)
+                want = s.shape + (dim,) * axes
+                if not (isinstance(out, np.ndarray) and out.dtype == float and out.shape == want):
+                    got = (f"a {out.dtype} array of shape {out.shape}"
+                           if isinstance(out, np.ndarray) else type(out).__name__)
+                    raise CoefficientError(
+                        f"nonlinearity {self.name}: {key} returned {got} for s of shape "
+                        f"{s.shape} and eta of shape {eta.shape}; expected a float array "
+                        f"of shape {want}"
+                    )
         z = np.zeros(1)
         z2 = np.zeros((1, 2))
         f00 = float(self.f(z, z2)[0])
@@ -506,31 +515,6 @@ class Nonlinearity:
         rng = np.random.default_rng(seed)
         _fd_check(self.a, self.a_y, self.a_z, rng, dim, f"nonlinearity {self.name}: a")
         _fd_check(self.f, self.f_y, self.f_z, rng, dim, f"nonlinearity {self.name}: f")
-
-    # second-derivative access with FD fallback ------------------------------
-    def d2(self, which: str, s: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        fn = getattr(self, which)
-        if fn is not None:
-            return np.asarray(fn(s, eta), dtype=float)
-        step = 1e-5
-        base, var = which.split("_")[0], which.split("_")[1]
-        first = getattr(self, f"{base}_{var[0]}")
-        if var[1] == "y":
-            up = np.asarray(first(s + step, eta), dtype=float)
-            dn = np.asarray(first(s - step, eta), dtype=float)
-            return (up - dn) / (2 * step)
-        dim = eta.shape[-1]
-        outs = []
-        for ax in range(dim):
-            ep = eta.copy()
-            ep[..., ax] += step
-            em = eta.copy()
-            em[..., ax] -= step
-            outs.append(
-                (np.asarray(first(s, ep), dtype=float) - np.asarray(first(s, em), dtype=float))
-                / (2 * step)
-            )
-        return np.stack(outs, axis=-1)
 
 
 def _zero_scalar(s, eta):
@@ -710,7 +694,7 @@ def solve_forward_quasilinear(
     constant coefficients such as the heat preset, reuses its factors.
 
     CoefficientError, with slice and node, reports a diffusion a below
-    rho0.  BlowUpError, with the slice index, marks the point where the
+    RHO0.  BlowUpError, with the slice index, marks the point where the
     trust region of the local model is gone and no further slice would be
     meaningful: a refresh whose solve is not finite, a relative jump larger
     than BLOWUP_FACTOR in one step, or a frozen step matrix I + tau L with a
@@ -734,16 +718,14 @@ def solve_forward_quasilinear(
         for _ in range(refreshes + 1):
             gw = gradient(grid, w)
             a_vals = nl.a(w, gw)
-            if float(a_vals.min()) < nl.rho0:
+            if float(a_vals.min()) < RHO0:
                 node = int(a_vals.argmin())
                 raise CoefficientError(
                     f"quasi-linear diffusion lost ellipticity at slice {m}, node {node}: "
-                    f"a = {a_vals.min():.6g} < rho0 = {nl.rho0}"
+                    f"a = {a_vals.min():.6g} < rho0 = {RHO0}"
                 )
             fy = nl.f_y(w, gw)
-            fz = np.atleast_2d(nl.f_z(w, gw))
-            if fz.shape != (grid.n_nodes, grid.dim):
-                fz = fz.reshape(grid.n_nodes, grid.dim)
+            fz = nl.f_z(w, gw)
             f_val = nl.f(w, gw)
             bands, d = _step_matrix(grid, tau, a_vals, fy, fz)
             if float(d.min()) <= 0.0:

@@ -153,6 +153,49 @@ class TestVerify:
         assert rc == 0
         assert tols == [1e-12]
 
+    def test_all_suites_march_the_uncontrolled_state_once(self, tmp_path, monkeypatch):
+        # the duality check linearizes at the march the two probes share
+        import hiercontrol.solvers
+        import hiercontrol.verification
+
+        calls = {"cli": 0, "verification": 0}
+
+        def counting(where, orig):
+            def march(*args, **kw):
+                calls[where] += 1
+                return orig(*args, **kw)
+            return march
+
+        orig = hiercontrol.solvers.solve_forward_quasilinear
+        monkeypatch.setattr(hiercontrol.solvers, "solve_forward_quasilinear", counting("cli", orig))
+        monkeypatch.setattr(hiercontrol.verification, "solve_forward_quasilinear",
+                            counting("verification", orig))
+        rc, _ = _run(tmp_path, "verify", "--config", LQ, "--suite", "all")
+        assert rc == 0
+        assert calls == {"cli": 1, "verification": 0}
+
+
+class TestZeroData:
+    @pytest.mark.parametrize("cmd,report", [("solve", "solve_report.json"),
+                                            ("leader", "leader_report.json")])
+    def test_zero_data_runs_and_writes_every_artifact(self, tmp_path, cmd, report):
+        # a log-scale chart of zero norms has nothing to draw: it is written
+        # as an empty frame instead of failing the run
+        import yaml
+
+        with open(LQ, "r", encoding="utf-8") as fh:
+            tree = yaml.safe_load(fh)
+        for key in ("y0", "y1_target", "y2_target"):
+            tree["data"][key] = {"profile": "zero"}
+        zero = os.path.join(tmp_path, "zero.cfg")
+        with open(zero, "w", encoding="utf-8") as fh:
+            yaml.safe_dump(tree, fh)
+        rc, out = _run(os.path.join(tmp_path, "zero"), cmd, "--config", zero)
+        rc_ref, out_ref = _run(os.path.join(tmp_path, "ref"), cmd, "--config", LQ)
+        assert rc == 0 and rc_ref == 0
+        assert sorted(os.listdir(out)) == sorted(os.listdir(out_ref))
+        assert json.loads(_read(os.path.join(out, report)))["terminal_norm"] == 0.0
+
 
 class TestFailureModes:
     def test_missing_config(self, tmp_path, capsys):

@@ -18,7 +18,6 @@ from hiercontrol.grids import (
     build_time_grid,
     gradient,
     smoothstep,
-    space_inner,
     stepped_norm2,
     stepped_pairing,
 )
@@ -68,9 +67,8 @@ class TestQuadrature:
 
     def test_quadratic_integral(self):
         g = build_grid(1, 64)
-        f = Field(g, g.x**2)
         # int_0^1 x^2 = 1/3, trapezoid error O(h^2)
-        assert space_inner(f, Field(g, np.ones(g.n_nodes))) == pytest.approx(1 / 3, abs=1e-4)
+        assert float(np.dot(g.weights, g.x**2)) == pytest.approx(1 / 3, abs=1e-4)
 
     def test_stepped_pairing_skips_slice_zero(self):
         g = build_grid(1, 16)
@@ -170,13 +168,6 @@ class TestFields:
         tg = build_time_grid(1.0, 32)
         with pytest.raises(GridMismatchError):
             SpaceTimeField(g, tg, np.zeros((5, g.n_nodes)))
-
-    def test_space_inner_matches_weights(self):
-        g = build_grid(1, 16)
-        rng = np.random.default_rng(1)
-        a, b = rng.standard_normal(g.n_nodes), rng.standard_normal(g.n_nodes)
-        got = space_inner(Field(g, a), Field(g, b))
-        assert got == pytest.approx(float(np.dot(g.weights * a, b)))
 
 
 class TestCutoffs:

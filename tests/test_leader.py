@@ -15,7 +15,6 @@ from hiercontrol.scenario import load_scenario
 from hiercontrol.leader import (
     GramianContext,
     leader_duality_gap,
-    solve_coupled_primal,
     solve_leader,
 )
 
@@ -159,8 +158,13 @@ class TestLeaderSolve:
     def test_controlled_vs_free_consistency(self, ctx16):
         # re-running the coupled primal at the reported control reproduces y
         sol = solve_leader(ctx16, 1e-3)
-        y, _, _ = solve_coupled_primal(ctx16, sol.u)
-        np.testing.assert_allclose(y.values, sol.y.values, rtol=1e-11, atol=1e-300)
+        problem = ctx16.problem
+        y, _, _ = ctx16.solve_primal(
+            ctx16.xi0[None, :] * sol.u.values,
+            problem.y0.values,
+            tuple(t.values for t in problem.targets),
+        )
+        np.testing.assert_allclose(y, sol.y.values, rtol=1e-11, atol=1e-300)
 
     def test_epsilon_validation(self, ctx16):
         with pytest.raises(ValidationError, match="epsilon"):

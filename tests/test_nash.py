@@ -57,7 +57,7 @@ class TestEquilibrium:
     def test_first_order_residuals_attach(self, eq_small):
         problem, sol = eq_small
         assert sol.first_order_residuals is None
-        checked = with_first_order_residuals(problem, None, sol, n_directions=4, seed=1)
+        checked = with_first_order_residuals(problem, None, sol, seed=1)
         r1, r2 = checked.first_order_residuals
         assert r1 < 1e-10 and r2 < 1e-10
         assert sol.first_order_residuals is None  # original untouched
@@ -144,6 +144,18 @@ class TestGeometry:
         problem = make_problem(cells=16, steps=32)
         m1, m2 = problem.follower_mask(1), problem.follower_mask(2)
         assert not np.any(m1 & m2)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_follower_mask_is_the_stored_read_only_outer_mask(self, dim):
+        problem = make_problem(dim=dim, cells=16, steps=32)
+        for k in (1, 2):
+            cutoff = problem.cutoffs[f"follower{k}"]
+            mask = problem.follower_mask(k)
+            assert mask is cutoff.outer_mask
+            for m in (cutoff.inner_mask, cutoff.outer_mask):
+                assert not m.flags.writeable
+                with pytest.raises(ValueError):
+                    m[0] = True
 
 
 class TestValidation:

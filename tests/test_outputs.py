@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from hiercontrol.errors import ValidationError
 from hiercontrol.grids import SpaceTimeField, build_grid, build_time_grid
 from hiercontrol.outputs import (
     emit_csv,
@@ -144,6 +145,22 @@ class TestSvg:
         emit_svg(series, path, ylog=True)
         text = open(path, "r", encoding="utf-8").read()
         assert "<svg" in text
+
+    def test_log_scale_of_zero_data_is_an_empty_frame(self, tmp_path):
+        series = [{"label": "zero", "x": [0.0, 1.0, 2.0], "y": [0.0, 0.0, 0.0]},
+                  {"label": "empty", "x": [], "y": []}]
+        path = os.path.join(tmp_path, "zero.svg")
+        emit_svg(series, path, title="zero", ylog=True)
+        text = open(path, "r", encoding="utf-8").read()
+        assert 'viewBox="0 0 800 500"' in text and "zero" in text
+        assert "<polyline" not in text
+        # no series at all, or x and y that do not match, still raise
+        path = os.path.join(tmp_path, "bad.svg")
+        with pytest.raises(ValidationError, match="at least one series"):
+            emit_svg([], path, ylog=True)
+        with pytest.raises(ValidationError, match="mismatched"):
+            emit_svg([{"label": "m", "x": [0.0, 1.0], "y": [1.0]}], path, ylog=True)
+        assert not os.path.exists(path)
 
     def test_escaping(self, tmp_path):
         path = os.path.join(tmp_path, "esc.svg")

@@ -30,6 +30,22 @@ SHIPPED = [
 ]
 
 
+# (key path, malformed value, key the error names)
+_MALFORMED = [
+    (("grid", "dim"), "one", "grid.dim"),
+    (("grid", "cells"), "sixteen", "grid.cells"),
+    (("grid", "cells"), 64.5, "grid.cells"),
+    (("grid", "steps"), 32.5, "grid.steps"),
+    (("seed",), "abc", "seed"),
+    (("tolerances", "max_outer"), "twelve", "tolerances.max_outer"),
+    (("tolerances", "cg_max"), "many", "tolerances.cg_max"),
+    (("data", "y0", "modes"), "one", "data.y0.modes"),
+    (("data", "y0", "amplitude"), [0.3], "data.y0.amplitude"),
+    (("nonlinearity", "params"), {"a0": "one"}, "nonlinearity.params.a0"),
+    (("regions", "omega0"), [0.3, "high"], "regions.omega0"),
+]
+
+
 def _base_tree():
     with open(scenario_path("heat_lq_16x32"), "r", encoding="utf-8") as fh:
         return yaml.safe_load(fh)
@@ -135,6 +151,32 @@ class TestValidation:
         tree["grid"]["dim"] = 3
         with pytest.raises(ValidationError, match="dim"):
             scenario_from_tree(tree)
+        # an integral float is an integer
+        tree = _base_tree()
+        tree["grid"]["cells"] = 16.0
+        tree["seed"] = 3.0
+        tree.setdefault("tolerances", {})["cg_max"] = 50.0
+        s = scenario_from_tree(tree)
+        assert (s.cells, s.seed, s.tolerance("cg_max")) == (16, 3, 50)
+        assert all(type(v) is int for v in (s.cells, s.seed, s.tolerance("cg_max")))
+
+    @pytest.mark.parametrize("path,value,key", _MALFORMED,
+                             ids=[f"{k}={v}" for _, v, k in _MALFORMED])
+    def test_malformed_number_names_its_key(self, tmp_path, capsys, path, value, key):
+        from hiercontrol.cli import main
+
+        tree = _base_tree()
+        node = tree
+        for part in path[:-1]:
+            node = node.setdefault(part, {})
+        node[path[-1]] = value
+        bad = os.path.join(tmp_path, "bad.cfg")
+        with open(bad, "w", encoding="utf-8") as fh:
+            yaml.safe_dump(tree, fh)
+        with pytest.raises(ValidationError, match=key.replace(".", "\\.")):
+            load_scenario(bad)
+        assert main(["weights", "--config", bad, "--out", os.path.join(tmp_path, "out")]) == 2
+        assert key in capsys.readouterr().err
 
 
 class TestAliasesAndDefaults:

@@ -13,7 +13,6 @@ from hiercontrol.grids import (
     build_grid,
     build_time_grid,
     slice_pattern,
-    space_inner,
     stepped_pairing,
 )
 from hiercontrol.solvers import (
@@ -27,7 +26,6 @@ from hiercontrol.solvers import (
     nonlinearity_preset,
     sensitivity_factors,
     slice_operator,
-    solve_forward_linear,
     solve_forward_quasilinear,
     state_factors,
 )
@@ -44,6 +42,25 @@ def _sine_field(grid, amp=1.0, k=1):
     return Field(grid, vals)
 
 
+_ZERO_SECOND_DERIVATIVES = dict(
+    a_yy=lambda s, eta: np.zeros_like(s),
+    a_yz=lambda s, eta: np.zeros(eta.shape),
+    a_zz=lambda s, eta: np.zeros(eta.shape + eta.shape[-1:]),
+    f_yy=lambda s, eta: np.zeros_like(s),
+    f_yz=lambda s, eta: np.zeros(eta.shape),
+    f_zz=lambda s, eta: np.zeros(eta.shape + eta.shape[-1:]),
+)
+
+_PRESET_PARAMS = (
+    ("heat", {}),
+    ("linear-f", {"c1": 0.2, "c2": 0.1}),
+    ("cubic-f", {"c": 0.7}),
+    ("burgers-f", {"c": 0.3}),
+    ("gradient-diffusion", {"c": 0.3}),
+    ("mild-quasilinear", {"q": 0.2, "c": 0.3}),
+)
+
+
 def _interior_noise(rng, grid, tgrid):
     arr = rng.standard_normal((tgrid.n_slices, grid.n_nodes))
     arr[:, grid.boundary] = 0.0
@@ -56,28 +73,30 @@ class TestLinearForward:
         g = build_grid(1, 64)
         tg = build_time_grid(0.1, 256)
         c = constant_coefficients(g, tg, b=1.0)
-        y = solve_forward_linear(c, None, _sine_field(g))
+        y = march_forward(state_factors(c), _sine_field(g).values, None)
         exact = np.exp(-np.pi**2 * 0.1) * np.sin(np.pi * g.nodes[:, 0])
-        err = np.abs(y.values[-1] - exact).max() / np.abs(exact).max()
+        err = np.abs(y[-1] - exact).max() / np.abs(exact).max()
         assert err < 2e-2
+        assert np.abs(y).max() <= np.abs(y[0]).max() * (1.0 + 1e-12)  # maximum principle
 
     def test_heat_kernel_2d(self):
         g = build_grid(2, 16)
         tg = build_time_grid(0.05, 128)
         c = constant_coefficients(g, tg, b=1.0)
-        y = solve_forward_linear(c, None, _sine_field(g))
+        y = march_forward(state_factors(c), _sine_field(g).values, None)
         exact = np.exp(-2.0 * np.pi**2 * 0.05) * (
             np.sin(np.pi * g.nodes[:, 0]) * np.sin(np.pi * g.nodes[:, 1])
         )
-        err = np.abs(y.values[-1] - exact).max() / np.abs(exact).max()
+        err = np.abs(y[-1] - exact).max() / np.abs(exact).max()
         assert err < 3e-2
+        assert np.abs(y).max() <= np.abs(y[0]).max() * (1.0 + 1e-12)  # maximum principle
 
     def test_max_principle_decay(self):
         g = build_grid(1, 32)
         tg = build_time_grid(1.0, 64)
         c = constant_coefficients(g, tg, b=1.0)
-        y = solve_forward_linear(c, None, _sine_field(g, amp=2.0))
-        peaks = np.abs(y.values).max(axis=1)
+        y = march_forward(state_factors(c), _sine_field(g, amp=2.0).values, None)
+        peaks = np.abs(y).max(axis=1)
         assert np.all(np.diff(peaks) <= 1e-14)
 
 
@@ -107,7 +126,7 @@ class TestTransposition:
             y = march_forward(factors, np.zeros(g.n_nodes), s)
             p = march_adjoint(factors, pT, r)
             lhs = stepped_pairing(g, tg, s, p)
-            rhs = stepped_pairing(g, tg, y, r) + space_inner(Field(g, y[-1]), Field(g, pT))
+            rhs = stepped_pairing(g, tg, y, r) + float(np.dot(g.weights * y[-1], pT))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_adjoint_of_symmetric_march_is_time_reversal(self):
@@ -174,7 +193,7 @@ class TestStackedMarch:
         p = march_adjoint(factors, pT, r)
         for j in range(4):
             lhs = stepped_pairing(g, tg, s[j], p[j])
-            rhs = stepped_pairing(g, tg, y[j], r[j]) + space_inner(Field(g, y[j, -1]), Field(g, pT[j]))
+            rhs = stepped_pairing(g, tg, y[j], r[j]) + float(np.dot(g.weights * y[j, -1], pT[j]))
             assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), abs(rhs))
 
     def test_stacked_seed_checks_the_boundary(self):
@@ -251,20 +270,55 @@ class TestNonlinearity:
                 f=lambda s, eta: s + 1.0,
                 f_y=lambda s, eta: np.ones_like(s),
                 f_z=lambda s, eta: np.zeros(eta.shape),
+                **_ZERO_SECOND_DERIVATIVES,
             )
 
-    def test_d2_analytic_vs_fd_fallback(self):
-        nl = nonlinearity_preset("gradient-diffusion", a0=1.0, c=0.3)
-        stripped = dataclasses.replace(
-            nl, a_yy=None, a_yz=None, a_zz=None, f_yy=None, f_yz=None, f_zz=None
-        )
+    def test_second_derivatives_required(self):
+        with pytest.raises(TypeError, match="a_yy"):
+            Nonlinearity(
+                a=lambda s, eta: np.ones_like(s),
+                a_y=lambda s, eta: np.zeros_like(s),
+                a_z=lambda s, eta: np.zeros(eta.shape),
+                f=lambda s, eta: np.zeros_like(s),
+                f_y=lambda s, eta: np.zeros_like(s),
+                f_z=lambda s, eta: np.zeros(eta.shape),
+            )
+
+    @pytest.mark.parametrize("key,wrong", [
+        ("a", lambda s, eta: np.ones(eta.shape)),              # eta's shape, not s's
+        ("a_z", lambda s, eta: np.zeros_like(s)),              # s's shape, not eta's
+        ("f_z", lambda s, eta: np.zeros(eta.shape[:-1] + (1,))),  # right only in 1D
+        ("a_zz", lambda s, eta: np.zeros(eta.shape)),          # missing the last axis
+        ("f_y", lambda s, eta: np.zeros(s.shape, dtype=int)),  # not float
+        ("f_yy", lambda s, eta: 0.0),                          # not an array
+    ], ids=["a", "a_z", "f_z", "a_zz", "f_y", "f_yy"])
+    def test_wrong_output_shape_rejected_at_construction(self, key, wrong):
+        nl = nonlinearity_preset("mild-quasilinear", a0=1.0)
+        with pytest.raises(CoefficientError, match=f"{key} returned"):
+            dataclasses.replace(nl, **{key: wrong})
+
+    def test_d2_analytic_vs_central_differences(self):
+        # every preset's six second derivatives against central differences of
+        # its first derivatives, in 1D and 2D
+        h = 1e-5
         rng = np.random.default_rng(5)
-        s = rng.standard_normal(40)
-        eta = rng.standard_normal((40, 2))
-        for which in ("a_yy", "a_yz", "a_zz"):
-            exact = nl.d2(which, s, eta)
-            fd = stripped.d2(which, s, eta)
-            np.testing.assert_allclose(fd, exact, rtol=2e-5, atol=2e-6)
+        for name, params in _PRESET_PARAMS:
+            nl = nonlinearity_preset(name, a0=1.0, **params)
+            for dim in (1, 2):
+                s = rng.standard_normal(40)
+                eta = rng.standard_normal((40, dim))
+                for base in ("a", "f"):
+                    d_y, d_z = getattr(nl, f"{base}_y"), getattr(nl, f"{base}_z")
+                    fd_yy = (d_y(s + h, eta) - d_y(s - h, eta)) / (2 * h)
+                    fd_yz = (d_z(s + h, eta) - d_z(s - h, eta)) / (2 * h)
+                    fd_zz = np.stack([
+                        (d_z(s, eta + h * e) - d_z(s, eta - h * e)) / (2 * h) for e in np.eye(dim)
+                    ], axis=-1)
+                    for which, fd in (("yy", fd_yy), ("yz", fd_yz), ("zz", fd_zz)):
+                        exact = getattr(nl, f"{base}_{which}")(s, eta)
+                        np.testing.assert_allclose(
+                            fd, exact, rtol=2e-5, atol=2e-6, err_msg=f"{name} {base}_{which} dim {dim}"
+                        )
 
     def test_preset_alias_normalization(self):
         nl = nonlinearity_preset("Mild_Quasilinear", q=0.1)
@@ -301,8 +355,8 @@ class TestQuasilinearForward:
         y0 = _sine_field(g)
         ynl = solve_forward_quasilinear(nl, g, tg, y0, refreshes=0)
         c = constant_coefficients(g, tg, b=1.0)
-        ylin = solve_forward_linear(c, None, y0)
-        np.testing.assert_allclose(ynl.values, ylin.values, rtol=1e-11, atol=1e-13)
+        ylin = march_forward(state_factors(c), y0.values, None)
+        np.testing.assert_allclose(ynl.values, ylin, rtol=1e-11, atol=1e-13)
 
     @staticmethod
     def _refresh_passes(preset, dim, cells):
@@ -315,7 +369,9 @@ class TestQuasilinearForward:
             calls.append(1)
             return nl.a(s, eta)
 
-        solve_forward_quasilinear(dataclasses.replace(nl, a=counted), g, tg, _sine_field(g, amp=0.5))
+        counted_nl = dataclasses.replace(nl, a=counted)
+        calls.clear()  # construction probes every callback once per dimension
+        solve_forward_quasilinear(counted_nl, g, tg, _sine_field(g, amp=0.5))
         return len(calls), tg.steps
 
     @pytest.mark.parametrize("preset,per_step", [("heat", 2), ("mild-quasilinear", 3)])
