@@ -8,7 +8,8 @@ checkout's ``src`` on PYTHONPATH and its own ``scenarios/`` files, under
 HIERCONTROL_THREADS=1:
 
 * ``solve`` on every shipped scenario (the ``*.cfg`` files of CHANGE),
-* ``verify --suite all`` on heat_lq_16x32,
+* ``verify --suite all`` on heat_lq_16x32 and on advection_lq_16x32 (the
+  linear-quadratic case with lower-order terms),
 * ``verify --suite duality`` on gradient_diffusion,
 * ``leader`` on heat_1d and on mild_quasilinear,
 * ``nash`` on gradient_diffusion,
@@ -32,6 +33,7 @@ import numpy as np
 
 FIXED_RUNS = (
     ("verify-all-heat_lq_16x32", ["verify", "--suite", "all"], "heat_lq_16x32"),
+    ("verify-all-advection_lq_16x32", ["verify", "--suite", "all"], "advection_lq_16x32"),
     ("verify-duality-gradient_diffusion", ["verify", "--suite", "duality"], "gradient_diffusion"),
     ("leader-heat_1d", ["leader"], "heat_1d"),
     ("leader-mild_quasilinear", ["leader"], "mild_quasilinear"),

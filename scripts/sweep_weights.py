@@ -14,7 +14,6 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from hiercontrol.fixedpoint import linearize_at
-from hiercontrol.nash import coefficients_from_state
 from hiercontrol.outputs import emit_report, write_rows
 from hiercontrol.scenario import load_scenario
 from hiercontrol.solvers import solve_forward_quasilinear
@@ -37,7 +36,6 @@ def main() -> int:
     s = load_scenario(args.config)
     problem = s.build_problem()
     z0 = solve_forward_quasilinear(problem.nl, problem.grid, problem.tgrid, problem.y0)
-    c = coefficients_from_state(problem.nl, z0)
     focus = problem.focus_box()
 
     rows = []
@@ -48,7 +46,7 @@ def main() -> int:
             w = build_weights(problem.grid, problem.tgrid, focus, mu=mu, lam=fac * lam0)
             ctx = linearize_at(problem, z0, weights=w)
             obs = probe_observability(ctx, samples=args.samples, seed=s.seed)
-            car = probe_carleman(c, w, samples=args.samples, seed=s.seed)
+            car = probe_carleman(ctx.c, w, samples=args.samples, seed=s.seed)
             rows.append((mu, w.lam, obs.worst_ratio, car.worst_ratio,
                          obs.excluded, car.excluded))
             print(f"mu={mu:4.1f} lambda={w.lam:10.5f}  obs={obs.worst_ratio:12.5e}  "

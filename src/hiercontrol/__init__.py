@@ -82,7 +82,6 @@ from .leader import (
 )
 from .fixedpoint import (
     FixedPointReport,
-    integral_coefficients,
     linearize_at,
     solve_hierarchic,
 )
@@ -149,7 +148,6 @@ __all__ = [
     "fd_gateaux_residual",
     "gateaux_residual",
     "gradient",
-    "integral_coefficients",
     "kkt_nash_oracle",
     "lambda_auto",
     "leader_duality_gap",

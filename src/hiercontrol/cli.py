@@ -195,7 +195,7 @@ def cmd_nash(args) -> int:
     s, problem = _load(args)
     out = _outdir(args)
     sol = compute_nash(problem, tol=s.tolerance("nash_tol"))
-    sol = with_first_order_residuals(problem, None, sol, seed=s.seed)
+    sol = with_first_order_residuals(problem, sol, seed=s.seed)
     summary = {
         "scenario": s.name,
         "picard_iterations": sol.picard_iterations,
@@ -363,7 +363,7 @@ def cmd_weights(args) -> int:
 
 def cmd_verify(args) -> int:
     from .fixedpoint import linearize_at
-    from .nash import coefficients_from_state, compute_nash
+    from .nash import compute_nash
     from .outputs import emit_report
     from .verification import (
         check_duality,
@@ -387,7 +387,8 @@ def cmd_verify(args) -> int:
         # the duality check and both probes linearize at the uncontrolled march
         z0 = _uncontrolled(problem)
     if {"observability", "carleman"} & set(suites):
-        w = s.build_carleman_weights(problem)
+        # both probes sample the one roster frozen at that march
+        ctx = linearize_at(problem, z0, weights=s.build_carleman_weights(problem))
     reports = {}
     all_pass = True
     for suite in suites:
@@ -409,13 +410,11 @@ def cmd_verify(args) -> int:
             ok = res["relative_gap"] <= 1e-2
             reports[suite] = dict(res, budget=1e-2, passed=ok, name="second-order")
         elif suite == "observability":
-            ctx = linearize_at(problem, z0, weights=w)
             rep = probe_observability(ctx, samples=8, seed=s.seed)
             reports[suite] = rep.as_dict()
             ok = rep.passed
         elif suite == "carleman":
-            c = coefficients_from_state(problem.nl, z0)
-            rep = probe_carleman(c, w, samples=8, seed=s.seed)
+            rep = probe_carleman(ctx.c, ctx.weights, samples=8, seed=s.seed)
             reports[suite] = rep.as_dict()
             ok = rep.passed
         else:  # pragma: no cover - argparse restricts choices

@@ -2,16 +2,10 @@
 
 The controllability construction freezes the quasi-linear coefficients at a
 trajectory z, solves the resulting linear leader problem exactly, and feeds
-the controlled state back in as the next linearization point.  The state
-equation frozen at z carries the averaged lower-order families
-
-    F1 = int_0^1 f_y(s z, s grad z) ds,
-    F2 = int_0^1 grad_zeta f(s z, s grad z) ds,
-
-which reproduce f(z, grad z) = F1 z + F2 . grad z exactly whenever
-f(0, 0) = 0, so the frozen equation is consistent with the nonlinear one at
-the linearization point itself.  The adjoint-side roster (A, e, d0) is the
-one shared with the follower equilibrium machinery.
+the controlled state back in as the next linearization point.  This module
+only iterates: the frozen roster is ``nash.coefficients_from_state`` at z,
+whose state side makes the frozen equation agree with the nonlinear one at
+the linearization point itself.
 
 The map z -> y[u(z)] is iterated by ``solvers.anderson``, which stops on the
 relative residual |y - z| <= outer_tol |y| in the stepped weighted norm.
@@ -30,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, NonConvergenceError, ValidationError
-from .grids import SpaceTimeField, trajectory_gradient
+from .grids import SpaceTimeField
 from .leader import GramianContext, LeaderSolution, solve_leader
 from .nash import (
     HierarchicProblem,
@@ -39,33 +33,8 @@ from .nash import (
     compute_nash,
     with_first_order_residuals,
 )
-from .solvers import LinearCoefficients, Nonlinearity, anderson, solve_forward_quasilinear
+from .solvers import anderson, solve_forward_quasilinear
 from .weights import CarlemanWeights, build_weights
-
-_GAUSS_S, _GAUSS_W = np.polynomial.legendre.leggauss(8)
-_GAUSS_S = 0.5 * (_GAUSS_S + 1.0)   # nodes mapped from [-1, 1] to [0, 1]
-_GAUSS_W = 0.5 * _GAUSS_W
-
-
-def integral_coefficients(
-    nl: Nonlinearity,
-    z: SpaceTimeField,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Averaged lower-order coefficients (F1, F2) of the state linearization.
-
-    Node-wise Gauss-Legendre quadrature with 8 points in s, exact for
-    integrands polynomial in s up to degree 15.
-    """
-    grid, tgrid = z.grid, z.tgrid
-    M1, n, dim = tgrid.n_slices, grid.n_nodes, grid.dim
-    zv = z.values
-    gz = trajectory_gradient(z)
-    F1 = np.zeros((M1, n))
-    F2 = np.zeros((M1, n, dim))
-    for s, w in zip(_GAUSS_S, _GAUSS_W):
-        F1 += w * nl.f_y(s * zv, s * gz)
-        F2 += w * nl.f_z(s * zv, s * gz)
-    return F1, F2
 
 
 def linearize_at(
@@ -76,26 +45,10 @@ def linearize_at(
 ) -> GramianContext:
     """Gramian context of the linear leader problem frozen at the trajectory z.
 
-    State side: diffusion a(z, grad z), advection F2, reaction F1.  Adjoint
-    side: the symmetrized roster (A, e, d0) from the equilibrium machinery.
-    Builds default weights focused on the leader-tracking overlap when none
-    are supplied.
+    The roster is ``nash.coefficients_from_state`` at z.  Builds default
+    weights focused on the leader-tracking overlap when none are supplied.
     """
-    adj = coefficients_from_state(problem.nl, z)
-    zv = z.values
-    gz = trajectory_gradient(z)
-    a = problem.nl.a(zv, gz)
-    F1, F2 = integral_coefficients(problem.nl, z)
-    c = LinearCoefficients(
-        grid=problem.grid,
-        tgrid=problem.tgrid,
-        b=a,
-        f_adv=F2,
-        f0=F1,
-        B=adj.B,
-        g=adj.g,
-        g0=adj.g0,
-    )
+    c = coefficients_from_state(problem.nl, z)
     if weights is None:
         weights = build_weights(problem.grid, problem.tgrid, problem.focus_box())
     return GramianContext(problem, weights, c, picard_tol=picard_tol)
@@ -185,7 +138,7 @@ def solve_hierarchic(
     v1 = v2 = None
     try:
         nash = compute_nash(problem, u=ls.u, tol=nash_tol)
-        nash = with_first_order_residuals(problem, ls.u, nash, seed=seed)
+        nash = with_first_order_residuals(problem, nash, seed=seed)
         terminal_norm = float(
             np.sqrt(np.dot(grid.weights * nash.y.values[-1], nash.y.values[-1]))
         )

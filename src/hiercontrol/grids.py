@@ -272,11 +272,6 @@ def gradient(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
     return out.reshape(v.shape[:-2] + (grid.n_nodes, 2))
 
 
-def trajectory_gradient(y: SpaceTimeField) -> np.ndarray:
-    """Gradient of every slice, shape (M+1, n_nodes, dim)."""
-    return gradient(y.grid, y.values)
-
-
 def _as_diag_coeff(grid: SpatialGrid, b: np.ndarray) -> np.ndarray:
     """Normalize a diffusion coefficient to shape (n_nodes, dim).
 

@@ -1,4 +1,5 @@
-"""Follower level: Nash quasi-equilibrium of the two tracking games.
+"""Follower level: Nash quasi-equilibrium of the two tracking games, and the
+linearization of the quasi-linear operator at a trajectory.
 
 For a frozen leader control u each follower k minimizes
 
@@ -22,6 +23,10 @@ Cost functionals and duality pairings use the right-endpoint rule
 tau * sum_{m=1..M}: backward Euler's summation-by-parts identity is exact
 for that rule and for no other, and the fixed-point identity above then
 holds node-wise at every slice instead of acquiring endpoint artifacts.
+
+``coefficients_from_state`` is the one linearization of the operator at a
+trajectory: the state side the leader problem freezes and the follower side
+the adjoint and sensitivity marches use.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from .grids import (
     gradient,
     stepped_pairing,
     stepped_norm2,
-    trajectory_gradient,
 )
 from .solvers import (
     LinearCoefficients,
@@ -59,6 +63,10 @@ from .solvers import (
 CUTOFF_KEYS = ("leader", "follower1", "follower2", "tracking")
 NASH_MAX_ITER = 80
 FIRST_ORDER_DIRECTIONS = 10   # random directions per follower in gateaux_residual
+
+_GAUSS_S, _GAUSS_W = np.polynomial.legendre.leggauss(8)
+_GAUSS_S = 0.5 * (_GAUSS_S + 1.0)   # nodes mapped from [-1, 1] to [0, 1]
+_GAUSS_W = 0.5 * _GAUSS_W
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,21 +166,36 @@ def coefficients_from_state(
     nl: Nonlinearity,
     state: SpaceTimeField,
 ) -> LinearCoefficients:
-    """Adjoint-side coefficient roster (A, e, d0) of the linearization at ``state``.
+    """The whole frozen roster of the quasi-linear operator at the trajectory z.
 
-    A = a + (grad y . partial_zeta a) on the diagonal (the symmetrized
-    curvature of the flux), e = -a_y grad y + partial_zeta f, and
-    d0 = -f_y + div(partial_zeta f sampled along the trajectory), the
-    divergence taken discretely.  Gradient-dependent diffusion is only
-    admitted in one dimension, where the symmetrized correction stays
-    diagonal.
+    State side (b, f_adv, f0) = (a, F2, F1): a(z, grad z) and the averages
+    F1 = int_0^1 f_y(s z, s grad z) ds and F2 = int_0^1 grad_zeta f(s z,
+    s grad z) ds by node-wise 8-point Gauss-Legendre quadrature in s (exact
+    up to degree 15), which reproduce f(z, grad z) = F1 z + F2 . grad z
+    since f(0, 0) = 0.
+    Follower side (B, g, g0) = (A, e, d0): A = a + (grad z . partial_zeta a)
+    on the diagonal (the symmetrized curvature of the flux),
+    e = -a_y grad z + partial_zeta f, and d0 = -f_y + div(partial_zeta f
+    sampled along the trajectory), the divergence taken discretely.
+    Gradient-dependent diffusion is only admitted in one dimension, where
+    the symmetrized correction stays diagonal.  One nodal gradient serves
+    every family; each callback runs once at (z, grad z), and f_y, f_z once
+    more per quadrature node.
     """
     grid, tgrid = state.grid, state.tgrid
     M1, n, dim = tgrid.n_slices, grid.n_nodes, grid.dim
     y = state.values
-    gy = trajectory_gradient(state)
+    gy = gradient(grid, y)
 
+    # state side first: the quadrature's temporaries then coexist with no
+    # follower-side array, which keeps the peak memory of a roster down
     a = nl.a(y, gy)
+    F1 = np.zeros((M1, n))
+    F2 = np.zeros((M1, n, dim))
+    for s, w in zip(_GAUSS_S, _GAUSS_W):
+        F1 += w * nl.f_y(s * y, s * gy)
+        F2 += w * nl.f_z(s * y, s * gy)
+
     a_y = nl.a_y(y, gy)
     a_z = nl.a_z(y, gy)
     if dim > 1 and float(np.abs(a_z).max()) > 0.0:
@@ -195,16 +218,7 @@ def coefficients_from_state(
         div_fz += gradient(grid, f_z[:, :, ax])[..., ax]
     g0 = -f_y + div_fz
 
-    return LinearCoefficients(
-        grid=grid,
-        tgrid=tgrid,
-        b=A.copy(),
-        f_adv=None,
-        f0=None,
-        B=A,
-        g=e,
-        g0=g0,
-    )
+    return LinearCoefficients(grid, tgrid, b=a, f_adv=F2, f0=F1, B=A, g=e, g0=g0)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +370,6 @@ def random_directions(
 
 def gateaux_residual(
     problem: HierarchicProblem,
-    u: SpaceTimeField | None,
     solution: NashSolution,
     seed: int = 0,
 ) -> tuple[float, float]:
@@ -371,7 +384,7 @@ def gateaux_residual(
     derivative is linear in w; r_k is the worst |dJ_k| over
     FIRST_ORDER_DIRECTIONS generated unit-norm directions, normalized by
     1 + |J_k|.  The sensitivity states of one follower's directions come
-    from one stacked march.
+    from one stacked march.  The leader control enters through ``solution.y``.
     """
     grid, tgrid = problem.grid, problem.tgrid
     n = grid.n_nodes
@@ -403,12 +416,11 @@ def gateaux_residual(
 
 def with_first_order_residuals(
     problem: HierarchicProblem,
-    u: SpaceTimeField | None,
     solution: NashSolution,
     seed: int = 0,
 ) -> NashSolution:
     """Copy of ``solution`` with the stationarity residuals filled in."""
-    r = gateaux_residual(problem, u, solution, seed=seed)
+    r = gateaux_residual(problem, solution, seed=seed)
     return replace(solution, first_order_residuals=r)
 
 

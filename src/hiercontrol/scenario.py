@@ -19,14 +19,13 @@ from .grids import (
     Field,
     SpaceTimeField,
     SpatialGrid,
-    TimeGrid,
     boxes_intersect,
     build_cutoff,
     build_grid,
     build_time_grid,
 )
 from .nash import HierarchicProblem
-from .solvers import Nonlinearity, nonlinearity_preset
+from .solvers import PRESET_PARAMS, Nonlinearity, nonlinearity_preset
 from .weights import CarlemanWeights, build_weights
 
 REGION_KEYS = (
@@ -62,7 +61,15 @@ _TOLERANCE_DEFAULTS = {
     "data_budget": 1.0,
 }
 
-_PROFILE_NAMES = ("zero", "sine", "bump", "gauss", "csv")
+# the fields each data profile reads, besides ``profile`` itself
+_PROFILE_FIELDS = {
+    "zero": (),
+    "sine": ("amplitude", "modes"),
+    "bump": ("amplitude", "center", "width"),
+    "gauss": ("amplitude", "center", "sigma"),
+    "csv": ("path", "amplitude"),
+}
+_PROFILE_NAMES = tuple(_PROFILE_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -277,12 +284,16 @@ def _normalize_spec(value, key: str) -> tuple:
         raise ValidationError(f"{key}.profile must be one of {_PROFILE_NAMES}, got {kind!r}")
     out = {}
     for k, v in value.items():
+        if k != "profile" and k not in _PROFILE_FIELDS[kind]:
+            fields = ", ".join(_PROFILE_FIELDS[kind]) or "no fields"
+            raise ValidationError(f"{key}.{k}: profile {kind!r} takes {fields}")
+        read = _integer if k == "modes" else _number
         if k in ("profile", "path"):
             out[k] = str(v)
         elif k in ("modes", "center") and isinstance(v, (list, tuple)):
-            out[k] = tuple(_number(x, f"{key}.{k}") for x in v)
+            out[k] = tuple(read(x, f"{key}.{k}") for x in v)
         else:
-            out[k] = _number(v, f"{key}.{k}")
+            out[k] = read(v, f"{key}.{k}")
     return tuple(sorted(out.items()))
 
 
@@ -362,6 +373,12 @@ def scenario_from_tree(raw: dict) -> Scenario:
     norm_params = tuple(sorted(
         (str(k), _number(v, f"nonlinearity.params.{k}")) for k, v in params.items()
     ))
+    takes = PRESET_PARAMS.get(preset)
+    for k, _ in norm_params:
+        if takes is not None and k not in takes:
+            raise ValidationError(
+                f"nonlinearity.params.{k}: preset {preset!r} takes {', '.join(takes)}"
+            )
     try:
         nonlinearity_preset(preset, **dict(norm_params))
     except CoefficientError as exc:

@@ -529,6 +529,17 @@ def _zero_mat(s, eta):
     return np.zeros(eta.shape + (eta.shape[-1],))
 
 
+# the parameters each preset reads; any other name is rejected
+PRESET_PARAMS = {
+    "heat": ("a0",),
+    "linear-f": ("a0", "c1", "c2"),
+    "cubic-f": ("a0", "c"),
+    "burgers-f": ("a0", "c"),
+    "gradient-diffusion": ("a0", "c"),
+    "mild-quasilinear": ("a0", "q", "c"),
+}
+
+
 def nonlinearity_preset(name: str, **params) -> Nonlinearity:
     """Named quasi-linear structures used by scenarios and benchmarks.
 
@@ -538,8 +549,17 @@ def nonlinearity_preset(name: str, **params) -> Nonlinearity:
     burgers-f             a = a0, f = c y sum_j d_j y
     gradient-diffusion    a = a0 + c r / (1 + r), r = y^2 + |grad y|^2, f = 0
     mild-quasilinear      a = a0 + q y^2, f = c y sum_j d_j y
+
+    ``params`` may name only the preset's entries of PRESET_PARAMS.
     """
     key = name.replace("_", "-").lower()
+    if key not in PRESET_PARAMS:
+        raise CoefficientError(f"unknown nonlinearity preset {name!r}")
+    for p in params:
+        if p not in PRESET_PARAMS[key]:
+            raise CoefficientError(
+                f"preset {key!r} has no parameter {p!r}; it takes {', '.join(PRESET_PARAMS[key])}"
+            )
     a0 = float(params.get("a0", 1.0))
 
     def const_a(s, eta):
@@ -601,7 +621,7 @@ def nonlinearity_preset(name: str, **params) -> Nonlinearity:
             + 2.0 * r_terms(s, eta)[1][..., None, None] * np.eye(eta.shape[-1]),
             f_yy=_zero_scalar, f_yz=_zero_vec, f_zz=_zero_mat, name=key,
         )
-    elif key == "mild-quasilinear":
+    else:  # mild-quasilinear
         q = float(params.get("q", 0.05))
         c = float(params.get("c", 0.1))
         nl = Nonlinearity(
@@ -617,8 +637,6 @@ def nonlinearity_preset(name: str, **params) -> Nonlinearity:
             f_yy=_zero_scalar,
             f_yz=lambda s, eta: np.full(eta.shape, c), f_zz=_zero_mat, name=key,
         )
-    else:
-        raise CoefficientError(f"unknown nonlinearity preset {name!r}")
     return nl
 
 

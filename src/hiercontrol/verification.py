@@ -10,9 +10,11 @@ bug, not new mathematics.
 
 The second-order check differentiates the coefficient roster along a state
 perturbation with the nonlinearity's analytic second derivatives, which
-every ``Nonlinearity`` carries.  ``check_duality`` takes the state it
-linearizes at from its caller when one is at hand (``hiercontrol verify``
-passes the uncontrolled march its probes share) and marches it otherwise.
+every ``Nonlinearity`` carries.  Every roster is
+``nash.coefficients_from_state``; the probes sample its state side.
+``check_duality`` takes the state it linearizes at from its caller when one
+is at hand (``hiercontrol verify`` passes the uncontrolled march its probes
+share) and marches it otherwise.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import OracleError, ValidationError
-from .grids import SpaceTimeField, gradient, stepped_pairing, stepped_norm2, trajectory_gradient
+from .grids import SpaceTimeField, gradient, stepped_pairing, stepped_norm2
 from .leader import GramianContext
 from .nash import (
     HierarchicProblem,
@@ -340,7 +342,7 @@ def _delta_fields(problem: HierarchicProblem, y: SpaceTimeField, p: np.ndarray):
     grid, tgrid = problem.grid, problem.tgrid
     M1, n, dim = tgrid.n_slices, grid.n_nodes, grid.dim
     yv = y.values
-    gy = trajectory_gradient(y)
+    gy = gradient(grid, yv)
     gp = gradient(grid, p)
 
     a_y, a_z = nl.a_y(yv, gy), nl.a_z(yv, gy)
@@ -556,7 +558,9 @@ def probe_carleman(
     the estimate drops).  LHS stacks the weighted gradient and zeroth-order
     energies  exp(2 lambda nu)(lambda mu^2 beta |grad v|^2 + lambda^3 mu^4
     beta^3 v^2)  over interior time slices; RHS is the same zeroth-order
-    energy restricted to the focus region.
+    energy restricted to the focus region.  The backward equation is the
+    adjoint of the state side (b, f_adv, f0) of ``coefficients``, normally
+    the roster ``c`` of a ``linearize_at`` context.
     """
     c = coefficients
     grid, tgrid = c.grid, c.tgrid

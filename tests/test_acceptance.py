@@ -101,7 +101,7 @@ class TestAcceptance:
                 nash = _PROB["_nash24"]
             else:
                 nash = compute_nash(problem, tol=s.tolerance("nash_tol"))
-            checked = with_first_order_residuals(problem, None, nash, seed=s.seed)
+            checked = with_first_order_residuals(problem, nash, seed=s.seed)
             fd = fd_gateaux_residual(problem, None, nash, n_dirs=10, eps=1e-4, seed=s.seed)
             vals = checked.first_order_residuals + (fd["follower1"], fd["follower2"])
             worst = max(worst, max(vals))

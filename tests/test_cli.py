@@ -3,12 +3,14 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from conftest import scenario_path
 from hiercontrol.cli import build_parser, main
 
 LQ = scenario_path("heat_lq_16x32")
+ADVECTION = scenario_path("advection_lq_16x32")
 
 
 def _run(tmp_path, *argv):
@@ -173,6 +175,27 @@ class TestVerify:
         rc, _ = _run(tmp_path, "verify", "--config", LQ, "--suite", "all")
         assert rc == 0
         assert calls == {"cli": 1, "verification": 0}
+
+    def test_carleman_probe_samples_the_full_roster(self, tmp_path):
+        # the probe's backward equation carries the scenario's lower-order
+        # terms: it is the adjoint of the state side linearize_at freezes
+        from hiercontrol.fixedpoint import linearize_at
+        from hiercontrol.scenario import load_scenario
+        from hiercontrol.solvers import solve_forward_quasilinear
+        from hiercontrol.verification import probe_carleman
+
+        s = load_scenario(ADVECTION)
+        problem = s.build_problem()
+        z0 = solve_forward_quasilinear(problem.nl, problem.grid, problem.tgrid, problem.y0)
+        w = s.build_carleman_weights(problem)
+        c = linearize_at(problem, z0, weights=w).c
+        assert np.abs(c.f0).max() > 0.0 and np.abs(c.f_adv).max() > 0.0
+        expected = probe_carleman(c, w, samples=8, seed=s.seed)
+        rc, out = _run(tmp_path, "verify", "--config", ADVECTION, "--suite", "carleman")
+        assert rc == 0
+        report = json.loads(_read(os.path.join(out, "verify_carleman.json")))["reports"]["carleman"]
+        assert report["ratios"] == list(expected.ratios)
+        assert report["worst_ratio"] == expected.worst_ratio
 
 
 class TestZeroData:

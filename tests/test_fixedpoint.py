@@ -6,12 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import make_problem
-from hiercontrol.fixedpoint import (
-    integral_coefficients,
-    linearize_at,
-    solve_hierarchic,
-)
-from hiercontrol.grids import SpaceTimeField, trajectory_gradient
+from hiercontrol.fixedpoint import linearize_at, solve_hierarchic
+from hiercontrol.grids import SpaceTimeField, gradient
+from hiercontrol.nash import coefficients_from_state
 from hiercontrol.solvers import ANDERSON_DEPTH, anderson, nonlinearity_preset
 
 
@@ -108,12 +105,18 @@ class TestAnderson:
         assert converged or len(history) == 4
 
 
+def _state_families(nl, z):
+    """(F1, F2): the averaged reaction and advection of the roster at z."""
+    c = coefficients_from_state(nl, z)
+    return c.f0, c.f_adv
+
+
 class TestIntegralCoefficients:
     def test_linear_reaction_is_reproduced(self):
         problem = make_problem(cells=16, steps=32)
         nl = nonlinearity_preset("linear-f", c1=0.7, c2=0.2)
         z = _random_traj(problem, seed=1)
-        F1, F2 = integral_coefficients(nl, z)
+        F1, F2 = _state_families(nl, z)
         assert np.allclose(F1, 0.7, atol=1e-14)
         assert np.allclose(F2, 0.2, atol=1e-14)
 
@@ -122,7 +125,7 @@ class TestIntegralCoefficients:
         problem = make_problem(cells=16, steps=32)
         nl = nonlinearity_preset("cubic-f", c=1.0)
         z = _random_traj(problem, seed=2)
-        F1, F2 = integral_coefficients(nl, z)
+        F1, F2 = _state_families(nl, z)
         np.testing.assert_allclose(F1, z.values**2, rtol=1e-12, atol=1e-14)
         assert np.abs(F2).max() == 0.0
 
@@ -136,8 +139,8 @@ class TestIntegralCoefficients:
         ):
             nl = nonlinearity_preset(name, **params)
             z = _random_traj(problem, seed=3)
-            gz = trajectory_gradient(z)
-            F1, F2 = integral_coefficients(nl, z)
+            gz = gradient(z.grid, z.values)
+            F1, F2 = _state_families(nl, z)
             lhs = F1 * z.values + (F2 * gz).sum(axis=-1)
             rhs = nl.f(z.values, gz)
             np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-13)

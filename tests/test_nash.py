@@ -5,17 +5,20 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import make_problem
+from conftest import make_problem, scenario_path
 from hiercontrol.errors import ValidationError
-from hiercontrol.grids import SpaceTimeField, stepped_norm2, stepped_pairing
+from hiercontrol.fixedpoint import linearize_at
+from hiercontrol.grids import SpaceTimeField, gradient, stepped_norm2, stepped_pairing
 from hiercontrol.nash import (
+    coefficients_from_state,
     compute_nash,
     evaluate_cost,
     fd_gateaux_residual,
     random_directions,
     with_first_order_residuals,
 )
-from hiercontrol.solvers import solve_forward_quasilinear
+from hiercontrol.scenario import load_scenario
+from hiercontrol.solvers import solve_forward_quasilinear, state_slices
 from hiercontrol.verification import oracle_nash_gap
 
 
@@ -57,7 +60,7 @@ class TestEquilibrium:
     def test_first_order_residuals_attach(self, eq_small):
         problem, sol = eq_small
         assert sol.first_order_residuals is None
-        checked = with_first_order_residuals(problem, None, sol, seed=1)
+        checked = with_first_order_residuals(problem, sol, seed=1)
         r1, r2 = checked.first_order_residuals
         assert r1 < 1e-10 and r2 < 1e-10
         assert sol.first_order_residuals is None  # original untouched
@@ -81,6 +84,46 @@ class TestEquilibrium:
                     pair = (vk, other) if k == 1 else (other, vk)
                     j = evaluate_cost(problem, None, pair[0], pair[1], k=k)
                     assert j - j_eq > 0.4 * problem.mu[k - 1] * t * t
+
+
+def _uncontrolled(problem):
+    return solve_forward_quasilinear(problem.nl, problem.grid, problem.tgrid, problem.y0)
+
+
+class TestLinearization:
+    def test_one_linearization_evaluates_each_callback_once(self):
+        # linearize_at takes the whole roster from one coefficients_from_state:
+        # a, a_y, a_z once at (z, grad z); f_y and f_z there and at 8 quadrature nodes
+        problem = load_scenario(scenario_path("mild_quasilinear")).build_problem()
+        z = _uncontrolled(problem)
+        calls = dict.fromkeys(("a", "a_y", "a_z", "f", "f_y", "f_z"), 0)
+
+        def counted(key):
+            fn = getattr(problem.nl, key)
+
+            def callback(s, eta):
+                calls[key] += 1
+                return fn(s, eta)
+            return callback
+
+        nl = dataclasses.replace(problem.nl, **{key: counted(key) for key in calls})
+        calls.update(dict.fromkeys(calls, 0))   # construction probes every callback
+        ctx = linearize_at(dataclasses.replace(problem, nl=nl), z)
+        assert calls == {"a": 1, "a_y": 1, "a_z": 1, "f": 0, "f_y": 9, "f_z": 9}
+        assert np.array_equal(ctx.c.b, problem.nl.a(z.values, gradient(problem.grid, z.values)))
+
+    def test_heat_state_side_is_the_bare_diffusion(self):
+        # no lower-order terms: the state slices equal those of the diffusion alone
+        problem = make_problem(cells=16, steps=32)
+        c = coefficients_from_state(problem.nl, _uncontrolled(problem))
+        assert np.abs(c.f0).max() == 0.0 and np.abs(c.f_adv).max() == 0.0
+        bare = dataclasses.replace(c, b=c.B, f_adv=None, f0=None)
+        assert np.array_equal(state_slices(c), state_slices(bare))
+
+    def test_gradient_dependent_diffusion_refused_in_2d(self):
+        problem = make_problem(cells=8, steps=16, dim=2, preset="gradient-diffusion")
+        with pytest.raises(ValidationError, match="one dimension"):
+            coefficients_from_state(problem.nl, _uncontrolled(problem))
 
 
 class TestLimits:

@@ -43,6 +43,9 @@ _MALFORMED = [
     (("data", "y0", "amplitude"), [0.3], "data.y0.amplitude"),
     (("nonlinearity", "params"), {"a0": "one"}, "nonlinearity.params.a0"),
     (("regions", "omega0"), [0.3, "high"], "regions.omega0"),
+    (("data", "y0", "modes"), 1.5, "data.y0.modes"),
+    (("data", "y0", "amplitud"), 0.3, "data.y0.amplitud"),
+    (("nonlinearity", "params"), {"a0": 1.0, "qq": 5.0}, "nonlinearity.params.qq"),
 ]
 
 
@@ -124,6 +127,33 @@ class TestValidation:
         tree["data"]["y0"] = {"profile": "sawtooth"}
         with pytest.raises(ValidationError, match="sawtooth|profile"):
             scenario_from_tree(tree)
+
+    @pytest.mark.parametrize("profile,field", [
+        ("zero", "amplitude"),
+        ("sine", "width"),
+        ("bump", "sigma"),
+        ("gauss", "width"),
+        ("csv", "modes"),
+    ])
+    def test_profile_rejects_a_field_it_does_not_read(self, profile, field):
+        tree = _base_tree()
+        tree["data"]["y0"] = {"profile": profile, field: 0.2}
+        with pytest.raises(ValidationError, match=f"data\\.y0\\.{field}"):
+            scenario_from_tree(tree)
+
+    def test_profile_fields_are_read(self):
+        # an integral float is an integer mode, and sigma sets the gauss width
+        tree = _base_tree()
+        tree["data"]["y0"] = {"profile": "sine", "amplitude": 0.3, "modes": 2.0}
+        tree["data"]["y1_target"] = {"profile": "gauss", "amplitude": 0.1, "center": 0.6,
+                                     "sigma": 0.05}
+        s = scenario_from_tree(tree)
+        assert dict(s.y0)["modes"] == 2 and type(dict(s.y0)["modes"]) is int
+        problem = s.build_problem()
+        x = problem.grid.nodes[:, 0]
+        np.testing.assert_allclose(problem.y0.values, 0.3 * np.sin(2 * np.pi * x), atol=1e-15)
+        peak = problem.targets[0].values[0]
+        assert x[np.argmax(peak)] == pytest.approx(0.6, abs=problem.grid.h)
 
     def test_unknown_preset_caught_at_load(self):
         tree = _base_tree()
@@ -231,7 +261,7 @@ class TestProfiles:
 
     def test_gauss_peak(self):
         g = build_grid(1, 64)
-        spec = {"profile": "gauss", "amplitude": 0.7, "center": 0.5, "width": 0.2}
+        spec = {"profile": "gauss", "amplitude": 0.7, "center": 0.5, "sigma": 0.2}
         vals = evaluate_profile(g, spec, "data.y0")
         assert vals.max() == pytest.approx(0.7, rel=1e-6)
 

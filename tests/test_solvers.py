@@ -253,13 +253,23 @@ class TestNonlinearity:
         names = ["heat", "linear-f", "cubic-f", "burgers-f", "gradient-diffusion",
                  "mild-quasilinear"]
         for name in names:
-            nl = nonlinearity_preset(name, a0=1.0, c1=0.2, c2=0.1)
+            params = {"c1": 0.2, "c2": 0.1} if name == "linear-f" else {}
+            nl = nonlinearity_preset(name, a0=1.0, **params)
             nl.self_check(dim=1)
             nl.self_check(dim=2)
 
     def test_unknown_preset(self):
         with pytest.raises(CoefficientError, match="preset"):
             nonlinearity_preset("sideways-diffusion")
+
+    def test_unread_parameter_rejected(self):
+        # a misspelled q would otherwise run the default q silently
+        with pytest.raises(CoefficientError, match="'qq'"):
+            nonlinearity_preset("mild-quasilinear", a0=1.0, qq=5.0)
+        with pytest.raises(CoefficientError, match="'c'"):
+            nonlinearity_preset("heat", c=0.1)
+        for name, takes in solvers.PRESET_PARAMS.items():
+            nonlinearity_preset(name, **dict.fromkeys(takes, 1.0)).self_check(dim=1)
 
     def test_f_origin_constraint(self):
         with pytest.raises(CoefficientError, match="f\\(0, 0\\)"):
