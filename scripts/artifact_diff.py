@@ -10,6 +10,9 @@ HIERCONTROL_THREADS=1:
 * ``solve`` on every shipped scenario (the ``*.cfg`` files of CHANGE),
 * ``verify --suite all`` on heat_lq_16x32 and on advection_lq_16x32 (the
   linear-quadratic case with lower-order terms),
+* ``verify --suite nash-oracle`` on heat_lq_24x48, the stacked KKT
+  oracle's size limit, and on heat_2d, where its state block carries the
+  2D Kronecker Laplacian,
 * ``verify --suite duality`` on gradient_diffusion,
 * ``leader`` on heat_1d and on mild_quasilinear,
 * ``nash`` on gradient_diffusion,
@@ -34,6 +37,8 @@ import numpy as np
 FIXED_RUNS = (
     ("verify-all-heat_lq_16x32", ["verify", "--suite", "all"], "heat_lq_16x32"),
     ("verify-all-advection_lq_16x32", ["verify", "--suite", "all"], "advection_lq_16x32"),
+    ("verify-nash-oracle-heat_lq_24x48", ["verify", "--suite", "nash-oracle"], "heat_lq_24x48"),
+    ("verify-nash-oracle-heat_2d", ["verify", "--suite", "nash-oracle"], "heat_2d"),
     ("verify-duality-gradient_diffusion", ["verify", "--suite", "duality"], "gradient_diffusion"),
     ("leader-heat_1d", ["leader"], "heat_1d"),
     ("leader-mild_quasilinear", ["leader"], "mild_quasilinear"),

@@ -275,8 +275,23 @@ def _check_inclusion(inner, outer, ik: str, ok: str):
             )
 
 
-def _normalize_spec(value, key: str) -> tuple:
-    """Profile spec as a sorted (key, value) tuple with validated fields."""
+def _mode(value, key: str) -> int:
+    v = _integer(value, key)
+    if v < 1:
+        raise ValidationError(f"{key} must be >= 1, got {value!r}")
+    return v
+
+
+# readers of the profile fields that are not plain numbers
+_SPEC_READERS = {"modes": _mode, "width": _positive, "sigma": _positive}
+
+
+def _normalize_spec(value, key: str, dim: int) -> tuple:
+    """Profile spec as a sorted (key, value) tuple with validated fields.
+
+    ``width`` and ``sigma`` are positive, ``modes`` at least 1, and a
+    per-axis list of ``modes`` or ``center`` holds exactly ``dim`` entries.
+    """
     if not isinstance(value, dict):
         raise ValidationError(f"{key} must be a mapping with a 'profile' entry")
     kind = value.get("profile")
@@ -284,16 +299,19 @@ def _normalize_spec(value, key: str) -> tuple:
         raise ValidationError(f"{key}.profile must be one of {_PROFILE_NAMES}, got {kind!r}")
     out = {}
     for k, v in value.items():
+        name = f"{key}.{k}"
         if k != "profile" and k not in _PROFILE_FIELDS[kind]:
             fields = ", ".join(_PROFILE_FIELDS[kind]) or "no fields"
-            raise ValidationError(f"{key}.{k}: profile {kind!r} takes {fields}")
-        read = _integer if k == "modes" else _number
+            raise ValidationError(f"{name}: profile {kind!r} takes {fields}")
+        read = _SPEC_READERS.get(k, _number)
         if k in ("profile", "path"):
             out[k] = str(v)
         elif k in ("modes", "center") and isinstance(v, (list, tuple)):
-            out[k] = tuple(read(x, f"{key}.{k}") for x in v)
+            if len(v) != dim:
+                raise ValidationError(f"{name} must give one entry per axis ({dim}), got {v!r}")
+            out[k] = tuple(read(x, name) for x in v)
         else:
-            out[k] = read(v, f"{key}.{k}")
+            out[k] = read(v, name)
     return tuple(sorted(out.items()))
 
 
@@ -385,9 +403,9 @@ def scenario_from_tree(raw: dict) -> Scenario:
         raise ValidationError(f"nonlinearity.preset: {exc}") from exc
 
     d = _need(raw, "data", "")
-    y0 = _normalize_spec(_need(d, "y0", "data."), "data.y0")
-    t1 = _normalize_spec(_need(d, "y1_target", "data."), "data.y1_target")
-    t2 = _normalize_spec(_need(d, "y2_target", "data."), "data.y2_target")
+    y0 = _normalize_spec(_need(d, "y0", "data."), "data.y0", dim)
+    t1 = _normalize_spec(_need(d, "y1_target", "data."), "data.y1_target", dim)
+    t2 = _normalize_spec(_need(d, "y2_target", "data."), "data.y2_target", dim)
 
     tol_tree = raw.get("tolerances", {}) or {}
     tol = dict(_TOLERANCE_DEFAULTS)

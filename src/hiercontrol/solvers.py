@@ -289,36 +289,28 @@ class SliceFactors:
     """Factorizations of (I + tau L^m) on the interior subspace, one per slice.
 
     ``data`` holds the pattern values of slices 1..M (one row each), or a
-    single row shared by every slice.  ``interior`` picks the interior
-    unknowns out of the last axis of a full-grid array: a slice in 1D,
-    where they are one contiguous run and the blocks stay views, and the
-    index array ``grid.interior_idx`` in 2D.  ``solve(m, rhs)`` applies
-    (I + tau L^m)^{-1} to an interior block, one vector (n_interior,) or a
-    stack (k, n_interior) whose rows go to the factors as the k columns of
-    one solve; ``transpose=True`` applies the inverse transpose with the
-    same factors, which is what keeps forward/adjoint pairs exactly dual.
-    Factors are computed on first use.
+    single row shared by every slice, whose one factorization serves them
+    all.  ``interior`` picks the interior unknowns out of the last axis of
+    a full-grid array: a slice in 1D, where they are one contiguous run and
+    the blocks stay views, and the index array ``grid.interior_idx`` in
+    2D.  ``solve(m, rhs)`` applies (I + tau L^m)^{-1} to an interior block,
+    one vector (n_interior,) or a stack (k, n_interior) whose rows go to
+    the factors as the k columns of one solve; ``transpose=True`` applies
+    the inverse transpose with the same factors, which is what keeps
+    forward/adjoint pairs exactly dual.
     """
 
     def __init__(self, grid: SpatialGrid, tgrid: TimeGrid, data: np.ndarray):
         self.grid = grid
         self.tgrid = tgrid
         self.interior = slice(1, -1) if grid.dim == 1 else grid.interior_idx
-        self.data = data
-        self._lu: dict[int, object] = {}
-
-    def _factor(self, m: int):
-        k = 0 if self.data.shape[0] == 1 else m - 1
-        lu = self._lu.get(k)
-        if lu is None:
-            lu = factor_slice(self.grid, self.data[k])
-            self._lu[k] = lu
-        return lu
+        lus = [factor_slice(grid, row) for row in data]
+        self._lu = lus * tgrid.steps if len(lus) == 1 else lus  # slice m at m - 1
 
     def solve(self, m: int, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
         # a C-ordered (k, n_interior) stack, read transposed, is the
         # column-major (n_interior, k) block the solvers take
-        return self._factor(m).solve(rhs.T, trans="T" if transpose else "N").T
+        return self._lu[m - 1].solve(rhs.T, trans="T" if transpose else "N").T
 
 
 def _time_constant(*arrays) -> bool:

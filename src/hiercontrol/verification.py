@@ -1,12 +1,12 @@
 """Independent oracles and empirical inequality probes.
 
 Everything here either recomputes a quantity through a code path disjoint
-from the production solvers (stacked KKT system, finite differences,
-hand-rolled stencils) or samples a weighted inequality that the theory
-asserts with non-computable constants.  A probe is a falsification tool:
-finite, stable ratios are consistent with a correct discretization, while a
-blown-up or sign-flipped ratio at sane parameters means an implementation
-bug, not new mathematics.
+from the production solvers (the stacked space-time KKT system, one
+Kronecker block matrix over raw stencils; finite differences) or samples a
+weighted inequality that the theory asserts with non-computable constants.
+A probe is a falsification tool: finite, stable ratios are consistent with
+a correct discretization, while a blown-up or sign-flipped ratio at sane
+parameters means an implementation bug, not new mathematics.
 
 The second-order check differentiates the coefficient roster along a state
 perturbation with the nonlinearity's analytic second derivatives, which
@@ -136,11 +136,23 @@ def kkt_nash_oracle(
 ) -> tuple[SpaceTimeField, SpaceTimeField]:
     """Ground-truth follower equilibrium from the stacked space-time KKT system.
 
-    Unknowns: state slices, both controls on their boxes, both multipliers.
-    The two quadratic programs share the linear dynamics; stationarity in
-    each control couples them.  Solved monolithically by a sparse direct
-    factorization, with operators assembled independently of the production
-    stencil code.
+    Unknowns and rows are ordered y | v1 | v2 | p1 | p2, each stacked over
+    slices 1..M: the state, both controls on their boxes, both multipliers.
+    With F = I + tau L, S the sub-diagonal time shift, X = diag xi_* and
+    P_k the injection of box k into the interior nodes scaled by xi_k, the
+    system is the Kronecker block matrix
+
+        [ I(x)F - S(x)I   -tau I(x)P_1   -tau I(x)P_2                         ]
+        [                  mu_1 I                      -I(x)P_1^T             ]
+        [                                 mu_2 I                  -I(x)P_2^T  ]
+        [ tau nu_1 I(x)X                               A                      ]
+        [ tau nu_2 I(x)X                                           A          ]
+
+    with the adjoint block A = I(x)F^T - S^T(x)I; a coupling with nu_k = 0
+    is left out.  The two quadratic programs share the linear dynamics;
+    stationarity in each control couples them.  Solved monolithically by a
+    sparse direct factorization, with operators assembled independently of
+    the production stencil code.
     """
     grid, tgrid = problem.grid, problem.tgrid
     if grid.cells > 24 or tgrid.steps > 48:
@@ -154,79 +166,40 @@ def kkt_nash_oracle(
     ni, M, tau = ii.size, tgrid.steps, tgrid.tau
     L = _oracle_state_matrix(problem, a, fy, fz)
     F = (sp.identity(ni) + tau * L).tocsr()
-    eye = sp.identity(ni, format="csr")
+    I_M, shift, eye = sp.identity(M), sp.eye(M, k=-1), sp.identity(ni)
+
+    def per_slice(B):
+        return sp.kron(I_M, B, format="csr")
 
     masks = [problem.follower_mask(1), problem.follower_mask(2)]
-    sel = []           # mask-node positions within the interior ordering
-    for mask in masks:
-        sel.append(np.searchsorted(ii, np.flatnonzero(mask)))
+    sel = [np.searchsorted(ii, np.flatnonzero(mask)) for mask in masks]  # box nodes among interior ones
     nw = [s.size for s in sel]
-    xi = [problem.xi("follower1")[ii], problem.xi("follower2")[ii]]
+    P = [
+        sp.csr_matrix((problem.xi(f"follower{k + 1}")[ii][s], (s, np.arange(s.size))), shape=(ni, s.size))
+        for k, s in enumerate(sel)
+    ]
     xi_star = problem.xi("tracking")[ii]
-
-    # unknown layout: y (M ni) | v1 (M nw1) | v2 (M nw2) | p1 (M ni) | p2 (M ni)
-    o_y = 0
-    o_v = [M * ni, M * ni + M * nw[0]]
-    o_p = [M * (ni + nw[0] + nw[1]), M * (ni + nw[0] + nw[1]) + M * ni]
-    size = M * (3 * ni + nw[0] + nw[1])
-
-    rows, cols, vals = [], [], []
-
-    def put(r0, c0, A):
-        A = sp.coo_matrix(A)
-        rows.append(A.row + r0)
-        cols.append(A.col + c0)
-        vals.append(A.data)
-
-    # injection of a masked control into interior nodes, scaled by xi_k
-    inj = []
-    for k in (0, 1):
-        P = sp.csr_matrix(
-            (xi[k][sel[k]], (sel[k], np.arange(nw[k]))), shape=(ni, nw[k])
-        )
-        inj.append(P)
-
-    rhs = np.zeros(size)
-    y0i = problem.y0.values[ii]
-    uv = None if u is None else (problem.xi("leader")[None, :] * u.values)
-
-    for m in range(1, M + 1):
-        r = o_y + (m - 1) * ni
-        put(r, r, F)
-        if m >= 2:
-            put(r, r - ni, -eye)
-        else:
-            rhs[r : r + ni] += y0i
-        if uv is not None:
-            rhs[r : r + ni] += tau * uv[m, ii]
-        for k in (0, 1):
-            put(r, o_v[k] + (m - 1) * nw[k], -tau * inj[k])
-
-        # adjoint rows: F^T p^m - p^{m+1} + tau nu_k xi_* y^m = tau nu_k xi_* y_kd^m
-        for k in (0, 1):
-            rp = o_p[k] + (m - 1) * ni
-            put(rp, rp, F.T)
-            if m <= M - 1:
-                put(rp, rp + ni, -eye)
-            nu_k = problem.nu[k]
-            if nu_k != 0.0:
-                put(rp, r, tau * nu_k * sp.diags(xi_star))
-                tgt = problem.targets[k].values[m, ii]
-                rhs[rp : rp + ni] += tau * nu_k * xi_star * tgt
-
-        # stationarity rows: mu_k v_k^m - xi_k p_k^m |_{mask} = 0
-        for k in (0, 1):
-            rv = o_v[k] + (m - 1) * nw[k]
-            put(rv, rv, problem.mu[k] * sp.identity(nw[k]))
-            R = sp.csr_matrix(
-                (-xi[k][sel[k]], (np.arange(nw[k]), sel[k])), shape=(nw[k], ni)
-            )
-            put(rv, o_p[k] + (m - 1) * ni, R)
-
-    K = sp.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size),
+    state = per_slice(F) - sp.kron(shift, eye)
+    adjoint = per_slice(F.T) - sp.kron(shift.T, eye)
+    track = [None if nu_k == 0.0 else tau * nu_k * per_slice(sp.diags(xi_star)) for nu_k in problem.nu]
+    K = sp.bmat(
+        [
+            [state, -tau * per_slice(P[0]), -tau * per_slice(P[1]), None, None],
+            [None, problem.mu[0] * sp.identity(M * nw[0]), None, -per_slice(P[0].T), None],
+            [None, None, problem.mu[1] * sp.identity(M * nw[1]), None, -per_slice(P[1].T)],
+            [track[0], None, None, adjoint, None],
+            [track[1], None, None, None, adjoint],
+        ],
+        format="csc",
     )
+
+    rhs_y = np.zeros((M, ni)) if u is None else tau * (problem.xi("leader")[None, :] * u.values)[1:, ii]
+    rhs_y[0] += problem.y0.values[ii]
+    rhs_p = [
+        np.zeros((M, ni)) if nu_k == 0.0 else tau * nu_k * xi_star * tgt.values[1:, ii]
+        for nu_k, tgt in zip(problem.nu, problem.targets)
+    ]
+    rhs = np.concatenate([rhs_y.ravel(), np.zeros(M * (nw[0] + nw[1])), rhs_p[0].ravel(), rhs_p[1].ravel()])
     try:
         x = spla.spsolve(K, rhs)
     except RuntimeError as exc:
@@ -235,10 +208,9 @@ def kkt_nash_oracle(
         raise OracleError("stacked KKT system is singular (non-finite solution)")
 
     out = []
-    for k in (0, 1):
+    for mask, seg in zip(masks, np.split(x, np.cumsum([M * ni, M * nw[0], M * nw[1]]))[1:3]):
         v = np.zeros((M + 1, grid.n_nodes))
-        seg = x[o_v[k] : o_v[k] + M * nw[k]].reshape(M, nw[k])
-        v[1:, np.flatnonzero(masks[k])] = seg
+        v[1:, np.flatnonzero(mask)] = seg.reshape(M, -1)
         out.append(SpaceTimeField(grid, tgrid, v))
     return out[0], out[1]
 

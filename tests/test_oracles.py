@@ -33,6 +33,16 @@ def _leader_control(problem, seed=0, amp=0.1):
     return SpaceTimeField(problem.grid, problem.tgrid, vals)
 
 
+# make_problem settings of the regimes the stacked oracle is checked in
+_ORACLE_CASES = {
+    "nu-0-1": dict(nu=(0.0, 1.0)),
+    "nu-1-0": dict(nu=(1.0, 0.0)),
+    "2d-8x16": dict(dim=2, cells=8, steps=16),
+    "linear-f-1d": dict(preset="linear-f", params={"c1": 0.5, "c2": 0.8}),
+    "linear-f-2d": dict(dim=2, cells=8, steps=16, preset="linear-f", params={"c1": 0.5, "c2": 0.8}),
+}
+
+
 def _zero_traj(problem):
     return SpaceTimeField(
         problem.grid,
@@ -62,6 +72,32 @@ class TestKKTOracle:
         problem = make_problem(cells=16, steps=32)
         u = _leader_control(problem, seed=12)
         assert oracle_nash_gap(problem, u=u) < 1e-10
+
+    @pytest.mark.parametrize("leader", [False, True], ids=["free", "leader"])
+    @pytest.mark.parametrize("case", list(_ORACLE_CASES))
+    def test_matches_picard_equilibrium_across_regimes(self, case, leader):
+        problem = make_problem(**_ORACLE_CASES[case])
+        u = _leader_control(problem, seed=12) if leader else None
+        assert oracle_nash_gap(problem, u=u) < 1e-10
+
+    def test_independent_of_production_operators(self, monkeypatch):
+        """The oracle assembles and solves without the production slice operators or marches."""
+        problem = make_problem(cells=16, steps=32)
+        u = _leader_control(problem, seed=12)
+        expected = kkt_nash_oracle(problem, u)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the KKT oracle called production solver code")
+
+        for name, module in list(sys.modules.items()):
+            if module is None or not (name == "hiercontrol" or name.startswith("hiercontrol.")):
+                continue
+            for attr in ("slice_operator", "factor_slice", "march_forward", "march_adjoint"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+        got = kkt_nash_oracle(problem, u)
+        for mine, ref in zip(got, expected):
+            np.testing.assert_array_equal(mine.values, ref.values)
 
     def test_rejects_nonlinear_dynamics(self):
         problem = make_problem(

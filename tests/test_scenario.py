@@ -46,11 +46,25 @@ _MALFORMED = [
     (("data", "y0", "modes"), 1.5, "data.y0.modes"),
     (("data", "y0", "amplitud"), 0.3, "data.y0.amplitud"),
     (("nonlinearity", "params"), {"a0": 1.0, "qq": 5.0}, "nonlinearity.params.qq"),
+    (("data", "y0"), {"profile": "bump", "width": 0}, "data.y0.width"),
+    (("data", "y0"), {"profile": "bump", "width": -0.25}, "data.y0.width"),
+    (("data", "y0"), {"profile": "gauss", "sigma": -0.1}, "data.y0.sigma"),
+    (("data", "y0", "modes"), 0, "data.y0.modes"),
+    (("data", "y1_target", "center"), [0.6, 0.6], "data.y1_target.center"),
 ]
 
+# the same on the 2D heat_2d scenario, whose per-axis lists take two entries
+_MALFORMED_2D = [
+    (("data", "y0"), {"profile": "bump", "center": [0.5]}, "data.y0.center"),
+    (("data", "y0"), {"profile": "bump", "center": [0.5, 0.5, 0.9]}, "data.y0.center"),
+    (("data", "y0", "modes"), [1], "data.y0.modes"),
+    (("data", "y0", "modes"), [1, 0], "data.y0.modes"),
+]
+_CASES = [("heat_lq_16x32", *c) for c in _MALFORMED] + [("heat_2d", *c) for c in _MALFORMED_2D]
 
-def _base_tree():
-    with open(scenario_path("heat_lq_16x32"), "r", encoding="utf-8") as fh:
+
+def _base_tree(name="heat_lq_16x32"):
+    with open(scenario_path(name), "r", encoding="utf-8") as fh:
         return yaml.safe_load(fh)
 
 
@@ -190,12 +204,11 @@ class TestValidation:
         assert (s.cells, s.seed, s.tolerance("cg_max")) == (16, 3, 50)
         assert all(type(v) is int for v in (s.cells, s.seed, s.tolerance("cg_max")))
 
-    @pytest.mark.parametrize("path,value,key", _MALFORMED,
-                             ids=[f"{k}={v}" for _, v, k in _MALFORMED])
-    def test_malformed_number_names_its_key(self, tmp_path, capsys, path, value, key):
+    @pytest.mark.parametrize("base,path,value,key", _CASES, ids=[f"{k}={v}" for _, _, v, k in _CASES])
+    def test_malformed_number_names_its_key(self, tmp_path, capsys, base, path, value, key):
         from hiercontrol.cli import main
 
-        tree = _base_tree()
+        tree = _base_tree(base)
         node = tree
         for part in path[:-1]:
             node = node.setdefault(part, {})
