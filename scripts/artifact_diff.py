@@ -16,10 +16,15 @@ HIERCONTROL_THREADS=1:
 * ``verify --suite duality`` on gradient_diffusion,
 * ``leader`` on heat_1d and on mild_quasilinear,
 * ``nash`` on gradient_diffusion,
-* ``weights`` on heat_2d.
+* ``weights`` on heat_2d,
+* ``solve`` and ``nash`` on two scenarios derived from heat_lq_16x32 whose
+  nonlinearity is ``cubic-f`` (a0 = 1, c = 1) or ``burgers-f`` (a0 = 1,
+  c = 0.5), the presets no shipped scenario uses.
 
-Every command writes into ``DIR/<side>/<run>`` and runs there; bytecode
-goes to ``DIR/pycache``, so nothing is written outside DIR.  The script
+Each checkout's derived scenarios are written from its own heat_lq_16x32.cfg
+into ``DIR/<side>/scenarios``.  Every command writes into
+``DIR/<side>/<run>`` and runs there; bytecode goes to ``DIR/pycache``, so
+nothing is written outside DIR.  The script
 prints every artifact as identical or different, with max|delta| / max|value|
 over the cells of a differing CSV, and every exit code.  It exits 0 only
 when both checkouts write the same files with the same bytes and every
@@ -33,6 +38,7 @@ import subprocess
 import sys
 
 import numpy as np
+import yaml
 
 FIXED_RUNS = (
     ("verify-all-heat_lq_16x32", ["verify", "--suite", "all"], "heat_lq_16x32"),
@@ -46,17 +52,34 @@ FIXED_RUNS = (
     ("weights-heat_2d", ["weights"], "heat_2d"),
 )
 
+# derived scenario -> (shipped scenario, the nonlinearity that replaces its own)
+DERIVED = {
+    "heat_lq_16x32-cubic-f": ("heat_lq_16x32", {"preset": "cubic-f", "params": {"a0": 1.0, "c": 1.0}}),
+    "heat_lq_16x32-burgers-f": ("heat_lq_16x32", {"preset": "burgers-f", "params": {"a0": 1.0, "c": 0.5}}),
+}
+
 
 def runs(change: str) -> list[tuple[str, list[str], str]]:
     names = sorted(os.path.basename(p)[:-4] for p in glob.glob(os.path.join(change, "scenarios", "*.cfg")))
-    return [(f"solve-{name}", ["solve"], name) for name in names] + list(FIXED_RUNS)
+    derived = [(f"{cmd}-{name}", [cmd], name) for name in DERIVED for cmd in ("solve", "nash")]
+    return [(f"solve-{name}", ["solve"], name) for name in names] + list(FIXED_RUNS) + derived
 
 
-def run_cli(checkout: str, argv: list[str], scenario: str, out: str, pycache: str) -> int:
+def write_derived(checkout: str, folder: str) -> None:
+    """Write every DERIVED scenario from the checkout's own shipped file into folder."""
+    os.makedirs(folder, exist_ok=True)
+    for name, (base, nonlinearity) in DERIVED.items():
+        with open(os.path.join(checkout, "scenarios", f"{base}.cfg"), encoding="utf-8") as fh:
+            tree = yaml.safe_load(fh)
+        tree["nonlinearity"] = nonlinearity
+        with open(os.path.join(folder, f"{name}.cfg"), "w", encoding="utf-8") as fh:
+            yaml.safe_dump(tree, fh, sort_keys=False)
+
+
+def run_cli(checkout: str, argv: list[str], config: str, out: str, pycache: str) -> int:
     os.makedirs(out, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), HIERCONTROL_THREADS="1",
                PYTHONPYCACHEPREFIX=pycache)
-    config = os.path.join(checkout, "scenarios", f"{scenario}.cfg")
     cmd = [sys.executable, "-m", "hiercontrol.cli", *argv, "--config", config, "--out", out]
     return subprocess.run(cmd, cwd=out, env=env, capture_output=True).returncode
 
@@ -83,12 +106,20 @@ def main() -> int:
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     out = os.path.abspath(args.out)
     pycache = os.path.join(out, "pycache")
+    derived_dirs = {side: os.path.join(out, side, "scenarios") for side in sides}
+    for side in sides:
+        write_derived(sides[side], derived_dirs[side])
+
+    def config(side: str, scenario: str) -> str:
+        folder = derived_dirs[side] if scenario in DERIVED else os.path.join(sides[side], "scenarios")
+        return os.path.join(folder, f"{scenario}.cfg")
 
     codes_ok = True
     files = same = 0
     for label, argv, scenario in runs(sides["change"]):
         dirs = {side: os.path.join(out, side, label) for side in sides}
-        codes = {side: run_cli(sides[side], argv, scenario, dirs[side], pycache) for side in sides}
+        codes = {side: run_cli(sides[side], argv, config(side, scenario), dirs[side], pycache)
+                 for side in sides}
         match = codes["parent"] == codes["change"]
         codes_ok &= match
         print(f"{label}: exit {codes['parent']} / {codes['change']}"

@@ -46,7 +46,7 @@ def main() -> int:
             w = build_weights(problem.grid, problem.tgrid, focus, mu=mu, lam=fac * lam0)
             ctx = linearize_at(problem, z0, weights=w)
             obs = probe_observability(ctx, samples=args.samples, seed=s.seed)
-            car = probe_carleman(ctx.c, w, samples=args.samples, seed=s.seed)
+            car = probe_carleman(ctx, samples=args.samples, seed=s.seed)
             rows.append((mu, w.lam, obs.worst_ratio, car.worst_ratio,
                          obs.excluded, car.excluded))
             print(f"mu={mu:4.1f} lambda={w.lam:10.5f}  obs={obs.worst_ratio:12.5e}  "

@@ -414,7 +414,7 @@ def cmd_verify(args) -> int:
             reports[suite] = rep.as_dict()
             ok = rep.passed
         elif suite == "carleman":
-            rep = probe_carleman(ctx.c, ctx.weights, samples=8, seed=s.seed)
+            rep = probe_carleman(ctx, samples=8, seed=s.seed)
             reports[suite] = rep.as_dict()
             ok = rep.passed
         else:  # pragma: no cover - argparse restricts choices

@@ -109,10 +109,12 @@ class GramianContext:
     """Solver state shared by every Gramian application of one leader problem.
 
     Holds the frozen linearization, the Carleman weights, the slice factors
-    the coupled sweeps march with, the free terminal state b and the Lanczos
-    basis of Lambda started from b.  The penalty parameter is deliberately
-    not part of the context, so an epsilon sweep reuses one set of factors
-    and one Krylov basis.
+    the coupled sweeps march with (``state_factors`` of the lead block,
+    ``sensitivity_factors`` of the follower blocks), the free terminal
+    state b and the Lanczos basis of Lambda started from b.  The Carleman
+    probe marches on the same state factors.  The penalty parameter is
+    deliberately not part of the context, so an epsilon sweep reuses one set
+    of factors and one Krylov basis.
     """
 
     strategy = "picard"  # the benchmark reads the engine name from here
@@ -145,7 +147,8 @@ class GramianContext:
         self.S = [problem.xi("follower1") ** 2, problem.xi("follower2") ** 2]
 
         self.size = 3 * self.tgrid.steps * self.grid.n_interior
-        self._factors = (state_factors(coefficients), sensitivity_factors(coefficients))
+        self.state_factors = state_factors(coefficients)
+        self.sensitivity_factors = sensitivity_factors(coefficients)
         self._krylov: KrylovBasis | None = None
         self.gramian_applications = 0
 
@@ -167,7 +170,7 @@ class GramianContext:
         grid, tgrid = self.grid, self.tgrid
         tol = self.picard_tol if tol is None else tol
         n = grid.n_nodes
-        sf, pf = self._factors
+        sf, pf = self.state_factors, self.sensitivity_factors
         s_mu = [self.S[k] / self.problem.mu[k] for k in (0, 1)]       # z_k into x in K
         nu_xi = [-self.problem.nu[k] * self.xi_star for k in (0, 1)]  # x into z_k in K
         # K^T reverses both marches and swaps the two coupling blocks; the

@@ -25,7 +25,7 @@ from .grids import (
     build_time_grid,
 )
 from .nash import HierarchicProblem
-from .solvers import PRESET_PARAMS, Nonlinearity, nonlinearity_preset
+from .solvers import PRESETS, Nonlinearity, nonlinearity_preset
 from .weights import CarlemanWeights, build_weights
 
 REGION_KEYS = (
@@ -391,7 +391,7 @@ def scenario_from_tree(raw: dict) -> Scenario:
     norm_params = tuple(sorted(
         (str(k), _number(v, f"nonlinearity.params.{k}")) for k, v in params.items()
     ))
-    takes = PRESET_PARAMS.get(preset)
+    takes = PRESETS.get(preset)
     for k, _ in norm_params:
         if takes is not None and k not in takes:
             raise ValidationError(

@@ -419,30 +419,6 @@ def march_adjoint(
 # nonlinearity
 
 
-def _fd_check(fn, dfn_y, dfn_z, rng, dim, label):
-    step, tol = 1e-6, 1e-5
-    for _ in range(20):
-        s = float(rng.normal(scale=0.8))
-        eta = rng.normal(scale=0.8, size=dim)
-        fy = float(dfn_y(np.array([s]), eta[None, :])[0])
-        fd = (fn(np.array([s + step]), eta[None, :])[0] - fn(np.array([s - step]), eta[None, :])[0]) / (
-            2 * step
-        )
-        if abs(fd - fy) > tol * (1.0 + abs(fy)):
-            raise CoefficientError(f"{label}: d/dy inconsistent at (s={s:.4g}): {fd} vs {fy}")
-        fz = dfn_z(np.array([s]), eta[None, :])[0]
-        for ax in range(dim):
-            ep = eta.copy()
-            ep[ax] += step
-            em = eta.copy()
-            em[ax] -= step
-            fd = (fn(np.array([s]), ep[None, :])[0] - fn(np.array([s]), em[None, :])[0]) / (2 * step)
-            if abs(fd - fz[ax]) > tol * (1.0 + abs(fz[ax])):
-                raise CoefficientError(
-                    f"{label}: d/dzeta[{ax}] inconsistent at (s={s:.4g}): {fd} vs {fz[ax]}"
-                )
-
-
 # callback -> number of trailing dim axes its output adds to the shape of s
 _CALLBACK_AXES = (
     ("a", 0), ("a_y", 0), ("a_z", 1), ("f", 0), ("f_y", 0), ("f_z", 1),
@@ -502,134 +478,126 @@ class Nonlinearity:
         if abs(f00) > 1e-14:
             raise CoefficientError(f"nonlinearity must satisfy f(0, 0) = 0, got {f00}")
 
-    def self_check(self, seed: int = 0, dim: int = 1) -> None:
-        """Spot-check the declared first derivatives by central differences."""
-        rng = np.random.default_rng(seed)
-        _fd_check(self.a, self.a_y, self.a_z, rng, dim, f"nonlinearity {self.name}: a")
-        _fd_check(self.f, self.f_y, self.f_z, rng, dim, f"nonlinearity {self.name}: f")
 
-
-def _zero_scalar(s, eta):
-    return np.zeros_like(s)
-
-
-def _zero_vec(s, eta):
-    return np.zeros(eta.shape)
-
-
-def _zero_mat(s, eta):
-    return np.zeros(eta.shape + (eta.shape[-1],))
-
-
-# the parameters each preset reads; any other name is rejected
-PRESET_PARAMS = {
-    "heat": ("a0",),
-    "linear-f": ("a0", "c1", "c2"),
-    "cubic-f": ("a0", "c"),
-    "burgers-f": ("a0", "c"),
-    "gradient-diffusion": ("a0", "c"),
-    "mild-quasilinear": ("a0", "q", "c"),
+# preset -> {parameter: (default, family coefficient it sets)}; the presets
+# read no other parameter
+PRESETS = {
+    "heat": {"a0": (1.0, "a0")},
+    "linear-f": {"a0": (1.0, "a0"), "c1": (0.0, "c1"), "c2": (0.0, "c2")},
+    "cubic-f": {"a0": (1.0, "a0"), "c": (1.0, "c3")},
+    "burgers-f": {"a0": (1.0, "a0"), "c": (0.1, "c4")},
+    "gradient-diffusion": {"a0": (1.0, "a0"), "c": (0.1, "c_a")},
+    "mild-quasilinear": {"a0": (1.0, "a0"), "q": (0.05, "q"), "c": (0.1, "c4")},
 }
+
+
+def _family_terms(q=0.0, c_a=0.0, c1=0.0, c2=0.0, c3=0.0, c4=0.0):
+    """The terms of the family with a non-zero coefficient, each as
+    {callback name: its contribution}, listing only non-zero derivatives."""
+
+    def dr(s, eta):  # first and second derivatives of c_a r / (1 + r) in r
+        r = s * s + (eta * eta).sum(axis=-1)
+        return c_a / (1.0 + r) ** 2, -2.0 * c_a / (1.0 + r) ** 3
+
+    terms = (
+        (q, {
+            "a": lambda s, eta: q * s * s,
+            "a_y": lambda s, eta: 2.0 * q * s,
+            "a_yy": lambda s, eta: np.full_like(s, 2.0 * q),
+        }),
+        (c_a, {
+            # denominator (1 + y^2) + |grad y|^2, which rounds apart from 1 + r
+            "a": lambda s, eta: c_a * (s * s + (eta * eta).sum(axis=-1))
+            / (1.0 + s * s + (eta * eta).sum(axis=-1)),
+            "a_y": lambda s, eta: dr(s, eta)[0] * 2.0 * s,
+            "a_z": lambda s, eta: dr(s, eta)[0][..., None] * 2.0 * eta,
+            "a_yy": lambda s, eta: dr(s, eta)[1] * 4.0 * s * s + 2.0 * dr(s, eta)[0],
+            "a_yz": lambda s, eta: (dr(s, eta)[1] * 2.0 * s)[..., None] * 2.0 * eta,
+            "a_zz": lambda s, eta: dr(s, eta)[1][..., None, None]
+            * 4.0 * eta[..., :, None] * eta[..., None, :]
+            + 2.0 * dr(s, eta)[0][..., None, None] * np.eye(eta.shape[-1]),
+        }),
+        (c1 or c2, {
+            "f": lambda s, eta: c1 * s + c2 * eta.sum(axis=-1),
+            "f_y": lambda s, eta: np.full_like(s, c1),
+            "f_z": lambda s, eta: np.full(eta.shape, c2),
+        }),
+        (c3, {
+            "f": lambda s, eta: c3 * s**3,
+            "f_y": lambda s, eta: 3.0 * c3 * s**2,
+            "f_yy": lambda s, eta: 6.0 * c3 * s,
+        }),
+        (c4, {
+            "f": lambda s, eta: c4 * s * eta.sum(axis=-1),
+            "f_y": lambda s, eta: c4 * eta.sum(axis=-1),
+            "f_z": lambda s, eta: c4 * np.repeat(s[..., None], eta.shape[-1], axis=-1),
+            "f_yz": lambda s, eta: np.full(eta.shape, c4),
+        }),
+    )
+    return [term for coefficient, term in terms if coefficient]
+
+
+def _summed(parts, axes, start=None):
+    """One callback: ``start`` plus the sum of ``parts``.
+
+    A lone part with no start is returned as it is, not wrapped; with no
+    part the callback returns ``start``, or 0, in the contract shape
+    (``axes`` trailing dim axes).
+    """
+    if start is None and len(parts) == 1:
+        return parts[0]
+    if not parts:
+        if start is None:  # np.zeros leaves the pages of an unwritten array unmapped
+            return lambda s, eta: np.zeros(s.shape + eta.shape[-1:] * axes)
+        return lambda s, eta: np.full_like(s, start)
+
+    def total(s, eta):
+        out = start
+        for part in parts:
+            out = part(s, eta) if out is None else out + part(s, eta)
+        return out
+
+    return total
 
 
 def nonlinearity_preset(name: str, **params) -> Nonlinearity:
     """Named quasi-linear structures used by scenarios and benchmarks.
 
+    Every preset is one member of the family
+
+        a = a0 + q y^2 + c_a r / (1 + r),  r = y^2 + |grad y|^2,
+        f = c1 y + c2 sum_j d_j y + c3 y^3 + c4 y sum_j d_j y,
+
+    with the coefficients its parameters set in PRESETS and every other
+    coefficient 0:
+
     heat                  a = a0, f = 0
     linear-f              a = a0, f = c1 y + c2 sum_j d_j y
     cubic-f               a = a0, f = c y^3
     burgers-f             a = a0, f = c y sum_j d_j y
-    gradient-diffusion    a = a0 + c r / (1 + r), r = y^2 + |grad y|^2, f = 0
+    gradient-diffusion    a = a0 + c r / (1 + r), f = 0
     mild-quasilinear      a = a0 + q y^2, f = c y sum_j d_j y
 
-    ``params`` may name only the preset's entries of PRESET_PARAMS.
+    ``params`` may name only the preset's parameters in PRESETS.  A term
+    whose coefficient is 0 is left out of every callback.
     """
     key = name.replace("_", "-").lower()
-    if key not in PRESET_PARAMS:
+    if key not in PRESETS:
         raise CoefficientError(f"unknown nonlinearity preset {name!r}")
+    takes = PRESETS[key]
     for p in params:
-        if p not in PRESET_PARAMS[key]:
+        if p not in takes:
             raise CoefficientError(
-                f"preset {key!r} has no parameter {p!r}; it takes {', '.join(PRESET_PARAMS[key])}"
+                f"preset {key!r} has no parameter {p!r}; it takes {', '.join(takes)}"
             )
-    a0 = float(params.get("a0", 1.0))
-
-    def const_a(s, eta):
-        return np.full_like(s, a0)
-
-    if key == "heat":
-        nl = Nonlinearity(const_a, _zero_scalar, _zero_vec, _zero_scalar, _zero_scalar, _zero_vec,
-                          a_yy=_zero_scalar, a_yz=_zero_vec, a_zz=_zero_mat,
-                          f_yy=_zero_scalar, f_yz=_zero_vec, f_zz=_zero_mat,
-                          name=key)
-    elif key == "linear-f":
-        c1 = float(params.get("c1", 0.0))
-        c2 = float(params.get("c2", 0.0))
-        nl = Nonlinearity(
-            const_a, _zero_scalar, _zero_vec,
-            lambda s, eta: c1 * s + c2 * eta.sum(axis=-1),
-            lambda s, eta: np.full_like(s, c1),
-            lambda s, eta: np.full(eta.shape, c2),
-            a_yy=_zero_scalar, a_yz=_zero_vec, a_zz=_zero_mat,
-            f_yy=_zero_scalar, f_yz=_zero_vec, f_zz=_zero_mat, name=key,
-        )
-    elif key == "cubic-f":
-        c = float(params.get("c", 1.0))
-        nl = Nonlinearity(
-            const_a, _zero_scalar, _zero_vec,
-            lambda s, eta: c * s**3,
-            lambda s, eta: 3.0 * c * s**2,
-            _zero_vec,
-            a_yy=_zero_scalar, a_yz=_zero_vec, a_zz=_zero_mat,
-            f_yy=lambda s, eta: 6.0 * c * s, f_yz=_zero_vec, f_zz=_zero_mat, name=key,
-        )
-    elif key == "burgers-f":
-        c = float(params.get("c", 0.1))
-        nl = Nonlinearity(
-            const_a, _zero_scalar, _zero_vec,
-            lambda s, eta: c * s * eta.sum(axis=-1),
-            lambda s, eta: c * eta.sum(axis=-1),
-            lambda s, eta: c * np.repeat(s[..., None], eta.shape[-1], axis=-1),
-            a_yy=_zero_scalar, a_yz=_zero_vec, a_zz=_zero_mat,
-            f_yy=_zero_scalar,
-            f_yz=lambda s, eta: np.full(eta.shape, c), f_zz=_zero_mat, name=key,
-        )
-    elif key == "gradient-diffusion":
-        c = float(params.get("c", 0.1))
-
-        def r_terms(s, eta):
-            r = s * s + (eta * eta).sum(axis=-1)
-            return r, c / (1.0 + r) ** 2, -2.0 * c / (1.0 + r) ** 3
-
-        nl = Nonlinearity(
-            lambda s, eta: a0 + c * (s * s + (eta * eta).sum(axis=-1)) / (1.0 + s * s + (eta * eta).sum(axis=-1)),
-            lambda s, eta: r_terms(s, eta)[1] * 2.0 * s,
-            lambda s, eta: r_terms(s, eta)[1][..., None] * 2.0 * eta,
-            _zero_scalar, _zero_scalar, _zero_vec,
-            a_yy=lambda s, eta: r_terms(s, eta)[2] * 4.0 * s * s + 2.0 * r_terms(s, eta)[1],
-            a_yz=lambda s, eta: (r_terms(s, eta)[2] * 2.0 * s)[..., None] * 2.0 * eta,
-            a_zz=lambda s, eta: r_terms(s, eta)[2][..., None, None]
-            * 4.0 * eta[..., :, None] * eta[..., None, :]
-            + 2.0 * r_terms(s, eta)[1][..., None, None] * np.eye(eta.shape[-1]),
-            f_yy=_zero_scalar, f_yz=_zero_vec, f_zz=_zero_mat, name=key,
-        )
-    else:  # mild-quasilinear
-        q = float(params.get("q", 0.05))
-        c = float(params.get("c", 0.1))
-        nl = Nonlinearity(
-            lambda s, eta: a0 + q * s * s,
-            lambda s, eta: 2.0 * q * s,
-            _zero_vec,
-            lambda s, eta: c * s * eta.sum(axis=-1),
-            lambda s, eta: c * eta.sum(axis=-1),
-            lambda s, eta: c * np.repeat(s[..., None], eta.shape[-1], axis=-1),
-            a_yy=lambda s, eta: np.full_like(s, 2.0 * q),
-            a_yz=_zero_vec,
-            a_zz=_zero_mat,
-            f_yy=_zero_scalar,
-            f_yz=lambda s, eta: np.full(eta.shape, c), f_zz=_zero_mat, name=key,
-        )
-    return nl
+    coef = {family: float(params.get(p, default)) for p, (default, family) in takes.items()}
+    a0 = coef.pop("a0")
+    terms = _family_terms(**coef)
+    return Nonlinearity(
+        **{cb: _summed([t[cb] for t in terms if cb in t], axes, a0 if cb == "a" else None)
+           for cb, axes in _CALLBACK_AXES},
+        name=key,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .leader import GramianContext
 from .nash import (
     HierarchicProblem,
     NashSolution,
-    _state,
     coefficients_from_state,
     compute_nash,
     evaluate_cost,
@@ -42,7 +41,6 @@ from .solvers import (
     march_adjoint,
     march_forward,
     sensitivity_factors,
-    state_factors,
     solve_forward_quasilinear,
 )
 from .weights import CarlemanWeights, eval_terminal_weights, eval_weights, observation_weight_trajectory
@@ -369,7 +367,8 @@ def check_second_order(
     value is the second central difference of J1 in direction w.  With
     nu1 = 0 the W-term carries a zero factor and the representation reduces
     to the control quadratic exactly.  ``nash`` is the follower equilibrium
-    at u that the derivative is taken at.
+    at u that the derivative is taken at; its state ``nash.y`` is reused,
+    not marched again.
     """
     grid, tgrid = problem.grid, problem.tgrid
     n = grid.n_nodes
@@ -382,7 +381,7 @@ def check_second_order(
     xi1 = problem.xi("follower1")
     xi_star = problem.xi("tracking")
 
-    y = _state(problem, u, v1, v2)
+    y = nash.y
     mu_term = mu1 * stepped_norm2(grid, tgrid, w, mask=mask1)
 
     coupling = 0.0
@@ -517,8 +516,7 @@ def probe_observability(
 
 
 def probe_carleman(
-    coefficients,
-    weights: CarlemanWeights,
+    ctx: GramianContext,
     samples: int = 8,
     seed: int = 0,
     budget: float | None = None,
@@ -531,15 +529,13 @@ def probe_carleman(
     energies  exp(2 lambda nu)(lambda mu^2 beta |grad v|^2 + lambda^3 mu^4
     beta^3 v^2)  over interior time slices; RHS is the same zeroth-order
     energy restricted to the focus region.  The backward equation is the
-    adjoint of the state side (b, f_adv, f0) of ``coefficients``, normally
-    the roster ``c`` of a ``linearize_at`` context.
+    adjoint of the state side (b, f_adv, f0) of the context's roster, marched
+    on the context's state factors; the weights are the context's.
     """
-    c = coefficients
-    grid, tgrid = c.grid, c.tgrid
-    if not (weights.grid.same_as(grid) and weights.tgrid.same_as(tgrid)):
-        raise ValidationError("weights and coefficients live on different discretizations")
+    weights = ctx.weights
+    grid, tgrid = ctx.grid, ctx.tgrid
     rng = np.random.default_rng(seed)
-    factors = state_factors(c)
+    factors = ctx.state_factors
     lam, mu = weights.lam, weights.mu
     obs_mask = weights.focus_mask
     if not obs_mask.any():

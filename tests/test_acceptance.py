@@ -244,7 +244,7 @@ class TestAcceptance:
     def test_criterion_09_probe_sanity(self, ctx_heat):
         s = _scenario("heat_1d")
         rep_native = probe_observability(ctx_heat, samples=8, seed=s.seed)
-        rep_carl = probe_carleman(ctx_heat.c, ctx_heat.weights, samples=8, seed=s.seed)
+        rep_carl = probe_carleman(ctx_heat, samples=8, seed=s.seed)
         refined_s = dataclasses.replace(s, cells=2 * s.cells, steps=2 * s.steps)
         refined_p = refined_s.build_problem()
         refined_ctx = linearize_at(

@@ -188,9 +188,9 @@ class TestVerify:
         problem = s.build_problem()
         z0 = solve_forward_quasilinear(problem.nl, problem.grid, problem.tgrid, problem.y0)
         w = s.build_carleman_weights(problem)
-        c = linearize_at(problem, z0, weights=w).c
-        assert np.abs(c.f0).max() > 0.0 and np.abs(c.f_adv).max() > 0.0
-        expected = probe_carleman(c, w, samples=8, seed=s.seed)
+        ctx = linearize_at(problem, z0, weights=w)
+        assert np.abs(ctx.c.f0).max() > 0.0 and np.abs(ctx.c.f_adv).max() > 0.0
+        expected = probe_carleman(ctx, samples=8, seed=s.seed)
         rc, out = _run(tmp_path, "verify", "--config", ADVECTION, "--suite", "carleman")
         assert rc == 0
         report = json.loads(_read(os.path.join(out, "verify_carleman.json")))["reports"]["carleman"]

@@ -12,6 +12,7 @@ from hiercontrol import verification
 from hiercontrol.errors import ValidationError
 from hiercontrol.fixedpoint import linearize_at
 from hiercontrol.grids import SpaceTimeField
+from hiercontrol.leader import GramianContext
 from hiercontrol.nash import compute_nash
 from hiercontrol.verification import (
     ProbeReport,
@@ -254,7 +255,7 @@ class TestWeightedProbes:
         assert not rep.passed
 
     def test_carleman_finite(self, ctx16):
-        rep = probe_carleman(ctx16.c, ctx16.weights, samples=4, seed=0)
+        rep = probe_carleman(ctx16, samples=4, seed=0)
         assert rep.passed
         assert np.isfinite(rep.worst_ratio) and rep.worst_ratio > 0.0
         # the full weighted energy dominates its focus restriction
@@ -267,5 +268,6 @@ class TestWeightedProbes:
         other = build_weights(
             build_grid(1, 24), build_time_grid(1.0, 32), ctx16.problem.focus_box()
         )
+        # the probe takes its weights from a context, which refuses them
         with pytest.raises(ValidationError, match="discretization"):
-            probe_carleman(ctx16.c, other, samples=2)
+            GramianContext(ctx16.problem, other, ctx16.c)

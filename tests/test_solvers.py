@@ -51,13 +51,14 @@ _ZERO_SECOND_DERIVATIVES = dict(
     f_zz=lambda s, eta: np.zeros(eta.shape + eta.shape[-1:]),
 )
 
+# every preset with every parameter away from its default
 _PRESET_PARAMS = (
-    ("heat", {}),
-    ("linear-f", {"c1": 0.2, "c2": 0.1}),
-    ("cubic-f", {"c": 0.7}),
-    ("burgers-f", {"c": 0.3}),
-    ("gradient-diffusion", {"c": 0.3}),
-    ("mild-quasilinear", {"q": 0.2, "c": 0.3}),
+    ("heat", {"a0": 0.8}),
+    ("linear-f", {"a0": 1.3, "c1": 0.2, "c2": 0.1}),
+    ("cubic-f", {"a0": 0.9, "c": 0.7}),
+    ("burgers-f", {"a0": 1.1, "c": 0.3}),
+    ("gradient-diffusion", {"a0": 1.2, "c": 0.3}),
+    ("mild-quasilinear", {"a0": 0.7, "q": 0.2, "c": 0.3}),
 )
 
 
@@ -248,16 +249,22 @@ class TestRosterValidation:
             )
 
 
-class TestNonlinearity:
-    def test_presets_pass_self_check(self):
-        names = ["heat", "linear-f", "cubic-f", "burgers-f", "gradient-diffusion",
-                 "mild-quasilinear"]
-        for name in names:
-            params = {"c1": 0.2, "c2": 0.1} if name == "linear-f" else {}
-            nl = nonlinearity_preset(name, a0=1.0, **params)
-            nl.self_check(dim=1)
-            nl.self_check(dim=2)
+def _check_first_derivatives(nl, base, s, eta, label):
+    """base_y and base_z of nl against central differences of base, sample by sample."""
+    step, tol = 1e-6, 1e-5
+    fn, d_y, d_z = (getattr(nl, base + sfx) for sfx in ("", "_y", "_z"))
+    fd = (fn(s + step, eta) - fn(s - step, eta)) / (2 * step)
+    exact = d_y(s, eta)
+    assert np.all(np.abs(fd - exact) <= tol * (1.0 + np.abs(exact))), f"{label}: {base}_y"
+    exact = d_z(s, eta)
+    for ax, e in enumerate(np.eye(eta.shape[-1])):
+        fd = (fn(s, eta + step * e) - fn(s, eta - step * e)) / (2 * step)
+        assert np.all(np.abs(fd - exact[:, ax]) <= tol * (1.0 + np.abs(exact[:, ax]))), (
+            f"{label}: {base}_z[{ax}]"
+        )
 
+
+class TestNonlinearity:
     def test_unknown_preset(self):
         with pytest.raises(CoefficientError, match="preset"):
             nonlinearity_preset("sideways-diffusion")
@@ -268,8 +275,6 @@ class TestNonlinearity:
             nonlinearity_preset("mild-quasilinear", a0=1.0, qq=5.0)
         with pytest.raises(CoefficientError, match="'c'"):
             nonlinearity_preset("heat", c=0.1)
-        for name, takes in solvers.PRESET_PARAMS.items():
-            nonlinearity_preset(name, **dict.fromkeys(takes, 1.0)).self_check(dim=1)
 
     def test_f_origin_constraint(self):
         with pytest.raises(CoefficientError, match="f\\(0, 0\\)"):
@@ -308,16 +313,18 @@ class TestNonlinearity:
             dataclasses.replace(nl, **{key: wrong})
 
     def test_d2_analytic_vs_central_differences(self):
-        # every preset's six second derivatives against central differences of
-        # its first derivatives, in 1D and 2D
+        # every preset's four first derivatives against central differences of
+        # a and f, and its six second derivatives against central differences
+        # of its first derivatives, in 1D and 2D
         h = 1e-5
         rng = np.random.default_rng(5)
         for name, params in _PRESET_PARAMS:
-            nl = nonlinearity_preset(name, a0=1.0, **params)
+            nl = nonlinearity_preset(name, **params)
             for dim in (1, 2):
                 s = rng.standard_normal(40)
                 eta = rng.standard_normal((40, dim))
                 for base in ("a", "f"):
+                    _check_first_derivatives(nl, base, s, eta, f"{name} dim {dim}")
                     d_y, d_z = getattr(nl, f"{base}_y"), getattr(nl, f"{base}_z")
                     fd_yy = (d_y(s + h, eta) - d_y(s - h, eta)) / (2 * h)
                     fd_yz = (d_z(s + h, eta) - d_z(s - h, eta)) / (2 * h)
@@ -329,6 +336,28 @@ class TestNonlinearity:
                         np.testing.assert_allclose(
                             fd, exact, rtol=2e-5, atol=2e-6, err_msg=f"{name} {base}_{which} dim {dim}"
                         )
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_preset_values_match_the_documented_formulas(self, dim):
+        # a and f of every preset, written here from docs/scenario_format.md
+        rng = np.random.default_rng(11)
+        s = rng.standard_normal(60)
+        eta = rng.standard_normal((60, dim))
+        r = s**2 + np.sum(eta**2, axis=1)
+        div = np.sum(eta, axis=1)
+        documented = {
+            "heat": lambda p: (p["a0"] + 0 * s, 0 * s),
+            "linear-f": lambda p: (p["a0"] + 0 * s, p["c1"] * s + p["c2"] * div),
+            "cubic-f": lambda p: (p["a0"] + 0 * s, p["c"] * s**3),
+            "burgers-f": lambda p: (p["a0"] + 0 * s, p["c"] * s * div),
+            "gradient-diffusion": lambda p: (p["a0"] + p["c"] * r / (1 + r), 0 * s),
+            "mild-quasilinear": lambda p: (p["a0"] + p["q"] * s**2, p["c"] * s * div),
+        }
+        for name, params in _PRESET_PARAMS:
+            nl = nonlinearity_preset(name, **params)
+            a, f = documented[name](params)
+            np.testing.assert_allclose(nl.a(s, eta), a, rtol=1e-13, atol=0, err_msg=f"{name} a")
+            np.testing.assert_allclose(nl.f(s, eta), f, rtol=1e-13, atol=0, err_msg=f"{name} f")
 
     def test_preset_alias_normalization(self):
         nl = nonlinearity_preset("Mild_Quasilinear", q=0.1)
