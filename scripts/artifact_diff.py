@@ -8,8 +8,9 @@ checkout's ``src`` on PYTHONPATH and its own ``scenarios/`` files, under
 HIERCONTROL_THREADS=1:
 
 * ``solve`` on every shipped scenario (the ``*.cfg`` files of CHANGE),
-* ``verify --suite all`` on heat_lq_16x32 and on advection_lq_16x32 (the
-  linear-quadratic case with lower-order terms),
+* ``verify --suite all`` on heat_lq_16x32, on advection_lq_16x32 (the
+  linear-quadratic case with lower-order terms) and on heat_2d, the one
+  run of the 2D observability, second-order and Carleman checks,
 * ``verify --suite nash-oracle`` on heat_lq_24x48, the stacked KKT
   oracle's size limit, and on heat_2d, where its state block carries the
   2D Kronecker Laplacian,
@@ -43,6 +44,7 @@ import yaml
 FIXED_RUNS = (
     ("verify-all-heat_lq_16x32", ["verify", "--suite", "all"], "heat_lq_16x32"),
     ("verify-all-advection_lq_16x32", ["verify", "--suite", "all"], "advection_lq_16x32"),
+    ("verify-all-heat_2d", ["verify", "--suite", "all"], "heat_2d"),
     ("verify-nash-oracle-heat_lq_24x48", ["verify", "--suite", "nash-oracle"], "heat_lq_24x48"),
     ("verify-nash-oracle-heat_2d", ["verify", "--suite", "nash-oracle"], "heat_2d"),
     ("verify-duality-gradient_diffusion", ["verify", "--suite", "duality"], "gradient_diffusion"),

@@ -315,7 +315,7 @@ def cmd_leader(args) -> int:
 def cmd_weights(args) -> int:
     import numpy as np
 
-    from .outputs import emit_report, write_block
+    from .outputs import coordinate_header, emit_report, write_block
     from .weights import build_weights, eval_terminal_weights, eval_weights
 
     s, problem = _load(args)
@@ -325,9 +325,7 @@ def cmd_weights(args) -> int:
     w = build_weights(problem.grid, problem.tgrid, problem.focus_box(), mu=mu, lam=lam)
     grid, tgrid = problem.grid, problem.tgrid
 
-    header = ["t", "x", "beta", "nu", "rho_hat"]
-    if grid.dim == 2:
-        header = ["t", "x", "y", "beta", "nu", "rho_hat"]
+    header = ["t", *coordinate_header(grid.dim), "beta", "nu", "rho_hat"]
 
     # beta and nu blow up at t=0 and t=T; interior slices only
     times = tgrid.times[1:-1]

@@ -1,10 +1,12 @@
 """Grids, fields, quadrature, difference operators and cutoff functions.
 
-The package discretizes the unit interval (dim=1) or unit square (dim=2)
+The package discretizes the unit interval or square (``ADMITTED_DIMS``)
 with a uniform node lattice, homogeneous Dirichlet boundary, and backward
-Euler in time.  Everything downstream (solvers, Nash iterations, the
-weighted control Gramian) is built from the operators assembled here, so
-two properties are enforced exactly rather than approximately:
+Euler in time.  ``SpatialGrid.strides`` owns the node order, and every
+per-node construction here is written once over the axes with it.
+Everything downstream (solvers, Nash iterations, the weighted control
+Gramian) is built from the operators assembled here, so two properties
+are enforced exactly rather than approximately:
 
 * the divergence-form diffusion operator is assembled in flux form with
   arithmetic-mean face coefficients, which makes the matrix equal to its
@@ -37,24 +39,28 @@ import scipy.sparse as sp
 from .errors import CoefficientError, GeometryError, GridMismatchError
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+ADMITTED_DIMS = (1, 2)  # the spatial dimensions the package discretizes
+
+
+def _frozen(a: np.ndarray, dtype=None) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
 
 @dataclass(frozen=True, eq=False)
 class SpatialGrid:
-    """Uniform node lattice on the unit interval or unit square.
+    """Uniform node lattice on the unit interval or unit square; every array read-only.
 
     Attributes
     ----------
     dim : 1 or 2.
     cells : number of cells per axis (nodes per axis = cells + 1).
     h : mesh width, 1 / cells.
-    nodes : (n_nodes, dim) node coordinates, lexicographic by (x, y).
+    nodes : (n_nodes, dim) node coordinates, in the order of ``strides``.
     boundary : boolean mask of boundary nodes.
     weights : trapezoid quadrature weight per node (tensor product).
+    interior_idx : indices of the interior nodes, ascending.
     """
 
     dim: int
@@ -78,6 +84,17 @@ class SpatialGrid:
         """Coordinates along the first axis (all nodes)."""
         return self.nodes[:, 0]
 
+    @property
+    def strides(self) -> tuple[int, ...]:
+        """The node order: node i sits at (i // strides[ax]) % (cells + 1) on axis ax."""
+        return tuple((self.cells + 1) ** (self.dim - 1 - ax) for ax in range(self.dim))
+
+    @property
+    def interior(self):
+        """Interior unknowns of a full-grid array's last axis: a slice in 1D,
+        so that the selected blocks stay views, else ``interior_idx``."""
+        return slice(1, -1) if self.dim == 1 else self.interior_idx
+
     def same_as(self, other: "SpatialGrid") -> bool:
         return self.dim == other.dim and self.cells == other.cells
 
@@ -85,40 +102,28 @@ class SpatialGrid:
 def build_grid(dim: int, cells: int) -> SpatialGrid:
     """Build a uniform grid with Dirichlet boundary bookkeeping.
 
-    Requires dim in {1, 2} and cells >= 8 so that every shipped region can
-    contain at least one interior node.
+    Requires dim in ADMITTED_DIMS and cells >= 8 so that every shipped
+    region can contain at least one interior node.
     """
-    if dim not in (1, 2):
+    if dim not in ADMITTED_DIMS:
         raise GeometryError(f"dim must be 1 or 2, got {dim}")
     if cells < 8:
         raise GeometryError(f"cells must be >= 8, got {cells}")
     axis = np.linspace(0.0, 1.0, cells + 1)
     h = 1.0 / cells
-    w1 = np.full(cells + 1, h)
-    w1[0] = w1[-1] = h / 2.0
-    if dim == 1:
-        nodes = axis[:, None]
-        boundary = np.zeros(cells + 1, dtype=bool)
-        boundary[0] = boundary[-1] = True
-        weights = w1
-    else:
-        X, Y = np.meshgrid(axis, axis, indexing="ij")
-        nodes = np.column_stack([X.ravel(), Y.ravel()])
-        bx = np.zeros(cells + 1, dtype=bool)
-        bx[0] = bx[-1] = True
-        BX, BY = np.meshgrid(bx, bx, indexing="ij")
-        boundary = (BX | BY).ravel()
-    if dim == 2:
-        weights = np.outer(w1, w1).ravel()
-    interior_idx = np.flatnonzero(~boundary)
+    b1 = (axis == 0.0) | (axis == 1.0)
+    w1 = np.where(b1, h / 2.0, h)
+    nodes = np.column_stack([X.ravel() for X in np.meshgrid(*[axis] * dim, indexing="ij")])
+    boundary = functools.reduce(np.logical_or.outer, [b1] * dim).ravel()
+    weights = functools.reduce(np.multiply.outer, [w1] * dim).ravel()
     return SpatialGrid(
         dim=dim,
         cells=cells,
         h=h,
         nodes=_frozen(nodes),
-        boundary=boundary.copy(),
+        boundary=_frozen(boundary),
         weights=_frozen(weights),
-        interior_idx=interior_idx.copy(),
+        interior_idx=_frozen(np.flatnonzero(~boundary)),
     )
 
 
@@ -220,24 +225,18 @@ def gradient_matrices(grid: SpatialGrid) -> list[sp.csr_matrix]:
     """Central-difference matrix per axis, interior rows and columns only.
 
     Boundary rows and boundary columns are identically zero, so on the
-    Dirichlet subspace each matrix is exactly antisymmetric.  Used for the
-    first-order terms of every evolution operator.
+    Dirichlet subspace each matrix is exactly antisymmetric.  With
+    ``assemble_divergence_operator`` it composes the reference evolution
+    operator that ``solvers.slice_operator`` equals bit for bit.
     """
-    n1 = grid.cells + 1
-    e = np.ones(n1)
-    D1 = sp.diags([e[:-1] / (2 * grid.h), -e[:-1] / (2 * grid.h)], [1, -1], format="lil")
-    D1[0, :] = 0.0
-    D1[-1, :] = 0.0
-    D1[:, 0] = 0.0
-    D1[:, -1] = 0.0
-    D1 = D1.tocsr()
-    if grid.dim == 1:
-        return [D1]
-    I1 = sp.identity(n1, format="csr")
+    e = np.full(grid.cells, 1.0 / (2 * grid.h))
+    D1 = sp.diags([e, -e], [1, -1], format="csr")
+    I1 = sp.identity(grid.cells + 1, format="csr")
     mask = sp.diags((~grid.boundary).astype(float))
-    Dx = mask @ sp.kron(D1, I1, format="csr") @ mask
-    Dy = mask @ sp.kron(I1, D1, format="csr") @ mask
-    return [Dx.tocsr(), Dy.tocsr()]
+    # D1 on axis ax, the identity on the others; the mask zeroes boundary rows/columns
+    chains = (functools.reduce(sp.kron, [D1 if k == ax else I1 for k in range(grid.dim)])
+              for ax in range(grid.dim))
+    return [(mask @ D @ mask).tocsr() for D in chains]
 
 
 def gradient(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
@@ -246,30 +245,48 @@ def gradient(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
     ``values`` has shape (..., n_nodes): one field (n_nodes,), a trajectory
     (M+1, n_nodes) or any stack of them.  The result has shape
     (..., n_nodes, dim), and every slice of a stack equals the gradient of
-    that slice alone bit for bit.
+    that slice alone bit for bit.  Each entry is one subtraction and one
+    division, read off stencil tables cached per grid shape.
     """
     v = np.asarray(values, dtype=float)
     if v.shape[-1:] != (grid.n_nodes,):
         raise GridMismatchError(
             f"values of shape {v.shape} do not end in the grid's {grid.n_nodes} nodes"
         )
-    h = grid.h
-    if grid.dim == 1:
-        out = np.empty(v.shape + (1,))
-        out[..., 1:-1, 0] = (v[..., 2:] - v[..., :-2]) / (2 * h)
-        out[..., 0, 0] = (v[..., 1] - v[..., 0]) / h
-        out[..., -1, 0] = (v[..., -1] - v[..., -2]) / h
-        return out
-    n1 = grid.cells + 1
-    v = v.reshape(v.shape[:-1] + (n1, n1))
-    out = np.empty(v.shape + (2,))
-    out[..., 1:-1, :, 0] = (v[..., 2:, :] - v[..., :-2, :]) / (2 * h)
-    out[..., 0, :, 0] = (v[..., 1, :] - v[..., 0, :]) / h
-    out[..., -1, :, 0] = (v[..., -1, :] - v[..., -2, :]) / h
-    out[..., :, 1:-1, 1] = (v[..., :, 2:] - v[..., :, :-2]) / (2 * h)
-    out[..., :, 0, 1] = (v[..., :, 1] - v[..., :, 0]) / h
-    out[..., :, -1, 1] = (v[..., :, -1] - v[..., :, -2]) / h
-    return out.reshape(v.shape[:-2] + (grid.n_nodes, 2))
+    plus, minus, width = _gradient_stencil(grid.dim, grid.cells)
+    out = v.take(plus, axis=-1)
+    out -= v.take(minus, axis=-1)
+    out /= width
+    return out
+
+
+def add_divergence(grid: SpatialGrid, field: np.ndarray, acc: np.ndarray) -> None:
+    """Add sum_ax d_ax field[..., ax] to ``acc`` (..., n_nodes) in place, in
+    axis order, for ``field`` (..., n_nodes, dim); term ax equals column ax
+    of ``gradient(grid, field[..., ax])`` bit for bit, computed alone."""
+    plus, minus, width = _gradient_stencil(grid.dim, grid.cells)
+    for ax in range(grid.dim):
+        f = field[..., ax]
+        d = f.take(plus[:, ax], axis=-1)
+        d -= f.take(minus[:, ax], axis=-1)
+        d /= width[:, ax]
+        acc += d
+
+
+@functools.lru_cache(maxsize=8)
+def _gradient_stencil(dim: int, cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n_nodes, dim) tables of ``gradient``: d_ax v at node i is (v[plus] -
+    v[minus]) / width, with i +/- stride over 2h inside and, at either end
+    of the axis, i itself in place of the missing neighbour over h."""
+    grid = build_grid(dim, cells)
+    idx = np.arange(grid.n_nodes)[:, None]
+    s = np.array(grid.strides)
+    along = (idx // s) % (cells + 1)  # (n_nodes, dim) position on each axis
+    first, last = along == 0, along == cells
+    plus = np.where(last, idx, idx + s)
+    minus = np.where(first, idx, idx - s)
+    width = np.where(first | last, grid.h, 2 * grid.h)
+    return tuple(map(_frozen, (plus, minus, width)))
 
 
 def _as_diag_coeff(grid: SpatialGrid, b: np.ndarray) -> np.ndarray:
@@ -305,22 +322,12 @@ def assemble_divergence_operator(grid: SpatialGrid, diffusion: np.ndarray) -> sp
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
-    stride = 1 if grid.dim == 1 else grid.cells + 1
-    strides = (stride,) if grid.dim == 1 else (grid.cells + 1, 1)
     interior = ~grid.boundary
-    for ax in range(grid.dim):
-        s = strides[ax]
+    idx = np.arange(n)
+    for ax, s in enumerate(grid.strides):
         bax = bd[:, ax]
-        idx = np.arange(n)
         # faces between node k and node k+s along this axis
-        if grid.dim == 1:
-            has_right = idx < n - 1
-        else:
-            n1 = grid.cells + 1
-            ix, iy = np.divmod(idx, n1)
-            along = ix if ax == 0 else iy
-            has_right = along < n1 - 1
-        k = idx[has_right]
+        k = idx[(idx // s) % (grid.cells + 1) < grid.cells]
         face = 0.5 * (bax[k] + bax[k + s]) / h2
         # face contributes to rows k and k+s; keep only interior rows/cols
         for r, c, sign in ((k, k, 1.0), (k, k + s, -1.0), (k + s, k + s, 1.0), (k + s, k, -1.0)):
@@ -376,9 +383,8 @@ def _slice_pattern(dim: int, cells: int) -> SlicePattern:
     ni = ii.size
     pos = np.full(grid.n_nodes, -1)
     pos[ii] = np.arange(ni)
-    strides = (1,) if dim == 1 else (cells + 1, 1)
     rows, cols, sides = [np.arange(ni)], [np.arange(ni)], []
-    for ax, s in enumerate(strides):
+    for ax, s in enumerate(grid.strides):
         for side in (1, -1):
             nb = pos[ii + side * s]
             ok = np.flatnonzero(nb >= 0)
@@ -404,10 +410,7 @@ def _slice_pattern(dim: int, cells: int) -> SlicePattern:
     )
 
 
-def _frozen_int(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.int32)
-    a.setflags(write=False)
-    return a
+_frozen_int = functools.partial(_frozen, dtype=np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +451,8 @@ class CutoffRegion:
 
 def _normalize_box(dim: int, iv) -> tuple:
     iv = tuple(iv)
-    if dim == 1:
-        if len(iv) == 2 and np.isscalar(iv[0]):
-            return ((float(iv[0]), float(iv[1])),)
+    if dim == 1 and len(iv) == 2 and np.isscalar(iv[0]):
+        return ((float(iv[0]), float(iv[1])),)
     box = tuple((float(a), float(b)) for a, b in iv)
     if len(box) != dim:
         raise GeometryError(f"region needs {dim} interval(s), got {iv!r}")

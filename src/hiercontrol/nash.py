@@ -43,6 +43,7 @@ from .grids import (
     SpaceTimeField,
     SpatialGrid,
     TimeGrid,
+    add_divergence,
     boxes_intersect,
     gradient,
     stepped_pairing,
@@ -214,8 +215,7 @@ def coefficients_from_state(
 
     # discrete divergence of the sampled zeta-gradient field, all slices at once
     div_fz = np.zeros((M1, n))
-    for ax in range(dim):
-        div_fz += gradient(grid, f_z[:, :, ax])[..., ax]
+    add_divergence(grid, f_z, div_fz)
     g0 = -f_y + div_fz
 
     return LinearCoefficients(grid, tgrid, b=a, f_adv=F2, f0=F1, B=A, g=e, g0=g0)

@@ -56,14 +56,19 @@ def write_block(path: str, header: list[str], block: np.ndarray) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
+def coordinate_header(dim: int) -> list[str]:
+    """CSV column names of a node's coordinates, one per axis: x, then y."""
+    return ["x", "y"][:dim]
+
+
 def emit_csv(trajectory: SpaceTimeField, path: str) -> None:
     """Full space-time trajectory, time-major then space-major.
 
-    Header is t,x,value in 1D and t,x,y,value in 2D; row count is
+    Header is t, ``coordinate_header`` and value; row count is
     (steps + 1) * n_nodes.
     """
     grid, tgrid = trajectory.grid, trajectory.tgrid
-    header = ["t", "x", "value"] if grid.dim == 1 else ["t", "x", "y", "value"]
+    header = ["t", *coordinate_header(grid.dim), "value"]
     block = np.empty((tgrid.n_slices, grid.n_nodes, grid.dim + 2))
     block[..., 0] = tgrid.times[:, None]
     block[..., 1:-1] = grid.nodes

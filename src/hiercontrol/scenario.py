@@ -16,6 +16,7 @@ import yaml
 
 from .errors import CoefficientError, GeometryError, ValidationError
 from .grids import (
+    ADMITTED_DIMS,
     Field,
     SpaceTimeField,
     SpatialGrid,
@@ -347,7 +348,7 @@ def scenario_from_tree(raw: dict) -> Scenario:
 
     g = _need(raw, "grid", "")
     dim = _integer(_need(g, "dim", "grid."), "grid.dim")
-    if dim not in (1, 2):
+    if dim not in ADMITTED_DIMS:
         raise ValidationError(f"grid.dim must be 1 or 2, got {dim}")
     cells = _integer(_need(g, "cells", "grid."), "grid.cells")
     if cells < 8:

@@ -73,6 +73,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import BlowUpError, CoefficientError, SolverError
 from .grids import (
+    ADMITTED_DIMS,
     CutoffRegion,
     Field,
     SpaceTimeField,
@@ -290,20 +291,17 @@ class SliceFactors:
 
     ``data`` holds the pattern values of slices 1..M (one row each), or a
     single row shared by every slice, whose one factorization serves them
-    all.  ``interior`` picks the interior unknowns out of the last axis of
-    a full-grid array: a slice in 1D, where they are one contiguous run and
-    the blocks stay views, and the index array ``grid.interior_idx`` in
-    2D.  ``solve(m, rhs)`` applies (I + tau L^m)^{-1} to an interior block,
-    one vector (n_interior,) or a stack (k, n_interior) whose rows go to
-    the factors as the k columns of one solve; ``transpose=True`` applies
-    the inverse transpose with the same factors, which is what keeps
-    forward/adjoint pairs exactly dual.
+    all.  ``solve(m, rhs)`` applies (I + tau L^m)^{-1} to an interior
+    block (``grid.interior`` of a full-grid array), one vector
+    (n_interior,) or a stack (k, n_interior) whose rows go to the factors
+    as the k columns of one solve; ``transpose=True`` applies the inverse
+    transpose with the same factors, which is what keeps forward/adjoint
+    pairs exactly dual.
     """
 
     def __init__(self, grid: SpatialGrid, tgrid: TimeGrid, data: np.ndarray):
         self.grid = grid
         self.tgrid = tgrid
-        self.interior = slice(1, -1) if grid.dim == 1 else grid.interior_idx
         lus = [factor_slice(grid, row) for row in data]
         self._lu = lus * tgrid.steps if len(lus) == 1 else lus  # slice m at m - 1
 
@@ -379,7 +377,7 @@ def march_forward(
     """
     grid, tgrid = factors.grid, factors.tgrid
     _check_dirichlet(grid, y0, "initial state")
-    rows = factors.interior
+    rows = grid.interior
     y = np.zeros(y0.shape[:-1] + (tgrid.n_slices, grid.n_nodes))
     y[..., 0, :] = y0
     x = y0[..., rows]
@@ -402,7 +400,7 @@ def march_adjoint(
     """
     grid, tgrid = factors.grid, factors.tgrid
     _check_dirichlet(grid, terminal, "terminal state")
-    rows = factors.interior
+    rows = grid.interior
     p = np.zeros(terminal.shape[:-1] + (tgrid.n_slices, grid.n_nodes))
     x = terminal[..., rows]
     for m in range(tgrid.steps, 0, -1):
@@ -459,7 +457,7 @@ class Nonlinearity:
 
     def __post_init__(self):
         s = np.linspace(-0.5, 0.5, 6).reshape(2, 3)
-        for dim in (1, 2):
+        for dim in ADMITTED_DIMS:
             eta = np.linspace(-0.3, 0.7, 6 * dim).reshape(2, 3, dim)
             for key, axes in _CALLBACK_AXES:
                 out = getattr(self, key)(s, eta)
@@ -687,7 +685,7 @@ def solve_forward_quasilinear(
     y = np.zeros((tgrid.n_slices, grid.n_nodes))
     y[0] = y0.values
     ii = grid.interior_idx
-    rows = slice(1, -1) if grid.dim == 1 else ii
+    rows = grid.interior
     norm0 = np.sqrt(grid.weights @ y0.values**2)
     bands_prev = lu = None
     for m in range(1, tgrid.n_slices):

@@ -19,6 +19,8 @@ share) and marches it otherwise.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -27,7 +29,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import OracleError, ValidationError
-from .grids import SpaceTimeField, gradient, stepped_pairing, stepped_norm2
+from .grids import SpaceTimeField, add_divergence, gradient, stepped_pairing, stepped_norm2
 from .leader import GramianContext
 from .nash import (
     HierarchicProblem,
@@ -107,8 +109,8 @@ def _require_lq(problem: HierarchicProblem, tol: float = 1e-12):
 def _oracle_state_matrix(problem: HierarchicProblem, a: float, fy: float, fz: np.ndarray):
     """Interior-node operator  -a lap + fz . grad + fy  from raw stencils.
 
-    Deliberately built from dense tridiagonal blocks and Kronecker products,
-    sharing no code with the production assembler.
+    Deliberately built from dense tridiagonal blocks and Kronecker sums
+    over the axes, sharing no code with the production assembler.
     """
     grid = problem.grid
     c = grid.cells
@@ -120,12 +122,10 @@ def _oracle_state_matrix(problem: HierarchicProblem, a: float, fy: float, fz: np
     ) / h**2
     cen1 = sp.diags([np.full(ni1 - 1, -1.0), np.full(ni1 - 1, 1.0)], [-1, 1]) / (2.0 * h)
     I1 = sp.identity(ni1)
-    if grid.dim == 1:
-        L = a * lap1 + fz[0] * cen1 + fy * sp.identity(ni1)
-    else:
-        lap = sp.kron(lap1, I1) + sp.kron(I1, lap1)
-        L = a * lap + fz[0] * sp.kron(cen1, I1) + fz[1] * sp.kron(I1, cen1) + fy * sp.identity(ni1 * ni1)
-    return L.tocsr()
+    # Kronecker sum: the 1D operator of axis ax, the identity on the others
+    terms = [functools.reduce(sp.kron, [a * lap1 + fz[ax] * cen1 if k == ax else I1
+                                        for k in range(grid.dim)]) for ax in range(grid.dim)]
+    return (sum(terms[1:], terms[0]) + fy * sp.identity(ni1**grid.dim)).tocsr()
 
 
 def kkt_nash_oracle(
@@ -347,8 +347,7 @@ def _delta_fields(problem: HierarchicProblem, y: SpaceTimeField, p: np.ndarray):
         for i in range(dim):
             dfz[:, :, l] += f_zz[:, :, l, i] * gp[:, :, i]
     dd0 = -(f_yy * p + (f_yz * gp).sum(axis=-1))
-    for l in range(dim):
-        dd0 += gradient(grid, dfz[..., l])[..., l]
+    add_divergence(grid, dfz, dd0)
     return dA, de, dd0
 
 
@@ -396,8 +395,7 @@ def check_second_order(
         gq = gradient(grid, q)
         src = xi_star[None, :] * p + dd0 * q + (de * gq).sum(axis=-1)
         flux = dA * gq
-        for ax in range(grid.dim):
-            src += gradient(grid, flux[..., ax])[..., ax]
+        add_divergence(grid, flux, src)
         W = march_adjoint(factors, np.zeros(n), src)
         coupling = nu1 * stepped_pairing(grid, tgrid, xi1[None, :] * w, W)
     rep_value = mu_term + coupling
@@ -453,18 +451,13 @@ def second_order_mu_sweep(
 
 
 def _low_mode_terminal(grid, count: int, rng) -> np.ndarray:
-    """Random mixture of the lowest Dirichlet modes plus broadband noise."""
+    """Random mixture of the lowest Dirichlet modes plus broadband noise: the
+    ``count`` products of sin(pi k_ax x_ax) with the smallest sum of k_ax^2."""
     n = grid.n_nodes
-    if grid.dim == 1:
-        x = grid.x
-        modes = [np.sin(np.pi * (k + 1) * x) for k in range(count)]
-    else:
-        x, y = grid.nodes[:, 0], grid.nodes[:, 1]
-        pairs = sorted(
-            ((i, j) for i in range(1, count + 1) for j in range(1, count + 1)),
-            key=lambda ij: ij[0] ** 2 + ij[1] ** 2,
-        )[:count]
-        modes = [np.sin(np.pi * i * x) * np.sin(np.pi * j * y) for i, j in pairs]
+    ks = sorted(itertools.product(range(1, count + 1), repeat=grid.dim),
+                key=lambda k: sum(kj**2 for kj in k))[:count]
+    modes = [functools.reduce(np.multiply, [np.sin(np.pi * kj * grid.nodes[:, ax])
+                                            for ax, kj in enumerate(k)]) for k in ks]
     coefs = rng.standard_normal(len(modes))
     v = sum(c * m for c, m in zip(coefs, modes))
     noise = rng.standard_normal(n) * 10.0 ** (PROBE_NOISE_DB / 20.0) * max(np.abs(v).max(), 1.0)

@@ -114,9 +114,9 @@ def build_eta(grid: SpatialGrid, focus) -> Field:
     """Construct the weight profile: zero on the boundary, max 1, critical point in focus.
 
     The no-critical-point condition is checked on the discrete gradient: every
-    node outside the open focus region must satisfy |grad eta| >= ETA_TOL_GRAD (in
-    2D the tolerance is scaled by h, since a product profile has gradients of
-    order h near the corners).
+    interior node outside the open focus region must satisfy |grad eta| >=
+    ETA_TOL_GRAD * h^(dim-1): at the interior node next to a corner, each
+    partial derivative of a product profile carries dim - 1 factors O(h).
     """
     F = _normalize_box(grid.dim, focus)
     for ax, (a, b) in enumerate(F):
@@ -136,7 +136,7 @@ def build_eta(grid: SpatialGrid, focus) -> Field:
     # interior nodes only: a product profile on the square necessarily has
     # a vanishing gradient at the corners, where nothing is integrated
     outside = ~box_mask(grid, F) & ~grid.boundary
-    tol = ETA_TOL_GRAD if grid.dim == 1 else ETA_TOL_GRAD * grid.h
+    tol = ETA_TOL_GRAD * grid.h ** (grid.dim - 1)
     bad = np.flatnonzero(outside & (g < tol))
     if bad.size:
         node = int(bad[0])

@@ -2,6 +2,7 @@
 
 The matrices here are built the slow, obvious way: every slice operator by
 sparse composition of assemble_divergence_operator and gradient_matrices,
+the nodal gradient by slicing the node array along each axis,
 and the space-time matrix K of the coupled system one slice block at a
 time.  ``DirectContext`` solves K and K^T with a sparse LU of that matrix,
 so the program's Gramian machinery (solve_primal, solve_transposed, the
@@ -34,6 +35,21 @@ def reference_slice(grid, tau, b=None, f_adv=None, f_div=None, f0=None):
         L = L + sp.diags(f0 * (~grid.boundary).astype(float))
     ii = grid.interior_idx
     return sp.identity(ii.size, format="csc") + tau * L.tocsr()[ii][:, ii]
+
+
+def reference_gradient(grid, values):
+    """Nodal gradient by slicing the (cells + 1,) * dim node array per axis:
+    central differences inside, one-sided at both ends of each axis."""
+    n1, h = grid.cells + 1, grid.h
+    v = values.reshape(values.shape[:-1] + (n1,) * grid.dim)
+    out = np.empty(v.shape + (grid.dim,))
+    for ax in range(grid.dim):
+        w = np.moveaxis(v, v.ndim - grid.dim + ax, -1)
+        o = np.moveaxis(out[..., ax], v.ndim - grid.dim + ax, -1)
+        o[..., 1:-1] = (w[..., 2:] - w[..., :-2]) / (2 * h)
+        o[..., 0] = (w[..., 1] - w[..., 0]) / h
+        o[..., -1] = (w[..., -1] - w[..., -2]) / h
+    return out.reshape(values.shape + (grid.dim,))
 
 
 def _at(arr, m, sign=1.0):

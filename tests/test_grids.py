@@ -10,6 +10,7 @@ from hiercontrol.grids import (
     CutoffRegion,
     Field,
     SpaceTimeField,
+    add_divergence,
     assemble_divergence_operator,
     box_mask,
     boxes_intersect,
@@ -17,10 +18,12 @@ from hiercontrol.grids import (
     build_grid,
     build_time_grid,
     gradient,
+    gradient_matrices,
     smoothstep,
     stepped_norm2,
     stepped_pairing,
 )
+from reference import reference_gradient
 
 
 class TestBuildGrid:
@@ -37,11 +40,29 @@ class TestBuildGrid:
         assert g.boundary.sum() == 32
         assert g.interior_idx.size == 49
 
-    def test_2d_lexicographic_order(self):
-        g = build_grid(2, 8)
-        # node index ix * (cells + 1) + iy
-        idx = 3 * 9 + 5
-        assert np.allclose(g.nodes[idx], [3 / 8, 5 / 8])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_node_order_follows_strides(self, dim):
+        g = build_grid(dim, 8)
+        assert g.strides == ((9, 1) if dim == 2 else (1,))
+        # node index ix * (cells + 1) + iy in 2D
+        idx = sum(k * s for k, s in zip((3, 5), g.strides))
+        assert np.allclose(g.nodes[idx], [3 / 8, 5 / 8][:dim])
+        for ax, s in enumerate(g.strides):
+            # every node that is not last along ax has its successor s indices on
+            i = np.flatnonzero(g.nodes[:, ax] < 1.0)
+            assert i.size == g.n_nodes * 8 // 9
+            step = np.zeros(dim)
+            step[ax] = g.h
+            assert np.allclose(g.nodes[i + s] - g.nodes[i], step, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_boundary_and_interior_index_are_read_only(self, dim):
+        g = build_grid(dim, 8)
+        assert g.boundary.dtype == bool and g.interior_idx.dtype == np.int64
+        with pytest.raises(ValueError):
+            g.boundary[0] = False
+        with pytest.raises(ValueError):
+            g.interior_idx[0] = 0
 
     def test_rejects_bad_dim_and_cells(self):
         with pytest.raises(GeometryError):
@@ -123,6 +144,37 @@ class TestDifferenceOperators:
             assert traj.tobytes() == whole[k].tobytes()
             for m in range(17):
                 assert gradient(g, stack[k, m]).tobytes() == whole[k, m].tobytes()
+
+    @pytest.mark.parametrize("dim,cells", [(1, 16), (2, 9)])
+    def test_gradient_equals_the_per_axis_slicing_reference(self, dim, cells):
+        g = build_grid(dim, cells)
+        stack = np.random.default_rng(5).standard_normal((2, 7, g.n_nodes))
+        assert gradient(g, stack).tobytes() == reference_gradient(g, stack).tobytes()
+
+    @pytest.mark.parametrize("dim,cells", [(1, 16), (2, 9)])
+    def test_add_divergence_adds_the_gradient_columns_in_axis_order(self, dim, cells):
+        g = build_grid(dim, cells)
+        rng = np.random.default_rng(6)
+        field = rng.standard_normal((3, g.n_nodes, dim))
+        want = rng.standard_normal((3, g.n_nodes))
+        got = want.copy()
+        for ax in range(dim):
+            want += gradient(g, field[..., ax])[..., ax]
+        add_divergence(g, field, got)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim,cells", [(1, 16), (2, 9)])
+    def test_gradient_matches_gradient_matrices_inside(self, dim, cells):
+        # two independent central differences: the nodal stencils and the
+        # interior-restricted matrices; they agree on interior rows of a field
+        # that is zero on the boundary
+        g = build_grid(dim, cells)
+        v = np.random.default_rng(7).standard_normal(g.n_nodes)
+        v[g.boundary] = 0.0
+        nodal = gradient(g, v)
+        ii = g.interior_idx
+        for ax, D in enumerate(gradient_matrices(g)):
+            np.testing.assert_allclose(nodal[ii, ax], (D @ v)[ii], rtol=1e-13, atol=0)
 
     def test_gradient_rejects_a_foreign_node_count(self):
         with pytest.raises(GridMismatchError):
