@@ -26,17 +26,24 @@ Each checkout's derived scenarios are written from its own heat_lq_16x32.cfg
 into ``DIR/<side>/scenarios``.  Every command writes into
 ``DIR/<side>/<run>`` and runs there; bytecode goes to ``DIR/pycache``, so
 nothing is written outside DIR.  The script
-prints every artifact as identical or different, with max|delta| / max|value|
-over the cells of a differing CSV, and every exit code.  It exits 0 only
+prints every artifact as identical or different, and every exit code.  For a
+differing CSV it prints max|delta| / max|value| over the cells; for a
+differing JSON report, the key paths only one side has and the changed
+leaves, with the largest relative change |a - b| / max(|a|, |b|) of each
+numeric path.  A path writes list indices as [], so the entries of one list
+count as one path.  It exits 0 only
 when both checkouts write the same files with the same bytes and every
 command returns the same exit code.
 """
 
 import argparse
 import glob
+import json
 import os
+import re
 import subprocess
 import sys
+from collections import defaultdict
 
 import numpy as np
 import yaml
@@ -99,6 +106,47 @@ def csv_gap(a: str, b: str) -> str:
     return f"max|delta|/max|value| = {float(np.abs(x - y).max(initial=0.0)) / scale:.3e}"
 
 
+def _leaves(tree, path=""):
+    """(path, value) of every leaf of a JSON tree; an empty dict or list is a leaf."""
+    if isinstance(tree, dict) and tree:
+        for key, value in tree.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(tree, list) and tree:
+        for i, value in enumerate(tree):
+            yield from _leaves(value, f"{path}[{i}]")
+    else:
+        yield path, tree
+
+
+def _relative(a, b) -> float | None:
+    """|a - b| / max(|a|, |b|) of two numbers; None when either is not a number."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
+        return None
+    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+def json_gap(a: str, b: str) -> list[str]:
+    """Key paths added and removed between two JSON files, then the changed leaves."""
+    with open(a, encoding="utf-8") as fa, open(b, encoding="utf-8") as fb:
+        x, y = dict(_leaves(json.load(fa))), dict(_leaves(json.load(fb)))
+
+    def group(path):
+        return re.sub(r"\[\d+\]", "[]", path)
+
+    lines = [f"{label}  {path}"
+             for label, paths in (("added", y.keys() - x.keys()), ("removed", x.keys() - y.keys()))
+             for path in sorted({group(p) for p in paths})]
+    changed = defaultdict(list)
+    for path in sorted(x.keys() & y.keys()):
+        if x[path] != y[path]:
+            changed[group(path)].append(_relative(x[path], y[path]))
+    for path, gaps in changed.items():
+        numeric = [g for g in gaps if g is not None]
+        largest = f"largest relative change {max(numeric):.3e}" if numeric else "not numeric"
+        lines.append(f"changed  {path}  (leaves changed: {len(gaps)}, {largest})")
+    return lines
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="checkout of the reference version")
@@ -141,6 +189,9 @@ def main() -> int:
             else:
                 gap = f"  {csv_gap(a, b)}" if name.endswith(".csv") else ""
                 print(f"  different  {name}{gap}")
+                if name.endswith(".json"):
+                    for line in json_gap(a, b):
+                        print(f"    {line}")
     print(f"\n{same} of {files} files identical; exit codes {'all match' if codes_ok else 'differ'}")
     return 0 if codes_ok and same == files else 1
 

@@ -116,43 +116,12 @@ def cmd_solve(args) -> int:
         seed=s.seed,
     )
 
-    summary = {
-        "scenario": s.name,
-        "epsilon": rep.epsilon,
-        "iterations": rep.iterations,
-        "update_norms": list(rep.update_norms),
-        "converged": rep.converged,
-        "terminal_norm": rep.terminal_norm,
-        "linearized_terminal_norm": rep.linearized_terminal_norm,
-        "leader": {
-            "cg_iterations": rep.leader.cg_iterations,
-            "control_energy": rep.leader.control_energy,
-            "J_eps_value": rep.leader.J_eps_value,
-            "J_eps_zero": rep.leader.J_eps_zero,
-            "terminal_defect": rep.leader.terminal_defect,
-            "terminal_residual": rep.leader.terminal_residual,
-            "control_effect": rep.leader.control_effect,
-            "ritz_min": rep.leader.ritz_min,
-            "ritz_max": rep.leader.ritz_max,
-            "eps_over_ritz_max": rep.leader.eps_over_ritz_max,
-            "converged": rep.leader.converged,
-        },
-        "nash": None
-        if rep.nash is None
-        else {
-            "picard_iterations": rep.nash.picard_iterations,
-            "final_update_norm": rep.nash.final_update_norm,
-            "converged": rep.nash.converged,
-            "costs": rep.nash.costs,
-            "first_order_residuals": rep.nash.first_order_residuals,
-        },
-    }
-    emit_report(summary, os.path.join(out, "solve_report.json"))
+    emit_report(rep, os.path.join(out, "solve_report.json"), extra={"scenario": s.name})
     emit_csv(rep.u, os.path.join(out, "u.csv"))
     emit_csv(rep.y, os.path.join(out, "y.csv"))
-    if rep.v1 is not None:
-        emit_csv(rep.v1, os.path.join(out, "v1.csv"))
-        emit_csv(rep.v2, os.path.join(out, "v2.csv"))
+    if rep.nash is not None:
+        emit_csv(rep.nash.v1, os.path.join(out, "v1.csv"))
+        emit_csv(rep.nash.v2, os.path.join(out, "v2.csv"))
     emit_svg(
         [{"label": "outer update", "x": list(range(1, len(rep.update_norms) + 1)),
           "y": list(rep.update_norms)}],
@@ -196,16 +165,7 @@ def cmd_nash(args) -> int:
     out = _outdir(args)
     sol = compute_nash(problem, tol=s.tolerance("nash_tol"))
     sol = with_first_order_residuals(problem, sol, seed=s.seed)
-    summary = {
-        "scenario": s.name,
-        "picard_iterations": sol.picard_iterations,
-        "final_update_norm": sol.final_update_norm,
-        "residuals": list(sol.residuals),
-        "converged": sol.converged,
-        "costs": sol.costs,
-        "first_order_residuals": sol.first_order_residuals,
-    }
-    emit_report(summary, os.path.join(out, "nash_report.json"))
+    emit_report(sol, os.path.join(out, "nash_report.json"), extra={"scenario": s.name})
     emit_csv(sol.v1, os.path.join(out, "v1.csv"))
     emit_csv(sol.v2, os.path.join(out, "v2.csv"))
     emit_csv(sol.y, os.path.join(out, "y.csv"))
@@ -221,8 +181,6 @@ def cmd_nash(args) -> int:
 
 
 def cmd_leader(args) -> int:
-    import numpy as np
-
     from .fixedpoint import linearize_at
     from .leader import leader_duality_gap, solve_leader
     from .outputs import emit_csv, emit_report, emit_svg
@@ -240,29 +198,12 @@ def cmd_leader(args) -> int:
     z0 = _uncontrolled(problem)
     ctx = linearize_at(problem, z0, weights=weights)
     sol = solve_leader(ctx, epsilon, cg_tol=cg_tol, cg_max=cg_max)
-    summary = {
-        "scenario": s.name,
-        "epsilon": sol.epsilon,
-        "lambda": weights.lam,
-        "mu": weights.mu,
-        "terminal_norm": sol.terminal_norm,
-        "predicted_terminal_norm": sol.predicted_terminal_norm,
-        "terminal_defect": sol.terminal_defect,
-        "terminal_residual": sol.terminal_residual,
-        "control_effect": sol.control_effect,
-        "free_terminal_norm": sol.free_terminal_norm,
-        "control_energy": sol.control_energy,
-        "J_eps_value": sol.J_eps_value,
-        "J_eps_zero": sol.J_eps_zero,
-        "cg_iterations": sol.cg_iterations,
-        "cg_residuals": list(sol.cg_residuals),
-        "ritz_min": sol.ritz_min,
-        "ritz_max": sol.ritz_max,
-        "eps_over_ritz_max": sol.eps_over_ritz_max,
-        "converged": sol.converged,
-        "duality_gap": leader_duality_gap(ctx, sol),
-    }
-    emit_report(summary, os.path.join(out, "leader_report.json"))
+    emit_report(
+        sol,
+        os.path.join(out, "leader_report.json"),
+        extra={"scenario": s.name, "lambda": weights.lam, "mu": weights.mu,
+               "duality_gap": leader_duality_gap(ctx, sol)},
+    )
     emit_csv(sol.u, os.path.join(out, "u.csv"))
     emit_csv(sol.y, os.path.join(out, "y.csv"))
 
@@ -364,6 +305,8 @@ def cmd_verify(args) -> int:
     from .nash import compute_nash
     from .outputs import emit_report
     from .verification import (
+        NASH_ORACLE_BUDGET,
+        SECOND_ORDER_BUDGET,
         check_duality,
         check_second_order,
         oracle_nash_gap,
@@ -391,32 +334,26 @@ def cmd_verify(args) -> int:
     all_pass = True
     for suite in suites:
         if suite == "duality":
-            rep = check_duality(problem, state=z0, trials=50, seed=s.seed, budget=1e-10)
-            reports[suite] = rep.as_dict()
+            rep = check_duality(problem, state=z0, trials=50, seed=s.seed)
             ok = rep.passed
         elif suite == "nash-oracle":
             gap = oracle_nash_gap(problem, nash=nash)
-            ok = gap <= 1e-6
-            reports[suite] = {
-                "name": "nash-oracle",
-                "worst_relative_gap": gap,
-                "budget": 1e-6,
-                "passed": ok,
-            }
+            ok = gap <= NASH_ORACLE_BUDGET
+            rep = {"name": "nash-oracle", "worst_relative_gap": gap,
+                   "budget": NASH_ORACLE_BUDGET, "passed": ok}
         elif suite == "second-order":
             res = check_second_order(problem, nash, seed=s.seed)
-            ok = res["relative_gap"] <= 1e-2
-            reports[suite] = dict(res, budget=1e-2, passed=ok, name="second-order")
+            ok = res["relative_gap"] <= SECOND_ORDER_BUDGET
+            rep = dict(res, budget=SECOND_ORDER_BUDGET, passed=ok, name="second-order")
         elif suite == "observability":
             rep = probe_observability(ctx, samples=8, seed=s.seed)
-            reports[suite] = rep.as_dict()
             ok = rep.passed
         elif suite == "carleman":
             rep = probe_carleman(ctx, samples=8, seed=s.seed)
-            reports[suite] = rep.as_dict()
             ok = rep.passed
         else:  # pragma: no cover - argparse restricts choices
             raise ValueError(suite)
+        reports[suite] = rep
         all_pass = all_pass and ok
         print(f"verify[{suite}]: {'pass' if ok else 'FAIL'}")
     emit_report(

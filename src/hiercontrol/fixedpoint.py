@@ -56,7 +56,12 @@ def linearize_at(
 
 @dataclass(frozen=True, eq=False)
 class FixedPointReport:
-    """Outcome of the quasi-linear controllability iteration."""
+    """Outcome of the quasi-linear controllability iteration.
+
+    The follower controls are ``nash.v1`` and ``nash.v2``.  ``nash`` is None
+    when the finalization equilibrium solve failed, and ``terminal_norm`` is
+    then NaN.
+    """
 
     iterations: int
     update_norms: tuple[float, ...]
@@ -64,8 +69,6 @@ class FixedPointReport:
     y: SpaceTimeField
     p1: SpaceTimeField
     p2: SpaceTimeField
-    v1: SpaceTimeField | None
-    v2: SpaceTimeField | None
     terminal_norm: float
     linearized_terminal_norm: float
     converged: bool
@@ -135,14 +138,12 @@ def solve_hierarchic(
 
     nash: NashSolution | None = None
     terminal_norm = float("nan")
-    v1 = v2 = None
     try:
         nash = compute_nash(problem, u=ls.u, tol=nash_tol)
         nash = with_first_order_residuals(problem, nash, seed=seed)
         terminal_norm = float(
             np.sqrt(np.dot(grid.weights * nash.y.values[-1], nash.y.values[-1]))
         )
-        v1, v2 = nash.v1, nash.v2
     except (NonConvergenceError, BlowUpError) as exc:
         warnings.warn(f"finalization equilibrium solve failed: {exc}", stacklevel=2)
 
@@ -156,8 +157,6 @@ def solve_hierarchic(
         y=y_final,
         p1=p1,
         p2=p2,
-        v1=v1,
-        v2=v2,
         terminal_norm=terminal_norm,
         linearized_terminal_norm=ls.terminal_norm,
         converged=converged,

@@ -14,6 +14,7 @@ writer for rows that mix strings and numbers.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -76,9 +77,13 @@ def emit_csv(trajectory: SpaceTimeField, path: str) -> None:
     write_block(path, header, block.reshape(-1, grid.dim + 2))
 
 
-def emit_report(report, path: str) -> None:
-    """Pretty-printed JSON with sorted keys and a trailing newline."""
-    text = json.dumps(_plain(report), sort_keys=True, indent=2)
+def emit_report(report, path: str, extra: dict | None = None) -> None:
+    """Pretty-printed JSON with sorted keys and a trailing newline.
+
+    ``report`` is a dict or a result dataclass, written as ``_plain`` renders
+    it; ``extra`` adds the top-level keys that are not fields of the result.
+    """
+    text = json.dumps(_plain(report) | _plain(extra or {}), sort_keys=True, indent=2)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text + "\n")
@@ -87,7 +92,17 @@ def emit_report(report, path: str) -> None:
 
 
 def _plain(obj):
-    """Recursively convert numpy scalars/arrays and dataclass-likes to JSON types."""
+    """The report rule: a result, recursively, in JSON types.
+
+    A dataclass becomes {field: value} over its fields, leaving out every
+    trajectory (a SpaceTimeField or ndarray value), since trajectories go to
+    CSV; a nested dataclass becomes a nested block, and None stays null.
+    Elsewhere tuples and arrays become lists, numpy scalars Python numbers,
+    and a non-finite float its repr.
+    """
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _plain(v) for f in dataclasses.fields(obj)
+                if not isinstance(v := getattr(obj, f.name), (SpaceTimeField, np.ndarray))}
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -95,11 +110,9 @@ def _plain(obj):
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return _plain(obj.item())
     if isinstance(obj, float) and not np.isfinite(obj):
         return repr(obj)
-    if hasattr(obj, "as_dict"):
-        return _plain(obj.as_dict())
     return obj
 
 

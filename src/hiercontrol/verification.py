@@ -69,18 +69,6 @@ class ProbeReport:
         if arr.size and not np.all(np.isfinite(arr)):
             raise ValidationError(f"probe {self.name!r} produced non-finite ratios")
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "worst_ratio": self.worst_ratio,
-            "ratios": list(self.ratios),
-            "parameters": self.parameters,
-            "budget": self.budget,
-            "passed": self.passed,
-            "excluded": self.excluded,
-        }
-
 
 # ---------------------------------------------------------------------------
 # stacked KKT oracle for linear-quadratic instances
@@ -213,6 +201,10 @@ def kkt_nash_oracle(
     return out[0], out[1]
 
 
+# Largest relative distance between compute_nash and the stacked-KKT oracle.
+NASH_ORACLE_BUDGET = 1e-6
+
+
 def oracle_nash_gap(
     problem: HierarchicProblem,
     u: SpaceTimeField | None = None,
@@ -236,13 +228,17 @@ def oracle_nash_gap(
 # discrete duality of the adjoint representation
 
 
+# Largest gap of the duality identity, relative to its rounding scale.
+DUALITY_BUDGET = 1e-10
+
+
 def check_duality(
     problem: HierarchicProblem,
     u: SpaceTimeField | None = None,
     state: SpaceTimeField | None = None,
     trials: int = 50,
     seed: int = 0,
-    budget: float = 1e-10,
+    budget: float = DUALITY_BUDGET,
 ) -> ProbeReport:
     """Adjoint-vs-sensitivity identity over random follower directions.
 
@@ -250,7 +246,13 @@ def check_duality(
     -nu_k <xi_* (y - y_kd), y_s[w]>, the two sides coming from one backward
     and one forward march against the same frozen linearization; the forward
     marches of one follower's draws run as one stacked march.  The gap is
-    normalized by the larger magnitude.
+    normalized by the rounding scale of the identity, the larger of the
+    Cauchy-Schwarz bounds of its two pairings in the stepped norm,
+
+        max(|xi_k p_k| |w|, nu_k |xi_* (y - y_kd)| |y_s[w]|),
+
+    so a draw whose pairings nearly cancel is judged against the size of
+    the terms that cancel, not against their small sum.
     """
     grid, tgrid = problem.grid, problem.tgrid
     n = grid.n_nodes
@@ -268,17 +270,21 @@ def check_duality(
         diff = xi_star[None, :] * (state.values - problem.targets[k - 1].values)
         p_k = march_adjoint(factors, np.zeros(n), -nu_k * diff) if nu_k != 0.0 else np.zeros_like(diff)
         xi_k = problem.xi(f"follower{k}")
+        xi_p = xi_k[None, :] * p_k
         dirs = random_directions(problem, k, trials, seed + 17 * k)
         src = np.empty((len(dirs),) + diff.shape)
         for j, w in enumerate(dirs):
             np.multiply(w, xi_k, out=src[j])
         y_s = march_forward(factors, np.zeros((len(dirs), n)), src)
+        # stepped norms: the adjoint side's once, every y_s[w] in one pass
+        norm_p = np.sqrt(stepped_norm2(grid, tgrid, xi_p))
+        norm_diff = abs(nu_k) * np.sqrt(stepped_norm2(grid, tgrid, diff))
+        norm_ys = np.sqrt(tgrid.tau * np.einsum("kmn,kmn,n->k", y_s[:, 1:], y_s[:, 1:], grid.weights))
         for j, w in enumerate(dirs):
-            lhs = stepped_pairing(grid, tgrid, xi_k[None, :] * p_k, w)
+            lhs = stepped_pairing(grid, tgrid, xi_p, w)
             rhs = -nu_k * stepped_pairing(grid, tgrid, diff, y_s[j])
-            scale = max(abs(lhs), abs(rhs), 1e-300)
-            gap = abs(lhs - rhs) / scale if max(abs(lhs), abs(rhs)) > 0 else 0.0
-            ratios.append(gap)
+            scale = max(norm_p * np.sqrt(stepped_norm2(grid, tgrid, w)), norm_diff * norm_ys[j])
+            ratios.append(float(abs(lhs - rhs) / scale) if scale > 0.0 else 0.0)
     worst = float(max(ratios)) if ratios else 0.0
     return ProbeReport(
         name="duality",
@@ -349,6 +355,10 @@ def _delta_fields(problem: HierarchicProblem, y: SpaceTimeField, p: np.ndarray):
     dd0 = -(f_yy * p + (f_yz * gp).sum(axis=-1))
     add_divergence(grid, dfz, dd0)
     return dA, de, dd0
+
+
+# Largest relative gap between the curvature representation and differences.
+SECOND_ORDER_BUDGET = 1e-2
 
 
 def check_second_order(

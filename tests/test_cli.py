@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
+import ast
+import dataclasses
 import json
 import os
 
@@ -7,7 +9,11 @@ import numpy as np
 import pytest
 
 from conftest import scenario_path
+from hiercontrol import cli
 from hiercontrol.cli import build_parser, main
+from hiercontrol.fixedpoint import FixedPointReport
+from hiercontrol.leader import LeaderSolution
+from hiercontrol.nash import NashSolution
 
 LQ = scenario_path("heat_lq_16x32")
 ADVECTION = scenario_path("advection_lq_16x32")
@@ -23,6 +29,58 @@ def _run(tmp_path, *argv):
 def _read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+# field annotations of the trajectories, which go to CSV and not into reports
+TRAJECTORY_TYPES = ("SpaceTimeField", "np.ndarray")
+
+
+def _fields(cls, trajectories=False):
+    """Names of the reported (or, with ``trajectories``, the left-out) fields of cls."""
+    return {f.name for f in dataclasses.fields(cls) if (f.type in TRAJECTORY_TYPES) == trajectories}
+
+
+def _keys(tree):
+    """Every key of a JSON tree, at any depth."""
+    if isinstance(tree, dict):
+        return set(tree).union(*map(_keys, tree.values()))
+    if isinstance(tree, list):
+        return set().union(*map(_keys, tree))
+    return set()
+
+
+class TestReportRule:
+    def test_reports_are_their_results(self, tmp_path):
+        reports = {}
+        for cmd in ("solve", "leader", "nash"):
+            rc, out = _run(os.path.join(tmp_path, cmd), cmd, "--config", LQ)
+            assert rc == 0
+            reports[cmd] = json.loads(_read(os.path.join(out, f"{cmd}_report.json")))
+        assert set(reports["leader"]) == _fields(LeaderSolution) | {
+            "scenario", "lambda", "mu", "duality_gap"}
+        assert set(reports["nash"]) == _fields(NashSolution) | {"scenario"}
+        solve = reports["solve"]
+        assert set(solve) == _fields(FixedPointReport) | {"scenario"}
+        assert set(solve["leader"]) == _fields(LeaderSolution)
+        assert set(solve["nash"]) == _fields(NashSolution)
+        # the blocks are the results themselves: the terminal norm is reported
+        lead = solve["leader"]
+        assert lead["control_effect"] == lead["terminal_norm"] / lead["free_terminal_norm"]
+        left_out = set().union(*(_fields(cls, trajectories=True)
+                                 for cls in (FixedPointReport, LeaderSolution, NashSolution)))
+        assert left_out >= {"u", "y", "p1", "p2", "v1", "v2", "phi_T"}
+        for cmd, report in reports.items():
+            assert not _keys(report) & left_out, cmd
+
+    def test_cli_copies_no_reported_field(self):
+        # a quantity added to a result reaches every report through the
+        # report rule, so the CLI spells no reported field out by hand
+        reported = _fields(FixedPointReport) | _fields(LeaderSolution) | _fields(NashSolution)
+        with open(cli.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        named = {key.value for node in ast.walk(tree) if isinstance(node, ast.Dict)
+                 for key in node.keys if isinstance(key, ast.Constant)}
+        assert not named & reported
 
 
 class TestParser:

@@ -202,7 +202,8 @@ class TestOuterLoop:
         report = solve_hierarchic(problem, 1e-2)
         assert report.epsilon == 1e-2
         assert report.leader.epsilon == 1e-2
-        assert report.v1 is not None and report.v2 is not None
+        assert report.nash is not None
+        assert report.nash.v1 is not None and report.nash.v2 is not None
         assert len(report.update_norms) == report.iterations
 
     def test_large_data_warns(self):

@@ -1,6 +1,7 @@
 """Independent verification machinery: stacked oracle, probes, reports."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -14,6 +15,8 @@ from hiercontrol.fixedpoint import linearize_at
 from hiercontrol.grids import SpaceTimeField
 from hiercontrol.leader import GramianContext
 from hiercontrol.nash import compute_nash
+from hiercontrol.outputs import emit_report
+from hiercontrol.scenario import load_scenario, scenario_from_tree
 from hiercontrol.verification import (
     ProbeReport,
     check_duality,
@@ -146,6 +149,56 @@ class TestDuality:
         assert rep.passed
 
 
+    def test_near_cancelling_draw_passes(self):
+        # a generated verify-lq scenario (bench seed 1702, operation 20) whose
+        # draw 92 has lhs = rhs = -1.77e-11: relative to max(|lhs|, |rhs|)
+        # its rounding read 3.1e-9, on the Cauchy-Schwarz scale it is ~1e-16
+        s = scenario_from_tree({
+            "name": "bench-verify-lq",
+            "grid": {"dim": 1, "cells": 24, "T": 1.0, "steps": 48},
+            "regions": {
+                "omega0": [0.3, 0.7], "omega0_tilde": [0.4, 0.6],
+                "omega1": [0.1, 0.35], "omega1_tilde": [0.15, 0.3],
+                "omega2": [0.65, 0.9], "omega2_tilde": [0.7, 0.85],
+                "omega": [0.45, 0.85], "omega_prime": [0.5, 0.8],
+            },
+            "weights": {"mu1": 20.0, "mu2": 20.0, "nu1": 1.0, "nu2": 1.0,
+                        "lambda": "auto", "mu": 2.0, "epsilon": 0.01},
+            "nonlinearity": {"preset": "heat", "params": {"a0": 1.0}},
+            "data": {
+                "y0": {"profile": "sine", "amplitude": 0.26991986897978065, "modes": 1},
+                "y1_target": {"profile": "bump", "amplitude": 0.11807832355506948,
+                              "center": 0.6103053370455145, "width": 0.25},
+                "y2_target": {"profile": "bump", "amplitude": -0.08351854748329579,
+                              "center": 0.7019278046681997, "width": 0.25},
+            },
+            "tolerances": {"nash_tol": 1e-12},
+            "seed": 572634118,
+        })
+        rep = check_duality(s.build_problem(), trials=50, seed=s.seed)
+        assert rep.passed
+        assert rep.worst_ratio <= 1e-14
+
+    def test_adjoint_without_transpose_fails(self, monkeypatch):
+        # mutant: the adjoint march applies (I + tau L)^{-1} instead of its
+        # transpose, which differs once the roster carries advection
+        class NoTranspose:
+            def __init__(self, factors):
+                self.factors, self.grid, self.tgrid = factors, factors.grid, factors.tgrid
+
+            def solve(self, m, rhs, transpose=False):
+                return self.factors.solve(m, rhs)
+
+        march = verification.march_adjoint
+        monkeypatch.setattr(verification, "march_adjoint",
+                            lambda factors, terminal, sources:
+                            march(NoTranspose(factors), terminal, sources))
+        s = load_scenario(scenario_path("advection_lq_16x32"))
+        rep = check_duality(s.build_problem(), trials=50, seed=s.seed)
+        assert not rep.passed
+        assert rep.worst_ratio >= 1e-6
+
+
 class TestProbeReport:
     def test_nonfinite_ratios_rejected(self):
         with pytest.raises(ValidationError, match="non-finite"):
@@ -159,7 +212,7 @@ class TestProbeReport:
                 passed=False,
             )
 
-    def test_as_dict_round_trip(self):
+    def test_emit_report_round_trip(self, tmp_path):
         rep = ProbeReport(
             name="demo",
             samples=2,
@@ -169,9 +222,11 @@ class TestProbeReport:
             budget=1.0,
             passed=True,
         )
-        d = rep.as_dict()
-        assert d["name"] == "demo" and d["ratios"] == [0.25, 0.5]
-        assert d["excluded"] == 0
+        path = tmp_path / "probe.json"
+        emit_report(rep, str(path))
+        d = json.loads(path.read_text())
+        assert d == {"name": "demo", "samples": 2, "worst_ratio": 0.5, "ratios": [0.25, 0.5],
+                     "parameters": {"seed": 0}, "budget": 1.0, "passed": True, "excluded": 0}
 
 
 class TestSecondOrder:

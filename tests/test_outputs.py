@@ -1,5 +1,6 @@
 """Artifact writers: formats, determinism, structure."""
 
+import dataclasses
 import json
 import os
 
@@ -115,6 +116,32 @@ class TestReport:
         assert text.index('"alpha"') < text.index('"zeta"')
         parsed = json.loads(text)
         assert parsed["alpha"]["a"] == 3.0
+
+    def test_dataclass_is_its_own_report(self, tmp_path):
+        # fields become keys, trajectories are left out, a nested result is
+        # a nested block, None stays null and NaN is written as its repr
+        @dataclasses.dataclass
+        class Inner:
+            traj: SpaceTimeField
+            count: int
+            history: tuple
+
+        @dataclasses.dataclass
+        class Outer:
+            values: np.ndarray
+            value: float
+            scaled: np.float64
+            inner: Inner
+            missing: Inner | None
+
+        rep = Outer(np.arange(3.0), float("nan"), np.float64("nan"),
+                    Inner(_traj(), 2, (0.5, float("inf"))), None)
+        path = os.path.join(tmp_path, "r.json")
+        emit_report(rep, path, extra={"scenario": "demo"})
+        assert json.loads(open(path, "r", encoding="utf-8").read()) == {
+            "value": "nan", "scaled": "nan", "scenario": "demo",
+            "inner": {"count": 2, "history": [0.5, "inf"]}, "missing": None,
+        }
 
     def test_arrays_and_nonfinite(self, tmp_path):
         path = os.path.join(tmp_path, "r.json")
