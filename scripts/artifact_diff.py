@@ -15,6 +15,11 @@ HIERCONTROL_THREADS=1:
   oracle's size limit, and on heat_2d, where its state block carries the
   2D Kronecker Laplacian,
 * ``verify --suite duality`` on gradient_diffusion,
+* ``verify --suite second-order`` on gradient_diffusion and on
+  mild_quasilinear, the runs where the coefficient curvature the check
+  differentiates has non-zero second derivatives,
+* ``verify --suite carleman`` and ``verify --suite observability`` on
+  mild_quasilinear, the probes on a quasi-linear roster,
 * ``leader`` on heat_1d and on mild_quasilinear,
 * ``nash`` on gradient_diffusion,
 * ``weights`` on heat_2d,
@@ -55,6 +60,10 @@ FIXED_RUNS = (
     ("verify-nash-oracle-heat_lq_24x48", ["verify", "--suite", "nash-oracle"], "heat_lq_24x48"),
     ("verify-nash-oracle-heat_2d", ["verify", "--suite", "nash-oracle"], "heat_2d"),
     ("verify-duality-gradient_diffusion", ["verify", "--suite", "duality"], "gradient_diffusion"),
+    ("verify-second-order-gradient_diffusion", ["verify", "--suite", "second-order"], "gradient_diffusion"),
+    ("verify-second-order-mild_quasilinear", ["verify", "--suite", "second-order"], "mild_quasilinear"),
+    ("verify-carleman-mild_quasilinear", ["verify", "--suite", "carleman"], "mild_quasilinear"),
+    ("verify-observability-mild_quasilinear", ["verify", "--suite", "observability"], "mild_quasilinear"),
     ("leader-heat_1d", ["leader"], "heat_1d"),
     ("leader-mild_quasilinear", ["leader"], "mild_quasilinear"),
     ("nash-gradient_diffusion", ["nash"], "gradient_diffusion"),

@@ -10,8 +10,11 @@ non-convergence, 4 oracle or probe budget violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
+
+from . import verification
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,11 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="independent oracles and inequality probes")
     common(sp)
-    sp.add_argument(
-        "--suite",
-        default="all",
-        choices=["duality", "nash-oracle", "second-order", "observability", "carleman", "all"],
-    )
+    sp.add_argument("--suite", default="all", choices=[*VERIFY_SUITES, "all"])
     sp.set_defaults(func=cmd_verify)
     return p
 
@@ -300,67 +299,59 @@ def cmd_weights(args) -> int:
 # verify
 
 
+class _SuiteInputs:
+    """The inputs verify's suites share, each computed on first use: the
+    follower equilibrium nash-oracle and second-order differentiate at, the
+    uncontrolled march z0 the duality check linearizes at, and the one
+    roster both probes sample, frozen at z0."""
+
+    def __init__(self, s, problem):
+        self.s, self.problem = s, problem
+
+    @functools.cached_property
+    def nash(self):
+        from .nash import compute_nash
+
+        return compute_nash(self.problem, tol=self.s.tolerance("nash_tol"))
+
+    @functools.cached_property
+    def z0(self):
+        return _uncontrolled(self.problem)
+
+    @functools.cached_property
+    def ctx(self):
+        from .fixedpoint import linearize_at
+
+        return linearize_at(self.problem, self.z0, weights=self.s.build_carleman_weights(self.problem))
+
+
+# verify's suites in the order `all` runs them: each maps the shared inputs
+# to its check's result, which decides its own `passed`
+VERIFY_SUITES = {
+    "duality": lambda at: verification.check_duality(at.problem, at.z0, trials=50, seed=at.s.seed),
+    "nash-oracle": lambda at: verification.oracle_nash_gap(at.problem, at.nash),
+    "second-order": lambda at: verification.check_second_order(at.problem, at.nash, seed=at.s.seed),
+    "observability": lambda at: verification.probe_observability(at.ctx, samples=8, seed=at.s.seed),
+    "carleman": lambda at: verification.probe_carleman(at.ctx, samples=8, seed=at.s.seed),
+}
+
+
 def cmd_verify(args) -> int:
-    from .fixedpoint import linearize_at
-    from .nash import compute_nash
     from .outputs import emit_report
-    from .verification import (
-        NASH_ORACLE_BUDGET,
-        SECOND_ORDER_BUDGET,
-        check_duality,
-        check_second_order,
-        oracle_nash_gap,
-        probe_carleman,
-        probe_observability,
-    )
 
     s, problem = _load(args)
     out = _outdir(args)
-    suites = (
-        ["duality", "nash-oracle", "second-order", "observability", "carleman"]
-        if args.suite == "all"
-        else [args.suite]
-    )
-    if {"nash-oracle", "second-order"} & set(suites):
-        # both differentiate at one follower equilibrium, solved at the scenario's tolerance
-        nash = compute_nash(problem, tol=s.tolerance("nash_tol"))
-    if {"duality", "observability", "carleman"} & set(suites):
-        # the duality check and both probes linearize at the uncontrolled march
-        z0 = _uncontrolled(problem)
-    if {"observability", "carleman"} & set(suites):
-        # both probes sample the one roster frozen at that march
-        ctx = linearize_at(problem, z0, weights=s.build_carleman_weights(problem))
+    at = _SuiteInputs(s, problem)
     reports = {}
-    all_pass = True
-    for suite in suites:
-        if suite == "duality":
-            rep = check_duality(problem, state=z0, trials=50, seed=s.seed)
-            ok = rep.passed
-        elif suite == "nash-oracle":
-            gap = oracle_nash_gap(problem, nash=nash)
-            ok = gap <= NASH_ORACLE_BUDGET
-            rep = {"name": "nash-oracle", "worst_relative_gap": gap,
-                   "budget": NASH_ORACLE_BUDGET, "passed": ok}
-        elif suite == "second-order":
-            res = check_second_order(problem, nash, seed=s.seed)
-            ok = res["relative_gap"] <= SECOND_ORDER_BUDGET
-            rep = dict(res, budget=SECOND_ORDER_BUDGET, passed=ok, name="second-order")
-        elif suite == "observability":
-            rep = probe_observability(ctx, samples=8, seed=s.seed)
-            ok = rep.passed
-        elif suite == "carleman":
-            rep = probe_carleman(ctx, samples=8, seed=s.seed)
-            ok = rep.passed
-        else:  # pragma: no cover - argparse restricts choices
-            raise ValueError(suite)
-        reports[suite] = rep
-        all_pass = all_pass and ok
-        print(f"verify[{suite}]: {'pass' if ok else 'FAIL'}")
+    for suite in VERIFY_SUITES if args.suite == "all" else [args.suite]:
+        reports[suite] = VERIFY_SUITES[suite](at)
+        print(f"verify[{suite}]: {'pass' if reports[suite].passed else 'FAIL'}")
+    passed = all(r.passed for r in reports.values())
     emit_report(
-        {"scenario": s.name, "suite": args.suite, "reports": reports, "passed": all_pass},
+        {"scenario": s.name, "suite": args.suite, "reports": reports, "passed": passed},
         os.path.join(out, f"verify_{args.suite}.json"),
     )
-    return 0 if all_pass else 4
+    return 0 if passed else 4
 
 
 # ---------------------------------------------------------------------------

@@ -368,6 +368,15 @@ def random_directions(
     return dirs
 
 
+def sensitivity_states(factors, xi_k: np.ndarray, dirs: list[np.ndarray]) -> np.ndarray:
+    """Sensitivity states y_s[w] from zero, driven by xi_k w: one stacked march over dirs."""
+    n = factors.grid.n_nodes
+    src = np.empty((len(dirs), factors.tgrid.n_slices, n))
+    for j, w in enumerate(dirs):
+        np.multiply(w, xi_k, out=src[j])
+    return march_forward(factors, np.zeros((len(dirs), n)), src)
+
+
 def gateaux_residual(
     problem: HierarchicProblem,
     solution: NashSolution,
@@ -387,7 +396,6 @@ def gateaux_residual(
     from one stacked march.  The leader control enters through ``solution.y``.
     """
     grid, tgrid = problem.grid, problem.tgrid
-    n = grid.n_nodes
     c = coefficients_from_state(problem.nl, solution.y)
     factors = sensitivity_factors(c)
     xi_star = problem.xi("tracking")
@@ -399,11 +407,7 @@ def gateaux_residual(
         mask = problem.follower_mask(k)
         diff = xi_star[None, :] * (solution.y.values - problem.targets[k - 1].values)
         if nu_k != 0.0:
-            xi_k = problem.xi(f"follower{k}")
-            src = np.empty((len(dirs),) + diff.shape)
-            for j, w in enumerate(dirs):
-                np.multiply(w, xi_k, out=src[j])
-            y_s = march_forward(factors, np.zeros((len(dirs), n)), src)
+            y_s = sensitivity_states(factors, problem.xi(f"follower{k}"), dirs)
         worst = 0.0
         for j, w in enumerate(dirs):
             deriv = mu_k * stepped_pairing(grid, tgrid, vk, w, mask=mask)

@@ -99,9 +99,6 @@ class Scenario:
     seed: int = 0
 
     # ------------------------------------------------------------------
-    def region(self, key: str) -> tuple:
-        return dict(self.regions)[key]
-
     def tolerance(self, key: str) -> float:
         return dict(self.tolerances)[key]
 

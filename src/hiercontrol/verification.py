@@ -12,9 +12,9 @@ The second-order check differentiates the coefficient roster along a state
 perturbation with the nonlinearity's analytic second derivatives, which
 every ``Nonlinearity`` carries.  Every roster is
 ``nash.coefficients_from_state``; the probes sample its state side.
-``check_duality`` takes the state it linearizes at from its caller when one
-is at hand (``hiercontrol verify`` passes the uncontrolled march its probes
-share) and marches it otherwise.
+Every check returns a result with its ``name``, ``budget`` and ``passed``,
+deciding ``passed`` against the budget constant beside it; a probe has no
+budget and passes on finite ratios.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,13 +38,9 @@ from .nash import (
     compute_nash,
     evaluate_cost,
     random_directions,
+    sensitivity_states,
 )
-from .solvers import (
-    march_adjoint,
-    march_forward,
-    sensitivity_factors,
-    solve_forward_quasilinear,
-)
+from .solvers import march_adjoint, march_forward, sensitivity_factors
 from .weights import CarlemanWeights, eval_terminal_weights, eval_weights, observation_weight_trajectory
 
 SECOND_ORDER_STEP = 1e-3
@@ -205,23 +201,31 @@ def kkt_nash_oracle(
 NASH_ORACLE_BUDGET = 1e-6
 
 
+@dataclass(frozen=True)
+class NashOracleReport:
+    """Worst relative distance of the two follower controls from the oracle's."""
+
+    name: str
+    worst_relative_gap: float
+    budget: float
+    passed: bool
+
+
 def oracle_nash_gap(
     problem: HierarchicProblem,
+    nash: NashSolution,
     u: SpaceTimeField | None = None,
-    nash: NashSolution | None = None,
-    tol: float = 1e-12,
-) -> float:
-    """Relative L2 distance between compute_nash and the stacked-KKT oracle."""
+) -> NashOracleReport:
+    """Relative L2 distance between the equilibrium ``nash`` at u and the stacked-KKT oracle."""
     grid, tgrid = problem.grid, problem.tgrid
-    if nash is None:
-        nash = compute_nash(problem, u=u, tol=tol)
     ov1, ov2 = kkt_nash_oracle(problem, u)
     worst = 0.0
     for mine, ref in ((nash.v1, ov1), (nash.v2, ov2)):
         num = np.sqrt(stepped_norm2(grid, tgrid, mine.values - ref.values))
         den = max(np.sqrt(stepped_norm2(grid, tgrid, ref.values)), 1e-300)
         worst = max(worst, float(num / den))
-    return worst
+    return NashOracleReport(name="nash-oracle", worst_relative_gap=worst,
+                            budget=NASH_ORACLE_BUDGET, passed=bool(worst <= NASH_ORACLE_BUDGET))
 
 
 # ---------------------------------------------------------------------------
@@ -234,18 +238,17 @@ DUALITY_BUDGET = 1e-10
 
 def check_duality(
     problem: HierarchicProblem,
-    u: SpaceTimeField | None = None,
-    state: SpaceTimeField | None = None,
+    state: SpaceTimeField,
     trials: int = 50,
     seed: int = 0,
-    budget: float = DUALITY_BUDGET,
 ) -> ProbeReport:
     """Adjoint-vs-sensitivity identity over random follower directions.
 
     For each draw w the pairing <xi_k p_k, w> is matched against
     -nu_k <xi_* (y - y_kd), y_s[w]>, the two sides coming from one backward
-    and one forward march against the same frozen linearization; the forward
-    marches of one follower's draws run as one stacked march.  The gap is
+    and one forward march against the same linearization, frozen at
+    ``state``; the forward marches of one follower's draws run as one
+    stacked march (``nash.sensitivity_states``).  The gap is
     normalized by the rounding scale of the identity, the larger of the
     Cauchy-Schwarz bounds of its two pairings in the stepped norm,
 
@@ -256,11 +259,6 @@ def check_duality(
     """
     grid, tgrid = problem.grid, problem.tgrid
     n = grid.n_nodes
-    if state is None:
-        state = solve_forward_quasilinear(
-            problem.nl, grid, tgrid, problem.y0,
-            source=None if u is None else problem.xi("leader")[None, :] * u.values,
-        )
     c = coefficients_from_state(problem.nl, state)
     factors = sensitivity_factors(c)
     xi_star = problem.xi("tracking")
@@ -272,10 +270,7 @@ def check_duality(
         xi_k = problem.xi(f"follower{k}")
         xi_p = xi_k[None, :] * p_k
         dirs = random_directions(problem, k, trials, seed + 17 * k)
-        src = np.empty((len(dirs),) + diff.shape)
-        for j, w in enumerate(dirs):
-            np.multiply(w, xi_k, out=src[j])
-        y_s = march_forward(factors, np.zeros((len(dirs), n)), src)
+        y_s = sensitivity_states(factors, xi_k, dirs)
         # stepped norms: the adjoint side's once, every y_s[w] in one pass
         norm_p = np.sqrt(stepped_norm2(grid, tgrid, xi_p))
         norm_diff = abs(nu_k) * np.sqrt(stepped_norm2(grid, tgrid, diff))
@@ -297,8 +292,8 @@ def check_duality(
             "dim": grid.dim,
             "seed": seed,
         },
-        budget=budget,
-        passed=bool(worst <= budget),
+        budget=DUALITY_BUDGET,
+        passed=bool(worst <= DUALITY_BUDGET),
     )
 
 
@@ -361,13 +356,28 @@ def _delta_fields(problem: HierarchicProblem, y: SpaceTimeField, p: np.ndarray):
 SECOND_ORDER_BUDGET = 1e-2
 
 
+@dataclass(frozen=True)
+class SecondOrderReport:
+    """Both values of the second derivative of J1 along one direction, and their gap."""
+
+    name: str
+    rep_value: float
+    fd_value: float
+    relative_gap: float
+    mu_term: float
+    coupling_term: float
+    step: float
+    budget: float
+    passed: bool
+
+
 def check_second_order(
     problem: HierarchicProblem,
     nash: NashSolution,
     u: SpaceTimeField | None = None,
     w: np.ndarray | None = None,
     seed: int = 0,
-) -> dict:
+) -> SecondOrderReport:
     """Second Gateaux derivative of J1: curvature representation vs differences.
 
     The representation value is  mu1 |w|^2_{omega_1} + nu1 <xi_1 w, W>  with
@@ -418,14 +428,11 @@ def check_second_order(
     fd_value = (vals[1.0] - 2.0 * vals[0.0] + vals[-1.0]) / SECOND_ORDER_STEP**2
 
     gap = abs(fd_value - rep_value) / max(abs(fd_value), 1e-300)
-    return {
-        "rep_value": rep_value,
-        "fd_value": fd_value,
-        "relative_gap": gap,
-        "mu_term": mu_term,
-        "coupling_term": coupling,
-        "step": SECOND_ORDER_STEP,
-    }
+    return SecondOrderReport(
+        name="second-order", rep_value=rep_value, fd_value=fd_value, relative_gap=gap,
+        mu_term=mu_term, coupling_term=coupling, step=SECOND_ORDER_STEP,
+        budget=SECOND_ORDER_BUDGET, passed=bool(gap <= SECOND_ORDER_BUDGET),
+    )
 
 
 def second_order_mu_sweep(
@@ -442,13 +449,11 @@ def second_order_mu_sweep(
     change of rep_value along the sweep (None when the sign is constant).
     Each equilibrium is solved to ``tol``, the scenario's nash_tol.
     """
-    from dataclasses import replace
-
     values = []
     for m1 in mu1_values:
         prob_m = replace(problem, mu=(float(m1), problem.mu[1]))
         res = check_second_order(prob_m, compute_nash(prob_m, u=u, tol=tol), u=u, seed=seed)
-        values.append(res["rep_value"])
+        values.append(res.rep_value)
     crossing = None
     for i in range(1, len(values)):
         if values[i - 1] * values[i] < 0:
@@ -481,7 +486,6 @@ def probe_observability(
     ctx: GramianContext,
     samples: int = 8,
     seed: int = 0,
-    budget: float | None = None,
 ) -> ProbeReport:
     """Initial-plus-trajectory energy of the transposed system vs observation.
 
@@ -515,14 +519,13 @@ def probe_observability(
             )
             yield lhs, rhs
 
-    return _ratio_report("observability", energies(), w, grid, tgrid, seed, budget)
+    return _ratio_report("observability", energies(), w, grid, tgrid, seed)
 
 
 def probe_carleman(
     ctx: GramianContext,
     samples: int = 8,
     seed: int = 0,
-    budget: float | None = None,
 ) -> ProbeReport:
     """Single-equation weighted energy vs observation for backward solutions.
 
@@ -567,13 +570,15 @@ def probe_carleman(
             rhs = tgrid.tau * float((rhs_field * grid.weights[obs_mask][None, :]).sum())
             yield lhs, rhs
 
-    return _ratio_report("carleman", energies(), weights, grid, tgrid, seed, budget)
+    return _ratio_report("carleman", energies(), weights, grid, tgrid, seed)
 
 
-def _ratio_report(name, energies, w, grid, tgrid, seed, budget) -> ProbeReport:
+def _ratio_report(name, energies, w, grid, tgrid, seed) -> ProbeReport:
     """ProbeReport of the ratios lhs / rhs over a probe's sampled energy pairs.
 
     A sample whose observation term rhs vanished is excluded with a warning.
+    The probe has no budget: it passes when any ratio is left, since
+    ``ProbeReport`` refuses non-finite ones.
     """
     ratios = []
     excluded = 0
@@ -588,7 +593,6 @@ def _ratio_report(name, energies, w, grid, tgrid, seed, budget) -> ProbeReport:
             continue
         ratios.append(lhs / rhs)
     worst = float(max(ratios)) if ratios else float("nan")
-    finite = bool(ratios) and bool(np.all(np.isfinite(ratios)))
     return ProbeReport(
         name=name,
         samples=len(ratios),
@@ -602,7 +606,7 @@ def _ratio_report(name, energies, w, grid, tgrid, seed, budget) -> ProbeReport:
             "seed": seed,
             "noise_db": PROBE_NOISE_DB,
         },
-        budget=budget,
-        passed=bool(finite and (budget is None or worst <= budget)),
+        budget=None,
+        passed=bool(ratios),
         excluded=excluded,
     )

@@ -70,7 +70,7 @@ class TestAcceptance:
         worst = {}
         for name in ("heat_1d", "mild_quasilinear", "gradient_diffusion"):
             s, problem = _scenario(name), _problem(name)
-            rep = check_duality(problem, trials=50, seed=s.seed, budget=1e-10)
+            rep = check_duality(problem, _uncontrolled(problem), trials=50, seed=s.seed)
             worst[name] = rep.worst_ratio
         ok = all(v <= 1e-10 for v in worst.values())
         detail = "duality worst ratios " + ", ".join(
@@ -83,7 +83,7 @@ class TestAcceptance:
         for name in ("heat_lq_16x32", "heat_lq_24x48", "advection_lq_16x32"):
             s, problem = _scenario(name), _problem(name)
             nash = compute_nash(problem, tol=s.tolerance("nash_tol"))
-            gaps[name] = oracle_nash_gap(problem, nash=nash)
+            gaps[name] = oracle_nash_gap(problem, nash).worst_relative_gap
             if name == "heat_lq_24x48":
                 _PROB["_nash24"] = nash
         ok = all(v <= 1e-6 for v in gaps.values())
@@ -197,14 +197,14 @@ class TestAcceptance:
             s, problem = _scenario(name), _problem(name)
             nash = compute_nash(problem, tol=s.tolerance("nash_tol"))
             res = check_second_order(problem, nash, seed=s.seed)
-            gaps[name] = res["relative_gap"]
+            gaps[name] = res.relative_gap
         decoupled = dataclasses.replace(
             _problem("heat_lq_16x32"), nu=(0.0, _problem("heat_lq_16x32").nu[1])
         )
         res0 = check_second_order(decoupled, compute_nash(decoupled), seed=0)
         exact = (
-            res0["coupling_term"] == 0.0
-            and abs(res0["rep_value"] - res0["mu_term"]) <= 1e-12 * abs(res0["rep_value"])
+            res0.coupling_term == 0.0
+            and abs(res0.rep_value - res0.mu_term) <= 1e-12 * abs(res0.rep_value)
         )
         ok = all(v <= 1e-2 for v in gaps.values()) and exact
         detail = (

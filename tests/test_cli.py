@@ -14,6 +14,7 @@ from hiercontrol.cli import build_parser, main
 from hiercontrol.fixedpoint import FixedPointReport
 from hiercontrol.leader import LeaderSolution
 from hiercontrol.nash import NashSolution
+from hiercontrol.verification import NashOracleReport, ProbeReport, SecondOrderReport
 
 LQ = scenario_path("heat_lq_16x32")
 ADVECTION = scenario_path("advection_lq_16x32")
@@ -33,6 +34,14 @@ def _read(path):
 
 # field annotations of the trajectories, which go to CSV and not into reports
 TRAJECTORY_TYPES = ("SpaceTimeField", "np.ndarray")
+
+# the result each verify suite reports
+SUITE_RESULTS = {"duality": ProbeReport, "nash-oracle": NashOracleReport,
+                 "second-order": SecondOrderReport, "observability": ProbeReport,
+                 "carleman": ProbeReport}
+
+# the top-level keys of a verify report, around its suites' results
+VERIFY_KEYS = {"scenario", "suite", "reports", "passed"}
 
 
 def _fields(cls, trajectories=False):
@@ -72,14 +81,28 @@ class TestReportRule:
         for cmd, report in reports.items():
             assert not _keys(report) & left_out, cmd
 
+    def test_verify_blocks_are_their_results(self, tmp_path):
+        rc, out = _run(tmp_path, "verify", "--config", LQ, "--suite", "all")
+        assert rc == 0
+        report = json.loads(_read(os.path.join(out, "verify_all.json")))
+        assert set(report) == VERIFY_KEYS
+        assert set(report["reports"]) == set(SUITE_RESULTS)
+        for suite, block in report["reports"].items():
+            assert set(block) == _fields(SUITE_RESULTS[suite]), suite
+            assert block["name"] == suite
+
     def test_cli_copies_no_reported_field(self):
         # a quantity added to a result reaches every report through the
-        # report rule, so the CLI spells no reported field out by hand
-        reported = _fields(FixedPointReport) | _fields(LeaderSolution) | _fields(NashSolution)
+        # report rule, so the CLI spells no reported field out by hand; the
+        # verify report's own top-level keys wrap its suites' results
+        reported = set().union(*map(_fields, (FixedPointReport, LeaderSolution, NashSolution,
+                                              *SUITE_RESULTS.values())))
         with open(cli.__file__, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
-        named = {key.value for node in ast.walk(tree) if isinstance(node, ast.Dict)
-                 for key in node.keys if isinstance(key, ast.Constant)}
+        dicts = [{key.value for key in node.keys if isinstance(key, ast.Constant)}
+                 for node in ast.walk(tree) if isinstance(node, ast.Dict)]
+        assert VERIFY_KEYS in dicts
+        named = set().union(*(keys for keys in dicts if keys != VERIFY_KEYS))
         assert not named & reported
 
 
@@ -214,25 +237,38 @@ class TestVerify:
         assert tols == [1e-12]
 
     def test_all_suites_march_the_uncontrolled_state_once(self, tmp_path, monkeypatch):
-        # the duality check linearizes at the march the two probes share
+        # the duality check linearizes at the march the two probes share;
+        # verification takes that state from its caller and marches none
         import hiercontrol.solvers
         import hiercontrol.verification
 
-        calls = {"cli": 0, "verification": 0}
-
-        def counting(where, orig):
-            def march(*args, **kw):
-                calls[where] += 1
-                return orig(*args, **kw)
-            return march
-
+        assert not hasattr(hiercontrol.verification, "solve_forward_quasilinear")
+        calls = []
         orig = hiercontrol.solvers.solve_forward_quasilinear
-        monkeypatch.setattr(hiercontrol.solvers, "solve_forward_quasilinear", counting("cli", orig))
-        monkeypatch.setattr(hiercontrol.verification, "solve_forward_quasilinear",
-                            counting("verification", orig))
+
+        def counted(*args, **kw):
+            calls.append(args)
+            return orig(*args, **kw)
+
+        monkeypatch.setattr(hiercontrol.solvers, "solve_forward_quasilinear", counted)
         rc, _ = _run(tmp_path, "verify", "--config", LQ, "--suite", "all")
         assert rc == 0
-        assert calls == {"cli": 1, "verification": 0}
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("suite,budget", [("nash-oracle", "NASH_ORACLE_BUDGET"),
+                                              ("second-order", "SECOND_ORDER_BUDGET")])
+    def test_budget_violation_exits_4(self, tmp_path, monkeypatch, capsys, suite, budget):
+        # each check reads its own budget constant when it decides `passed`
+        import hiercontrol.verification
+
+        monkeypatch.setattr(hiercontrol.verification, budget, 0.0)
+        rc, out = _run(tmp_path, "verify", "--config", LQ, "--suite", suite)
+        assert rc == 4
+        report = json.loads(_read(os.path.join(out, f"verify_{suite}.json")))
+        assert report["passed"] is False
+        assert report["reports"][suite]["passed"] is False
+        assert report["reports"][suite]["budget"] == 0.0
+        assert f"verify[{suite}]: FAIL" in capsys.readouterr().out
 
     def test_carleman_probe_samples_the_full_roster(self, tmp_path):
         # the probe's backward equation carries the scenario's lower-order

@@ -143,7 +143,7 @@ class TestLimits:
         problem = make_problem(cells=16, steps=32, mu=(3e-4, 3e-4))
         sol = compute_nash(problem)
         assert sol.converged
-        assert oracle_nash_gap(problem, None, sol) <= 1e-6
+        assert oracle_nash_gap(problem, sol).worst_relative_gap <= 1e-6
 
     def test_zero_tracking_weights_give_zero_controls(self):
         problem = make_problem(cells=16, steps=32, nu=(0.0, 0.0))

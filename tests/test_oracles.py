@@ -17,8 +17,11 @@ from hiercontrol.leader import GramianContext
 from hiercontrol.nash import compute_nash
 from hiercontrol.outputs import emit_report
 from hiercontrol.scenario import load_scenario, scenario_from_tree
+from hiercontrol.solvers import solve_forward_quasilinear
 from hiercontrol.verification import (
+    NashOracleReport,
     ProbeReport,
+    SecondOrderReport,
     check_duality,
     check_second_order,
     kkt_nash_oracle,
@@ -27,6 +30,17 @@ from hiercontrol.verification import (
     probe_observability,
     second_order_mu_sweep,
 )
+
+
+def _march(problem, u=None):
+    """The state driven by the leader control u; uncontrolled for None."""
+    source = None if u is None else problem.xi("leader")[None, :] * u.values
+    return solve_forward_quasilinear(problem.nl, problem.grid, problem.tgrid, problem.y0, source=source)
+
+
+def _oracle_gap(problem, u=None):
+    """Relative gap of the equilibrium at u, solved to 1e-12, from the oracle's."""
+    return oracle_nash_gap(problem, compute_nash(problem, u=u, tol=1e-12), u=u).worst_relative_gap
 
 
 def _leader_control(problem, seed=0, amp=0.1):
@@ -70,19 +84,25 @@ class TestKKTOracle:
 
     def test_matches_picard_equilibrium(self):
         problem = make_problem(cells=16, steps=32)
-        assert oracle_nash_gap(problem) < 1e-10
+        assert _oracle_gap(problem) < 1e-10
+
+    def test_report_decides_its_verdict(self):
+        problem = make_problem(cells=16, steps=32)
+        rep = oracle_nash_gap(problem, compute_nash(problem, tol=1e-12))
+        assert isinstance(rep, NashOracleReport)
+        assert (rep.name, rep.budget, rep.passed) == ("nash-oracle", 1e-6, True)
 
     def test_matches_under_leader_control(self):
         problem = make_problem(cells=16, steps=32)
         u = _leader_control(problem, seed=12)
-        assert oracle_nash_gap(problem, u=u) < 1e-10
+        assert _oracle_gap(problem, u=u) < 1e-10
 
     @pytest.mark.parametrize("leader", [False, True], ids=["free", "leader"])
     @pytest.mark.parametrize("case", list(_ORACLE_CASES))
     def test_matches_picard_equilibrium_across_regimes(self, case, leader):
         problem = make_problem(**_ORACLE_CASES[case])
         u = _leader_control(problem, seed=12) if leader else None
-        assert oracle_nash_gap(problem, u=u) < 1e-10
+        assert _oracle_gap(problem, u=u) < 1e-10
 
     def test_independent_of_production_operators(self, monkeypatch):
         """The oracle assembles and solves without the production slice operators or marches."""
@@ -119,7 +139,7 @@ class TestKKTOracle:
 class TestDuality:
     def test_report_passes_budget(self):
         problem = make_problem(cells=16, steps=32)
-        rep = check_duality(problem, trials=10, seed=2)
+        rep = check_duality(problem, _march(problem), trials=10, seed=2)
         assert isinstance(rep, ProbeReport)
         assert rep.samples == 20  # both followers
         assert rep.passed
@@ -128,13 +148,13 @@ class TestDuality:
 
     def test_zero_tracking_weights_trivialize(self):
         problem = make_problem(cells=16, steps=32, nu=(0.0, 0.0))
-        rep = check_duality(problem, trials=5)
+        rep = check_duality(problem, _march(problem), trials=5)
         assert rep.worst_ratio == 0.0
         assert rep.passed
 
     def test_holds_under_leader_control(self):
         problem = make_problem(cells=16, steps=32)
-        rep = check_duality(problem, u=_leader_control(problem, seed=6), trials=8)
+        rep = check_duality(problem, _march(problem, _leader_control(problem, seed=6)), trials=8)
         assert rep.passed
 
     def test_holds_for_quasilinear_state(self):
@@ -145,7 +165,7 @@ class TestDuality:
             params={"q": 0.05, "c": 0.1},
             y0_amp=0.1,
         )
-        rep = check_duality(problem, trials=8, seed=3)
+        rep = check_duality(problem, _march(problem), trials=8, seed=3)
         assert rep.passed
 
 
@@ -175,7 +195,8 @@ class TestDuality:
             "tolerances": {"nash_tol": 1e-12},
             "seed": 572634118,
         })
-        rep = check_duality(s.build_problem(), trials=50, seed=s.seed)
+        problem = s.build_problem()
+        rep = check_duality(problem, _march(problem), trials=50, seed=s.seed)
         assert rep.passed
         assert rep.worst_ratio <= 1e-14
 
@@ -194,7 +215,8 @@ class TestDuality:
                             lambda factors, terminal, sources:
                             march(NoTranspose(factors), terminal, sources))
         s = load_scenario(scenario_path("advection_lq_16x32"))
-        rep = check_duality(s.build_problem(), trials=50, seed=s.seed)
+        problem = s.build_problem()
+        rep = check_duality(problem, _march(problem), trials=50, seed=s.seed)
         assert not rep.passed
         assert rep.worst_ratio >= 1e-6
 
@@ -234,23 +256,25 @@ class TestSecondOrder:
         problem = make_problem(cells=16, steps=32)
         w = np.zeros((problem.tgrid.n_slices, problem.grid.n_nodes))
         res = check_second_order(problem, compute_nash(problem), w=w, seed=1)
-        assert res["rep_value"] == 0.0
-        assert res["fd_value"] == 0.0
-        assert res["mu_term"] == 0.0
-        assert res["coupling_term"] == 0.0
+        assert res.rep_value == 0.0
+        assert res.fd_value == 0.0
+        assert res.mu_term == 0.0
+        assert res.coupling_term == 0.0
 
     def test_pure_control_cost_when_tracking_off(self):
         problem = make_problem(cells=16, steps=32, nu=(0.0, 1.0))
         res = check_second_order(problem, compute_nash(problem), seed=2)
-        assert res["coupling_term"] == 0.0
-        assert res["rep_value"] == res["mu_term"]
-        assert res["relative_gap"] < 1e-9
+        assert res.coupling_term == 0.0
+        assert res.rep_value == res.mu_term
+        assert res.relative_gap < 1e-9
 
     def test_representation_matches_differences(self):
         problem = make_problem(cells=16, steps=32)
         res = check_second_order(problem, compute_nash(problem), seed=3)
-        assert res["relative_gap"] < 1e-6
-        assert res["rep_value"] > 0.0
+        assert res.relative_gap < 1e-6
+        assert res.rep_value > 0.0
+        assert isinstance(res, SecondOrderReport)
+        assert (res.name, res.budget, res.passed) == ("second-order", 1e-2, True)
 
     def test_mu_sweep_structure(self):
         problem = make_problem(cells=16, steps=32)
@@ -301,13 +325,9 @@ def ctx16():
 class TestWeightedProbes:
     def test_observability_finite(self, ctx16):
         rep = probe_observability(ctx16, samples=4, seed=0)
-        assert rep.passed
+        assert rep.passed and rep.budget is None
         assert rep.samples + rep.excluded == 4
         assert np.isfinite(rep.worst_ratio) and rep.worst_ratio > 0.0
-
-    def test_observability_budget_enforced(self, ctx16):
-        rep = probe_observability(ctx16, samples=3, seed=1, budget=1e-300)
-        assert not rep.passed
 
     def test_carleman_finite(self, ctx16):
         rep = probe_carleman(ctx16, samples=4, seed=0)
