@@ -20,7 +20,8 @@ HIERCONTROL_THREADS=1:
   differentiates has non-zero second derivatives,
 * ``verify --suite carleman`` and ``verify --suite observability`` on
   mild_quasilinear, the probes on a quasi-linear roster,
-* ``leader`` on heat_1d and on mild_quasilinear,
+* ``leader`` on heat_1d, on mild_quasilinear and on heat_2d, the one 2D
+  run of the leader solution rebuilt from the Krylov basis,
 * ``nash`` on gradient_diffusion,
 * ``weights`` on heat_2d,
 * ``solve`` and ``nash`` on two scenarios derived from heat_lq_16x32 whose
@@ -66,6 +67,7 @@ FIXED_RUNS = (
     ("verify-observability-mild_quasilinear", ["verify", "--suite", "observability"], "mild_quasilinear"),
     ("leader-heat_1d", ["leader"], "heat_1d"),
     ("leader-mild_quasilinear", ["leader"], "mild_quasilinear"),
+    ("leader-heat_2d", ["leader"], "heat_2d"),
     ("nash-gradient_diffusion", ["nash"], "gradient_diffusion"),
     ("weights-heat_2d", ["weights"], "heat_2d"),
 )

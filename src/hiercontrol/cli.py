@@ -181,7 +181,7 @@ def cmd_nash(args) -> int:
 
 def cmd_leader(args) -> int:
     from .fixedpoint import linearize_at
-    from .leader import leader_duality_gap, solve_leader
+    from .leader import inner_tolerance, leader_duality_gap, solve_leader
     from .outputs import emit_csv, emit_report, emit_svg
     from .weights import build_weights
 
@@ -206,9 +206,7 @@ def cmd_leader(args) -> int:
     emit_csv(sol.u, os.path.join(out, "u.csv"))
     emit_csv(sol.y, os.path.join(out, "y.csv"))
 
-    y_free, _, _ = ctx.solve_primal(
-        None, problem.y0.values, tuple(t.values for t in problem.targets)
-    )
+    y_free = ctx.free_response(inner_tolerance(ctx, cg_tol))
     times = [float(t) for t in problem.tgrid.times]
     emit_svg(
         [{"label": "|y(t)| controlled", "x": times,

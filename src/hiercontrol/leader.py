@@ -45,14 +45,21 @@ a sweep that does not get there raises NonConvergenceError.
 The Krylov space K_k(Lambda, b) does not depend on eps, so the context
 caches one Lanczos basis of Lambda started from b (plain three-term
 recurrence in the weighted inner product, no reorthogonalization, as CG).
-``solve_leader`` solves the k x k tridiagonal system (T_k + eps I) y = |b| e_1
-for k = 1, 2, ... and takes phi_T = V_k y, which in exact arithmetic is the
+``solve_leader`` solves the k x k tridiagonal system (T_k + eps I) c = |b| e_1
+for k = 1, 2, ... and takes phi_T = V_k c, which in exact arithmetic is the
 k-th CG iterate; the basis grows, one Gramian application per vector, only
-when a solve needs it.  An epsilon sweep therefore costs as many Gramian
-applications as its hardest epsilon.  The answer depends only on the
-context, eps and cg_tol: a solve on a warm context is bit-identical to the
-same solve on a fresh one.  The context is penalty-free: one set of slice
-factors and one Krylov basis serve a whole epsilon sweep.
+when a solve needs it.  The coupled system is linear, so the solution at
+eps is rebuilt from the same c: each basis vector v_j keeps what its
+Gramian application computed (the primal response y_j, phi_j on the leader
+support, phi_j(0) and its data pairing), the controlled state is the free
+response plus sum c_j y_j, the control is d sum c_j phi_j, and the follower
+adjoints come from one stacked follower march of that state.  An epsilon
+sweep therefore costs 1 + 2k coupled solves, k the Gramian applications of
+its hardest epsilon: the free response and two per basis vector.  The
+answer depends only on the context, eps and cg_tol: a solve on a warm
+context is bit-identical to the same solve on a fresh one.  The context is
+penalty-free: one set of slice factors and one Krylov basis serve a whole
+epsilon sweep.
 """
 
 from __future__ import annotations
@@ -87,20 +94,44 @@ def _wdot(grid, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(grid.weights * a, b))
 
 
+@dataclass(frozen=True, eq=False)
+class GramianResponse:
+    """One Gramian application, kept as far as a leader solve rebuilds from it.
+
+    For the seed phi_T, (phi, theta_1, theta_2) solve K^T and ``y`` is the
+    zero-data primal response to u = d phi; its last slice is Lambda phi_T.
+    Of the transposed blocks only ``phi_leader`` (phi on the leader support,
+    where d is nonzero), ``phi0`` = phi(0) and ``data_pairing`` =
+    sum_k nu_k tau sum <xi_* y_{k,d}, theta_k> are kept.
+    """
+
+    y: np.ndarray
+    phi_leader: np.ndarray
+    phi0: np.ndarray
+    data_pairing: float
+
+    @property
+    def terminal(self) -> np.ndarray:
+        return self.y[-1]
+
+
 @dataclass(eq=False)
 class KrylovBasis:
     """Lanczos basis of Lambda from v_1 = -b / |b| in the weighted inner product.
 
-    After k Gramian applications it holds v_1..v_{k+1} and the tridiagonal
-    T_k: alpha_1..alpha_k on the diagonal, beta_2..beta_{k+1} beside it.
-    ``tol`` is the inner coupled-solve tolerance b and the basis were
-    computed at.
+    After k Gramian applications it holds v_1..v_{k+1}, the responses to
+    v_1..v_k and the tridiagonal T_k: alpha_1..alpha_k on the diagonal,
+    beta_2..beta_{k+1} beside it.  ``y_free`` is the coupled state response
+    to the data alone (u = 0) and b its terminal slice.  ``tol`` is the
+    inner coupled-solve tolerance all of them were computed at.
     """
 
     tol: float
+    y_free: np.ndarray
     b: np.ndarray
     bnorm: float
     v: list
+    responses: list
     alpha: list
     beta: list
 
@@ -110,11 +141,13 @@ class GramianContext:
 
     Holds the frozen linearization, the Carleman weights, the slice factors
     the coupled sweeps march with (``state_factors`` of the lead block,
-    ``sensitivity_factors`` of the follower blocks), the free terminal
-    state b and the Lanczos basis of Lambda started from b.  The Carleman
-    probe marches on the same state factors.  The penalty parameter is
-    deliberately not part of the context, so an epsilon sweep reuses one set
-    of factors and one Krylov basis.
+    ``sensitivity_factors`` of the follower blocks), the free response and
+    the Lanczos basis of Lambda started from its terminal state b.  The
+    Carleman probe marches on the same state factors.  The penalty parameter
+    is deliberately not part of the context, so an epsilon sweep reuses one
+    set of factors and one Krylov basis.  ``gramian_applications`` and
+    ``coupled_solves`` count the calls of ``gramian_apply`` and of
+    ``solve_primal`` and ``solve_transposed``.
     """
 
     strategy = "picard"  # the benchmark reads the engine name from here
@@ -143,24 +176,50 @@ class GramianContext:
         # which vanishes at the endpoint slices
         self.d = xi0[None, :] * self.w7
         self.xi0 = xi0
+        self.leader_support = np.flatnonzero(xi0)
         self.xi_star = problem.xi("tracking")
         self.S = [problem.xi("follower1") ** 2, problem.xi("follower2") ** 2]
+        # coupling coefficients of K: z_k into the lead block x, and x into
+        # z_k; K^T swaps the two
+        self.s_mu = [self.S[k] / problem.mu[k] for k in (0, 1)]
+        self.nu_xi = [-problem.nu[k] * self.xi_star for k in (0, 1)]
 
         self.size = 3 * self.tgrid.steps * self.grid.n_interior
         self.state_factors = state_factors(coefficients)
         self.sensitivity_factors = sensitivity_factors(coefficients)
         self._krylov: KrylovBasis | None = None
         self.gramian_applications = 0
+        self.coupled_solves = 0
+
+    def _follower_blocks(self, transpose: bool, x: np.ndarray, targets) -> list:
+        """Both follower blocks z_k (p_k, or lambda_k for K^T) from the lead block x.
+
+        One stacked march on the shared sensitivity factors, with source
+        into_z_k (x - y_{k,d}) (no targets for None); a block whose coupling
+        coefficient is identically zero is left out of the stack and is
+        zero.  K^T reverses the march; the march is looked up at call time,
+        so a wrapper bound to this module is the one that runs.
+        """
+        n, slices = self.grid.n_nodes, self.tgrid.n_slices
+        into_z, follow = (self.s_mu, march_forward) if transpose else (self.nu_xi, march_adjoint)
+        live = [k for k in (0, 1) if into_z[k].any()]
+        src = np.empty((len(live), slices, n))
+        for j, k in enumerate(live):
+            if targets is None:
+                np.multiply(x, into_z[k], out=src[j])
+            else:
+                np.subtract(x, targets[k], out=src[j])
+                src[j] *= into_z[k]
+        zs = iter(follow(self.sensitivity_factors, np.zeros((len(live), n)), src) if live else ())
+        return [next(zs) if k in live else np.zeros((slices, n)) for k in (0, 1)]
 
     def _sweep(self, transpose: bool, seed, source, targets, tol):
         """Block Gauss-Seidel sweeps on K, or on K^T, until the lead block settles.
 
         The lead block x (y, or phi for K^T) is marched once with the
         follower blocks z_k (p_k, or lambda_k) at zero.  One sweep
-        x -> Phi(x) marches the z_k from x, both in one stacked march on
-        the shared sensitivity factors, then x from the z_k; a block whose
-        coupling coefficient is identically zero is left out of the stack
-        and stays zero.  ``solvers.anderson``
+        x -> Phi(x) marches the z_k from x (``_follower_blocks``), then x
+        from the z_k.  ``solvers.anderson``
         iterates Phi until |Phi(x) - x| <= tol |Phi(x)| in the stepped
         weighted norm, and the last Phi(x) is returned with the z_k that
         produced it.  When both nu_k vanish x does not depend on z_k, and
@@ -170,16 +229,8 @@ class GramianContext:
         grid, tgrid = self.grid, self.tgrid
         tol = self.picard_tol if tol is None else tol
         n = grid.n_nodes
-        sf, pf = self.state_factors, self.sensitivity_factors
-        s_mu = [self.S[k] / self.problem.mu[k] for k in (0, 1)]       # z_k into x in K
-        nu_xi = [-self.problem.nu[k] * self.xi_star for k in (0, 1)]  # x into z_k in K
-        # K^T reverses both marches and swaps the two coupling blocks; the
-        # marches are looked up at call time, so a wrapper bound to this
-        # module is the one that runs
-        if transpose:
-            lead, follow, into_x, into_z = march_adjoint, march_forward, nu_xi, s_mu
-        else:
-            lead, follow, into_x, into_z = march_forward, march_adjoint, s_mu, nu_xi
+        # K^T reverses the lead march and swaps the two coupling blocks
+        lead, into_x = (march_adjoint, self.nu_xi) if transpose else (march_forward, self.s_mu)
         seed = np.zeros(n) if seed is None else seed
 
         def lead_block(z):
@@ -189,28 +240,15 @@ class GramianContext:
             for coef, zk in zip(into_x, z):
                 if coef.any():
                     src += coef[None, :] * zk
-            return lead(sf, seed, src if src.any() else None)
-
-        live = [k for k in (0, 1) if into_z[k].any()]
-
-        def follower_blocks(x):
-            src = np.empty((len(live), tgrid.n_slices, n))
-            for j, k in enumerate(live):
-                if targets is None:
-                    np.multiply(x, into_z[k], out=src[j])
-                else:
-                    np.subtract(x, targets[k], out=src[j])
-                    src[j] *= into_z[k]
-            zs = iter(follow(pf, np.zeros((len(live), n)), src) if live else ())
-            return [next(zs) if k in live else np.zeros((tgrid.n_slices, n)) for k in (0, 1)]
+            return lead(self.state_factors, seed, src if src.any() else None)
 
         def sweep(x):
-            z = follower_blocks(x)
+            z = self._follower_blocks(transpose, x, targets)
             return lead_block(z), z
 
         x = lead_block((0.0, 0.0))
         if self.problem.nu[0] == 0.0 and self.problem.nu[1] == 0.0:
-            return (x, *follower_blocks(x))
+            return (x, *self._follower_blocks(transpose, x, targets))
         x, z, _, converged = anderson(sweep, x, grid, tgrid, tol, PICARD_MAX)
         if not converged:
             raise NonConvergenceError(
@@ -225,6 +263,7 @@ class GramianContext:
 
         Raw-array interface: trajectories are (n_slices, n_nodes) arrays.
         """
+        self.coupled_solves += 1
         return self._sweep(False, y0, source_y, targets, picard_tol)
 
     def solve_transposed(self, phi_T: np.ndarray, picard_tol=None):
@@ -232,6 +271,7 @@ class GramianContext:
 
         theta_k = -lambda_k with theta_k(0) = 0, lambda_k the follower blocks of K^T.
         """
+        self.coupled_solves += 1
         phi, lam1, lam2 = self._sweep(True, phi_T, None, None, picard_tol)
         th1 = -lam1
         th2 = -lam2
@@ -239,13 +279,19 @@ class GramianContext:
         th2[0] = 0.0
         return phi, th1, th2
 
-    def gramian_apply(self, phi_T: np.ndarray, picard_tol=None) -> np.ndarray:
-        """Lambda phi_T: terminal state of the zero-data response to u = d phi."""
-        phi, _, _ = self.solve_transposed(phi_T, picard_tol)
+    def gramian_apply(self, phi_T: np.ndarray, picard_tol=None) -> GramianResponse:
+        """Response to u = d phi, whose terminal state is Lambda phi_T; two coupled solves."""
+        phi, th1, th2 = self.solve_transposed(phi_T, picard_tol)
         u = self.d * phi
         y, _, _ = self.solve_primal(self.xi0[None, :] * u, picard_tol=picard_tol)
+        data = 0.0
+        for nu_k, tgt, th in zip(self.problem.nu, self.problem.targets, (th1, th2)):
+            if nu_k != 0.0:
+                data += nu_k * stepped_pairing(
+                    self.grid, self.tgrid, self.xi_star[None, :] * tgt.values, th
+                )
         self.gramian_applications += 1
-        return y[-1]
+        return GramianResponse(y, phi[:, self.leader_support], phi[0].copy(), data)
 
     def free_terminal(self, picard_tol=None) -> np.ndarray:
         """b: terminal state of the coupled response to the data alone (u = 0).
@@ -255,24 +301,32 @@ class GramianContext:
         """
         return self.krylov(0, picard_tol).b
 
+    def free_response(self, picard_tol=None) -> np.ndarray:
+        """The coupled state response to the data alone, cached as ``free_terminal``."""
+        return self.krylov(0, picard_tol).y_free
+
     def krylov(self, k: int, picard_tol=None) -> KrylovBasis:
         """The cached Lanczos basis, extended to at least k Gramian applications."""
         tol = self.picard_tol if picard_tol is None else picard_tol
         kb = self._krylov
         if kb is None or kb.tol != tol:
+            # drop the old basis first: its responses are as large as the new ones
+            self._krylov = None
             y, _, _ = self.solve_primal(
                 None,
                 y0=self.problem.y0.values,
                 targets=tuple(t.values for t in self.problem.targets),
                 picard_tol=tol,
             )
-            b = y[-1].copy()
+            b = y[-1]
             bnorm = _wnorm(self.grid, b)
             v1 = [-b / bnorm] if bnorm > 0.0 else []
-            kb = self._krylov = KrylovBasis(tol, b, bnorm, v1, [], [])
+            kb = self._krylov = KrylovBasis(tol, y, b, bnorm, v1, [], [], [])
         while kb.v and len(kb.alpha) < k:
             v = kb.v[-1]
-            w = self.gramian_apply(v, picard_tol=tol)
+            response = self.gramian_apply(v, picard_tol=tol)
+            kb.responses.append(response)
+            w = response.terminal
             if kb.beta:
                 w = w - kb.beta[-1] * kb.v[-2]
             alpha = _wdot(self.grid, w, v)
@@ -286,13 +340,17 @@ class GramianContext:
 
 @dataclass(frozen=True, eq=False)
 class LeaderSolution:
-    """Penalized null-control result at one linearization."""
+    """Penalized null-control result at one linearization.
+
+    ``initial_pairing``, ``control_pairing`` and ``data_pairing`` are the
+    three right-hand terms of the transposition identity that
+    ``leader_duality_gap`` checks, taken from the transposed responses
+    (phi, theta_k) to phi_T.  ``cg_iterations`` and ``coupled_solves``
+    count the Gramian applications and coupled solves this call made.
+    """
 
     u: SpaceTimeField
     phi_T: np.ndarray
-    phi: SpaceTimeField
-    theta1: SpaceTimeField
-    theta2: SpaceTimeField
     y: SpaceTimeField
     p1: SpaceTimeField
     p2: SpaceTimeField
@@ -306,12 +364,25 @@ class LeaderSolution:
     control_energy: float
     J_eps_value: float
     J_eps_zero: float
+    initial_pairing: float
+    control_pairing: float
+    data_pairing: float
     cg_iterations: int
+    coupled_solves: int
     cg_residuals: tuple[float, ...]
     ritz_min: float
     ritz_max: float
     eps_over_ritz_max: float
     converged: bool
+
+
+def inner_tolerance(ctx: GramianContext, cg_tol: float) -> float:
+    """Tolerance of the coupled solves under a leader solve at cg_tol.
+
+    100x tighter than cg_tol, so the solves cannot pollute Gramian symmetry,
+    and never looser than the context's picard_tol.
+    """
+    return min(ctx.picard_tol, cg_tol / 100.0)
 
 
 def solve_leader(
@@ -323,19 +394,24 @@ def solve_leader(
     """Conjugate gradients on (Lambda + eps I) phi_T = -b, then reconstruction.
 
     CG runs in its Lanczos form on the context's cached Krylov basis: the
-    k-th iterate is V_k y with (T_k + eps I) y = |b| e_1, and its residual
-    is beta_{k+1} |y_k|.  The iteration stops at relative residual cg_tol
-    (measured against |b|), raises NonConvergenceError at cg_max, and raises
-    ConditioningError after STAGNATION_WINDOW consecutive iterations
+    k-th iterate is phi_T = V_k c with (T_k + eps I) c = |b| e_1, and its
+    residual is beta_{k+1} |c_k|.  The iteration stops at relative residual
+    cg_tol (measured against |b|), raises NonConvergenceError at cg_max, and
+    raises ConditioningError after STAGNATION_WINDOW consecutive iterations
     without residual decrease; with a spectrally bounded SPD operator that
     indicates a weight/penalty combination beyond what the discretization
-    can resolve.  The coupled sweeps run 100x tighter than cg_tol so they
-    cannot pollute Gramian symmetry.
+    can resolve.  The coupled solves run at ``inner_tolerance``.  The
+    control, state and follower adjoints are rebuilt from the same c and the
+    responses the basis kept, with one stacked follower march and no coupled
+    solve: the only coupled solves are those that build the basis, the free
+    response and two per Gramian application, so an epsilon sweep on one
+    context costs 1 + 2k coupled solves for its hardest epsilon's k.
 
     ``cg_iterations`` counts the Gramian applications this call made to
     extend the basis, ``cg_residuals`` the full residual history at this
     eps (its length is the Krylov dimension CG would have run); on a fresh
-    context the two agree.  The result depends only on (ctx, eps, cg_tol):
+    context the two agree.  ``coupled_solves`` counts the coupled solves
+    this call made.  The result depends only on (ctx, eps, cg_tol):
     a solve on a warm context is bit-identical to one on a fresh context.
     The Ritz values of Lambda from T_k and eps / ritz_max are reported at
     no extra cost (NaN when no iteration ran).  ``terminal_residual`` is
@@ -347,11 +423,11 @@ def solve_leader(
         raise ValidationError(f"penalty epsilon must be positive, got {epsilon}")
     eps = float(epsilon)
     grid, tgrid = ctx.grid, ctx.tgrid
-    inner_tol = min(ctx.picard_tol, cg_tol / 100.0)
+    inner_tol = inner_tolerance(ctx, cg_tol)
 
     y0v = ctx.problem.y0.values
     tgtv = tuple(t.values for t in ctx.problem.targets)
-    applied = ctx.gramian_applications
+    applied, solves = ctx.gramian_applications, ctx.coupled_solves
     kb = ctx.krylov(0, inner_tol)
     bnorm = kb.bnorm
     J0 = 0.5 / eps * bnorm**2
@@ -402,9 +478,21 @@ def solve_leader(
     else:
         ritz_min = ritz_max = float("nan")
 
-    phi, th1, th2 = ctx.solve_transposed(x, picard_tol=inner_tol)
+    # the coupled system is linear: the solution at phi_T = sum c_j v_j is
+    # the free response plus sum c_j times the responses the basis kept
+    y = kb.y_free.copy()
+    phi_leader = np.zeros((tgrid.n_slices, ctx.leader_support.size))
+    phi0 = np.zeros(grid.n_nodes)
+    t_data = 0.0
+    for c, r in zip(coef, kb.responses):
+        y += c * r.y
+        phi_leader += c * r.phi_leader
+        phi0 += c * r.phi0
+        t_data += c * r.data_pairing
+    phi = np.zeros((tgrid.n_slices, grid.n_nodes))
+    phi[:, ctx.leader_support] = phi_leader
     u = ctx.d * phi
-    y, p1, p2 = ctx.solve_primal(ctx.xi0[None, :] * u, y0v, tgtv, picard_tol=inner_tol)
+    p1, p2 = ctx._follower_blocks(False, y, tgtv)
 
     terminal = y[-1]
     tnorm = _wnorm(grid, terminal)
@@ -418,9 +506,6 @@ def solve_leader(
     return LeaderSolution(
         u=mk(grid, tgrid, u),
         phi_T=x,
-        phi=mk(grid, tgrid, phi),
-        theta1=mk(grid, tgrid, th1),
-        theta2=mk(grid, tgrid, th2),
         y=mk(grid, tgrid, y),
         p1=mk(grid, tgrid, p1),
         p2=mk(grid, tgrid, p2),
@@ -434,7 +519,11 @@ def solve_leader(
         control_energy=ce,
         J_eps_value=J,
         J_eps_zero=J0,
+        initial_pairing=_wdot(grid, y0v, phi0),
+        control_pairing=stepped_pairing(grid, tgrid, ctx.xi0[None, :] * u, phi),
+        data_pairing=float(t_data),
         cg_iterations=ctx.gramian_applications - applied,
+        coupled_solves=ctx.coupled_solves - solves,
         cg_residuals=tuple(residuals),
         ritz_min=ritz_min,
         ritz_max=ritz_max,
@@ -444,27 +533,16 @@ def solve_leader(
 
 
 def leader_duality_gap(ctx: GramianContext, sol: LeaderSolution) -> float:
-    """Residual of the transposition identity tying the two coupled solves.
+    """Residual of the transposition identity tying the two coupled systems.
 
     <y^M, phi_T> = <y_0, phi(0)> + tau sum <xi_0 u, phi>
                  - sum_k nu_k tau sum <xi_* y_{k,d}, theta_k>,
-    all inner products weighted.  Returns the gap normalized by the largest
-    participating term.
+    all inner products weighted: the left side from the primal responses,
+    the right-hand terms (carried by ``sol``) from the transposed responses
+    to phi_T.  Returns the gap normalized by the largest participating term.
     """
-    grid, tgrid = ctx.grid, ctx.tgrid
-    lhs = _wdot(grid, sol.y.values[-1], sol.phi_T)
-    t_init = _wdot(grid, ctx.problem.y0.values, sol.phi.values[0])
-    t_ctrl = stepped_pairing(
-        grid, tgrid, ctx.xi0[None, :] * sol.u.values, sol.phi.values
-    )
-    t_data = 0.0
-    for k in (1, 2):
-        nu_k = ctx.problem.nu[k - 1]
-        if nu_k == 0.0:
-            continue
-        tgt = ctx.problem.targets[k - 1].values
-        th = (sol.theta1, sol.theta2)[k - 1].values
-        t_data += nu_k * stepped_pairing(grid, tgrid, ctx.xi_star[None, :] * tgt, th)
-    rhs = t_init + t_ctrl - t_data
-    scale = max(abs(lhs), abs(t_init), abs(t_ctrl), abs(t_data), 1e-300)
+    lhs = _wdot(ctx.grid, sol.y.values[-1], sol.phi_T)
+    terms = (sol.initial_pairing, sol.control_pairing, sol.data_pairing)
+    rhs = terms[0] + terms[1] - terms[2]
+    scale = max(abs(lhs), *map(abs, terms), 1e-300)
     return abs(lhs - rhs) / scale

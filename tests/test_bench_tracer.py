@@ -53,18 +53,18 @@ def _sweep_context():
 
 
 def _engine_context(engine, base):
-    return direct(base) if engine == "monolithic" else _sweep_context()
+    return direct(base) if engine == "direct" else _sweep_context()
 
 
-# "monolithic" runs the same leader on the direct LU oracle of tests/reference.py
-@pytest.mark.parametrize("engine", ["monolithic", "picard"])
+# "direct" runs the same leader on the direct LU oracle of tests/reference.py
+@pytest.mark.parametrize("engine", ["direct", "picard"])
 def test_counting_contract_on_an_epsilon_sweep(engine):
     # the tracer counts Gramian spans under solve_leader as CG iterations and
     # checks them against sum(cg_iterations) and the contexts' own counters
     epsilons = (1e-2, 1e-4, 1e-6)
     # the oracle twins a context linearized before the tracer installs, so
     # only the oracle's own construction is traced
-    base = _sweep_context() if engine == "monolithic" else None
+    base = _sweep_context() if engine == "direct" else None
     cold = _engine_context(engine, base)
     hiercontrol.leader.solve_leader(cold, epsilons[-1])
     tracer = _load_tracer().Tracer()

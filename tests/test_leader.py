@@ -10,7 +10,7 @@ from reference import direct
 from hiercontrol import leader
 from hiercontrol.errors import NonConvergenceError, ValidationError
 from hiercontrol.fixedpoint import linearize_at
-from hiercontrol.grids import SpaceTimeField, stepped_norm2
+from hiercontrol.grids import SpaceTimeField, stepped_norm2, stepped_pairing
 from hiercontrol.scenario import load_scenario
 from hiercontrol.leader import (
     GramianContext,
@@ -65,7 +65,7 @@ def _reference_cg(ctx, eps, cg_tol=1e-8):
     residuals = []
     while np.sqrt(rs) / bnorm > cg_tol:
         assert len(residuals) < 400
-        Ap = ctx.gramian_apply(p, picard_tol=inner) + eps * p
+        Ap = ctx.gramian_apply(p, picard_tol=inner).terminal + eps * p
         alpha = rs / dot(p, Ap)
         x = x + alpha * p
         r = r - alpha * Ap
@@ -82,7 +82,7 @@ class TestGramian:
         w = ctx16.grid.weights
         for _ in range(6):
             a, b = _seed(rng, ctx16.grid), _seed(rng, ctx16.grid)
-            la, lb = ctx16.gramian_apply(a), ctx16.gramian_apply(b)
+            la, lb = ctx16.gramian_apply(a).terminal, ctx16.gramian_apply(b).terminal
             lhs = float(np.dot(w * la, b))
             rhs = float(np.dot(w * a, lb))
             scale = max(abs(lhs), abs(rhs), 1e-300)
@@ -93,11 +93,11 @@ class TestGramian:
         w = ctx16.grid.weights
         for _ in range(6):
             a = _seed(rng, ctx16.grid)
-            quad = float(np.dot(w * ctx16.gramian_apply(a), a))
+            quad = float(np.dot(w * ctx16.gramian_apply(a).terminal, a))
             assert quad > -1e-14
 
     def test_zero_seed_maps_to_zero(self, ctx16):
-        out = ctx16.gramian_apply(np.zeros(ctx16.grid.n_nodes))
+        out = ctx16.gramian_apply(np.zeros(ctx16.grid.n_nodes)).terminal
         assert np.abs(out).max() == 0.0
 
     def test_free_terminal_is_cached(self, ctx16):
@@ -123,8 +123,13 @@ class TestGramian:
 
 class TestLeaderSolve:
     def test_control_is_weighted_seed(self, ctx16):
+        # u = d phi, phi the transposed response to phi_T solved directly
         sol = solve_leader(ctx16, 1e-3)
-        assert np.array_equal(sol.u.values, ctx16.d * sol.phi.values)
+        phi, _, _ = ctx16.solve_transposed(sol.phi_T, leader.inner_tolerance(ctx16, 1e-8))
+        want = ctx16.d * phi
+        assert np.abs(sol.u.values - want).max() <= 1e-9 * np.abs(want).max()
+        # d vanishes off the leader support, so u does exactly
+        assert not sol.u.values[:, ctx16.xi0 == 0.0].any()
         # the observation weight vanishes at the endpoint slices, so u does too
         assert np.abs(sol.u.values[0]).max() == 0.0
         assert np.abs(sol.u.values[-1]).max() == 0.0
@@ -200,10 +205,10 @@ class TestKrylovBasis:
         sol = solve_leader(pic16, 1e-6)
         assert np.linalg.norm(sol.phi_T - x_ref) / np.linalg.norm(x_ref) < 1e-12
 
-    # "monolithic" runs the same Krylov machinery on the direct LU oracle
-    @pytest.mark.parametrize("engine", ["monolithic", "picard"])
+    # "direct" runs the same Krylov machinery on the direct LU oracle
+    @pytest.mark.parametrize("engine", ["direct", "picard"])
     def test_warm_sweep_is_bit_identical_to_cold(self, engine):
-        build = (lambda: direct(_ctx16())) if engine == "monolithic" else _ctx16
+        build = (lambda: direct(_ctx16())) if engine == "direct" else _ctx16
         warm = build()
         sweep = []
         for eps in (1e-2, 1e-3, 1e-4):
@@ -226,10 +231,71 @@ class TestKrylovBasis:
         sol = solve_leader(ctx16, 1e-3)
         b = ctx16.free_terminal()
         w = ctx16.grid.weights
-        rq = float(np.dot(w * ctx16.gramian_apply(b), b)) / float(np.dot(w * b, b))
+        rq = float(np.dot(w * ctx16.gramian_apply(b).terminal, b)) / float(np.dot(w * b, b))
         assert sol.ritz_max >= rq * (1 - 1e-12)
         assert sol.ritz_min >= -1e-12 * sol.ritz_max
         assert sol.eps_over_ritz_max == sol.epsilon / sol.ritz_max
+
+
+def _relative_gap(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+class TestReconstruction:
+    # the solution is rebuilt from the responses the Krylov basis kept; the
+    # direct reconstruction is the two coupled solves at phi_T
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("nu", [(1.0, 1.0), (0.0, 0.0)], ids=["coupled", "decoupled"])
+    def test_matches_direct_solves(self, dim, nu):
+        size = dict(cells=16, steps=32) if dim == 1 else dict(cells=8, steps=16)
+        # a short horizon and a small penalty, so that the leader cancels
+        # most of y(T) and the solution combines five or more responses
+        problem = make_problem(dim=dim, nu=nu, T=0.1, **size)
+        ctx = linearize_at(problem, _zero_traj(problem))
+        sol = solve_leader(ctx, 1e-6)
+        assert sol.cg_iterations >= 5 and sol.control_effect < 0.1
+        tol = leader.inner_tolerance(ctx, 1e-8)
+        phi, th1, th2 = ctx.solve_transposed(sol.phi_T, tol)
+        u = ctx.d * phi
+        targets = tuple(t.values for t in problem.targets)
+        y, p1, p2 = ctx.solve_primal(ctx.xi0[None, :] * u, problem.y0.values, targets, tol)
+        for name, want in (("u", u), ("y", y), ("p1", p1), ("p2", p2)):
+            assert _relative_gap(getattr(sol, name).values, want) <= 1e-9, name
+        assert (sol.p1.values.any(), sol.p2.values.any()) == (nu[0] != 0.0, nu[1] != 0.0)
+
+        pairings = (
+            float(np.dot(problem.grid.weights * problem.y0.values, phi[0])),
+            stepped_pairing(problem.grid, problem.tgrid, ctx.xi0[None, :] * u, phi),
+            sum(nu_k * stepped_pairing(problem.grid, problem.tgrid,
+                                       ctx.xi_star[None, :] * t.values, th)
+                for nu_k, t, th in zip(nu, problem.targets, (th1, th2))),
+        )
+        got = (sol.initial_pairing, sol.control_pairing, sol.data_pairing)
+        scale = max(map(abs, pairings))
+        for name, a, b in zip(("initial", "control", "data"), got, pairings):
+            assert abs(a - b) <= 1e-9 * scale, name
+        if nu == (0.0, 0.0):
+            assert sol.data_pairing == 0.0
+        assert leader_duality_gap(ctx, sol) < 1e-10
+
+    def test_sweep_makes_no_coupled_solve_per_epsilon(self, monkeypatch):
+        calls = []
+        for name in ("solve_primal", "solve_transposed"):
+            method = getattr(GramianContext, name)
+
+            def counted(self, *args, _method=method, **kwargs):
+                calls.append(1)
+                return _method(self, *args, **kwargs)
+
+            monkeypatch.setattr(GramianContext, name, counted)
+        ctx = _ctx16()
+        sols = [solve_leader(ctx, eps) for eps in (1e-2, 1e-4, 1e-3, 1e-6, 1e-5)]
+        assert len(calls) == ctx.coupled_solves == 1 + 2 * ctx.gramian_applications
+        assert [s.coupled_solves for s in sols] == [
+            2 * s.cg_iterations + (i == 0) for i, s in enumerate(sols)
+        ]
+        # the easier epsilons after a harder one extend nothing
+        assert sols[2].coupled_solves == 0
 
 
 class TestEngines:

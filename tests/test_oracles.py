@@ -12,7 +12,7 @@ from conftest import make_problem, scenario_path
 from hiercontrol import verification
 from hiercontrol.errors import ValidationError
 from hiercontrol.fixedpoint import linearize_at
-from hiercontrol.grids import SpaceTimeField
+from hiercontrol.grids import SpaceTimeField, stepped_norm2
 from hiercontrol.leader import GramianContext
 from hiercontrol.nash import compute_nash
 from hiercontrol.outputs import emit_report
@@ -275,6 +275,23 @@ class TestSecondOrder:
         assert res.rep_value > 0.0
         assert isinstance(res, SecondOrderReport)
         assert (res.name, res.budget, res.passed) == ("second-order", 1e-2, True)
+
+    @pytest.mark.parametrize("name", ["gradient_diffusion", "mild_quasilinear"])
+    def test_at_a_leader_control(self, name):
+        # a leader control that moves the equilibrium state by about 10%: the
+        # check differentiates J1 along the state that u drives, and on a
+        # quasi-linear roster the coupling curvature moves with it
+        s = load_scenario(scenario_path(name))
+        problem = s.build_problem()
+        tol = s.tolerance("nash_tol")
+        u = _leader_control(problem, seed=1, amp=1.0)
+        free, nash = compute_nash(problem, tol=tol), compute_nash(problem, u=u, tol=tol)
+        moved = stepped_norm2(problem.grid, problem.tgrid, nash.y.values - free.y.values)
+        assert moved >= 0.01**2 * stepped_norm2(problem.grid, problem.tgrid, free.y.values)
+        res = check_second_order(problem, nash, u=u, seed=s.seed)
+        assert res.passed and res.relative_gap <= res.budget
+        at_zero = check_second_order(problem, free, seed=s.seed)
+        assert res.coupling_term != at_zero.coupling_term
 
     def test_mu_sweep_structure(self):
         problem = make_problem(cells=16, steps=32)
