@@ -83,8 +83,9 @@ def _weighted_time_norms(problem, values):
     """|y(t_m)| in the weighted norm for every slice of a (M+1, n) trajectory."""
     import numpy as np
 
-    w = problem.grid.weights
-    return [float(np.sqrt(np.dot(w * v, v))) for v in values]
+    from .grids import spatial_pairing
+
+    return [float(v) for v in np.sqrt(spatial_pairing(problem.grid, values, values))]
 
 
 # ---------------------------------------------------------------------------

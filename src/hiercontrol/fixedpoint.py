@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, NonConvergenceError, ValidationError
-from .grids import SpaceTimeField
+from .grids import SpaceTimeField, spatial_pairing
 from .leader import GramianContext, LeaderSolution, solve_leader
 from .nash import (
     HierarchicProblem,
@@ -58,17 +58,15 @@ def linearize_at(
 class FixedPointReport:
     """Outcome of the quasi-linear controllability iteration.
 
-    The follower controls are ``nash.v1`` and ``nash.v2``.  ``nash`` is None
-    when the finalization equilibrium solve failed, and ``terminal_norm`` is
-    then NaN.
+    The follower controls and adjoints are ``nash.v1``, ``nash.v2``,
+    ``nash.p1`` and ``nash.p2``.  ``nash`` is None when the finalization
+    equilibrium solve failed, and ``terminal_norm`` is then NaN.
     """
 
     iterations: int
     update_norms: tuple[float, ...]
     u: SpaceTimeField
     y: SpaceTimeField
-    p1: SpaceTimeField
-    p2: SpaceTimeField
     terminal_norm: float
     linearized_terminal_norm: float
     converged: bool
@@ -141,22 +139,16 @@ def solve_hierarchic(
     try:
         nash = compute_nash(problem, u=ls.u, tol=nash_tol)
         nash = with_first_order_residuals(problem, nash, seed=seed)
-        terminal_norm = float(
-            np.sqrt(np.dot(grid.weights * nash.y.values[-1], nash.y.values[-1]))
-        )
+        y_T = nash.y.values[-1]
+        terminal_norm = float(np.sqrt(spatial_pairing(grid, y_T, y_T)))
     except (NonConvergenceError, BlowUpError) as exc:
         warnings.warn(f"finalization equilibrium solve failed: {exc}", stacklevel=2)
 
-    y_final = nash.y if nash is not None else ls.y
-    p1 = nash.p1 if nash is not None else ls.p1
-    p2 = nash.p2 if nash is not None else ls.p2
     return FixedPointReport(
         iterations=len(update_norms),
         update_norms=tuple(update_norms),
         u=ls.u,
-        y=y_final,
-        p1=p1,
-        p2=p2,
+        y=nash.y if nash is not None else ls.y,
         terminal_norm=terminal_norm,
         linearized_terminal_norm=ls.terminal_norm,
         converged=converged,

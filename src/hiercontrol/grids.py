@@ -26,6 +26,10 @@ unknowns.  Spatial quadrature is the tensor trapezoid rule.  Because the
 trapezoid weight is the constant h^dim at every interior node, weighted
 adjoint identities reduce to plain matrix transposition on the interior
 subspace.
+
+The whole quadrature lives here: the trapezoid rule in space and, in time,
+tau sum_{m=1..M}, the rule backward Euler's summation by parts makes exact.
+No other module reads the node weights; the step itself is in ``solvers``.
 """
 
 from __future__ import annotations
@@ -106,7 +110,7 @@ def build_grid(dim: int, cells: int) -> SpatialGrid:
     region can contain at least one interior node.
     """
     if dim not in ADMITTED_DIMS:
-        raise GeometryError(f"dim must be 1 or 2, got {dim}")
+        raise GeometryError(f"dim must be {' or '.join(map(str, ADMITTED_DIMS))}, got {dim}")
     if cells < 8:
         raise GeometryError(f"cells must be >= 8, got {cells}")
     axis = np.linspace(0.0, 1.0, cells + 1)
@@ -194,6 +198,23 @@ class SpaceTimeField:
 # quadrature
 
 
+def spatial_pairing(
+    grid: SpatialGrid,
+    a: np.ndarray,
+    b: np.ndarray,
+    mask: np.ndarray | None = None,
+) -> float | np.ndarray:
+    """Trapezoid pairing <a, b>_Omega: a float for two fields, the array of
+    slice pairings for two (slices, n_nodes) stacks.  Each is np.dot(w * a,
+    b), so a stack's pairings equal those of its slices alone bit for bit.
+    ``mask`` restricts the integral as in ``stepped_pairing``."""
+    w = grid.weights if mask is None else grid.weights * mask
+    wa = w * a
+    if wa.ndim == 1:
+        return float(np.dot(wa, b))
+    return np.array([np.dot(x, y) for x, y in zip(wa, b)])
+
+
 def stepped_pairing(
     grid: SpatialGrid,
     tgrid: TimeGrid,
@@ -215,6 +236,13 @@ def stepped_pairing(
 
 def stepped_norm2(grid, tgrid, a, mask=None) -> float:
     return stepped_pairing(grid, tgrid, a, a, mask=mask)
+
+
+def stepped_vector(grid: SpatialGrid, tgrid: TimeGrid, a: np.ndarray) -> np.ndarray:
+    """Slices 1..M of ``a`` (or of a stack of trajectories) scaled by the
+    square root of the stepped weights tau * w_i and flattened, so that its
+    squared 2-norm is the stepped norm of ``stepped_pairing``."""
+    return (a[..., 1:, :] * np.sqrt(tgrid.tau * grid.weights)).ravel()
 
 
 # ---------------------------------------------------------------------------

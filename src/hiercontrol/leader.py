@@ -64,13 +64,14 @@ epsilon sweep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, solve_banded
 
 from .errors import ConditioningError, NonConvergenceError, ValidationError
-from .grids import SpaceTimeField, stepped_pairing
+from .grids import SpaceTimeField, spatial_pairing, stepped_pairing
 from .nash import HierarchicProblem
 from .solvers import (
     LinearCoefficients,
@@ -80,18 +81,10 @@ from .solvers import (
     sensitivity_factors,
     state_factors,
 )
-from .weights import CarlemanWeights, control_energy, observation_weight_trajectory
+from .weights import CarlemanWeights, observation_weight_trajectory
 
 PICARD_MAX = 400
 STAGNATION_WINDOW = 20
-
-
-def _wnorm(grid, v: np.ndarray) -> float:
-    return float(np.sqrt(np.dot(grid.weights * v, v)))
-
-
-def _wdot(grid, a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.dot(grid.weights * a, b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,16 +286,12 @@ class GramianContext:
         self.gramian_applications += 1
         return GramianResponse(y, phi[:, self.leader_support], phi[0].copy(), data)
 
-    def free_terminal(self, picard_tol=None) -> np.ndarray:
-        """b: terminal state of the coupled response to the data alone (u = 0).
+    def free_response(self, picard_tol=None) -> np.ndarray:
+        """The coupled state response to the data alone (u = 0); its last slice is b.
 
         Cached with the Krylov basis under the inner tolerance it was
         computed at; a call at another tolerance recomputes both.
         """
-        return self.krylov(0, picard_tol).b
-
-    def free_response(self, picard_tol=None) -> np.ndarray:
-        """The coupled state response to the data alone, cached as ``free_terminal``."""
         return self.krylov(0, picard_tol).y_free
 
     def krylov(self, k: int, picard_tol=None) -> KrylovBasis:
@@ -319,7 +308,7 @@ class GramianContext:
                 picard_tol=tol,
             )
             b = y[-1]
-            bnorm = _wnorm(self.grid, b)
+            bnorm = math.sqrt(spatial_pairing(self.grid, b, b))
             v1 = [-b / bnorm] if bnorm > 0.0 else []
             kb = self._krylov = KrylovBasis(tol, y, b, bnorm, v1, [], [], [])
         while kb.v and len(kb.alpha) < k:
@@ -329,9 +318,9 @@ class GramianContext:
             w = response.terminal
             if kb.beta:
                 w = w - kb.beta[-1] * kb.v[-2]
-            alpha = _wdot(self.grid, w, v)
+            alpha = spatial_pairing(self.grid, w, v)
             w = w - alpha * v
-            beta = _wnorm(self.grid, w)
+            beta = math.sqrt(spatial_pairing(self.grid, w, w))
             kb.alpha.append(alpha)
             kb.beta.append(beta)
             kb.v.append(w / beta if beta > 0.0 else w)
@@ -342,11 +331,13 @@ class GramianContext:
 class LeaderSolution:
     """Penalized null-control result at one linearization.
 
-    ``initial_pairing``, ``control_pairing`` and ``data_pairing`` are the
+    ``initial_pairing``, ``control_energy`` and ``data_pairing`` are the
     three right-hand terms of the transposition identity that
     ``leader_duality_gap`` checks, taken from the transposed responses
-    (phi, theta_k) to phi_T.  ``cg_iterations`` and ``coupled_solves``
-    count the Gramian applications and coupled solves this call made.
+    (phi, theta_k) to phi_T: the control term tau sum <xi_0 u, phi> is the
+    energy of J_eps, as u = xi_0 rho_tilde^-2 phi gives rho_tilde^2 u^2 =
+    xi_0 u phi.  ``cg_iterations`` and ``coupled_solves`` count the Gramian
+    applications and coupled solves this call made.
     """
 
     u: SpaceTimeField
@@ -365,7 +356,6 @@ class LeaderSolution:
     J_eps_value: float
     J_eps_zero: float
     initial_pairing: float
-    control_pairing: float
     data_pairing: float
     cg_iterations: int
     coupled_solves: int
@@ -495,11 +485,12 @@ def solve_leader(
     p1, p2 = ctx._follower_blocks(False, y, tgtv)
 
     terminal = y[-1]
-    tnorm = _wnorm(grid, terminal)
-    pred = eps * _wnorm(grid, x)
-    residual = _wnorm(grid, terminal + eps * x)
+    tnorm = math.sqrt(spatial_pairing(grid, terminal, terminal))
+    pred = eps * math.sqrt(spatial_pairing(grid, x, x))
+    r = terminal + eps * x
+    residual = math.sqrt(spatial_pairing(grid, r, r))
     defect = residual / max(tnorm, pred, 1e-300)
-    ce = control_energy(ctx.weights, u, grid.weights)
+    ce = stepped_pairing(grid, tgrid, ctx.xi0[None, :] * u, phi)
     J = 0.5 * ce + 0.5 / eps * tnorm**2
 
     mk = SpaceTimeField
@@ -519,8 +510,7 @@ def solve_leader(
         control_energy=ce,
         J_eps_value=J,
         J_eps_zero=J0,
-        initial_pairing=_wdot(grid, y0v, phi0),
-        control_pairing=stepped_pairing(grid, tgrid, ctx.xi0[None, :] * u, phi),
+        initial_pairing=spatial_pairing(grid, y0v, phi0),
         data_pairing=float(t_data),
         cg_iterations=ctx.gramian_applications - applied,
         coupled_solves=ctx.coupled_solves - solves,
@@ -541,8 +531,8 @@ def leader_duality_gap(ctx: GramianContext, sol: LeaderSolution) -> float:
     the right-hand terms (carried by ``sol``) from the transposed responses
     to phi_T.  Returns the gap normalized by the largest participating term.
     """
-    lhs = _wdot(ctx.grid, sol.y.values[-1], sol.phi_T)
-    terms = (sol.initial_pairing, sol.control_pairing, sol.data_pairing)
+    lhs = spatial_pairing(ctx.grid, sol.y.values[-1], sol.phi_T)
+    terms = (sol.initial_pairing, sol.control_energy, sol.data_pairing)
     rhs = terms[0] + terms[1] - terms[2]
     scale = max(abs(lhs), *map(abs, terms), 1e-300)
     return abs(lhs - rhs) / scale

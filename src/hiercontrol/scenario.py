@@ -346,7 +346,7 @@ def scenario_from_tree(raw: dict) -> Scenario:
     g = _need(raw, "grid", "")
     dim = _integer(_need(g, "dim", "grid."), "grid.dim")
     if dim not in ADMITTED_DIMS:
-        raise ValidationError(f"grid.dim must be 1 or 2, got {dim}")
+        raise ValidationError(f"grid.dim must be {' or '.join(map(str, ADMITTED_DIMS))}, got {dim}")
     cells = _integer(_need(g, "cells", "grid."), "grid.cells")
     if cells < 8:
         raise ValidationError(f"grid.cells must be >= 8, got {cells}")

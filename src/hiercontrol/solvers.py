@@ -17,6 +17,10 @@ holds to rounding.  The returned trajectory stores the multiplier at slices
 1..M and repeats slice 1 at slice 0 (the value the identity pairs with the
 initial datum).
 
+This module owns the step; ``grids`` owns the quadrature the identity
+holds in.  Outside ``grids`` only the step and the independent KKT oracle
+read tau.
+
 Both marches also carry a stack of k trajectories through one set of
 factors: a seed of shape (k, n) with sources of shape (k, M+1, n) returns
 (k, M+1, n), and each step is one solve with k right-hand sides.  Column j
@@ -47,7 +51,7 @@ ordering of A^T + A, which suits the structurally symmetric slice pattern
 and leaves about 0.6x the fill of the default COLAMD ordering.
 
 The quasi-linear forward solver freezes the diffusion a(y, grad y) at the
-current iterate and linearizes f around it, with a configurable number of
+current iterate and linearizes f around it, with up to REFRESHES
 within-step refreshes, which stop once one returns its input bit for bit;
 for constant a and f = 0 every step reduces bit for bit to the linear heat
 step.  a and f come as a ``Nonlinearity``: twelve callbacks, the values and
@@ -81,10 +85,13 @@ from .grids import (
     TimeGrid,
     gradient,
     slice_pattern,
+    spatial_pairing,
+    stepped_vector,
 )
 
 RHO0 = 0.1           # ellipticity floor of every diffusion coefficient
 BLOWUP_FACTOR = 10.0
+REFRESHES = 2        # within-step refreshes of the quasi-linear march
 ANDERSON_DEPTH = 5   # difference window of the fixed-point mixing
 
 
@@ -653,15 +660,14 @@ def solve_forward_quasilinear(
     tgrid: TimeGrid,
     y0: Field,
     source: np.ndarray | None = None,
-    refreshes: int = 2,
 ) -> SpaceTimeField:
     """Semi-implicit march for the quasi-linear state equation.
 
     Each step freezes a at the previous slice and linearizes f there, then
-    optionally refreshes both at the new iterate; the refreshes stop early
-    once one returns its input bit for bit, as under constant coefficients
-    and f = 0, since every later one would recompute the same array.  A
-    refresh works on the raw iterate: one nodal gradient, the four
+    refreshes both at the new iterate up to REFRESHES times; the refreshes
+    stop early once one returns its input bit for bit, as under constant
+    coefficients and f = 0, since every later one would recompute the same
+    array.  A refresh works on the raw iterate: one nodal gradient, the four
     nonlinearity callbacks and the step matrix.  In 1D that matrix is three
     bands written straight from a, f_y and f_z, bit-equal to the entries of
     ``slice_operator`` and factored by LAPACK dgttrf, so a refresh builds
@@ -686,12 +692,12 @@ def solve_forward_quasilinear(
     y[0] = y0.values
     ii = grid.interior_idx
     rows = grid.interior
-    norm0 = np.sqrt(grid.weights @ y0.values**2)
+    norm0 = np.sqrt(spatial_pairing(grid, y0.values, y0.values))
     bands_prev = lu = None
     for m in range(1, tgrid.n_slices):
         prev = y[m - 1]
         w = prev
-        for _ in range(refreshes + 1):
+        for _ in range(REFRESHES + 1):
             gw = gradient(grid, w)
             a_vals = nl.a(w, gw)
             if float(a_vals.min()) < RHO0:
@@ -729,8 +735,8 @@ def solve_forward_quasilinear(
             if new.tobytes() == w.tobytes():
                 break  # every later refresh would recompute the same array
             w = new
-        jump = np.sqrt(grid.weights @ (w - prev) ** 2)
-        scale = 1.0 + max(norm0, np.sqrt(grid.weights @ prev**2))
+        jump = np.sqrt(spatial_pairing(grid, w - prev, w - prev))
+        scale = 1.0 + max(norm0, np.sqrt(spatial_pairing(grid, prev, prev)))
         if jump > BLOWUP_FACTOR * scale:
             raise BlowUpError(
                 f"quasi-linear step diverged at slice {m}: relative jump "
@@ -743,13 +749,6 @@ def solve_forward_quasilinear(
 
 # ---------------------------------------------------------------------------
 # fixed-point iteration
-
-
-def _stepped(grid: SpatialGrid, tgrid: TimeGrid, a: np.ndarray) -> np.ndarray:
-    """Slices 1..M of ``a`` (or of a stack of trajectories) scaled by the
-    square root of the stepped weights tau * w_i and flattened, so that its
-    squared 2-norm is the stepped norm of ``stepped_pairing``."""
-    return (a[..., 1:, :] * np.sqrt(tgrid.tau * grid.weights)).ravel()
 
 
 def _relative(f: np.ndarray, g: np.ndarray) -> float:
@@ -767,7 +766,7 @@ def fixed_point_residual(grid: SpatialGrid, tgrid: TimeGrid, x: np.ndarray, g: n
     The residual ``anderson`` stops on; ``x`` and ``g`` may be stacks of
     trajectories, whose norm sums over the stack.
     """
-    return _relative(_stepped(grid, tgrid, g - x), _stepped(grid, tgrid, g))
+    return _relative(stepped_vector(grid, tgrid, g - x), stepped_vector(grid, tgrid, g))
 
 
 def anderson(phi, x0: np.ndarray, grid: SpatialGrid, tgrid: TimeGrid, tol: float, max_iter: int):
@@ -799,8 +798,8 @@ def anderson(phi, x0: np.ndarray, grid: SpatialGrid, tgrid: TimeGrid, tol: float
     f_prev = g_prev = None
     for _ in range(max_iter):
         g, aux = phi(x)
-        f = _stepped(grid, tgrid, g - x)
-        history.append(_relative(f, _stepped(grid, tgrid, g)))
+        f = stepped_vector(grid, tgrid, g - x)
+        history.append(_relative(f, stepped_vector(grid, tgrid, g)))
         if history[-1] <= tol:
             return g, aux, history, True
         if f_prev is not None:

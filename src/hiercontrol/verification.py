@@ -29,7 +29,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import OracleError, ValidationError
-from .grids import SpaceTimeField, add_divergence, gradient, stepped_pairing, stepped_norm2
+from .grids import SpaceTimeField, add_divergence, gradient, spatial_pairing, stepped_norm2, stepped_pairing
 from .leader import GramianContext
 from .nash import (
     HierarchicProblem,
@@ -271,10 +271,10 @@ def check_duality(
         xi_p = xi_k[None, :] * p_k
         dirs = random_directions(problem, k, trials, seed + 17 * k)
         y_s = sensitivity_states(factors, xi_k, dirs)
-        # stepped norms: the adjoint side's once, every y_s[w] in one pass
+        # stepped norms: the adjoint side's once, every y_s[w] once
         norm_p = np.sqrt(stepped_norm2(grid, tgrid, xi_p))
         norm_diff = abs(nu_k) * np.sqrt(stepped_norm2(grid, tgrid, diff))
-        norm_ys = np.sqrt(tgrid.tau * np.einsum("kmn,kmn,n->k", y_s[:, 1:], y_s[:, 1:], grid.weights))
+        norm_ys = np.sqrt([stepped_norm2(grid, tgrid, ys) for ys in y_s])
         for j, w in enumerate(dirs):
             lhs = stepped_pairing(grid, tgrid, xi_p, w)
             rhs = -nu_k * stepped_pairing(grid, tgrid, diff, y_s[j])
@@ -478,7 +478,7 @@ def _low_mode_terminal(grid, count: int, rng) -> np.ndarray:
     noise = rng.standard_normal(n) * 10.0 ** (PROBE_NOISE_DB / 20.0) * max(np.abs(v).max(), 1.0)
     v = v + noise
     v[grid.boundary] = 0.0
-    nrm = np.sqrt(np.dot(grid.weights * v, v))
+    nrm = np.sqrt(spatial_pairing(grid, v, v))
     return v / max(nrm, 1e-300)
 
 
@@ -500,7 +500,9 @@ def probe_observability(
     rng = np.random.default_rng(seed)
     obs_traj = observation_weight_trajectory(w)
     inner_mask = ctx.problem.cutoffs["leader"].inner_mask
-    rho2 = np.zeros(tgrid.n_slices)
+    # rho_hat^-2 per slice, zero at both endpoint slices like obs_traj, so
+    # the stepped rule over 1..M sums the interior slices 1..M-1
+    rho2 = np.zeros((tgrid.n_slices, 1))
     for m in range(1, tgrid.steps):
         lr = eval_terminal_weights(w, tgrid.times[m])["log_rho_hat"]
         rho2[m] = np.exp(-2.0 * lr)
@@ -509,14 +511,10 @@ def probe_observability(
         for _ in range(samples):
             phi_T = _low_mode_terminal(grid, 10, rng)
             phi, th1, th2 = ctx.solve_transposed(phi_T)
-            lhs = float(np.dot(grid.weights * phi[0], phi[0]))
+            lhs = spatial_pairing(grid, phi[0], phi[0])
             for th in (th1, th2):
-                ww = (th * th) @ grid.weights
-                lhs += tgrid.tau * float(np.dot(rho2[1 : tgrid.steps], ww[1 : tgrid.steps]))
-            obs = obs_traj * phi * phi
-            rhs = tgrid.tau * float(
-                (obs[1 : tgrid.steps][:, inner_mask] * grid.weights[inner_mask][None, :]).sum()
-            )
+                lhs += stepped_pairing(grid, tgrid, rho2 * th, th)
+            rhs = stepped_pairing(grid, tgrid, obs_traj * phi, phi, mask=inner_mask)
             yield lhs, rhs
 
     return _ratio_report("observability", energies(), w, grid, tgrid, seed)
@@ -547,7 +545,8 @@ def probe_carleman(
     if not obs_mask.any():
         raise ValidationError("focus region contains no interior nodes")
 
-    # slice-wise weight fields at interior times, assembled in log space
+    # slice-wise weight fields at interior times, assembled in log space;
+    # zero at both endpoint slices, so the stepped rule sums slices 1..M-1
     w_grad = np.zeros((tgrid.n_slices, grid.n_nodes))
     w_zero = np.zeros((tgrid.n_slices, grid.n_nodes))
     for m in range(1, tgrid.steps):
@@ -564,10 +563,10 @@ def probe_carleman(
             grad_sq = np.zeros((tgrid.n_slices, grid.n_nodes))
             g = gradient(grid, v[1:-1])
             grad_sq[1:-1] = (g * g).sum(axis=-1)
-            lhs_field = w_grad * grad_sq + w_zero * v * v
-            lhs = tgrid.tau * float((lhs_field * grid.weights[None, :]).sum())
-            rhs_field = (w_zero * v * v)[:, obs_mask]
-            rhs = tgrid.tau * float((rhs_field * grid.weights[obs_mask][None, :]).sum())
+            zero_order = w_zero * v
+            lhs = stepped_pairing(grid, tgrid, w_grad, grad_sq)
+            lhs += stepped_pairing(grid, tgrid, zero_order, v)
+            rhs = stepped_pairing(grid, tgrid, zero_order, v, mask=obs_mask)
             yield lhs, rhs
 
     return _ratio_report("carleman", energies(), weights, grid, tgrid, seed)

@@ -270,26 +270,3 @@ def observation_weight_trajectory(w: CarlemanWeights) -> np.ndarray:
         out[m] = observation_weight(w, float(w.tgrid.times[m]))
     return out
 
-
-def control_energy(w: CarlemanWeights, u: np.ndarray, weights_arr: np.ndarray) -> float:
-    """Literal weighted control energy  tau * sum_{m=1..M-1} <exp(-2 lam nu) beta^-7 u, u>.
-
-    Evaluated in log space: the inverse weight overflows near the time
-    endpoints, but wherever u vanishes the contribution is zero, so the
-    integrand is reconstructed as exp(-2 lam nu - 7 ln beta + 2 ln|u|)
-    node by node.
-    """
-    tau = w.tgrid.tau
-    total = 0.0
-    for m in range(1, w.tgrid.steps):
-        vals = eval_weights(w, float(w.tgrid.times[m]))
-        log_inv = -2.0 * w.lam * vals["nu"] - 7.0 * np.log(vals["beta"])
-        um = u[m]
-        nz = um != 0.0
-        if not np.any(nz):
-            continue
-        contrib = np.zeros_like(um)
-        contrib[nz] = np.exp(log_inv[nz] + 2.0 * np.log(np.abs(um[nz])))
-        total += tau * float(np.dot(weights_arr, contrib))
-    return total
-

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hiercontrol import grids
 from hiercontrol.errors import CoefficientError, GeometryError, GridMismatchError
 from hiercontrol.grids import (
     CutoffRegion,
@@ -20,6 +21,7 @@ from hiercontrol.grids import (
     gradient,
     gradient_matrices,
     smoothstep,
+    spatial_pairing,
     stepped_norm2,
     stepped_pairing,
 )
@@ -70,6 +72,14 @@ class TestBuildGrid:
         with pytest.raises(GeometryError):
             build_grid(1, 4)
 
+    def test_dim_message_names_admitted_dims(self, monkeypatch):
+        with pytest.raises(GeometryError, match="dim must be 1 or 2, got 3"):
+            build_grid(3, 16)
+        # the message is built from the tuple, so a new dimension edits only it
+        monkeypatch.setattr(grids, "ADMITTED_DIMS", (1,))
+        with pytest.raises(GeometryError, match="dim must be 1, got 2"):
+            build_grid(2, 16)
+
     def test_time_grid(self):
         tg = build_time_grid(2.0, 32)
         assert tg.tau == pytest.approx(2.0 / 32)
@@ -103,6 +113,24 @@ class TestQuadrature:
         tg = build_time_grid(1.0, 32)
         a = np.ones((tg.n_slices, g.n_nodes))
         assert stepped_pairing(g, tg, a, a) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("dim,cells", [(1, 16), (2, 8)])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_spatial_pairing_of_a_stack(self, dim, cells, masked):
+        g = build_grid(dim, cells)
+        tg = build_time_grid(1.0, 16)
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((tg.n_slices, g.n_nodes))
+        b = rng.standard_normal((tg.n_slices, g.n_nodes))
+        mask = g.nodes[:, 0] > 0.5 if masked else None
+        stack = spatial_pairing(g, a, b, mask=mask)
+        slices = [spatial_pairing(g, a[m], b[m], mask=mask) for m in range(tg.n_slices)]
+        assert type(slices[0]) is float
+        assert np.array_equal(stack, slices)
+        # the stepped rule is tau times the sum over slices 1..M
+        assert stepped_pairing(g, tg, a, b, mask=mask) == pytest.approx(
+            tg.tau * sum(slices[1:]), rel=1e-13
+        )
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(-5, 5), st.floats(-5, 5))

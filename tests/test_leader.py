@@ -17,6 +17,7 @@ from hiercontrol.leader import (
     leader_duality_gap,
     solve_leader,
 )
+from hiercontrol.weights import eval_weights
 
 
 def _zero_traj(problem):
@@ -52,7 +53,7 @@ def _reference_cg(ctx, eps, cg_tol=1e-8):
     """Textbook CG on (Lambda + eps I) phi_T = -b: the oracle for solve_leader."""
     grid = ctx.grid
     inner = min(ctx.picard_tol, cg_tol / 100.0)
-    b = ctx.free_terminal(inner)
+    b = ctx.krylov(0, inner).b
 
     def dot(a, c):
         return float(np.dot(grid.weights * a, c))
@@ -101,17 +102,17 @@ class TestGramian:
         assert np.abs(out).max() == 0.0
 
     def test_free_terminal_is_cached(self, ctx16):
-        b1 = ctx16.free_terminal()
-        b2 = ctx16.free_terminal()
+        b1 = ctx16.krylov(0).b
+        b2 = ctx16.krylov(0).b
         assert b1 is b2
 
     def test_free_terminal_follows_tolerance(self):
         # b is cached under the inner tolerance it was computed at; a call
         # at another tolerance recomputes it
         warm = _ctx16()
-        loose = warm.free_terminal(1e-6)
-        tight = warm.free_terminal(1e-12)
-        fresh = _ctx16().free_terminal(1e-12)
+        loose = warm.krylov(0, 1e-6).b
+        tight = warm.krylov(0, 1e-12).b
+        fresh = _ctx16().krylov(0, 1e-12).b
         assert np.array_equal(tight, fresh)
         assert not np.array_equal(loose, fresh)
 
@@ -181,6 +182,49 @@ class TestLeaderSolve:
         assert len(exc.value.history) >= 1
 
 
+def _literal_energy(w, u):
+    """tau sum_{m=1..M-1} <exp(-2 lambda nu) beta^-7 u, u>, in log space: the
+    inverse weight overflows near the time endpoints, but wherever u
+    vanishes the contribution is zero."""
+    total = 0.0
+    for m in range(1, w.tgrid.steps):
+        vals = eval_weights(w, float(w.tgrid.times[m]))
+        log_inv = -2.0 * w.lam * vals["nu"] - 7.0 * np.log(vals["beta"])
+        um = u[m]
+        nz = um != 0.0
+        contrib = np.zeros_like(um)
+        contrib[nz] = np.exp(log_inv[nz] + 2.0 * np.log(np.abs(um[nz])))
+        total += w.tgrid.tau * float(np.dot(w.grid.weights, contrib))
+    return total
+
+
+class TestControlEnergy:
+    # u = xi_0 rho_tilde^-2 phi makes the control term tau sum <xi_0 u, phi>
+    # of the transposition identity the weighted energy of J_eps
+    @pytest.mark.parametrize("name", ["heat_1d", "heat_2d"])
+    def test_is_the_literal_weighted_energy(self, name):
+        s = load_scenario(scenario_path(name))
+        problem = s.build_problem()
+        weights = s.build_carleman_weights(problem)
+        ctx = linearize_at(problem, _zero_traj(problem), weights=weights)
+        sol = solve_leader(ctx, s.epsilon, cg_tol=s.tolerance("cg_tol"))
+        assert sol.control_energy > 0.0
+        assert sol.control_energy == pytest.approx(
+            _literal_energy(weights, sol.u.values), rel=1e-12
+        )
+        tnorm, eps = sol.terminal_norm, sol.epsilon
+        assert sol.J_eps_value == 0.5 * sol.control_energy + 0.5 / eps * tnorm**2
+        assert leader_duality_gap(ctx, sol) < 1e-10
+
+    def test_zero_data_has_zero_energy(self):
+        # b = 0: no Krylov vector, so u = 0 and the energy is exactly zero
+        problem = make_problem(y0_amp=0.0, target_amp=0.0)
+        sol = solve_leader(linearize_at(problem, _zero_traj(problem)), 1e-3)
+        assert sol.free_terminal_norm == 0.0 and sol.cg_iterations == 0
+        assert not sol.u.values.any()
+        assert sol.control_energy == 0.0
+
+
 class TestKrylovBasis:
     # The Picard engine applies Lambda only to its inner tolerance, so CG
     # and the Lanczos form, which apply it to different vectors, can differ
@@ -229,7 +273,7 @@ class TestKrylovBasis:
 
     def test_ritz_values_bracket_rayleigh_quotient(self, ctx16):
         sol = solve_leader(ctx16, 1e-3)
-        b = ctx16.free_terminal()
+        b = ctx16.krylov(0).b
         w = ctx16.grid.weights
         rq = float(np.dot(w * ctx16.gramian_apply(b).terminal, b)) / float(np.dot(w * b, b))
         assert sol.ritz_max >= rq * (1 - 1e-12)
@@ -270,7 +314,7 @@ class TestReconstruction:
                                        ctx.xi_star[None, :] * t.values, th)
                 for nu_k, t, th in zip(nu, problem.targets, (th1, th2))),
         )
-        got = (sol.initial_pairing, sol.control_pairing, sol.data_pairing)
+        got = (sol.initial_pairing, sol.control_energy, sol.data_pairing)
         scale = max(map(abs, pairings))
         for name, a, b in zip(("initial", "control", "data"), got, pairings):
             assert abs(a - b) <= 1e-9 * scale, name
@@ -312,7 +356,7 @@ class TestEngines:
         mono = direct(pic)
 
         np.testing.assert_allclose(
-            pic.free_terminal(), mono.free_terminal(), rtol=1e-8, atol=1e-14
+            pic.krylov(0).b, mono.krylov(0).b, rtol=1e-8, atol=1e-14
         )
         sol_m = solve_leader(mono, 1e-3)
         sol_p = solve_leader(pic, 1e-3)

@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 from conftest import SCENARIO_DIR, scenario_path
+from hiercontrol import scenario
 from hiercontrol.errors import ValidationError
 from hiercontrol.grids import build_grid
 from hiercontrol.scenario import (
@@ -185,6 +186,17 @@ class TestValidation:
     def test_missing_file(self):
         with pytest.raises(ValidationError, match="cannot read"):
             load_scenario(os.path.join(SCENARIO_DIR, "no_such.cfg"))
+
+    def test_dim_message_names_admitted_dims(self, monkeypatch):
+        tree = _base_tree()
+        tree["grid"]["dim"] = 3
+        with pytest.raises(ValidationError, match="grid.dim must be 1 or 2, got 3"):
+            scenario_from_tree(tree)
+        # the message is built from the tuple, so a new dimension edits only it
+        monkeypatch.setattr(scenario, "ADMITTED_DIMS", (1,))
+        tree["grid"]["dim"] = 2
+        with pytest.raises(ValidationError, match="grid.dim must be 1, got 2"):
+            scenario_from_tree(tree)
 
     def test_grid_bounds(self):
         tree = _base_tree()

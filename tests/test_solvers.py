@@ -365,13 +365,15 @@ class TestNonlinearity:
 
 
 class TestQuasilinearForward:
-    def test_lagged_vs_refreshed_agree(self):
+    def test_lagged_vs_refreshed_agree(self, monkeypatch):
         g = build_grid(1, 64)
         tg = build_time_grid(0.5, 256)
         nl = nonlinearity_preset("mild-quasilinear", a0=1.0, q=0.1, c=0.5)
         y0 = _sine_field(g, amp=0.5)
-        lagged = solve_forward_quasilinear(nl, g, tg, y0, refreshes=0)
-        fresh = solve_forward_quasilinear(nl, g, tg, y0, refreshes=4)
+        monkeypatch.setattr(solvers, "REFRESHES", 0)
+        lagged = solve_forward_quasilinear(nl, g, tg, y0)
+        monkeypatch.setattr(solvers, "REFRESHES", 4)
+        fresh = solve_forward_quasilinear(nl, g, tg, y0)
         assert np.abs(lagged.values - fresh.values).max() < 1e-4
 
     def test_grid_self_convergence(self):
@@ -387,12 +389,13 @@ class TestQuasilinearForward:
         err_m = np.abs(mid - ref[::2]).max()
         assert err_c / err_m >= 1.8
 
-    def test_heat_preset_matches_linear_solver(self):
+    def test_heat_preset_matches_linear_solver(self, monkeypatch):
         g = build_grid(1, 32)
         tg = build_time_grid(0.5, 64)
         nl = nonlinearity_preset("heat", a0=1.0)
         y0 = _sine_field(g)
-        ynl = solve_forward_quasilinear(nl, g, tg, y0, refreshes=0)
+        monkeypatch.setattr(solvers, "REFRESHES", 0)
+        ynl = solve_forward_quasilinear(nl, g, tg, y0)
         c = constant_coefficients(g, tg, b=1.0)
         ylin = march_forward(state_factors(c), y0.values, None)
         np.testing.assert_allclose(ynl.values, ylin, rtol=1e-11, atol=1e-13)

@@ -12,7 +12,6 @@ from hiercontrol.grids import build_grid, build_time_grid
 from hiercontrol.weights import (
     build_eta,
     build_weights,
-    control_energy,
     eval_terminal_weights,
     eval_weights,
     lambda_auto,
@@ -162,20 +161,3 @@ class TestObservationWeight:
             1.0, rel=1e-10
         )
 
-
-class TestEnergies:
-    def test_control_energy_matches_direct_sum(self, w_unit):
-        rng = np.random.default_rng(3)
-        tg, g = w_unit.tgrid, w_unit.grid
-        u = np.zeros((tg.n_slices, g.n_nodes))
-        u[10:22] = rng.standard_normal((12, g.n_nodes))
-        direct = 0.0
-        for m in range(1, tg.steps):
-            vals = eval_weights(w_unit, float(tg.times[m]))
-            inv = np.exp(-2.0 * w_unit.lam * vals["nu"]) * vals["beta"] ** -7.0
-            direct += tg.tau * float(np.dot(g.weights, inv * u[m] ** 2))
-        assert control_energy(w_unit, u, g.weights) == pytest.approx(direct, rel=1e-12)
-
-    def test_control_energy_of_zero(self, w_unit):
-        u = np.zeros((w_unit.tgrid.n_slices, w_unit.grid.n_nodes))
-        assert control_energy(w_unit, u, w_unit.grid.weights) == 0.0
