@@ -8,9 +8,19 @@ Each pair runs ``bench/run.py --trace 0`` once in each checkout with the
 same seed, one after the other; even pairs run BASE first, odd pairs run
 CHANGE first, so a drift of the machine's speed hits both sides alike.
 Pair k uses the k-th seed of the inclusive range, cycling when there are
-more pairs than seeds.  The script prints every pair, then per side the
-median and quartiles of ``op_s``, ``setup_s`` and ``peak_rss_mb`` and the
-number of pairs in which CHANGE has the lower ``op_s``.  It writes no file
+more pairs than seeds.  The script prints every pair, then, over the pairs
+in which both sides ran correctly, per side the median and quartiles of
+``op_s``, ``setup_s`` and ``peak_rss_mb``, and per metric
+
+* the pairs CHANGE won (its value is the better one),
+* whether a claimed gain would hold: CHANGE wins at least 9 in 10 of the
+  pairs, and its median is better than BASE's by more than BASE's
+  interquartile range,
+* whether CHANGE's median is worse than BASE's by more than the metric's
+  ``bound`` in ``BENCHMARK.json`` (relative to BASE's median).
+
+The direction and bound of each metric are read from the
+``BENCHMARK.json`` of this script's checkout.  It writes no file
 itself; each ``bench/run.py`` keeps its scratch in its own checkout's
 ``.bench_work`` and ``.bench_out``.  The exit code is 1 when any run
 failed or reported ``"correct": false``.
@@ -24,6 +34,8 @@ import subprocess
 import sys
 
 METRICS = ("op_s", "setup_s", "peak_rss_mb")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CLAIM_SHARE = 0.9     # share of the pairs a claimed gain must win
 
 
 def seed_range(text: str) -> list[int]:
@@ -52,6 +64,35 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def end_to_end_rules(path: str) -> dict:
+    """{metric: (better, bound)} from the end-to-end list of a BENCHMARK.json."""
+    with open(path, encoding="utf-8") as fh:
+        spec = json.load(fh)
+    return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+
+
+def judge(pairs: list[tuple[float, float]], better: str, bound: float) -> dict:
+    """The verdict on one metric over (base, change) pairs.
+
+    ``won`` counts the pairs where change is strictly better.  ``claim``
+    holds when change wins at least CLAIM_SHARE of the pairs and its
+    median is better than base's by more than base's interquartile range.
+    ``regressed`` holds when change's median is worse than base's by more
+    than ``bound`` times base's median.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    won = sum(sign * (b - c) > 0.0 for b, c in pairs)
+    q1, base_median, q3 = quartiles([b for b, _ in pairs])
+    change_median = quartiles([c for _, c in pairs])[1]
+    gain = sign * (base_median - change_median)
+    return {
+        "won": won,
+        "pairs": len(pairs),
+        "claim": won >= CLAIM_SHARE * len(pairs) and gain > q3 - q1,
+        "regressed": -gain > bound * abs(base_median),
+    }
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base", help="checkout of the reference version")
@@ -63,9 +104,9 @@ def main() -> int:
     args = ap.parse_args()
     sides = {"base": os.path.abspath(args.base), "change": os.path.abspath(args.change)}
 
-    results = {name: [] for name in sides}
+    rules = end_to_end_rules(os.path.join(ROOT, "BENCHMARK.json"))
+    pairs = []
     ok = True
-    won = complete = 0
     for k in range(args.pairs):
         seed = args.seeds[k % len(args.seeds)]
         order = ("base", "change") if k % 2 == 0 else ("change", "base")
@@ -77,22 +118,25 @@ def main() -> int:
                 print(f"pair {k} seed {seed} {name}: not correct: {res.get('error', res.get('failed'))}")
                 continue
             pair[name] = {m: res["metrics"][m]["value"] for m in METRICS}
-            results[name].append(pair[name])
         if len(pair) == 2:
-            complete += 1
-            won += pair["change"]["op_s"] < pair["base"]["op_s"]
+            pairs.append(pair)
             print(f"pair {k} seed {seed} ({order[0]} first): op_s base {pair['base']['op_s']:.4f} "
                   f"change {pair['change']['op_s']:.4f}", flush=True)
 
-    print(f"\n{args.workload}: {args.pairs} pairs, seeds {args.seeds[0]}-{args.seeds[-1]}")
+    print(f"\n{args.workload}: {len(pairs)} of {args.pairs} pairs complete, "
+          f"seeds {args.seeds[0]}-{args.seeds[-1]}")
+    if not pairs:
+        return 1
     for m in METRICS:
         for name in sides:
-            values = [r[m] for r in results[name]]
-            if values:
-                q1, q2, q3 = quartiles(values)
-                print(f"  {m:12s} {name:6s} median {q2:.4f}  quartiles {q1:.4f} / {q3:.4f}  "
-                      f"(n={len(values)})")
-    print(f"  change has the lower op_s in {won} of {complete} pairs")
+            q1, q2, q3 = quartiles([p[name][m] for p in pairs])
+            print(f"  {m:12s} {name:6s} median {q2:.4f}  quartiles {q1:.4f} / {q3:.4f}")
+        better, bound = rules[m]
+        v = judge([(p["base"][m], p["change"][m]) for p in pairs], better, bound)
+        print(f"  {m:12s} change won {v['won']} of {v['pairs']} pairs; "
+              f"claim rule {'holds' if v['claim'] else 'fails'}; "
+              f"{'WORSE than base by more than' if v['regressed'] else 'within'} "
+              f"the bound {bound}")
     return 0 if ok else 1
 
 

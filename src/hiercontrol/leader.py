@@ -29,13 +29,30 @@ semidefinite to the inner tolerance and a conjugate-gradient solve applies.
 The controlled terminal state equals -eps phi_T identically; the residual
 of that identity is reported against |b| and against |y(T)|.
 
-One engine solves K and K^T: block Gauss-Seidel sweeps, using the
-per-slice factors of the solvers module: LAPACK tridiagonal factors in 1D,
-SuperLU in 2D.  A sweep marches both follower blocks from the lead block x
-(y, or phi for K^T) as one two-column march, since they share the
-sensitivity factors, then the lead block from the follower blocks.  K^T
-reverses both marches and swaps the two coupling blocks, and
-theta_k = -lambda_k is taken from the follower blocks of K^T in one place.
+Both follower blocks solve the same backward sensitivity equation on the
+same factors, with sources nu_k xi_* (y_{k,d} - y), so by linearity
+p_k = nu_k w + c_k with w = march_adjoint(-xi_* y) and the target responses
+c_k = march_adjoint(nu_k xi_* y_{k,d}), and the lead block reads
+sigma w + g, with
+
+    sigma = sum_k nu_k xi_k^2 / mu_k,   g = sum_k (xi_k^2 / mu_k) c_k.
+
+So K is solved as a two-block system: the lead block x (y, or phi for K^T)
+and one follower response w.  c_k and g are marched once, as one stack,
+when the context is built, for each k with nu_k != 0 and a target that is
+not identically zero.  One engine solves both systems: block Gauss-Seidel
+sweeps, using the per-slice factors of the solvers module: LAPACK
+tridiagonal factors in 1D, SuperLU in 2D.  A sweep marches w from x, then
+x from w, one column each.
+K^T reverses both marches and swaps the two coupling coefficients: w =
+march_forward(sigma phi) and the lead block reads -xi_* w, since
+-xi_* sum_k nu_k lambda_k is what the follower blocks lambda_k =
+march_forward((xi_k^2 / mu_k) phi) feed it.  The follower blocks of K^T,
+theta_k = -lambda_k, are marched as one stack after the sweep and only
+when a caller reads them.  The Gramian needs only their data pairing
+sum_k nu_k tau sum <xi_* y_{k,d}, theta_k>, which the summation-by-parts
+identity of the sensitivity march with zero seeds turns into
+-tau sum <g, phi>, phi the lead block the last sweep marched from.
 A sweep is the fixed-point map of the lead block, and its fixed-point
 residual is the residual of the coupled equations preconditioned by the
 lead march, so ``solvers.anderson`` iterates it: Anderson mixing stops when
@@ -53,19 +70,21 @@ eps is rebuilt from the same c: each basis vector v_j keeps what its
 Gramian application computed (the primal response y_j, phi_j on the leader
 support, phi_j(0) and its data pairing), the controlled state is the free
 response plus sum c_j y_j, the control is d sum c_j phi_j, and the follower
-adjoints come from one stacked follower march of that state.  An epsilon
-sweep therefore costs 1 + 2k coupled solves, k the Gramian applications of
-its hardest epsilon: the free response and two per basis vector.  The
-answer depends only on the context, eps and cg_tol: a solve on a warm
-context is bit-identical to the same solve on a fresh one.  The context is
-penalty-free: one set of slice factors and one Krylov basis serve a whole
-epsilon sweep.
+adjoints come from one march of w from that state and the target
+responses.  An epsilon sweep therefore costs 1 + 2k coupled solves, k the
+Gramian applications of its hardest epsilon: the free response and two per
+basis vector.  The answer depends only on the context, eps and cg_tol: a
+solve on a warm context is bit-identical to the same solve on a fresh one.
+The context is penalty-free: one set of slice factors and one Krylov basis
+serve a whole epsilon sweep.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, solve_banded
@@ -129,18 +148,37 @@ class KrylovBasis:
     beta: list
 
 
+@dataclass(frozen=True, eq=False)
+class TransposedResponse:
+    """The solution (phi, theta_1, theta_2) of K^T seeded by phi_T.
+
+    ``phi`` is the lead block.  ``thetas()`` returns the follower blocks
+    theta_k = -lambda_k, theta_k(0) = 0, marching them only when called.
+    ``data_pairing`` is sum_k nu_k tau sum <xi_* y_{k,d}, theta_k> for the
+    problem's targets.
+    """
+
+    phi: np.ndarray
+    data_pairing: float
+    thetas: Callable[[], tuple[np.ndarray, np.ndarray]]
+
+
 class GramianContext:
     """Solver state shared by every Gramian application of one leader problem.
 
     Holds the frozen linearization, the Carleman weights, the slice factors
     the coupled sweeps march with (``state_factors`` of the lead block,
-    ``sensitivity_factors`` of the follower blocks), the free response and
-    the Lanczos basis of Lambda started from its terminal state b.  The
-    Carleman probe marches on the same state factors.  The penalty parameter
-    is deliberately not part of the context, so an epsilon sweep reuses one
-    set of factors and one Krylov basis.  ``gramian_applications`` and
-    ``coupled_solves`` count the calls of ``gramian_apply`` and of
-    ``solve_primal`` and ``solve_transposed``.
+    ``sensitivity_factors`` of the follower response), the responses to
+    the problem's targets, the free response and the Lanczos basis of
+    Lambda started from its terminal state b.  The Carleman probe marches on
+    the same state factors.
+    The penalty parameter is deliberately not part of the context, so an
+    epsilon sweep reuses one set of factors and one Krylov basis.
+    ``gramian_applications`` and ``coupled_solves`` count the calls of
+    ``gramian_apply`` and of ``solve_primal`` and ``solve_transposed``;
+    ``sweeps`` counts the block Gauss-Seidel sweeps, and ``contractions``
+    holds, per coupled solve that swept more than once, the largest ratio
+    |r_k| / |r_{k-1}| of its fixed-point residuals.
     """
 
     strategy = "picard"  # the benchmark reads the engine name from here
@@ -172,83 +210,168 @@ class GramianContext:
         self.leader_support = np.flatnonzero(xi0)
         self.xi_star = problem.xi("tracking")
         self.S = [problem.xi("follower1") ** 2, problem.xi("follower2") ** 2]
-        # coupling coefficients of K: z_k into the lead block x, and x into
-        # z_k; K^T swaps the two
         self.s_mu = [self.S[k] / problem.mu[k] for k in (0, 1)]
-        self.nu_xi = [-problem.nu[k] * self.xi_star for k in (0, 1)]
+        # coupling coefficients of the two-block system: w into the lead
+        # block x, and x into w; K^T swaps the two
+        self.sigma = problem.nu[0] * self.s_mu[0] + problem.nu[1] * self.s_mu[1]
+        self.neg_xi_star = -self.xi_star
+        self.targets = tuple(t.values for t in problem.targets)
 
         self.size = 3 * self.tgrid.steps * self.grid.n_interior
         self.state_factors = state_factors(coefficients)
         self.sensitivity_factors = sensitivity_factors(coefficients)
+        self._target_data = self._march_targets(self.targets)
         self._krylov: KrylovBasis | None = None
         self.gramian_applications = 0
         self.coupled_solves = 0
+        self.sweeps = 0
+        self.contractions: list[float] = []
 
-    def _follower_blocks(self, transpose: bool, x: np.ndarray, targets) -> list:
-        """Both follower blocks z_k (p_k, or lambda_k for K^T) from the lead block x.
+    @property
+    def decoupled(self) -> bool:
+        """True when both nu_k vanish: the lead block then does not see w."""
+        return self.problem.nu[0] == 0.0 and self.problem.nu[1] == 0.0
 
-        One stacked march on the shared sensitivity factors, with source
-        into_z_k (x - y_{k,d}) (no targets for None); a block whose coupling
-        coefficient is identically zero is left out of the stack and is
-        zero.  K^T reverses the march; the march is looked up at call time,
-        so a wrapper bound to this module is the one that runs.
+    def _target_responses(self, targets):
+        """The target responses (c_1, c_2) and their lead-block source g.
+
+        c_k = march_adjoint(nu_k xi_* y_{k,d}) for each k with nu_k != 0
+        and a target that is not identically zero, as one stacked march on
+        the sensitivity factors; c_k is None for the other k, and g =
+        sum_k (xi_k^2 / mu_k) c_k is None when no c_k is marched.  The
+        problem's own targets are read-only, so their responses are the
+        ones the context marched when it was built; other targets are
+        marched on every call.
         """
-        n, slices = self.grid.n_nodes, self.tgrid.n_slices
-        into_z, follow = (self.s_mu, march_forward) if transpose else (self.nu_xi, march_adjoint)
-        live = [k for k in (0, 1) if into_z[k].any()]
-        src = np.empty((len(live), slices, n))
-        for j, k in enumerate(live):
-            if targets is None:
-                np.multiply(x, into_z[k], out=src[j])
-            else:
-                np.subtract(x, targets[k], out=src[j])
-                src[j] *= into_z[k]
-        zs = iter(follow(self.sensitivity_factors, np.zeros((len(live), n)), src) if live else ())
-        return [next(zs) if k in live else np.zeros((slices, n)) for k in (0, 1)]
+        if targets is None:
+            return (None, None), None
+        if all(a is b for a, b in zip(targets, self.targets)):
+            return self._target_data
+        return self._march_targets(targets)
 
-    def _sweep(self, transpose: bool, seed, source, targets, tol):
-        """Block Gauss-Seidel sweeps on K, or on K^T, until the lead block settles.
+    def _march_targets(self, targets):
+        nu = self.problem.nu
+        live = [k for k in (0, 1) if nu[k] != 0.0 and targets[k].any()]
+        c, g = [None, None], None
+        if live:
+            src = np.stack([(nu[k] * self.xi_star)[None, :] * targets[k] for k in live])
+            marched = march_adjoint(
+                self.sensitivity_factors, np.zeros((len(live), self.grid.n_nodes)), src
+            )
+            for k, ck in zip(live, marched):
+                c[k] = ck
+                g = self.s_mu[k] * ck if g is None else g + self.s_mu[k] * ck
+        return tuple(c), g
+
+    def _follower_response(self, transpose: bool, x: np.ndarray) -> np.ndarray:
+        """The follower response w of the lead block x: one single-column march.
+
+        w = march_adjoint(-xi_* x) in K, w = march_forward(sigma x) in K^T,
+        both on the sensitivity factors from a zero seed.  The march is
+        looked up at call time, so a wrapper bound to this module is the
+        one that runs.
+        """
+        seed = np.zeros(self.grid.n_nodes)
+        if transpose:
+            return march_forward(self.sensitivity_factors, seed, self.sigma[None, :] * x)
+        return march_adjoint(self.sensitivity_factors, seed, self.neg_xi_star[None, :] * x)
+
+    def _adjoints(self, w, c) -> list:
+        """The follower adjoints p_k = nu_k w + c_k of K; c_k None reads as zero."""
+        out = []
+        for nu_k, c_k in zip(self.problem.nu, c):
+            p = nu_k * w if nu_k != 0.0 else np.zeros((self.tgrid.n_slices, self.grid.n_nodes))
+            if c_k is not None:
+                p += c_k
+            out.append(p)
+        return out
+
+    def _follower_adjoints(self, y: np.ndarray, targets) -> list:
+        """(p_1, p_2) of K at the state y: one march of w and the target responses."""
+        w = None if self.decoupled else self._follower_response(False, y)
+        return self._adjoints(w, self._target_responses(targets)[0])
+
+    def _sweep(self, transpose: bool, seed, source, tol):
+        """Block Gauss-Seidel sweeps on the two-block system until x settles.
 
         The lead block x (y, or phi for K^T) is marched once with the
-        follower blocks z_k (p_k, or lambda_k) at zero.  One sweep
-        x -> Phi(x) marches the z_k from x (``_follower_blocks``), then x
-        from the z_k.  ``solvers.anderson``
-        iterates Phi until |Phi(x) - x| <= tol |Phi(x)| in the stepped
-        weighted norm, and the last Phi(x) is returned with the z_k that
-        produced it.  When both nu_k vanish x does not depend on z_k, and
-        the first march is returned with its follower blocks.  ``tol`` None
-        means the context's picard_tol.
+        follower response w at zero.  One sweep x -> Phi(x) marches w from
+        x (``_follower_response``), then x from ``source`` plus the coupling
+        sigma w (K) or -xi_* w (K^T); every march carries one column.
+        ``solvers.anderson`` iterates Phi until |Phi(x) - x| <= tol |Phi(x)|
+        in the stepped weighted norm.  Returns the last Phi(x), the x it was
+        marched from and that x's w.  When both nu_k vanish x does not
+        depend on w, and the first march is returned as its own input with
+        w None.  Each sweep counts in ``sweeps`` and each solve's largest
+        residual ratio goes to ``contractions``.  ``tol`` None means the
+        context's picard_tol.
         """
         grid, tgrid = self.grid, self.tgrid
         tol = self.picard_tol if tol is None else tol
         n = grid.n_nodes
-        # K^T reverses the lead march and swaps the two coupling blocks
-        lead, into_x = (march_adjoint, self.nu_xi) if transpose else (march_forward, self.s_mu)
+        # K^T reverses the lead march and swaps the two coupling coefficients
+        lead, into_x = (
+            (march_adjoint, self.neg_xi_star) if transpose else (march_forward, self.sigma)
+        )
         seed = np.zeros(n) if seed is None else seed
 
-        def lead_block(z):
+        def lead_block(w):
             src = np.zeros((tgrid.n_slices, n))
             if source is not None:
                 src += source
-            for coef, zk in zip(into_x, z):
-                if coef.any():
-                    src += coef[None, :] * zk
+            if w is not None:
+                src += into_x[None, :] * w
             return lead(self.state_factors, seed, src if src.any() else None)
 
         def sweep(x):
-            z = self._follower_blocks(transpose, x, targets)
-            return lead_block(z), z
+            w = self._follower_response(transpose, x)
+            return lead_block(w), (x, w)
 
-        x = lead_block((0.0, 0.0))
-        if self.problem.nu[0] == 0.0 and self.problem.nu[1] == 0.0:
-            return (x, *self._follower_blocks(transpose, x, targets))
-        x, z, _, converged = anderson(sweep, x, grid, tgrid, tol, PICARD_MAX)
+        x = lead_block(None)
+        if self.decoupled:
+            return x, x, None
+        x, (marched, w), history, converged = anderson(sweep, x, grid, tgrid, tol, PICARD_MAX)
+        self.sweeps += len(history)
+        if len(history) > 1:
+            self.contractions.append(max(b / a for a, b in zip(history, history[1:])))
         if not converged:
             raise NonConvergenceError(
                 f"coupled {'transposed' if transpose else 'primal'} sweep did not reach "
                 f"tol={tol:.1e} in {PICARD_MAX} iterations"
             )
-        return x, z[0], z[1]
+        return x, marched, w
+
+    def _primal(self, source, y0, targets, tol):
+        """(y, p1, p2) of K: the target responses join the lead source as g."""
+        c, g = self._target_responses(targets)
+        if g is not None:
+            source = g if source is None else source + g
+        y, _, w = self._sweep(False, y0, source, tol)
+        return (y, *self._adjoints(w, c))
+
+    def _transposed(self, phi_T, tol) -> TransposedResponse:
+        """The K^T response; its data pairing is -tau sum <g, phi> by summation by parts."""
+        phi, marched, _ = self._sweep(True, phi_T, None, tol)
+        g = self._target_responses(self.targets)[1]
+        data = 0.0 if g is None else -stepped_pairing(self.grid, self.tgrid, g, marched)
+        return TransposedResponse(phi, data, functools.partial(self._thetas, marched))
+
+    def _thetas(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """theta_k = -march_forward((xi_k^2 / mu_k) phi), one stacked march.
+
+        A block whose coupling coefficient is identically zero is left out
+        of the stack and is zero.
+        """
+        live = [k for k in (0, 1) if self.s_mu[k].any()]
+        thetas = [np.zeros_like(phi), np.zeros_like(phi)]
+        if live:
+            src = np.stack([-self.s_mu[k][None, :] * phi for k in live])
+            marched = march_forward(
+                self.sensitivity_factors, np.zeros((len(live), self.grid.n_nodes)), src
+            )
+            for k, th in zip(live, marched):
+                thetas[k] = th
+        return tuple(thetas)
 
     # ------------------------------------------------------------- public API
     def solve_primal(self, source_y=None, y0=None, targets=None, picard_tol=None):
@@ -257,34 +380,29 @@ class GramianContext:
         Raw-array interface: trajectories are (n_slices, n_nodes) arrays.
         """
         self.coupled_solves += 1
-        return self._sweep(False, y0, source_y, targets, picard_tol)
+        return self._primal(source_y, y0, targets, picard_tol)
 
-    def solve_transposed(self, phi_T: np.ndarray, picard_tol=None):
-        """(phi, theta_1, theta_2) of the transposed coupled system seeded by phi_T.
+    def solve_transposed(self, phi_T: np.ndarray, picard_tol=None) -> TransposedResponse:
+        """The transposed coupled system seeded by phi_T, as a ``TransposedResponse``.
 
-        theta_k = -lambda_k with theta_k(0) = 0, lambda_k the follower blocks of K^T.
+        K^T is swept as the two-block system of phi and w =
+        march_forward(sigma phi), whose lead block reads -xi_* w.
+        theta_k = -lambda_k = -march_forward((xi_k^2 / mu_k) phi), the
+        follower blocks of K^T, are marched from the phi the last sweep
+        marched from when ``thetas()`` is called.  The data pairing
+        sum_k nu_k tau sum <xi_* y_{k,d}, theta_k> needs no theta: by
+        summation by parts it is -tau sum <g, phi> for that phi.
         """
         self.coupled_solves += 1
-        phi, lam1, lam2 = self._sweep(True, phi_T, None, None, picard_tol)
-        th1 = -lam1
-        th2 = -lam2
-        th1[0] = 0.0
-        th2[0] = 0.0
-        return phi, th1, th2
+        return self._transposed(phi_T, picard_tol)
 
     def gramian_apply(self, phi_T: np.ndarray, picard_tol=None) -> GramianResponse:
         """Response to u = d phi, whose terminal state is Lambda phi_T; two coupled solves."""
-        phi, th1, th2 = self.solve_transposed(phi_T, picard_tol)
-        u = self.d * phi
-        y, _, _ = self.solve_primal(self.xi0[None, :] * u, picard_tol=picard_tol)
-        data = 0.0
-        for nu_k, tgt, th in zip(self.problem.nu, self.problem.targets, (th1, th2)):
-            if nu_k != 0.0:
-                data += nu_k * stepped_pairing(
-                    self.grid, self.tgrid, self.xi_star[None, :] * tgt.values, th
-                )
+        res = self.solve_transposed(phi_T, picard_tol)
+        phi = res.phi
+        y, _, _ = self.solve_primal(self.xi0[None, :] * (self.d * phi), picard_tol=picard_tol)
         self.gramian_applications += 1
-        return GramianResponse(y, phi[:, self.leader_support], phi[0].copy(), data)
+        return GramianResponse(y, phi[:, self.leader_support], phi[0].copy(), res.data_pairing)
 
     def free_response(self, picard_tol=None) -> np.ndarray:
         """The coupled state response to the data alone (u = 0); its last slice is b.
@@ -302,10 +420,7 @@ class GramianContext:
             # drop the old basis first: its responses are as large as the new ones
             self._krylov = None
             y, _, _ = self.solve_primal(
-                None,
-                y0=self.problem.y0.values,
-                targets=tuple(t.values for t in self.problem.targets),
-                picard_tol=tol,
+                None, y0=self.problem.y0.values, targets=self.targets, picard_tol=tol
             )
             b = y[-1]
             bnorm = math.sqrt(spatial_pairing(self.grid, b, b))
@@ -336,8 +451,10 @@ class LeaderSolution:
     ``leader_duality_gap`` checks, taken from the transposed responses
     (phi, theta_k) to phi_T: the control term tau sum <xi_0 u, phi> is the
     energy of J_eps, as u = xi_0 rho_tilde^-2 phi gives rho_tilde^2 u^2 =
-    xi_0 u phi.  ``cg_iterations`` and ``coupled_solves`` count the Gramian
-    applications and coupled solves this call made.
+    xi_0 u phi.  ``cg_iterations``, ``coupled_solves`` and ``sweeps`` count
+    the Gramian applications, coupled solves and block Gauss-Seidel sweeps
+    this call made; ``sweep_contraction`` is the largest residual ratio
+    |r_k| / |r_{k-1}| of those sweeps (NaN when none swept twice).
     """
 
     u: SpaceTimeField
@@ -359,6 +476,8 @@ class LeaderSolution:
     data_pairing: float
     cg_iterations: int
     coupled_solves: int
+    sweeps: int
+    sweep_contraction: float
     cg_residuals: tuple[float, ...]
     ritz_min: float
     ritz_max: float
@@ -392,16 +511,16 @@ def solve_leader(
     indicates a weight/penalty combination beyond what the discretization
     can resolve.  The coupled solves run at ``inner_tolerance``.  The
     control, state and follower adjoints are rebuilt from the same c and the
-    responses the basis kept, with one stacked follower march and no coupled
-    solve: the only coupled solves are those that build the basis, the free
+    responses the basis kept, with one march of the follower response w and
+    no coupled solve: the only coupled solves are those that build the basis, the free
     response and two per Gramian application, so an epsilon sweep on one
     context costs 1 + 2k coupled solves for its hardest epsilon's k.
 
     ``cg_iterations`` counts the Gramian applications this call made to
     extend the basis, ``cg_residuals`` the full residual history at this
     eps (its length is the Krylov dimension CG would have run); on a fresh
-    context the two agree.  ``coupled_solves`` counts the coupled solves
-    this call made.  The result depends only on (ctx, eps, cg_tol):
+    context the two agree.  ``coupled_solves`` and ``sweeps`` count the
+    coupled solves and sweeps this call made.  The result depends only on (ctx, eps, cg_tol):
     a solve on a warm context is bit-identical to one on a fresh context.
     The Ritz values of Lambda from T_k and eps / ritz_max are reported at
     no extra cost (NaN when no iteration ran).  ``terminal_residual`` is
@@ -416,8 +535,8 @@ def solve_leader(
     inner_tol = inner_tolerance(ctx, cg_tol)
 
     y0v = ctx.problem.y0.values
-    tgtv = tuple(t.values for t in ctx.problem.targets)
     applied, solves = ctx.gramian_applications, ctx.coupled_solves
+    sweeps, solved = ctx.sweeps, len(ctx.contractions)
     kb = ctx.krylov(0, inner_tol)
     bnorm = kb.bnorm
     J0 = 0.5 / eps * bnorm**2
@@ -482,7 +601,7 @@ def solve_leader(
     phi = np.zeros((tgrid.n_slices, grid.n_nodes))
     phi[:, ctx.leader_support] = phi_leader
     u = ctx.d * phi
-    p1, p2 = ctx._follower_blocks(False, y, tgtv)
+    p1, p2 = ctx._follower_adjoints(y, ctx.targets)
 
     terminal = y[-1]
     tnorm = math.sqrt(spatial_pairing(grid, terminal, terminal))
@@ -514,6 +633,8 @@ def solve_leader(
         data_pairing=float(t_data),
         cg_iterations=ctx.gramian_applications - applied,
         coupled_solves=ctx.coupled_solves - solves,
+        sweeps=ctx.sweeps - sweeps,
+        sweep_contraction=max(ctx.contractions[solved:], default=float("nan")),
         cg_residuals=tuple(residuals),
         ritz_min=ritz_min,
         ritz_max=ritz_max,

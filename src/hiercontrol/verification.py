@@ -510,9 +510,10 @@ def probe_observability(
     def energies():
         for _ in range(samples):
             phi_T = _low_mode_terminal(grid, 10, rng)
-            phi, th1, th2 = ctx.solve_transposed(phi_T)
+            res = ctx.solve_transposed(phi_T)
+            phi = res.phi
             lhs = spatial_pairing(grid, phi[0], phi[0])
-            for th in (th1, th2):
+            for th in res.thetas():
                 lhs += stepped_pairing(grid, tgrid, rho2 * th, th)
             rhs = stepped_pairing(grid, tgrid, obs_traj * phi, phi, mask=inner_mask)
             yield lhs, rhs

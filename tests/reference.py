@@ -5,17 +5,19 @@ sparse composition of assemble_divergence_operator and gradient_matrices,
 the nodal gradient by slicing the node array along each axis,
 and the space-time matrix K of the coupled system one slice block at a
 time.  ``DirectContext`` solves K and K^T with a sparse LU of that matrix,
-so the program's Gramian machinery (solve_primal, solve_transposed, the
-theta rule, the Krylov basis, solve_leader) runs unchanged on an exact
-engine that shares no code with the block Gauss-Seidel sweep.
+every block of both solves, so the program's Gramian machinery
+(solve_primal, solve_transposed, the Krylov basis, solve_leader) runs
+unchanged on an exact engine that shares no march with the block
+Gauss-Seidel sweep; its data pairing pairs the targets with its own
+theta_k instead of using the summation-by-parts shortcut of the sweep.
 """
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from hiercontrol.grids import assemble_divergence_operator, gradient_matrices
-from hiercontrol.leader import GramianContext
+from hiercontrol.grids import assemble_divergence_operator, gradient_matrices, stepped_pairing
+from hiercontrol.leader import GramianContext, TransposedResponse
 
 
 def reference_slice(grid, tau, b=None, f_adv=None, f_div=None, f0=None):
@@ -147,10 +149,21 @@ class DirectContext(GramianContext):
         super().__init__(*args, **kwargs)
         self.lu = spla.splu(reference_spacetime(self))
 
-    def _sweep(self, transpose, seed, source, targets, tol):
-        rhs = spacetime_rhs(self, transpose, seed, source, targets)
-        x = self.lu.solve(rhs, trans="T" if transpose else "N")
-        return unpack_spacetime(self, transpose, seed, x)
+    def _primal(self, source, y0, targets, tol):
+        x = self.lu.solve(spacetime_rhs(self, False, y0, source, targets))
+        return unpack_spacetime(self, False, y0, x)
+
+    def _transposed(self, phi_T, tol):
+        x = self.lu.solve(spacetime_rhs(self, True, phi_T, None, None), trans="T")
+        phi, lam1, lam2 = unpack_spacetime(self, True, phi_T, x)
+        thetas = (-lam1, -lam2)
+        for th in thetas:
+            th[0] = 0.0
+        data = sum(
+            nu_k * stepped_pairing(self.grid, self.tgrid, self.xi_star[None, :] * tgt, th)
+            for nu_k, tgt, th in zip(self.problem.nu, self.targets, thetas) if nu_k != 0.0
+        )
+        return TransposedResponse(phi, float(data), lambda: thetas)
 
 
 def direct(ctx):

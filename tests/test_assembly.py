@@ -8,6 +8,7 @@ the slices bit for bit, and the coupled sweep must solve the block-assembled
 space-time system.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -22,6 +23,7 @@ from hiercontrol.errors import BlowUpError
 from hiercontrol.fixedpoint import linearize_at
 from hiercontrol.grids import (
     Field,
+    SpaceTimeField,
     build_grid,
     build_time_grid,
     slice_pattern,
@@ -107,11 +109,23 @@ class TestSliceFill:
 
 
 class TestSpaceTimeMatrix:
-    # the sweep solves the block-assembled K and K^T on a time-varying roster
-    @pytest.mark.parametrize("dim,cells,nu", [(1, 10, (1.0, 1.0)), (1, 10, (1.0, 0.0)),
-                                              (2, 8, (1.0, 1.0))])
-    def test_matches_block_assembly(self, dim, cells, nu):
-        problem = make_problem(cells=cells, steps=16, dim=dim, nu=nu)
+    # the sweep solves the block-assembled K and K^T on a time-varying
+    # roster: unequal nu_k and mu_k weigh the follower blocks apart, and a
+    # zero target leaves its block without a target response
+    @pytest.mark.parametrize("dim,cells,nu,mu,zero_target", [
+        pytest.param(1, 10, (1.0, 1.0), (20.0, 20.0), False, id="1-10-nu0"),
+        pytest.param(1, 10, (1.0, 0.0), (20.0, 20.0), False, id="1-10-nu1"),
+        pytest.param(2, 8, (1.0, 1.0), (20.0, 20.0), False, id="2-8-nu2"),
+        pytest.param(1, 10, (0.5, 2.0), (10.0, 40.0), False, id="1-10-unequal"),
+        pytest.param(1, 10, (0.5, 2.0), (10.0, 40.0), True, id="1-10-unequal-zero-target"),
+        pytest.param(2, 8, (0.5, 2.0), (10.0, 40.0), True, id="2-8-unequal-zero-target"),
+    ])
+    def test_matches_block_assembly(self, dim, cells, nu, mu, zero_target):
+        problem = make_problem(cells=cells, steps=16, dim=dim, nu=nu, mu=mu)
+        if zero_target:
+            zero = SpaceTimeField(problem.grid, problem.tgrid,
+                                  np.zeros_like(problem.targets[0].values))
+            problem = dataclasses.replace(problem, targets=(zero, problem.targets[1]))
         grid = problem.grid
         rng = np.random.default_rng(5)
         c = _random_roster(rng, grid, problem.tgrid, diagonal_B=dim == 2)
@@ -123,14 +137,20 @@ class TestSpaceTimeMatrix:
         targets = tuple(t.values for t in problem.targets)
         phi_T = rng.standard_normal(grid.n_nodes)
         phi_T[grid.boundary] = 0.0
+        swept_T, exact_T = ctx.solve_transposed(phi_T), ref.solve_transposed(phi_T)
         pairs = [
             (ctx.solve_primal(source, problem.y0.values, targets),
              ref.solve_primal(source, problem.y0.values, targets)),
-            (ctx.solve_transposed(phi_T), ref.solve_transposed(phi_T)),
+            ((swept_T.phi, *swept_T.thetas()), (exact_T.phi, *exact_T.thetas())),
         ]
         for swept, exact in pairs:
+            assert len(swept) == len(exact) == 3
             for a, b in zip(swept, exact):
                 assert np.abs(a - b).max() <= 1e-10 * max(np.abs(b).max(), 1e-300)
+        # the sweep's data pairing, by summation by parts, is the oracle's
+        # pairing of the targets with its theta_k
+        scale = max(abs(exact_T.data_pairing), 1e-300)
+        assert abs(swept_T.data_pairing - exact_T.data_pairing) <= 1e-10 * scale
 
 
 class TestTridiagonalDuality:

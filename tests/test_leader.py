@@ -34,6 +34,11 @@ def _seed(rng, grid):
     return v
 
 
+def _blocks(res):
+    """(phi, theta_1, theta_2) of a transposed response."""
+    return (res.phi, *res.thetas())
+
+
 def _ctx16(**kw):
     problem = make_problem(cells=16, steps=32)
     return linearize_at(problem, _zero_traj(problem), **kw)
@@ -126,7 +131,7 @@ class TestLeaderSolve:
     def test_control_is_weighted_seed(self, ctx16):
         # u = d phi, phi the transposed response to phi_T solved directly
         sol = solve_leader(ctx16, 1e-3)
-        phi, _, _ = ctx16.solve_transposed(sol.phi_T, leader.inner_tolerance(ctx16, 1e-8))
+        phi = ctx16.solve_transposed(sol.phi_T, leader.inner_tolerance(ctx16, 1e-8)).phi
         want = ctx16.d * phi
         assert np.abs(sol.u.values - want).max() <= 1e-9 * np.abs(want).max()
         # d vanishes off the leader support, so u does exactly
@@ -299,7 +304,7 @@ class TestReconstruction:
         sol = solve_leader(ctx, 1e-6)
         assert sol.cg_iterations >= 5 and sol.control_effect < 0.1
         tol = leader.inner_tolerance(ctx, 1e-8)
-        phi, th1, th2 = ctx.solve_transposed(sol.phi_T, tol)
+        phi, th1, th2 = _blocks(ctx.solve_transposed(sol.phi_T, tol))
         u = ctx.d * phi
         targets = tuple(t.values for t in problem.targets)
         y, p1, p2 = ctx.solve_primal(ctx.xi0[None, :] * u, problem.y0.values, targets, tol)
@@ -366,7 +371,9 @@ class TestEngines:
 
         phi_T = _seed(np.random.default_rng(5), problem.grid)
         names = ("phi", "theta1", "theta2")
-        for name, a, b in zip(names, mono.solve_transposed(phi_T), pic.solve_transposed(phi_T)):
+        pairs = zip(names, _blocks(mono.solve_transposed(phi_T)),
+                    _blocks(pic.solve_transposed(phi_T)))
+        for name, a, b in pairs:
             scale = max(np.abs(a).max(), 1e-300)
             assert np.abs(a - b).max() / scale < 1e-8, name
             assert b[0].any() == (name == "phi"), name
@@ -409,9 +416,9 @@ class TestEngines:
             return march(*args, **kwargs)
 
         monkeypatch.setattr(leader, "march_adjoint", counted)
-        unit = ctx.solve_transposed(phi_T)
+        unit = _blocks(ctx.solve_transposed(phi_T))
         n_unit = len(marches)
-        tiny = ctx.solve_transposed(1e-6 * phi_T)
+        tiny = _blocks(ctx.solve_transposed(1e-6 * phi_T))
         assert n_unit > 1
         assert len(marches) - n_unit == n_unit
         for name, a, b in zip(("phi", "theta1", "theta2"), unit, tiny):
@@ -428,3 +435,76 @@ class TestEngines:
         )
         with pytest.raises(ValidationError, match="discretization"):
             linearize_at(problem, _zero_traj(problem), weights=other)
+
+
+class TestSweeps:
+    def test_sweeps_count_the_anderson_evaluations(self, monkeypatch):
+        evaluations = []
+        run = leader.anderson
+
+        def spied(phi, *args):
+            def counted(x):
+                evaluations.append(1)
+                return phi(x)
+
+            return run(counted, *args)
+
+        monkeypatch.setattr(leader, "anderson", spied)
+        ctx = _ctx16()
+        sols = [solve_leader(ctx, eps) for eps in (1e-2, 1e-4, 1e-3)]
+        assert ctx.sweeps == len(evaluations) == sum(s.sweeps for s in sols)
+        assert sols[0].sweeps > sols[0].coupled_solves
+        # an easier epsilon after a harder one sweeps nothing
+        assert sols[2].sweeps == 0 and np.isnan(sols[2].sweep_contraction)
+
+    @pytest.mark.parametrize("name", ["heat_1d", "heat_2d"])
+    def test_sweeps_contract(self, name):
+        s = load_scenario(scenario_path(name))
+        problem = s.build_problem()
+        weights = s.build_carleman_weights(problem)
+        ctx = linearize_at(problem, _zero_traj(problem), weights=weights)
+        sol = solve_leader(ctx, s.epsilon, cg_tol=s.tolerance("cg_tol"))
+        assert sol.sweeps > sol.coupled_solves
+        assert 0.0 < sol.sweep_contraction < 1.0
+
+    def test_decoupled_context_does_not_sweep(self):
+        problem = make_problem(cells=16, steps=32, nu=(0.0, 0.0))
+        ctx = linearize_at(problem, _zero_traj(problem))
+        sol = solve_leader(ctx, 1e-3)
+        assert sol.coupled_solves > 0
+        assert ctx.sweeps == sol.sweeps == 0 and np.isnan(sol.sweep_contraction)
+
+    def test_sweeps_march_one_column(self, monkeypatch):
+        # both follower blocks reach the lead block through one response w,
+        # so every march of a sweep carries one column; the stacked marches
+        # are the target responses, when the context is built, and the
+        # theta_k of a transposed response, when a caller reads them
+        marches = []  # (inside a sweep, columns)
+        depth = []
+        for name in ("march_forward", "march_adjoint"):
+            def spied(factors, seed, sources, _march=getattr(leader, name)):
+                marches.append((bool(depth), 1 if seed.ndim == 1 else seed.shape[0]))
+                return _march(factors, seed, sources)
+
+            monkeypatch.setattr(leader, name, spied)
+        sweep = GramianContext._sweep
+
+        def tracked(self, *args):
+            depth.append(1)
+            try:
+                return sweep(self, *args)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(GramianContext, "_sweep", tracked)
+        ctx = _ctx16()
+        assert marches == [(False, 2)]
+        del marches[:]
+        for eps in (1e-2, 1e-4):
+            solve_leader(ctx, eps)
+        assert sum(inside for inside, _ in marches) > 2 * ctx.coupled_solves
+        assert {columns for _, columns in marches} == {1}
+        res = ctx.solve_transposed(_seed(np.random.default_rng(3), ctx.grid))
+        del marches[:]
+        res.thetas()
+        assert marches == [(False, 2)]

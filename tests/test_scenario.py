@@ -1,5 +1,6 @@
 """Scenario files: loading, validation messages, round trips, profiles."""
 
+import glob
 import os
 
 import numpy as np
@@ -62,6 +63,34 @@ _MALFORMED_2D = [
     (("data", "y0", "modes"), [1, 0], "data.y0.modes"),
 ]
 _CASES = [("heat_lq_16x32", *c) for c in _MALFORMED] + [("heat_2d", *c) for c in _MALFORMED_2D]
+
+
+def _doc_yaml_blocks():
+    doc = os.path.join(SCENARIO_DIR, "..", "docs", "scenario_format.md")
+    with open(doc, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    return [part.split("```", 1)[0] for part in text.split("```yaml")[1:]]
+
+
+class TestYamlLoader:
+    # the scenario loader parses with libyaml where PyYAML has it; the tree
+    # must be the one yaml.safe_load builds
+    def test_loader_is_the_fastest_safe_one(self):
+        assert scenario._LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+    @pytest.mark.parametrize(
+        "path", sorted(glob.glob(os.path.join(SCENARIO_DIR, "*.cfg"))), ids=os.path.basename
+    )
+    def test_shipped_trees_equal_safe_load(self, path):
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        assert yaml.load(text, Loader=scenario._LOADER) == yaml.safe_load(text)
+
+    def test_documented_blocks_equal_safe_load(self):
+        blocks = _doc_yaml_blocks()
+        assert len(blocks) >= 5
+        for block in blocks:
+            assert yaml.load(block, Loader=scenario._LOADER) == yaml.safe_load(block), block
 
 
 def _base_tree(name="heat_lq_16x32"):
@@ -181,6 +210,17 @@ class TestValidation:
         with open(bad, "w", encoding="utf-8") as fh:
             fh.write("name: x\ngrid: {dim: 1, cells: 16\n")
         with pytest.raises(ValidationError, match="line"):
+            load_scenario(bad)
+
+    @pytest.mark.parametrize("text,where", [
+        ("name: x\ngrid: {dim: 1, cells: 16\n", "line 3, column 1"),
+        ("name: x\ngrid: dim: 1\n", "line 2, column 10"),
+    ])
+    def test_parse_error_names_line_and_column(self, tmp_path, text, where):
+        bad = os.path.join(tmp_path, "bad.cfg")
+        with open(bad, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with pytest.raises(ValidationError, match=f"parse error in .*bad.cfg at {where}:"):
             load_scenario(bad)
 
     def test_missing_file(self):
