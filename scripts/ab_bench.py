@@ -17,7 +17,10 @@ in which both sides ran correctly, per side the median and quartiles of
   pairs, and its median is better than BASE's by more than BASE's
   interquartile range,
 * whether CHANGE's median is worse than BASE's by more than the metric's
-  ``bound`` in ``BENCHMARK.json`` (relative to BASE's median).
+  ``bound`` in ``BENCHMARK.json`` (relative to BASE's median),
+* whether the metric is unresolved: BASE's interquartile range, relative
+  to its median, is wider than that bound, so a median within the bound
+  shows nothing, unless every CHANGE run is better than every BASE run.
 
 The direction and bound of each metric are read from the
 ``BENCHMARK.json`` of this script's checkout.  It writes no file
@@ -78,18 +81,24 @@ def judge(pairs: list[tuple[float, float]], better: str, bound: float) -> dict:
     holds when change wins at least CLAIM_SHARE of the pairs and its
     median is better than base's by more than base's interquartile range.
     ``regressed`` holds when change's median is worse than base's by more
-    than ``bound`` times base's median.
+    than ``bound`` times base's median.  ``unresolved`` holds when base's
+    interquartile range is wider than ``bound`` times its median and some
+    change run is not better than every base run.
     """
     sign = 1.0 if better == "lower" else -1.0
+    base = [b for b, _ in pairs]
+    change = [c for _, c in pairs]
     won = sum(sign * (b - c) > 0.0 for b, c in pairs)
-    q1, base_median, q3 = quartiles([b for b, _ in pairs])
-    change_median = quartiles([c for _, c in pairs])[1]
+    q1, base_median, q3 = quartiles(base)
+    change_median = quartiles(change)[1]
     gain = sign * (base_median - change_median)
+    beats_every_run = max(sign * c for c in change) < min(sign * b for b in base)
     return {
         "won": won,
         "pairs": len(pairs),
         "claim": won >= CLAIM_SHARE * len(pairs) and gain > q3 - q1,
         "regressed": -gain > bound * abs(base_median),
+        "unresolved": q3 - q1 > bound * abs(base_median) and not beats_every_run,
     }
 
 
@@ -120,8 +129,9 @@ def main() -> int:
             pair[name] = {m: res["metrics"][m]["value"] for m in METRICS}
         if len(pair) == 2:
             pairs.append(pair)
-            print(f"pair {k} seed {seed} ({order[0]} first): op_s base {pair['base']['op_s']:.4f} "
-                  f"change {pair['change']['op_s']:.4f}", flush=True)
+            values = "; ".join(f"{m} base {pair['base'][m]:.4f} change {pair['change'][m]:.4f}"
+                               for m in METRICS)
+            print(f"pair {k} seed {seed} ({order[0]} first): {values}", flush=True)
 
     print(f"\n{args.workload}: {len(pairs)} of {args.pairs} pairs complete, "
           f"seeds {args.seeds[0]}-{args.seeds[-1]}")
@@ -136,7 +146,8 @@ def main() -> int:
         print(f"  {m:12s} change won {v['won']} of {v['pairs']} pairs; "
               f"claim rule {'holds' if v['claim'] else 'fails'}; "
               f"{'WORSE than base by more than' if v['regressed'] else 'within'} "
-              f"the bound {bound}")
+              f"the bound {bound}"
+              f"{'; UNRESOLVED: the base spread is wider than the bound' if v['unresolved'] else ''}")
     return 0 if ok else 1
 
 

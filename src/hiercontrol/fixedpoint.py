@@ -33,7 +33,7 @@ from .nash import (
     compute_nash,
     with_first_order_residuals,
 )
-from .solvers import anderson, solve_forward_quasilinear
+from .solvers import anderson, contraction, solve_forward_quasilinear
 from .weights import CarlemanWeights, build_weights
 
 
@@ -41,7 +41,6 @@ def linearize_at(
     problem: HierarchicProblem,
     z: SpaceTimeField,
     weights: CarlemanWeights | None = None,
-    picard_tol: float = 1e-10,
 ) -> GramianContext:
     """Gramian context of the linear leader problem frozen at the trajectory z.
 
@@ -51,7 +50,7 @@ def linearize_at(
     c = coefficients_from_state(problem.nl, z)
     if weights is None:
         weights = build_weights(problem.grid, problem.tgrid, problem.focus_box())
-    return GramianContext(problem, weights, c, picard_tol=picard_tol)
+    return GramianContext(problem, weights, c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,10 +60,13 @@ class FixedPointReport:
     The follower controls and adjoints are ``nash.v1``, ``nash.v2``,
     ``nash.p1`` and ``nash.p2``.  ``nash`` is None when the finalization
     equilibrium solve failed, and ``terminal_norm`` is then NaN.
+    ``outer_contraction`` is the largest ratio of successive
+    ``update_norms`` (``solvers.contraction``).
     """
 
     iterations: int
     update_norms: tuple[float, ...]
+    outer_contraction: float
     u: SpaceTimeField
     y: SpaceTimeField
     terminal_norm: float
@@ -147,6 +149,7 @@ def solve_hierarchic(
     return FixedPointReport(
         iterations=len(update_norms),
         update_norms=tuple(update_norms),
+        outer_contraction=contraction(update_norms),
         u=ls.u,
         y=nash.y if nash is not None else ls.y,
         terminal_norm=terminal_norm,

@@ -38,9 +38,10 @@ sigma w + g, with
     sigma = sum_k nu_k xi_k^2 / mu_k,   g = sum_k (xi_k^2 / mu_k) c_k.
 
 So K is solved as a two-block system: the lead block x (y, or phi for K^T)
-and one follower response w.  c_k and g are marched once, as one stack,
-when the context is built, for each k with nu_k != 0 and a target that is
-not identically zero.  One engine solves both systems: block Gauss-Seidel
+and one follower response w.  The leader reads only the state y of K, so
+p_k is never formed: the context keeps g alone, marched once when it is
+built (one stack of c_k over each k with nu_k != 0 and a target that is not
+identically zero).  One engine solves both systems: block Gauss-Seidel
 sweeps, using the per-slice factors of the solvers module: LAPACK
 tridiagonal factors in 1D, SuperLU in 2D.  A sweep marches w from x, then
 x from w, one column each.
@@ -69,9 +70,8 @@ when a solve needs it.  The coupled system is linear, so the solution at
 eps is rebuilt from the same c: each basis vector v_j keeps what its
 Gramian application computed (the primal response y_j, phi_j on the leader
 support, phi_j(0) and its data pairing), the controlled state is the free
-response plus sum c_j y_j, the control is d sum c_j phi_j, and the follower
-adjoints come from one march of w from that state and the target
-responses.  An epsilon sweep therefore costs 1 + 2k coupled solves, k the
+response plus sum c_j y_j and the control is d sum c_j phi_j, with no
+march.  An epsilon sweep therefore costs 1 + 2k coupled solves, k the
 Gramian applications of its hardest epsilon: the free response and two per
 basis vector.  The answer depends only on the context, eps and cg_tol: a
 solve on a warm context is bit-identical to the same solve on a fresh one.
@@ -95,6 +95,7 @@ from .nash import HierarchicProblem
 from .solvers import (
     LinearCoefficients,
     anderson,
+    contraction,
     march_adjoint,
     march_forward,
     sensitivity_factors,
@@ -168,9 +169,10 @@ class GramianContext:
 
     Holds the frozen linearization, the Carleman weights, the slice factors
     the coupled sweeps march with (``state_factors`` of the lead block,
-    ``sensitivity_factors`` of the follower response), the responses to
-    the problem's targets, the free response and the Lanczos basis of
-    Lambda started from its terminal state b.  The Carleman probe marches on
+    ``sensitivity_factors`` of the follower response), the lead-block
+    source g of the problem's targets (None when no target reaches it),
+    the free response and the Lanczos basis of Lambda started from its
+    terminal state b.  The Carleman probe marches on
     the same state factors.
     The penalty parameter is deliberately not part of the context, so an
     epsilon sweep reuses one set of factors and one Krylov basis.
@@ -178,7 +180,7 @@ class GramianContext:
     ``gramian_apply`` and of ``solve_primal`` and ``solve_transposed``;
     ``sweeps`` counts the block Gauss-Seidel sweeps, and ``contractions``
     holds, per coupled solve that swept more than once, the largest ratio
-    |r_k| / |r_{k-1}| of its fixed-point residuals.
+    |r_k| / |r_{k-1}| of its fixed-point residuals (``solvers.contraction``).
     """
 
     strategy = "picard"  # the benchmark reads the engine name from here
@@ -215,12 +217,11 @@ class GramianContext:
         # block x, and x into w; K^T swaps the two
         self.sigma = problem.nu[0] * self.s_mu[0] + problem.nu[1] * self.s_mu[1]
         self.neg_xi_star = -self.xi_star
-        self.targets = tuple(t.values for t in problem.targets)
 
         self.size = 3 * self.tgrid.steps * self.grid.n_interior
         self.state_factors = state_factors(coefficients)
         self.sensitivity_factors = sensitivity_factors(coefficients)
-        self._target_data = self._march_targets(self.targets)
+        self.g = self._target_source()
         self._krylov: KrylovBasis | None = None
         self.gramian_applications = 0
         self.coupled_solves = 0
@@ -232,36 +233,26 @@ class GramianContext:
         """True when both nu_k vanish: the lead block then does not see w."""
         return self.problem.nu[0] == 0.0 and self.problem.nu[1] == 0.0
 
-    def _target_responses(self, targets):
-        """The target responses (c_1, c_2) and their lead-block source g.
+    def _target_source(self):
+        """The lead-block source g = sum_k (xi_k^2 / mu_k) c_k of the targets.
 
         c_k = march_adjoint(nu_k xi_* y_{k,d}) for each k with nu_k != 0
         and a target that is not identically zero, as one stacked march on
-        the sensitivity factors; c_k is None for the other k, and g =
-        sum_k (xi_k^2 / mu_k) c_k is None when no c_k is marched.  The
-        problem's own targets are read-only, so their responses are the
-        ones the context marched when it was built; other targets are
-        marched on every call.
+        the sensitivity factors; None when there is no such k.
         """
-        if targets is None:
-            return (None, None), None
-        if all(a is b for a, b in zip(targets, self.targets)):
-            return self._target_data
-        return self._march_targets(targets)
-
-    def _march_targets(self, targets):
         nu = self.problem.nu
+        targets = [t.values for t in self.problem.targets]
         live = [k for k in (0, 1) if nu[k] != 0.0 and targets[k].any()]
-        c, g = [None, None], None
-        if live:
-            src = np.stack([(nu[k] * self.xi_star)[None, :] * targets[k] for k in live])
-            marched = march_adjoint(
-                self.sensitivity_factors, np.zeros((len(live), self.grid.n_nodes)), src
-            )
-            for k, ck in zip(live, marched):
-                c[k] = ck
-                g = self.s_mu[k] * ck if g is None else g + self.s_mu[k] * ck
-        return tuple(c), g
+        if not live:
+            return None
+        src = np.stack([(nu[k] * self.xi_star)[None, :] * targets[k] for k in live])
+        marched = march_adjoint(
+            self.sensitivity_factors, np.zeros((len(live), self.grid.n_nodes)), src
+        )
+        g = None
+        for k, ck in zip(live, marched):
+            g = self.s_mu[k] * ck if g is None else g + self.s_mu[k] * ck
+        return g
 
     def _follower_response(self, transpose: bool, x: np.ndarray) -> np.ndarray:
         """The follower response w of the lead block x: one single-column march.
@@ -276,21 +267,6 @@ class GramianContext:
             return march_forward(self.sensitivity_factors, seed, self.sigma[None, :] * x)
         return march_adjoint(self.sensitivity_factors, seed, self.neg_xi_star[None, :] * x)
 
-    def _adjoints(self, w, c) -> list:
-        """The follower adjoints p_k = nu_k w + c_k of K; c_k None reads as zero."""
-        out = []
-        for nu_k, c_k in zip(self.problem.nu, c):
-            p = nu_k * w if nu_k != 0.0 else np.zeros((self.tgrid.n_slices, self.grid.n_nodes))
-            if c_k is not None:
-                p += c_k
-            out.append(p)
-        return out
-
-    def _follower_adjoints(self, y: np.ndarray, targets) -> list:
-        """(p_1, p_2) of K at the state y: one march of w and the target responses."""
-        w = None if self.decoupled else self._follower_response(False, y)
-        return self._adjoints(w, self._target_responses(targets)[0])
-
     def _sweep(self, transpose: bool, seed, source, tol):
         """Block Gauss-Seidel sweeps on the two-block system until x settles.
 
@@ -299,12 +275,11 @@ class GramianContext:
         x (``_follower_response``), then x from ``source`` plus the coupling
         sigma w (K) or -xi_* w (K^T); every march carries one column.
         ``solvers.anderson`` iterates Phi until |Phi(x) - x| <= tol |Phi(x)|
-        in the stepped weighted norm.  Returns the last Phi(x), the x it was
-        marched from and that x's w.  When both nu_k vanish x does not
-        depend on w, and the first march is returned as its own input with
-        w None.  Each sweep counts in ``sweeps`` and each solve's largest
-        residual ratio goes to ``contractions``.  ``tol`` None means the
-        context's picard_tol.
+        in the stepped weighted norm.  Returns the last Phi(x) and the x it
+        was marched from.  When both nu_k vanish x does not depend on w,
+        and the first march is returned as its own input.  Each sweep
+        counts in ``sweeps`` and each solve's largest residual ratio goes
+        to ``contractions``.  ``tol`` None means the context's picard_tol.
         """
         grid, tgrid = self.grid, self.tgrid
         tol = self.picard_tol if tol is None else tol
@@ -324,36 +299,35 @@ class GramianContext:
             return lead(self.state_factors, seed, src if src.any() else None)
 
         def sweep(x):
-            w = self._follower_response(transpose, x)
-            return lead_block(w), (x, w)
+            return lead_block(self._follower_response(transpose, x)), x
 
         x = lead_block(None)
         if self.decoupled:
-            return x, x, None
-        x, (marched, w), history, converged = anderson(sweep, x, grid, tgrid, tol, PICARD_MAX)
+            return x, x
+        x, marched, history, converged = anderson(sweep, x, grid, tgrid, tol, PICARD_MAX)
         self.sweeps += len(history)
         if len(history) > 1:
-            self.contractions.append(max(b / a for a, b in zip(history, history[1:])))
+            self.contractions.append(contraction(history))
         if not converged:
             raise NonConvergenceError(
                 f"coupled {'transposed' if transpose else 'primal'} sweep did not reach "
                 f"tol={tol:.1e} in {PICARD_MAX} iterations"
             )
-        return x, marched, w
+        return x, marched
 
-    def _primal(self, source, y0, targets, tol):
-        """(y, p1, p2) of K: the target responses join the lead source as g."""
-        c, g = self._target_responses(targets)
-        if g is not None:
-            source = g if source is None else source + g
-        y, _, w = self._sweep(False, y0, source, tol)
-        return (y, *self._adjoints(w, c))
+    def _primal(self, source, data, tol):
+        """The state y of K; with ``data`` y0 is its seed and g joins its source."""
+        y0 = None
+        if data:
+            y0 = self.problem.y0.values
+            if self.g is not None:
+                source = self.g if source is None else source + self.g
+        return self._sweep(False, y0, source, tol)[0]
 
     def _transposed(self, phi_T, tol) -> TransposedResponse:
         """The K^T response; its data pairing is -tau sum <g, phi> by summation by parts."""
-        phi, marched, _ = self._sweep(True, phi_T, None, tol)
-        g = self._target_responses(self.targets)[1]
-        data = 0.0 if g is None else -stepped_pairing(self.grid, self.tgrid, g, marched)
+        phi, marched = self._sweep(True, phi_T, None, tol)
+        data = 0.0 if self.g is None else -stepped_pairing(self.grid, self.tgrid, self.g, marched)
         return TransposedResponse(phi, data, functools.partial(self._thetas, marched))
 
     def _thetas(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -374,13 +348,16 @@ class GramianContext:
         return tuple(thetas)
 
     # ------------------------------------------------------------- public API
-    def solve_primal(self, source_y=None, y0=None, targets=None, picard_tol=None):
-        """Coupled (y, p1, p2) response to a y-source, initial state and targets.
+    def solve_primal(self, source_y=None, data=False, picard_tol=None) -> np.ndarray:
+        """The state y of K for the lead-block source ``source_y``.
 
-        Raw-array interface: trajectories are (n_slices, n_nodes) arrays.
+        With ``data`` the problem's own data enters too: y0 as the initial
+        state and the targets through g.  The follower blocks p_k of K are
+        not formed, since the leader reads only y.  Raw-array interface:
+        trajectories are (n_slices, n_nodes) arrays.
         """
         self.coupled_solves += 1
-        return self._primal(source_y, y0, targets, picard_tol)
+        return self._primal(source_y, data, picard_tol)
 
     def solve_transposed(self, phi_T: np.ndarray, picard_tol=None) -> TransposedResponse:
         """The transposed coupled system seeded by phi_T, as a ``TransposedResponse``.
@@ -400,7 +377,7 @@ class GramianContext:
         """Response to u = d phi, whose terminal state is Lambda phi_T; two coupled solves."""
         res = self.solve_transposed(phi_T, picard_tol)
         phi = res.phi
-        y, _, _ = self.solve_primal(self.xi0[None, :] * (self.d * phi), picard_tol=picard_tol)
+        y = self.solve_primal(self.xi0[None, :] * (self.d * phi), picard_tol=picard_tol)
         self.gramian_applications += 1
         return GramianResponse(y, phi[:, self.leader_support], phi[0].copy(), res.data_pairing)
 
@@ -419,9 +396,7 @@ class GramianContext:
         if kb is None or kb.tol != tol:
             # drop the old basis first: its responses are as large as the new ones
             self._krylov = None
-            y, _, _ = self.solve_primal(
-                None, y0=self.problem.y0.values, targets=self.targets, picard_tol=tol
-            )
+            y = self.solve_primal(None, data=True, picard_tol=tol)
             b = y[-1]
             bnorm = math.sqrt(spatial_pairing(self.grid, b, b))
             v1 = [-b / bnorm] if bnorm > 0.0 else []
@@ -460,8 +435,6 @@ class LeaderSolution:
     u: SpaceTimeField
     phi_T: np.ndarray
     y: SpaceTimeField
-    p1: SpaceTimeField
-    p2: SpaceTimeField
     epsilon: float
     terminal_norm: float
     predicted_terminal_norm: float
@@ -510,11 +483,11 @@ def solve_leader(
     without residual decrease; with a spectrally bounded SPD operator that
     indicates a weight/penalty combination beyond what the discretization
     can resolve.  The coupled solves run at ``inner_tolerance``.  The
-    control, state and follower adjoints are rebuilt from the same c and the
-    responses the basis kept, with one march of the follower response w and
-    no coupled solve: the only coupled solves are those that build the basis, the free
-    response and two per Gramian application, so an epsilon sweep on one
-    context costs 1 + 2k coupled solves for its hardest epsilon's k.
+    control and state are rebuilt from the same c and the responses the
+    basis kept, with no march: the only coupled solves are those that build
+    the basis, the free response and two per Gramian application, so an
+    epsilon sweep on one context costs 1 + 2k coupled solves for its
+    hardest epsilon's k, and every march runs inside one of them.
 
     ``cg_iterations`` counts the Gramian applications this call made to
     extend the basis, ``cg_residuals`` the full residual history at this
@@ -601,7 +574,6 @@ def solve_leader(
     phi = np.zeros((tgrid.n_slices, grid.n_nodes))
     phi[:, ctx.leader_support] = phi_leader
     u = ctx.d * phi
-    p1, p2 = ctx._follower_adjoints(y, ctx.targets)
 
     terminal = y[-1]
     tnorm = math.sqrt(spatial_pairing(grid, terminal, terminal))
@@ -617,8 +589,6 @@ def solve_leader(
         u=mk(grid, tgrid, u),
         phi_T=x,
         y=mk(grid, tgrid, y),
-        p1=mk(grid, tgrid, p1),
-        p2=mk(grid, tgrid, p2),
         epsilon=eps,
         terminal_norm=tnorm,
         predicted_terminal_norm=pred,

@@ -56,6 +56,7 @@ from .solvers import (
     march_adjoint,
     march_forward,
     anderson,
+    contraction,
     fixed_point_residual,
     sensitivity_factors,
     solve_forward_quasilinear,
@@ -143,7 +144,8 @@ class NashSolution:
     ``first_order_residuals`` stays None until a caller attaches the
     stationarity check (see ``with_first_order_residuals``); the relative
     residuals of the fixed-point loop, then of the consistency pass, are in
-    ``residuals``.
+    ``residuals``.  ``picard_contraction`` is the largest ratio of
+    successive residuals of the loop alone (``solvers.contraction``).
     """
 
     y: SpaceTimeField
@@ -152,6 +154,7 @@ class NashSolution:
     p1: SpaceTimeField
     p2: SpaceTimeField
     picard_iterations: int
+    picard_contraction: float
     final_update_norm: float
     residuals: tuple[float, ...]
     converged: bool
@@ -322,6 +325,7 @@ def compute_nash(
             history=residuals,
         )
     iterations = len(residuals)
+    rate = contraction(residuals)
 
     # one consistency pass at the accepted controls
     vhat, (y_field, (p1, p2)) = fixed_point_map(v)
@@ -338,6 +342,7 @@ def compute_nash(
         p1=SpaceTimeField(grid, tgrid, p1),
         p2=SpaceTimeField(grid, tgrid, p2),
         picard_iterations=iterations,
+        picard_contraction=rate,
         final_update_norm=final_res,
         residuals=tuple(residuals),
         converged=True,

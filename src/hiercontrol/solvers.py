@@ -372,6 +372,29 @@ def _check_dirichlet(grid: SpatialGrid, v: np.ndarray, what: str) -> None:
         raise SolverError(f"{what} violates the Dirichlet boundary (max |value| = {bad.max():.3e})")
 
 
+def _interior_block(
+    traj: np.ndarray, grid: SpatialGrid, tgrid: TimeGrid, sources: np.ndarray | None
+) -> np.ndarray:
+    """The interior of slices 1..M of the trajectory ``traj`` a march fills.
+
+    It holds tau s^m, m = 1..M, gathered once, and each step overwrites its
+    own slot with its solution.  In 1D the interior is a slice, so the block
+    is a view of ``traj``; in 2D it is a separate array, which the march
+    scatters into ``traj`` once, after its last step.
+    """
+    rows = grid.interior
+    if isinstance(rows, slice):
+        block = traj[..., 1:, rows]
+        if sources is not None:
+            np.multiply(sources[..., 1:, rows], tgrid.tau, out=block)
+        return block
+    if sources is None:
+        return np.empty(traj.shape[:-2] + (tgrid.steps, rows.size))
+    block = sources[..., 1:, :].take(rows, axis=-1)
+    block *= tgrid.tau
+    return block
+
+
 def march_forward(
     factors: SliceFactors, y0: np.ndarray, sources: np.ndarray | None
 ) -> np.ndarray:
@@ -379,19 +402,24 @@ def march_forward(
 
     ``y0`` is one state (n,) with sources (M+1, n), or a stack (k, n) with
     sources (k, M+1, n); the trajectory has the shape of the sources, and
-    each step solves all k columns at once.  The march carries only the
-    interior block from step to step: boundary values stay zero.
+    each step solves all k columns at once.  The march works on one
+    interior block (``_interior_block``): the sources are gathered into it
+    once, before the first step, and it reaches the trajectory at most
+    once, after the last, so boundary values stay zero.
     """
     grid, tgrid = factors.grid, factors.tgrid
     _check_dirichlet(grid, y0, "initial state")
     rows = grid.interior
     y = np.zeros(y0.shape[:-1] + (tgrid.n_slices, grid.n_nodes))
     y[..., 0, :] = y0
+    block = _interior_block(y, grid, tgrid, sources)
     x = y0[..., rows]
     for m in range(1, tgrid.n_slices):
-        rhs = x if sources is None else x + tgrid.tau * sources[..., m, rows]
+        rhs = x if sources is None else x + block[..., m - 1, :]
         x = factors.solve(m, rhs)
-        y[..., m, rows] = x
+        block[..., m - 1, :] = x
+    if block.base is not y:
+        y[..., 1:, rows] = block
     if not np.all(np.isfinite(y)):
         raise SolverError("forward march produced non-finite values")
     return y
@@ -409,11 +437,14 @@ def march_adjoint(
     _check_dirichlet(grid, terminal, "terminal state")
     rows = grid.interior
     p = np.zeros(terminal.shape[:-1] + (tgrid.n_slices, grid.n_nodes))
+    block = _interior_block(p, grid, tgrid, sources)
     x = terminal[..., rows]
     for m in range(tgrid.steps, 0, -1):
-        rhs = x if sources is None else x + tgrid.tau * sources[..., m, rows]
+        rhs = x if sources is None else x + block[..., m - 1, :]
         x = factors.solve(m, rhs, transpose=True)
-        p[..., m, rows] = x
+        block[..., m - 1, :] = x
+    if block.base is not p:
+        p[..., 1:, rows] = block
     p[..., 0, :] = p[..., 1, :]
     if not np.all(np.isfinite(p)):
         raise SolverError("adjoint march produced non-finite values")
@@ -813,3 +844,13 @@ def anderson(phi, x0: np.ndarray, grid: SpatialGrid, tgrid: TimeGrid, tol: float
             for c, d in zip(gamma, dg):
                 x = x - c * d
     return g, aux, history, False
+
+
+def contraction(history: list[float]) -> float:
+    """The largest ratio |r_k| / |r_{k-1}| of an ``anderson`` residual history.
+
+    NaN below two entries, where no ratio exists.
+    """
+    if len(history) < 2:
+        return float("nan")
+    return max(b / a for a, b in zip(history, history[1:]))

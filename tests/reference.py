@@ -8,8 +8,10 @@ time.  ``DirectContext`` solves K and K^T with a sparse LU of that matrix,
 every block of both solves, so the program's Gramian machinery
 (solve_primal, solve_transposed, the Krylov basis, solve_leader) runs
 unchanged on an exact engine that shares no march with the block
-Gauss-Seidel sweep; its data pairing pairs the targets with its own
-theta_k instead of using the summation-by-parts shortcut of the sweep.
+Gauss-Seidel sweep.  Its primal right-hand side holds the problem's own y0
+and targets, not the target source g the sweep marches, and its data
+pairing pairs the targets with its own theta_k instead of using the
+summation-by-parts shortcut of the sweep.
 """
 
 import numpy as np
@@ -121,7 +123,7 @@ def spacetime_rhs(ctx, transpose, seed, source, targets):
 
 
 def unpack_spacetime(ctx, transpose, seed, x):
-    """Trajectories (lead, z_1, z_2) laid out as the sweep returns them."""
+    """Trajectories (lead, z_1, z_2) of a solution of K or K^T, one per block."""
     grid, M = ctx.grid, ctx.tgrid.steps
     ii = grid.interior_idx
     out = []
@@ -130,15 +132,12 @@ def unpack_spacetime(ctx, transpose, seed, x):
         traj[1:, ii] = x[blk * M * ii.size : (blk + 1) * M * ii.size].reshape(M, ii.size)
         out.append(traj)
     lead, z1, z2 = out
-    # slice 0 as the marches leave it: march_adjoint copies slice 1 there,
-    # march_forward keeps its initial state (zero for the follower blocks)
+    # slice 0 of the lead block as the marches leave it: march_adjoint
+    # copies slice 1 there, march_forward keeps its initial state
     if transpose:
         lead[0] = lead[1]
-    else:
-        if seed is not None:
-            lead[0] = seed
-        z1[0] = z1[1]
-        z2[0] = z2[1]
+    elif seed is not None:
+        lead[0] = seed
     return lead, z1, z2
 
 
@@ -149,9 +148,13 @@ class DirectContext(GramianContext):
         super().__init__(*args, **kwargs)
         self.lu = spla.splu(reference_spacetime(self))
 
-    def _primal(self, source, y0, targets, tol):
+    def _primal(self, source, data, tol):
+        # the right-hand side comes from the problem's own y0 and targets,
+        # never from the context's g, which the sweep marches
+        y0 = self.problem.y0.values if data else None
+        targets = tuple(t.values for t in self.problem.targets) if data else None
         x = self.lu.solve(spacetime_rhs(self, False, y0, source, targets))
-        return unpack_spacetime(self, False, y0, x)
+        return unpack_spacetime(self, False, y0, x)[0]
 
     def _transposed(self, phi_T, tol):
         x = self.lu.solve(spacetime_rhs(self, True, phi_T, None, None), trans="T")
@@ -160,8 +163,9 @@ class DirectContext(GramianContext):
         for th in thetas:
             th[0] = 0.0
         data = sum(
-            nu_k * stepped_pairing(self.grid, self.tgrid, self.xi_star[None, :] * tgt, th)
-            for nu_k, tgt, th in zip(self.problem.nu, self.targets, thetas) if nu_k != 0.0
+            nu_k * stepped_pairing(self.grid, self.tgrid, self.xi_star[None, :] * tgt.values, th)
+            for nu_k, tgt, th in zip(self.problem.nu, self.problem.targets, thetas)
+            if nu_k != 0.0
         )
         return TransposedResponse(phi, float(data), lambda: thetas)
 

@@ -134,19 +134,15 @@ class TestSpaceTimeMatrix:
         ref = DirectContext(problem, weights, c)
         source = rng.standard_normal((problem.tgrid.n_slices, grid.n_nodes))
         source[:, grid.boundary] = 0.0
-        targets = tuple(t.values for t in problem.targets)
         phi_T = rng.standard_normal(grid.n_nodes)
         phi_T[grid.boundary] = 0.0
         swept_T, exact_T = ctx.solve_transposed(phi_T), ref.solve_transposed(phi_T)
-        pairs = [
-            (ctx.solve_primal(source, problem.y0.values, targets),
-             ref.solve_primal(source, problem.y0.values, targets)),
-            ((swept_T.phi, *swept_T.thetas()), (exact_T.phi, *exact_T.thetas())),
-        ]
-        for swept, exact in pairs:
-            assert len(swept) == len(exact) == 3
-            for a, b in zip(swept, exact):
-                assert np.abs(a - b).max() <= 1e-10 * max(np.abs(b).max(), 1e-300)
+        # the state y of K, and all three blocks of K^T
+        swept = (ctx.solve_primal(source, data=True), swept_T.phi, *swept_T.thetas())
+        exact = (ref.solve_primal(source, data=True), exact_T.phi, *exact_T.thetas())
+        assert len(swept) == len(exact) == 4
+        for a, b in zip(swept, exact):
+            assert np.abs(a - b).max() <= 1e-10 * max(np.abs(b).max(), 1e-300)
         # the sweep's data pairing, by summation by parts, is the oracle's
         # pairing of the targets with its theta_k
         scale = max(abs(exact_T.data_pairing), 1e-300)

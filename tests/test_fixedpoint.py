@@ -9,7 +9,7 @@ from conftest import make_problem
 from hiercontrol.fixedpoint import linearize_at, solve_hierarchic
 from hiercontrol.grids import SpaceTimeField, gradient
 from hiercontrol.nash import coefficients_from_state
-from hiercontrol.solvers import ANDERSON_DEPTH, anderson, nonlinearity_preset
+from hiercontrol.solvers import ANDERSON_DEPTH, anderson, contraction, nonlinearity_preset
 
 
 def _random_traj(problem, seed=0, amp=0.4):
@@ -169,6 +169,9 @@ class TestOuterLoop:
         assert two.converged
         assert two.iterations == 2
         assert two.update_norms[1] == 0.0
+        # one evaluation has no ratio; the exact second residual gives 0
+        assert np.isnan(one.outer_contraction)
+        assert two.outer_contraction == 0.0
 
     def test_zero_data_means_zero_control(self):
         problem = make_problem(cells=16, steps=32, y0_amp=0.0, target_amp=0.0)
@@ -192,8 +195,14 @@ class TestOuterLoop:
         assert report.iterations <= 6
         if len(report.update_norms) >= 2:
             assert report.update_norms[-1] < 0.5 * report.update_norms[0]
+        assert 0.0 < report.outer_contraction < 1.0
         assert report.terminal_norm <= 3.0 * max(report.linearized_terminal_norm, 1e-300)
         assert report.nash is not None
+        # the Nash loop's contraction leaves out the consistency pass
+        nash = report.nash
+        loop = list(nash.residuals[: nash.picard_iterations])
+        assert len(nash.residuals) == len(loop) + 1
+        assert 0.0 < nash.picard_contraction == contraction(loop) < 1.0
         r1, r2 = report.nash.first_order_residuals
         assert r1 < 1e-6 and r2 < 1e-6
 

@@ -11,13 +11,14 @@ from hiercontrol import leader
 from hiercontrol.errors import NonConvergenceError, ValidationError
 from hiercontrol.fixedpoint import linearize_at
 from hiercontrol.grids import SpaceTimeField, stepped_norm2, stepped_pairing
+from hiercontrol.nash import coefficients_from_state
 from hiercontrol.scenario import load_scenario
 from hiercontrol.leader import (
     GramianContext,
     leader_duality_gap,
     solve_leader,
 )
-from hiercontrol.weights import eval_weights
+from hiercontrol.weights import build_weights, eval_weights
 
 
 def _zero_traj(problem):
@@ -39,9 +40,15 @@ def _blocks(res):
     return (res.phi, *res.thetas())
 
 
+def _context(problem, **kw):
+    """The context linearize_at builds at rest; ``kw`` go to the constructor."""
+    weights = build_weights(problem.grid, problem.tgrid, problem.focus_box())
+    c = coefficients_from_state(problem.nl, _zero_traj(problem))
+    return GramianContext(problem, weights, c, **kw)
+
+
 def _ctx16(**kw):
-    problem = make_problem(cells=16, steps=32)
-    return linearize_at(problem, _zero_traj(problem), **kw)
+    return _context(make_problem(cells=16, steps=32), **kw)
 
 
 @pytest.fixture(scope="module")
@@ -170,11 +177,7 @@ class TestLeaderSolve:
         # re-running the coupled primal at the reported control reproduces y
         sol = solve_leader(ctx16, 1e-3)
         problem = ctx16.problem
-        y, _, _ = ctx16.solve_primal(
-            ctx16.xi0[None, :] * sol.u.values,
-            problem.y0.values,
-            tuple(t.values for t in problem.targets),
-        )
+        y = ctx16.solve_primal(ctx16.xi0[None, :] * sol.u.values, data=True)
         np.testing.assert_allclose(y, sol.y.values, rtol=1e-11, atol=1e-300)
 
     def test_epsilon_validation(self, ctx16):
@@ -306,11 +309,9 @@ class TestReconstruction:
         tol = leader.inner_tolerance(ctx, 1e-8)
         phi, th1, th2 = _blocks(ctx.solve_transposed(sol.phi_T, tol))
         u = ctx.d * phi
-        targets = tuple(t.values for t in problem.targets)
-        y, p1, p2 = ctx.solve_primal(ctx.xi0[None, :] * u, problem.y0.values, targets, tol)
-        for name, want in (("u", u), ("y", y), ("p1", p1), ("p2", p2)):
+        y = ctx.solve_primal(ctx.xi0[None, :] * u, data=True, picard_tol=tol)
+        for name, want in (("u", u), ("y", y)):
             assert _relative_gap(getattr(sol, name).values, want) <= 1e-9, name
-        assert (sol.p1.values.any(), sol.p2.values.any()) == (nu[0] != 0.0, nu[1] != 0.0)
 
         pairings = (
             float(np.dot(problem.grid.weights * problem.y0.values, phi[0])),
@@ -346,6 +347,32 @@ class TestReconstruction:
         # the easier epsilons after a harder one extend nothing
         assert sols[2].coupled_solves == 0
 
+    def test_no_march_outside_a_coupled_solve(self, monkeypatch):
+        # the rebuild combines the responses the basis kept, so under
+        # solve_leader every march runs inside solve_primal or solve_transposed
+        marches, depth = [], []
+        for name in ("march_forward", "march_adjoint"):
+            def spied(*args, _march=getattr(leader, name)):
+                marches.append(bool(depth))
+                return _march(*args)
+
+            monkeypatch.setattr(leader, name, spied)
+        for name in ("solve_primal", "solve_transposed"):
+            def tracked(self, *args, _method=getattr(GramianContext, name), **kwargs):
+                depth.append(1)
+                try:
+                    return _method(self, *args, **kwargs)
+                finally:
+                    depth.pop()
+
+            monkeypatch.setattr(GramianContext, name, tracked)
+        ctx = _ctx16()
+        assert not ctx.decoupled
+        del marches[:]
+        for eps in (1e-2, 1e-4, 1e-3):
+            solve_leader(ctx, eps)
+        assert marches and all(marches)
+
 
 class TestEngines:
     # The sweep against the direct oracle: the same context machinery with
@@ -357,7 +384,7 @@ class TestEngines:
     )
     def test_picard_matches_monolithic(self, nu):
         problem = make_problem(cells=16, steps=32, nu=nu)
-        pic = linearize_at(problem, _zero_traj(problem), picard_tol=1e-13)
+        pic = _context(problem, picard_tol=1e-13)
         mono = direct(pic)
 
         np.testing.assert_allclose(
@@ -395,10 +422,10 @@ class TestEngines:
         # a sweep that cannot converge raises; nothing falls back to another
         # engine or returns the last sweep
         problem = make_problem(cells=16, steps=32)
-        ctx = linearize_at(problem, _zero_traj(problem), picard_tol=0.0)
+        ctx = _context(problem, picard_tol=0.0)
         monkeypatch.setattr(leader, "PICARD_MAX", 3)
         with pytest.raises(NonConvergenceError):
-            ctx.solve_primal(None, problem.y0.values, tuple(t.values for t in problem.targets))
+            ctx.solve_primal(None, data=True)
         with pytest.raises(NonConvergenceError):
             ctx.solve_transposed(problem.y0.values)
 
@@ -426,7 +453,6 @@ class TestEngines:
             assert np.abs(1e-6 * a - b).max() <= 1e-13 * scale, name
 
     def test_mismatched_weights_rejected(self):
-        from hiercontrol.weights import build_weights
         from hiercontrol.grids import build_grid, build_time_grid
 
         problem = make_problem(cells=16, steps=32)
