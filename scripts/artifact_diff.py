@@ -26,10 +26,12 @@ HIERCONTROL_THREADS=1:
 * ``weights`` on heat_2d,
 * ``solve`` and ``nash`` on two scenarios derived from heat_lq_16x32 whose
   nonlinearity is ``cubic-f`` (a0 = 1, c = 1) or ``burgers-f`` (a0 = 1,
-  c = 0.5), the presets no shipped scenario uses.
+  c = 0.5), the presets no shipped scenario uses, and on one derived from
+  heat_2d whose nonlinearity is ``linear-f`` (a0 = 1, c1 = 0.5, c2 = 0.3),
+  the 2D path with lower-order terms.
 
-Each checkout's derived scenarios are written from its own heat_lq_16x32.cfg
-into ``DIR/<side>/scenarios``.  Every command writes into
+Each checkout's derived scenarios are written from its own shipped
+scenario files into ``DIR/<side>/scenarios``.  Every command writes into
 ``DIR/<side>/<run>`` and runs there; bytecode goes to ``DIR/pycache``, so
 nothing is written outside DIR.  The script
 prints every artifact as identical or different, and every exit code.  For a
@@ -76,6 +78,7 @@ FIXED_RUNS = (
 DERIVED = {
     "heat_lq_16x32-cubic-f": ("heat_lq_16x32", {"preset": "cubic-f", "params": {"a0": 1.0, "c": 1.0}}),
     "heat_lq_16x32-burgers-f": ("heat_lq_16x32", {"preset": "burgers-f", "params": {"a0": 1.0, "c": 0.5}}),
+    "heat_2d-linear-f": ("heat_2d", {"preset": "linear-f", "params": {"a0": 1.0, "c1": 0.5, "c2": 0.3}}),
 }
 
 

@@ -38,12 +38,13 @@ bit to the flux-form composition of ``assemble_divergence_operator`` and
 ``sensitivity_factors``), the 2D quasi-linear march and the leader's
 space-time matrix all use it, and a roster family that does not change in
 time is assembled and factored once.  The exception is the 1D quasi-linear
-step: it rebuilds its matrix up to three times per time step from
-coefficients that only exist at the current iterate, and filling the
-pattern took more than ten times as long as the tridiagonal solve it
-feeds.  So it writes the three bands straight from a, f_y and f_z, in the
-summation order of ``slice_operator``, which keeps them equal to its
-entries bit for bit (``_step_matrix``; the tests compare the two).
+step: under a state-dependent nonlinearity it rebuilds its matrix up to
+three times per time step from coefficients that only exist at the
+current iterate, and filling the pattern took more than ten times as long
+as the tridiagonal solve it feeds.  So it writes the three bands straight
+from a, f_y and f_z, in the summation order of ``slice_operator``, which
+keeps them equal to its entries bit for bit (``_step_matrix``; the tests
+compare the two).
 ``factor_slice`` factors a slice: in 1D the matrix is tridiagonal and goes
 to LAPACK dgttrf/dgttrs, whose transposed solve on the same factors keeps
 the adjoint march exact; in 2D it goes to SuperLU with the minimum-degree
@@ -52,13 +53,17 @@ and leaves about 0.6x the fill of the default COLAMD ordering.
 
 The quasi-linear forward solver freezes the diffusion a(y, grad y) at the
 current iterate and linearizes f around it, with up to REFRESHES
-within-step refreshes, which stop once one returns its input bit for bit;
-for constant a and f = 0 every step reduces bit for bit to the linear heat
-step.  a and f come as a ``Nonlinearity``: twelve callbacks, the values and
-the first and second derivatives, whose output shapes are checked once when
-it is built, so this module, the follower and leader linearizations and the
-second-order check use the outputs as they come.  Every diffusion, frozen or
-linearized, must stay at or above one floor, RHO0.
+within-step refreshes, which stop once one returns its input bit for bit.
+A nonlinearity whose coefficients do not depend on the state (constant a,
+f_y and f_z and f = f_y y + f_z . grad y: the heat and linear-f presets)
+is marched as the linear equation it is, on one factorization and with no
+refresh; for constant a and f = 0 every step equals the linear heat step
+bit for bit.  a and f come as a ``Nonlinearity``: twelve callbacks, the
+values and the first and second derivatives, whose output shapes are
+checked once when it is built, so this module, the follower and leader
+linearizations and the second-order check use the outputs as they come.
+Every diffusion, frozen or linearized, must stay at or above one floor,
+RHO0.
 
 ``anderson`` is the one fixed-point loop of the package: the outer
 linearize-and-control iteration, the follower equilibrium and the coupled
@@ -121,26 +126,43 @@ class LinearCoefficients:
     g0: np.ndarray | None
 
     def __post_init__(self):
-        M1, n = self.tgrid.n_slices, self.grid.n_nodes
+        M1, n, dim = self.tgrid.n_slices, self.grid.n_nodes, self.grid.dim
         for name in ("b", "B"):
             arr = getattr(self, name)
-            if arr.shape not in ((M1, n), (M1, n, self.grid.dim)):
+            if arr.shape not in ((M1, n), (M1, n, dim)):
                 raise CoefficientError(f"{name} has shape {arr.shape}, expected ({M1}, {n}[, dim])")
-            if float(arr.min()) < RHO0:
-                m, rest = divmod(int(arr.argmin()), arr[0].size)
-                node = rest if arr.ndim == 2 else rest // self.grid.dim
-                raise CoefficientError(
-                    f"ellipticity violated for {name}: min {arr.min():.6g} < rho0={RHO0} "
-                    f"at slice {m}, node {node}"
-                )
         for name in ("f_adv", "g"):
             arr = getattr(self, name)
-            if arr is not None and arr.shape != (M1, n, self.grid.dim):
+            if arr is not None and arr.shape != (M1, n, dim):
                 raise CoefficientError(f"{name} has shape {arr.shape}, expected ({M1}, {n}, dim)")
         for name in ("f0", "g0"):
             arr = getattr(self, name)
             if arr is not None and arr.shape != (M1, n):
                 raise CoefficientError(f"{name} has shape {arr.shape}, expected ({M1}, {n})")
+        # a NaN compares False against RHO0 and against every change in time,
+        # so it would pass the ellipticity check and _time_constant unseen
+        for name in ("b", "f_adv", "f0", "B", "g", "g0"):
+            arr = getattr(self, name)
+            finite = True if arr is None else np.isfinite(arr)
+            if not np.all(finite):
+                k = int(finite.argmin())
+                m, node = self._slice_node(arr, k)
+                raise CoefficientError(
+                    f"{name} is not finite at slice {m}, node {node}: {arr.flat[k]}"
+                )
+        for name in ("b", "B"):
+            arr = getattr(self, name)
+            if float(arr.min()) < RHO0:
+                m, node = self._slice_node(arr, int(arr.argmin()))
+                raise CoefficientError(
+                    f"ellipticity violated for {name}: min {arr.min():.6g} < rho0={RHO0} "
+                    f"at slice {m}, node {node}"
+                )
+
+    def _slice_node(self, arr: np.ndarray, k: int) -> tuple[int, int]:
+        """(slice, node) of flat index k of a roster array."""
+        m, rest = divmod(k, arr[0].size)
+        return m, rest if arr.ndim == 2 else rest // self.grid.dim
 
 
 def constant_coefficients(
@@ -477,6 +499,11 @@ class Nonlinearity:
     so the secant linearization is exact.  The second derivatives feed the
     curvature terms of the second-order check.  A diffusion a below RHO0
     is rejected where the state equation evaluates it.
+
+    ``state_independent`` is derived from the callbacks, never set: it
+    holds when a, f_y and f_z are constants and f = f_y y + f_z . grad y,
+    the linear equation that ``solve_forward_quasilinear`` marches on one
+    factorization.
     """
 
     a: Callable
@@ -514,6 +541,27 @@ class Nonlinearity:
         if abs(f00) > 1e-14:
             raise CoefficientError(f"nonlinearity must satisfy f(0, 0) = 0, got {f00}")
 
+    @property
+    def state_independent(self) -> bool:
+        """True when every callback is the family constant or linear callback
+        of a state-independent structure: a, f_y, f_z constant, f = f_y y +
+        f_z . grad y and every other derivative 0.
+
+        Only ``nonlinearity_preset`` builds those callbacks (for the heat
+        and linear-f presets), so a hand-built Nonlinearity, or a preset
+        with any callback replaced, reads False.
+        """
+        if not all(isinstance(getattr(self, key), _Affine) for key in ("a", "f_y", "f_z")):
+            return False
+        fy, fz = self.f_y.c0, self.f_z.c0
+        want = {
+            "a": _Affine(0, self.a.c0),
+            "f": _Affine(0, c_y=fy, c_z=fz),
+            "f_y": _Affine(0, fy),
+            "f_z": _Affine(1, fz),
+        }
+        return all(getattr(self, key) == want.get(key, _Affine(axes)) for key, axes in _CALLBACK_AXES)
+
 
 # preset -> {parameter: (default, family coefficient it sets)}; the presets
 # read no other parameter
@@ -525,6 +573,31 @@ PRESETS = {
     "gradient-diffusion": {"a0": (1.0, "a0"), "c": (0.1, "c_a")},
     "mild-quasilinear": {"a0": (1.0, "a0"), "q": (0.05, "q"), "c": (0.1, "c4")},
 }
+
+
+@dataclass(frozen=True)
+class _Affine:
+    """A family callback that does not read the state: the constant ``c0``
+    in the contract shape (``axes`` trailing dim axes), or, with a slope
+    set, the linear f = c_y s + c_z sum_j eta_j (then c0 = 0 and axes = 0).
+
+    It carries its coefficients, and instances compare by them, so
+    ``Nonlinearity.state_independent`` can read the structure from the
+    callbacks themselves.
+    """
+
+    axes: int
+    c0: float = 0.0
+    c_y: float = 0.0
+    c_z: float = 0.0
+
+    def __call__(self, s, eta):
+        if self.c_y or self.c_z:
+            return self.c_y * s + self.c_z * eta.sum(axis=-1)
+        shape = s.shape + eta.shape[-1:] * self.axes
+        if not self.c0:  # np.zeros leaves the pages of an unwritten array unmapped
+            return np.zeros(shape)
+        return np.full(shape, self.c0)
 
 
 def _family_terms(q=0.0, c_a=0.0, c1=0.0, c2=0.0, c3=0.0, c4=0.0):
@@ -539,7 +612,7 @@ def _family_terms(q=0.0, c_a=0.0, c1=0.0, c2=0.0, c3=0.0, c4=0.0):
         (q, {
             "a": lambda s, eta: q * s * s,
             "a_y": lambda s, eta: 2.0 * q * s,
-            "a_yy": lambda s, eta: np.full_like(s, 2.0 * q),
+            "a_yy": _Affine(0, 2.0 * q),
         }),
         (c_a, {
             # denominator (1 + y^2) + |grad y|^2, which rounds apart from 1 + r
@@ -554,9 +627,9 @@ def _family_terms(q=0.0, c_a=0.0, c1=0.0, c2=0.0, c3=0.0, c4=0.0):
             + 2.0 * dr(s, eta)[0][..., None, None] * np.eye(eta.shape[-1]),
         }),
         (c1 or c2, {
-            "f": lambda s, eta: c1 * s + c2 * eta.sum(axis=-1),
-            "f_y": lambda s, eta: np.full_like(s, c1),
-            "f_z": lambda s, eta: np.full(eta.shape, c2),
+            "f": _Affine(0, c_y=c1, c_z=c2),
+            "f_y": _Affine(0, c1),
+            "f_z": _Affine(1, c2),
         }),
         (c3, {
             "f": lambda s, eta: c3 * s**3,
@@ -567,7 +640,7 @@ def _family_terms(q=0.0, c_a=0.0, c1=0.0, c2=0.0, c3=0.0, c4=0.0):
             "f": lambda s, eta: c4 * s * eta.sum(axis=-1),
             "f_y": lambda s, eta: c4 * eta.sum(axis=-1),
             "f_z": lambda s, eta: c4 * np.repeat(s[..., None], eta.shape[-1], axis=-1),
-            "f_yz": lambda s, eta: np.full(eta.shape, c4),
+            "f_yz": _Affine(1, c4),
         }),
     )
     return [term for coefficient, term in terms if coefficient]
@@ -577,15 +650,13 @@ def _summed(parts, axes, start=None):
     """One callback: ``start`` plus the sum of ``parts``.
 
     A lone part with no start is returned as it is, not wrapped; with no
-    part the callback returns ``start``, or 0, in the contract shape
-    (``axes`` trailing dim axes).
+    part the callback is the constant ``start``, or 0, in the contract
+    shape (``axes`` trailing dim axes).
     """
     if start is None and len(parts) == 1:
         return parts[0]
     if not parts:
-        if start is None:  # np.zeros leaves the pages of an unwritten array unmapped
-            return lambda s, eta: np.zeros(s.shape + eta.shape[-1:] * axes)
-        return lambda s, eta: np.full_like(s, start)
+        return _Affine(axes, 0.0 if start is None else start)
 
     def total(s, eta):
         out = start
@@ -685,6 +756,52 @@ def _step_matrix(grid: SpatialGrid, tau: float, a: np.ndarray, fy: np.ndarray, f
     return (lower[1:], diag, upper[:-1]), diag
 
 
+def _frozen_step(nl: Nonlinearity, grid: SpatialGrid, tau: float, m: int, w, gw):
+    """f_y, f_z and the step matrix bands of slice m, frozen at (w, grad w).
+
+    Raises CoefficientError when a falls below RHO0 and BlowUpError when
+    the step matrix has a diagonal entry <= 0, each naming slice m.
+    """
+    a_vals = nl.a(w, gw)
+    if float(a_vals.min()) < RHO0:
+        node = int(a_vals.argmin())
+        raise CoefficientError(
+            f"quasi-linear diffusion lost ellipticity at slice {m}, node {node}: "
+            f"a = {a_vals.min():.6g} < rho0 = {RHO0}"
+        )
+    fy = nl.f_y(w, gw)
+    fz = nl.f_z(w, gw)
+    bands, d = _step_matrix(grid, tau, a_vals, fy, fz)
+    if float(d.min()) <= 0.0:
+        k = int(d.argmin())
+        raise BlowUpError(
+            f"quasi-linear step matrix lost positivity at slice {m}, node {grid.interior_idx[k]}: "
+            f"diagonal 1 + tau (diffusion + f_y) = {d[k]:.3g} <= 0",
+            slice_index=m,
+        )
+    return fy, fz, bands
+
+
+def _factor_step(grid: SpatialGrid, bands):
+    """Factors of a step matrix from the bands of ``_step_matrix``."""
+    return _Tridiagonal(*bands) if grid.dim == 1 else factor_slice(grid, *bands)
+
+
+def _solve_step(lu, grid: SpatialGrid, rhs: np.ndarray, m: int) -> np.ndarray:
+    """The full-grid solution of one step from its right-hand side, or
+    BlowUpError at slice m when it is not finite."""
+    rows = grid.interior
+    x = lu.solve(np.ascontiguousarray(rhs[rows]))
+    if not np.all(np.isfinite(x)):
+        raise BlowUpError(
+            f"quasi-linear step produced non-finite values at slice {m}",
+            slice_index=m,
+        )
+    new = np.zeros(grid.n_nodes)
+    new[rows] = x
+    return new
+
+
 def solve_forward_quasilinear(
     nl: Nonlinearity,
     grid: SpatialGrid,
@@ -696,15 +813,22 @@ def solve_forward_quasilinear(
 
     Each step freezes a at the previous slice and linearizes f there, then
     refreshes both at the new iterate up to REFRESHES times; the refreshes
-    stop early once one returns its input bit for bit, as under constant
-    coefficients and f = 0, since every later one would recompute the same
-    array.  A refresh works on the raw iterate: one nodal gradient, the four
-    nonlinearity callbacks and the step matrix.  In 1D that matrix is three
-    bands written straight from a, f_y and f_z, bit-equal to the entries of
-    ``slice_operator`` and factored by LAPACK dgttrf, so a refresh builds
-    no sparse matrix; in 2D it is the slice pattern of ``slice_operator``
-    factored by SuperLU.  A step matrix equal to the previous one, as under
-    constant coefficients such as the heat preset, reuses its factors.
+    stop early once one returns its input bit for bit, since every later
+    one would recompute the same array.  A refresh works on the raw
+    iterate: one nodal gradient, the four nonlinearity callbacks and the
+    step matrix.  In 1D that matrix is three bands written straight from a,
+    f_y and f_z, bit-equal to the entries of ``slice_operator`` and factored
+    by LAPACK dgttrf, so a refresh builds no sparse matrix; in 2D it is the
+    slice pattern of ``slice_operator`` factored by SuperLU.
+
+    A nonlinearity with ``state_independent`` set (the heat and linear-f
+    presets) is the linear equation y_t - div(a grad y) + f_y y + f_z .
+    grad y = s with constant coefficients, and is marched as one: a, f_y
+    and f_z are evaluated once, the step matrix is checked, built and
+    factored once, before the first step, and each step is one solve of
+    y^{m-1} + tau s^m.  The linearization residual f - f_y y - f_z . grad y
+    that a refresh adds is 0 in exact arithmetic, and under the heat preset
+    0 bit for bit, so heat trajectories equal the refreshed march's.
 
     CoefficientError, with slice and node, reports a diffusion a below
     RHO0.  BlowUpError, with the slice index, marks the point where the
@@ -714,58 +838,35 @@ def solve_forward_quasilinear(
     diagonal entry <= 0.  That entry is 1 + tau (diffusion + f_y) at its
     node; when it is <= 0, so is e_k^T (I + tau L) e_k, and the step matrix
     is not positive definite: the frozen reaction outgrows diffusion within
-    one step, faster than the implicit step can follow.
+    one step, faster than the implicit step can follow.  A state-independent
+    march reports both coefficient checks at slice 1.
     """
     _check_dirichlet(grid, y0.values, "initial state")
     tau = tgrid.tau
     interior = (~grid.boundary).astype(float)
     y = np.zeros((tgrid.n_slices, grid.n_nodes))
     y[0] = y0.values
-    ii = grid.interior_idx
-    rows = grid.interior
     norm0 = np.sqrt(spatial_pairing(grid, y0.values, y0.values))
-    bands_prev = lu = None
+    linear = nl.state_independent
+    if linear:
+        zero = np.zeros(grid.n_nodes)  # the callbacks read only the shape of the state
+        _, _, bands = _frozen_step(nl, grid, tau, 1, zero, np.zeros((grid.n_nodes, grid.dim)))
+        lu = _factor_step(grid, bands)
     for m in range(1, tgrid.n_slices):
         prev = y[m - 1]
-        w = prev
-        for _ in range(REFRESHES + 1):
-            gw = gradient(grid, w)
-            a_vals = nl.a(w, gw)
-            if float(a_vals.min()) < RHO0:
-                node = int(a_vals.argmin())
-                raise CoefficientError(
-                    f"quasi-linear diffusion lost ellipticity at slice {m}, node {node}: "
-                    f"a = {a_vals.min():.6g} < rho0 = {RHO0}"
-                )
-            fy = nl.f_y(w, gw)
-            fz = nl.f_z(w, gw)
-            f_val = nl.f(w, gw)
-            bands, d = _step_matrix(grid, tau, a_vals, fy, fz)
-            if float(d.min()) <= 0.0:
-                k = int(d.argmin())
-                raise BlowUpError(
-                    f"quasi-linear step matrix lost positivity at slice {m}, node {ii[k]}: "
-                    f"diagonal 1 + tau (diffusion + f_y) = {d[k]:.3g} <= 0",
-                    slice_index=m,
-                )
-            rhs = prev + tau * (
-                (0.0 if source is None else source[m])
-                - interior * (f_val - fy * w - (fz * gw).sum(axis=1))
-            )
-            if lu is None or not all(map(np.array_equal, bands, bands_prev)):
-                lu = _Tridiagonal(*bands) if grid.dim == 1 else factor_slice(grid, *bands)
-                bands_prev = bands
-            x = lu.solve(np.ascontiguousarray(rhs[rows]))
-            if not np.all(np.isfinite(x)):
-                raise BlowUpError(
-                    f"quasi-linear step produced non-finite values at slice {m}",
-                    slice_index=m,
-                )
-            new = np.zeros(grid.n_nodes)
-            new[rows] = x
-            if new.tobytes() == w.tobytes():
-                break  # every later refresh would recompute the same array
-            w = new
+        s_m = 0.0 if source is None else source[m]
+        if linear:
+            w = _solve_step(lu, grid, prev + tau * s_m, m)
+        else:
+            w = prev
+            for _ in range(REFRESHES + 1):
+                gw = gradient(grid, w)
+                fy, fz, bands = _frozen_step(nl, grid, tau, m, w, gw)
+                rhs = prev + tau * (s_m - interior * (nl.f(w, gw) - fy * w - (fz * gw).sum(axis=1)))
+                new = _solve_step(_factor_step(grid, bands), grid, rhs, m)
+                if new.tobytes() == w.tobytes():
+                    break  # every later refresh would recompute the same array
+                w = new
         jump = np.sqrt(spatial_pairing(grid, w - prev, w - prev))
         scale = 1.0 + max(norm0, np.sqrt(spatial_pairing(grid, prev, prev)))
         if jump > BLOWUP_FACTOR * scale:

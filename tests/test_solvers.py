@@ -248,6 +248,18 @@ class TestRosterValidation:
                 grid=g, tgrid=tg, b=ok.b[:-1], f_adv=None, f0=None, B=ok.B, g=None, g0=None
             )
 
+    @pytest.mark.parametrize("name", ["b", "f0", "g"])
+    def test_non_finite_entry_rejected(self, name):
+        # a NaN reads as no ellipticity loss and as no change in time, so
+        # the roster would otherwise be marched on its first slice alone
+        g = build_grid(1, 16)
+        tg = build_time_grid(1.0, 16)
+        c = constant_coefficients(g, tg, b=1.0, f0=0.5, g=0.2)
+        arr = getattr(c, name).copy()
+        arr[5, 3] = np.nan
+        with pytest.raises(CoefficientError, match=f"^{name} is not finite at slice 5, node 3"):
+            dataclasses.replace(c, **{name: arr})
+
 
 def _check_first_derivatives(nl, base, s, eta, label):
     """base_y and base_z of nl against central differences of base, sample by sample."""
@@ -389,16 +401,16 @@ class TestQuasilinearForward:
         err_m = np.abs(mid - ref[::2]).max()
         assert err_c / err_m >= 1.8
 
-    def test_heat_preset_matches_linear_solver(self, monkeypatch):
+    def test_heat_preset_matches_linear_solver(self):
+        # both march on the factors of one bit-equal tridiagonal matrix
         g = build_grid(1, 32)
         tg = build_time_grid(0.5, 64)
         nl = nonlinearity_preset("heat", a0=1.0)
         y0 = _sine_field(g)
-        monkeypatch.setattr(solvers, "REFRESHES", 0)
         ynl = solve_forward_quasilinear(nl, g, tg, y0)
         c = constant_coefficients(g, tg, b=1.0)
         ylin = march_forward(state_factors(c), y0.values, None)
-        np.testing.assert_allclose(ynl.values, ylin, rtol=1e-11, atol=1e-13)
+        assert ynl.values.tobytes() == ylin.tobytes()
 
     @staticmethod
     def _refresh_passes(preset, dim, cells):
@@ -463,6 +475,89 @@ class TestQuasilinearForward:
         tg = build_time_grid(1.0, 16)
         with pytest.raises(CoefficientError, match="ellipticity"):
             solve_forward_quasilinear(nl, g, tg, _sine_field(g, amp=2.0))
+
+
+def _refreshed(nl):
+    """nl with a callback no preset builds, so the march runs its refreshes."""
+    return dataclasses.replace(nl, a=lambda s, eta: nl.a(s, eta))
+
+
+class TestStateIndependentMarch:
+    """heat and linear-f march as the linear equation they are: one factorization."""
+
+    @staticmethod
+    def _case(dim, with_source):
+        g = build_grid(dim, 32 if dim == 1 else 8)
+        tg = build_time_grid(0.5, 16)
+        source = None
+        if with_source:
+            source = _interior_noise(np.random.default_rng(dim), g, tg)
+        return g, tg, _sine_field(g, amp=0.5), source
+
+    @pytest.mark.parametrize("with_source", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_heat_equals_the_refresh_loop_bit_for_bit(self, dim, with_source):
+        g, tg, y0, source = self._case(dim, with_source)
+        nl = nonlinearity_preset("heat", a0=0.8)
+        assert nl.state_independent and not _refreshed(nl).state_independent
+        y = solve_forward_quasilinear(nl, g, tg, y0, source).values
+        ref = solve_forward_quasilinear(_refreshed(nl), g, tg, y0, source).values
+        assert y.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("with_source", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_linear_f_agrees_with_the_refresh_loop(self, dim, with_source):
+        # the refreshes add the residual f - f_y y - f_z . grad y, 0 up to rounding
+        g, tg, y0, source = self._case(dim, with_source)
+        nl = nonlinearity_preset("linear-f", a0=1.3, c1=-4.0, c2=0.7)
+        y = solve_forward_quasilinear(nl, g, tg, y0, source).values
+        ref = solve_forward_quasilinear(_refreshed(nl), g, tg, y0, source).values
+        assert np.abs(y - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_predicate_marks_exactly_the_linear_presets(self):
+        for name, params in _PRESET_PARAMS:
+            nl = nonlinearity_preset(name, **params)
+            assert nl.state_independent == (name in ("heat", "linear-f")), name
+        assert nonlinearity_preset("linear-f").state_independent  # c1 = c2 = 0
+
+    @pytest.mark.parametrize("name,params", [("heat", {"a0": 0.8}), ("linear-f", {"c1": 0.2})])
+    def test_any_replaced_callback_clears_the_predicate(self, name, params):
+        nl = nonlinearity_preset(name, **params)
+        for key, _ in solvers._CALLBACK_AXES:
+            fn = getattr(nl, key)
+            replaced = dataclasses.replace(nl, **{key: lambda s, eta: fn(s, eta)})
+            assert not replaced.state_independent, key
+
+    def test_a_mixed_structure_is_not_state_independent(self):
+        # the callbacks of two presets, each constant or linear, that do not
+        # make one linear equation: heat's f_y with linear-f's f
+        heat = nonlinearity_preset("heat")
+        lin = nonlinearity_preset("linear-f", c1=0.5)
+        assert not dataclasses.replace(heat, f=lin.f).state_independent
+
+    @pytest.mark.parametrize("name,params", [("heat", {}), ("linear-f", {"c1": 0.5, "c2": 0.3})])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_at_most_one_gradient_per_march(self, monkeypatch, dim, name, params):
+        g, tg, y0, source = self._case(dim, True)
+        calls = []
+        real = solvers.gradient
+        monkeypatch.setattr(solvers, "gradient", lambda *args: calls.append(1) or real(*args))
+        solve_forward_quasilinear(nonlinearity_preset(name, **params), g, tg, y0, source)
+        assert len(calls) <= 1
+
+    def test_indefinite_step_is_a_blowup_at_slice_1(self):
+        # diagonal 1 + tau (2 a0 / h^2 + c1) = 1 + (128 - 200) / 16 < 0
+        g, tg = build_grid(1, 8), build_time_grid(1.0, 16)
+        nl = nonlinearity_preset("linear-f", a0=1.0, c1=-200.0)
+        with pytest.raises(BlowUpError, match="positivity") as exc:
+            solve_forward_quasilinear(nl, g, tg, _sine_field(g))
+        assert exc.value.slice_index == 1
+
+    def test_diffusion_below_the_floor_is_rejected(self):
+        g, tg = build_grid(1, 16), build_time_grid(1.0, 16)
+        nl = nonlinearity_preset("heat", a0=0.5 * solvers.RHO0)
+        with pytest.raises(CoefficientError, match="ellipticity at slice 1"):
+            solve_forward_quasilinear(nl, g, tg, _sine_field(g))
 
 
 class TestControlSource:
