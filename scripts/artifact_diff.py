@@ -28,20 +28,26 @@ HIERCONTROL_THREADS=1:
   nonlinearity is ``cubic-f`` (a0 = 1, c = 1) or ``burgers-f`` (a0 = 1,
   c = 0.5), the presets no shipped scenario uses, and on one derived from
   heat_2d whose nonlinearity is ``linear-f`` (a0 = 1, c1 = 0.5, c2 = 0.3),
-  the 2D path with lower-order terms.
+  the 2D path with lower-order terms,
+* ``solve`` on one scenario derived from mild_quasilinear with
+  ``max_outer: 1``, whose Nash finalization starts from the follower pair
+  of an unconverged linearization.
+
+A derived scenario replaces keys of top-level sections of its shipped
+scenario (``DERIVED``): the whole nonlinearity, or single tolerances.
 
 Each checkout's derived scenarios are written from its own shipped
 scenario files into ``DIR/<side>/scenarios``.  Every command writes into
 ``DIR/<side>/<run>`` and runs there; bytecode goes to ``DIR/pycache``, so
-nothing is written outside DIR.  The script
-prints every artifact as identical or different, and every exit code.  For a
-differing CSV it prints max|delta| / max|value| over the cells; for a
-differing JSON report, the key paths only one side has and the changed
-leaves, with the largest relative change |a - b| / max(|a|, |b|) of each
-numeric path.  A path writes list indices as [], so the entries of one list
-count as one path.  It exits 0 only
-when both checkouts write the same files with the same bytes and every
-command returns the same exit code.
+nothing is written outside DIR.  The script prints every artifact as
+identical or different, and every exit code.  For a differing CSV it
+prints max|delta| / max|value| of the column where that ratio is largest;
+for a differing JSON report, the key paths only one side has and the
+changed leaves, with the largest relative change |a - b| / max(|a|, |b|)
+of each numeric path.  A path writes list indices as [], so the entries of
+one list count as one path.  It exits 0 only when both checkouts write the
+same files with the same bytes and every command returns the same exit
+code.
 """
 
 import argparse
@@ -74,27 +80,34 @@ FIXED_RUNS = (
     ("weights-heat_2d", ["weights"], "heat_2d"),
 )
 
-# derived scenario -> (shipped scenario, the nonlinearity that replaces its own)
+# derived scenario -> (shipped scenario, commands run on it,
+#                      {top-level section: the keys that replace its own})
 DERIVED = {
-    "heat_lq_16x32-cubic-f": ("heat_lq_16x32", {"preset": "cubic-f", "params": {"a0": 1.0, "c": 1.0}}),
-    "heat_lq_16x32-burgers-f": ("heat_lq_16x32", {"preset": "burgers-f", "params": {"a0": 1.0, "c": 0.5}}),
-    "heat_2d-linear-f": ("heat_2d", {"preset": "linear-f", "params": {"a0": 1.0, "c1": 0.5, "c2": 0.3}}),
+    "heat_lq_16x32-cubic-f": ("heat_lq_16x32", ("solve", "nash"), {
+        "nonlinearity": {"preset": "cubic-f", "params": {"a0": 1.0, "c": 1.0}}}),
+    "heat_lq_16x32-burgers-f": ("heat_lq_16x32", ("solve", "nash"), {
+        "nonlinearity": {"preset": "burgers-f", "params": {"a0": 1.0, "c": 0.5}}}),
+    "heat_2d-linear-f": ("heat_2d", ("solve", "nash"), {
+        "nonlinearity": {"preset": "linear-f", "params": {"a0": 1.0, "c1": 0.5, "c2": 0.3}}}),
+    "mild_quasilinear-max_outer-1": ("mild_quasilinear", ("solve",), {
+        "tolerances": {"max_outer": 1}}),
 }
 
 
 def runs(change: str) -> list[tuple[str, list[str], str]]:
     names = sorted(os.path.basename(p)[:-4] for p in glob.glob(os.path.join(change, "scenarios", "*.cfg")))
-    derived = [(f"{cmd}-{name}", [cmd], name) for name in DERIVED for cmd in ("solve", "nash")]
+    derived = [(f"{cmd}-{name}", [cmd], name) for name, (_, cmds, _) in DERIVED.items() for cmd in cmds]
     return [(f"solve-{name}", ["solve"], name) for name in names] + list(FIXED_RUNS) + derived
 
 
 def write_derived(checkout: str, folder: str) -> None:
     """Write every DERIVED scenario from the checkout's own shipped file into folder."""
     os.makedirs(folder, exist_ok=True)
-    for name, (base, nonlinearity) in DERIVED.items():
+    for name, (base, _, overrides) in DERIVED.items():
         with open(os.path.join(checkout, "scenarios", f"{base}.cfg"), encoding="utf-8") as fh:
             tree = yaml.safe_load(fh)
-        tree["nonlinearity"] = nonlinearity
+        for section, keys in overrides.items():
+            tree[section] = {**(tree.get(section) or {}), **keys}
         with open(os.path.join(folder, f"{name}.cfg"), "w", encoding="utf-8") as fh:
             yaml.safe_dump(tree, fh, sort_keys=False)
 
@@ -108,7 +121,11 @@ def run_cli(checkout: str, argv: list[str], config: str, out: str, pycache: str)
 
 
 def csv_gap(a: str, b: str) -> str:
-    """max|delta| / max|value| over the cells of two CSV files of the same shape."""
+    """The largest max|delta| / max|value| of a column of two CSV files of the same shape.
+
+    Each column is scaled by its own values, so a column of small values
+    (a follower control) is not measured against the coordinate columns.
+    """
     try:
         x = np.loadtxt(a, delimiter=",", skiprows=1, ndmin=2)
         y = np.loadtxt(b, delimiter=",", skiprows=1, ndmin=2)
@@ -116,8 +133,10 @@ def csv_gap(a: str, b: str) -> str:
         return f"not numeric ({exc})"
     if x.shape != y.shape:
         return f"shapes {x.shape} vs {y.shape}"
-    scale = max(float(np.abs(x).max(initial=0.0)), float(np.abs(y).max(initial=0.0)), 1e-300)
-    return f"max|delta|/max|value| = {float(np.abs(x - y).max(initial=0.0)) / scale:.3e}"
+    scale = np.maximum(np.maximum(np.abs(x).max(axis=0, initial=0.0),
+                                  np.abs(y).max(axis=0, initial=0.0)), 1e-300)
+    gap = float((np.abs(x - y).max(axis=0, initial=0.0) / scale).max(initial=0.0))
+    return f"max|delta|/max|value| = {gap:.3e} (largest over columns)"
 
 
 def _leaves(tree, path=""):

@@ -9,6 +9,8 @@ the linearization point itself.
 
 The map z -> y[u(z)] is iterated by ``solvers.anderson``, which stops on the
 relative residual |y - z| <= outer_tol |y| in the stepped weighted norm.
+The follower pair of the accepted linearization starts the Nash
+finalization on the quasi-linear dynamics.
 With linear dynamics the map is constant: iteration 2 reproduces iteration 1
 bit for bit and the loop stops with a zero residual.  For genuinely nonlinear
 dynamics the loop reports its residual history verbatim; non-convergence is a
@@ -31,6 +33,7 @@ from .nash import (
     NashSolution,
     coefficients_from_state,
     compute_nash,
+    follower_controls,
     with_first_order_residuals,
 )
 from .solvers import anderson, contraction, solve_forward_quasilinear
@@ -58,8 +61,12 @@ class FixedPointReport:
     """Outcome of the quasi-linear controllability iteration.
 
     The follower controls and adjoints are ``nash.v1``, ``nash.v2``,
-    ``nash.p1`` and ``nash.p2``.  ``nash`` is None when the finalization
-    equilibrium solve failed, and ``terminal_norm`` is then NaN.
+    ``nash.p1`` and ``nash.p2``: the equilibrium under ``u`` on the
+    quasi-linear dynamics, whose Picard loop started from the follower
+    pair of the last linearization's coupled system, so
+    ``nash.picard_iterations`` counts evaluations from that start.
+    ``nash`` is None when the finalization equilibrium solve failed, and
+    ``terminal_norm`` is then NaN.
     ``outer_contraction`` is the largest ratio of successive
     ``update_norms`` (``solvers.contraction``).
     """
@@ -99,7 +106,13 @@ def solve_hierarchic(
     residual per iteration, and at most ``max_outer`` >= 1 linearizations
     run.  Finalization recomputes the follower equilibrium under the found
     control on the true quasi-linear dynamics and reports that terminal norm
-    next to the linearized one.
+    next to the linearized one.  It starts from the follower pair the last
+    linearization already holds: v_k = (1/mu_k) xi_k p_k with p_k marched
+    from that linearization's controlled state on its context's
+    sensitivity factors (``nash.follower_controls``), one stacked march on
+    factors that already exist.  At a converged linearization that pair is
+    the equilibrium up to the outer residual, so the Nash loop needs few
+    evaluations; the equilibrium itself does not depend on the start.
     """
     if max_outer < 1:
         raise ValidationError(f"max_outer must be >= 1, got {max_outer}")
@@ -126,20 +139,22 @@ def solve_hierarchic(
         )
 
     def linearize_and_control(z):
-        ls = solve_leader(
-            linearize_at(problem, SpaceTimeField(grid, tgrid, z), weights),
-            epsilon, cg_tol=cg_tol, cg_max=cg_max,
-        )
-        return ls.y.values, ls
+        ctx = linearize_at(problem, SpaceTimeField(grid, tgrid, z), weights)
+        ls = solve_leader(ctx, epsilon, cg_tol=cg_tol, cg_max=cg_max)
+        return ls.y.values, (ls, ctx.sensitivity_factors)
 
-    _, ls, update_norms, converged = anderson(
+    _, (ls, factors), update_norms, converged = anderson(
         linearize_and_control, z, grid, tgrid, outer_tol, max_outer
     )
+    # the follower pair of the accepted linearization starts the finalization;
+    # its factors are released before the Nash loop builds its own
+    start, _ = follower_controls(problem, ls.y.values, factors)
+    del factors
 
     nash: NashSolution | None = None
     terminal_norm = float("nan")
     try:
-        nash = compute_nash(problem, u=ls.u, tol=nash_tol)
+        nash = compute_nash(problem, u=ls.u, tol=nash_tol, start=start)
         nash = with_first_order_residuals(problem, nash, seed=seed)
         y_T = nash.y.values[-1]
         terminal_norm = float(np.sqrt(spatial_pairing(grid, y_T, y_T)))

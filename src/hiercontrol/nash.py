@@ -13,8 +13,9 @@ with the fixed point
     v_k = (1/mu_k) xi_k p_k,
 
 where p_k solves the adjoint of the state linearization with source
--nu_k xi_* (y - y_{k,d}) and vanishing terminal datum.  ``compute_nash``
-iterates that map on the stacked pair (v1, v2) through ``solvers.anderson``;
+-nu_k xi_* (y - y_{k,d}) and vanishing terminal datum
+(``follower_controls``).  ``compute_nash`` iterates that map on the stacked
+pair (v1, v2) through ``solvers.anderson``, from zero or from a given pair;
 every adjoint solve reuses one factorization per slice through transposed
 triangular solves, so the stationarity identity holds at the level of
 rounding once the iteration has converged.
@@ -270,20 +271,54 @@ def _state(problem: HierarchicProblem, u, v1, v2) -> SpaceTimeField:
 # the equilibrium iteration
 
 
+def follower_controls(
+    problem: HierarchicProblem,
+    y: np.ndarray,
+    factors,
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The follower pair v_k = (1/mu_k) xi_k p_k of the state y.
+
+    p_k solves the follower adjoint on the sensitivity ``factors`` from a
+    zero terminal datum with source -nu_k xi_* (y - y_{k,d}); both adjoints
+    march as one two-column stack, and a follower with nu_k = 0 has p_k = 0.
+    Returns the stacked pair (2, M+1, n) and the adjoints [p1, p2].
+    """
+    M1, n = problem.tgrid.n_slices, problem.grid.n_nodes
+    xi_star = problem.xi("tracking")
+    live = [k for k in (0, 1) if problem.nu[k] != 0.0]
+    src = np.empty((len(live), M1, n))
+    for j, k in enumerate(live):
+        np.subtract(y, problem.targets[k].values, out=src[j])
+        src[j] *= -problem.nu[k] * xi_star
+    marched = iter(march_adjoint(factors, np.zeros((len(live), n)), src) if live else ())
+    ps = [next(marched) if k in live else np.zeros((M1, n)) for k in (0, 1)]
+    v = np.stack([problem.xi(f"follower{k + 1}")[None, :] * ps[k] / problem.mu[k] for k in (0, 1)])
+    return v, ps
+
+
 def compute_nash(
     problem: HierarchicProblem,
     u: SpaceTimeField | None = None,
     tol: float = 1e-11,
+    start: np.ndarray | None = None,
 ) -> NashSolution:
-    """Fixed point of  v_k <- (1/mu_k) xi_k p_k[v]  from v = 0.
+    """Fixed point of  v_k <- (1/mu_k) xi_k p_k[v]  from the pair ``start``.
 
-    ``solvers.anderson`` iterates the map on the stacked pair (v1, v2) and
-    stops when its relative residual |vhat - v| / |vhat| reaches ``tol``;
-    NonConvergenceError is raised after NASH_MAX_ITER evaluations.  The
-    accepted controls are the last map output, and one consistency pass
-    recomputes the state and adjoints there, so the returned fields are
-    mutually consistent.  The two follower adjoints share the sensitivity
-    factors, so each map evaluation marches them as one two-column stack.
+    ``start`` is the stacked follower pair (2, M+1, n) the iteration begins
+    at, zero when None.  ``solvers.anderson`` iterates the map on the
+    stacked pair (v1, v2) and stops when its relative residual
+    |vhat - v| / |vhat| reaches ``tol``; NonConvergenceError is raised after
+    NASH_MAX_ITER evaluations.  The equilibrium does not depend on where
+    the loop starts, only the number of evaluations does:
+    ``picard_iterations`` counts the evaluations from ``start``, and a
+    start the map returns within ``tol`` stops at the first, where
+    ``picard_contraction`` has no ratio and is NaN.  The accepted controls
+    are the last map output, and one consistency pass recomputes the state
+    and adjoints there, so the returned fields are mutually consistent.
+    Each map evaluation builds one set of sensitivity factors, and the
+    consistency pass one more.  The two follower adjoints share those
+    factors, so each evaluation marches them as one two-column stack
+    (``follower_controls``).
 
     ``final_update_norm`` is the relative residual of that consistency pass:
     one unmixed map application past the accepted controls, not the residual
@@ -291,10 +326,6 @@ def compute_nash(
     """
     grid, tgrid = problem.grid, problem.tgrid
     M1, n = tgrid.n_slices, grid.n_nodes
-    zeros = np.zeros((M1, n))
-    xi = [problem.xi("follower1"), problem.xi("follower2")]
-    xi_star = problem.xi("tracking")
-    live = [k for k in (0, 1) if problem.nu[k] != 0.0]
 
     def fixed_point_map(v):
         yf = _state(
@@ -303,21 +334,12 @@ def compute_nash(
             SpaceTimeField(grid, tgrid, v[0]),
             SpaceTimeField(grid, tgrid, v[1]),
         )
-        c = coefficients_from_state(problem.nl, yf)
-        factors = sensitivity_factors(c)
-        # both adjoints march on the same factors: one stacked march
-        src = np.empty((len(live), M1, n))
-        for j, k in enumerate(live):
-            np.subtract(yf.values, problem.targets[k].values, out=src[j])
-            src[j] *= -problem.nu[k] * xi_star
-        marched = iter(march_adjoint(factors, np.zeros((len(live), n)), src) if live else ())
-        ps = [next(marched) if k in live else zeros for k in (0, 1)]
-        vhat = np.stack([xi[k][None, :] * ps[k] / problem.mu[k] for k in (0, 1)])
+        factors = sensitivity_factors(coefficients_from_state(problem.nl, yf))
+        vhat, ps = follower_controls(problem, yf.values, factors)
         return vhat, (yf, ps)
 
-    v, _, residuals, converged = anderson(
-        fixed_point_map, np.zeros((2, M1, n)), grid, tgrid, tol, NASH_MAX_ITER
-    )
+    x0 = np.zeros((2, M1, n)) if start is None else start
+    v, _, residuals, converged = anderson(fixed_point_map, x0, grid, tgrid, tol, NASH_MAX_ITER)
     if not converged:
         raise NonConvergenceError(
             f"Nash iteration did not reach tol={tol:.1e} in {NASH_MAX_ITER} iterations "
@@ -398,29 +420,37 @@ def gateaux_residual(
     derivative is linear in w; r_k is the worst |dJ_k| over
     FIRST_ORDER_DIRECTIONS generated unit-norm directions, normalized by
     1 + |J_k|.  The sensitivity states of one follower's directions come
-    from one stacked march.  The leader control enters through ``solution.y``.
+    from one stacked march, and each follower's are released before the
+    other's are marched.  The leader control enters through ``solution.y``.
     """
+    factors = sensitivity_factors(coefficients_from_state(problem.nl, solution.y))
+    return (_worst_derivative(problem, solution, factors, 1, seed),
+            _worst_derivative(problem, solution, factors, 2, seed))
+
+
+def _worst_derivative(
+    problem: HierarchicProblem,
+    solution: NashSolution,
+    factors,
+    k: int,
+    seed: int,
+) -> float:
+    """Follower k's worst |dJ_k| over its directions, normalized by 1 + |J_k|."""
     grid, tgrid = problem.grid, problem.tgrid
-    c = coefficients_from_state(problem.nl, solution.y)
-    factors = sensitivity_factors(c)
-    xi_star = problem.xi("tracking")
-    out = []
-    for k in (1, 2):
-        dirs = random_directions(problem, k, FIRST_ORDER_DIRECTIONS, seed + k)
-        mu_k, nu_k = problem.mu[k - 1], problem.nu[k - 1]
-        vk = (solution.v1 if k == 1 else solution.v2).values
-        mask = problem.follower_mask(k)
-        diff = xi_star[None, :] * (solution.y.values - problem.targets[k - 1].values)
+    dirs = random_directions(problem, k, FIRST_ORDER_DIRECTIONS, seed + k)
+    mu_k, nu_k = problem.mu[k - 1], problem.nu[k - 1]
+    vk = (solution.v1 if k == 1 else solution.v2).values
+    mask = problem.follower_mask(k)
+    diff = problem.xi("tracking")[None, :] * (solution.y.values - problem.targets[k - 1].values)
+    if nu_k != 0.0:
+        y_s = sensitivity_states(factors, problem.xi(f"follower{k}"), dirs)
+    worst = 0.0
+    for j, w in enumerate(dirs):
+        deriv = mu_k * stepped_pairing(grid, tgrid, vk, w, mask=mask)
         if nu_k != 0.0:
-            y_s = sensitivity_states(factors, problem.xi(f"follower{k}"), dirs)
-        worst = 0.0
-        for j, w in enumerate(dirs):
-            deriv = mu_k * stepped_pairing(grid, tgrid, vk, w, mask=mask)
-            if nu_k != 0.0:
-                deriv += nu_k * stepped_pairing(grid, tgrid, diff, y_s[j])
-            worst = max(worst, abs(deriv))
-        out.append(worst / (1.0 + abs(solution.costs[f"J{k}"])))
-    return out[0], out[1]
+            deriv += nu_k * stepped_pairing(grid, tgrid, diff, y_s[j])
+        worst = max(worst, abs(deriv))
+    return worst / (1.0 + abs(solution.costs[f"J{k}"]))
 
 
 def with_first_order_residuals(

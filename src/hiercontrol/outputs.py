@@ -4,12 +4,14 @@ Every writer is bit-exact for identical inputs: fixed float formatting
 (17 significant digits in CSV, sorted keys in JSON), fixed newlines, no
 timestamps, no environment-dependent content.
 
-Numeric CSV tables (trajectories, weight fields) are written as one
-(rows, cols) float block with a single %-format call over all of its
-values.  The block gets ``+ 0.0`` first, which turns -0.0 into 0.0, so
-every cell reads exactly as ``format_value`` renders it: "%.17g", with
-zero of either sign as plain 0.  ``write_rows`` is the cell-by-cell
-writer for rows that mix strings and numbers.
+Numeric CSV tables are written with a single %-format call per file:
+weight fields over all the values of one (rows, cols) float block
+(``write_block``), trajectories over their value column alone, after
+rendering each time level and each node once (``emit_csv``).  The values
+get ``+ 0.0`` first, which turns -0.0 into 0.0, so every cell reads
+exactly as ``format_value`` renders it: "%.17g", with zero of either sign
+as plain 0.  ``write_rows`` is the cell-by-cell writer for rows that mix
+strings and numbers.
 """
 
 from __future__ import annotations
@@ -48,7 +50,11 @@ def write_block(path: str, header: list[str], block: np.ndarray) -> None:
     """CSV writer for a (rows, cols) float block, each cell as format_value renders it."""
     rows, cols = block.shape
     line = "%.17g," * (cols - 1) + "%.17g\n"
-    text = (line * rows) % tuple((block + 0.0).ravel().tolist())
+    _write_table(path, header, (line * rows) % tuple((block + 0.0).ravel().tolist()))
+
+
+def _write_table(path: str, header: list[str], text: str) -> None:
+    """Write the header line, then the rendered rows ``text``."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
@@ -66,15 +72,18 @@ def emit_csv(trajectory: SpaceTimeField, path: str) -> None:
     """Full space-time trajectory, time-major then space-major.
 
     Header is t, ``coordinate_header`` and value; row count is
-    (steps + 1) * n_nodes.
+    (steps + 1) * n_nodes.  Every cell reads as ``format_value`` renders
+    it.  The "t,x," prefix of each row is built from the time levels and
+    the nodes, each rendered once, so the file's one %-format call renders
+    only the value column.
     """
     grid, tgrid = trajectory.grid, trajectory.tgrid
     header = ["t", *coordinate_header(grid.dim), "value"]
-    block = np.empty((tgrid.n_slices, grid.n_nodes, grid.dim + 2))
-    block[..., 0] = tgrid.times[:, None]
-    block[..., 1:-1] = grid.nodes
-    block[..., -1] = trajectory.values
-    write_block(path, header, block.reshape(-1, grid.dim + 2))
+    times = ["%.17g," % t for t in (tgrid.times + 0.0).tolist()]
+    nodes = [("%.17g," * grid.dim) % tuple(x) for x in (grid.nodes + 0.0).tolist()]
+    # a rendered float holds no "%", so the prefixes are literal in the format
+    line = "".join([t + x + "%.17g\n" for t in times for x in nodes])
+    _write_table(path, header, line % tuple((trajectory.values + 0.0).ravel().tolist()))
 
 
 def emit_report(report, path: str, extra: dict | None = None) -> None:

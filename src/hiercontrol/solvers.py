@@ -50,6 +50,9 @@ to LAPACK dgttrf/dgttrs, whose transposed solve on the same factors keeps
 the adjoint march exact; in 2D it goes to SuperLU with the minimum-degree
 ordering of A^T + A, which suits the structurally symmetric slice pattern
 and leaves about 0.6x the fill of the default COLAMD ordering.
+``SliceFactors`` holds the factors of every slice of a march, with each
+slice's solve bound once per direction, so a march step is one call into
+dgttrs or SuperLU on a contiguous slot, solved in place.
 
 The quasi-linear forward solver freezes the diffusion a(y, grad y) at the
 current iterate and linearizes f around it, with up to REFRESHES
@@ -278,22 +281,36 @@ def _plus(acc, term):
     return term if acc is None else acc + term
 
 
+def _dgttrf(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> list:
+    """LAPACK dgttrf factors (dl, d, du, du2, ipiv) of one tridiagonal matrix.
+
+    ``lower`` holds the entries (r, r-1) and ``upper`` the entries (r, r+1)
+    in row order.  Raises SolverError on a zero pivot.
+    """
+    *lu, info = dgttrf(lower, diag, upper)
+    if info > 0:
+        raise SolverError(f"slice matrix is singular (zero pivot {info})")
+    return lu
+
+
 class _Tridiagonal:
     """LAPACK dgttrf factors of one tridiagonal slice matrix from its bands.
 
-    ``lower`` holds the entries (r, r-1) and ``upper`` the entries (r, r+1)
-    in row order.  ``solve`` takes rhs of shape (n,) or (n, k); dgttrs
-    solves the k columns in one call, each bit for bit as it would solve it
-    alone.
+    ``solve`` takes rhs of shape (n,) or (n, k); dgttrs solves the k columns
+    in one call, each bit for bit as it would solve it alone.
     """
 
     def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
-        *self._lu, info = dgttrf(lower, diag, upper)
-        if info > 0:
-            raise SolverError(f"slice matrix is singular (zero pivot {info})")
+        self._lu = _dgttrf(lower, diag, upper)
 
     def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
         return dgttrs(*self._lu, rhs, trans=trans)[0]
+
+
+def _band_slots(pat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pattern slots of the lower, diagonal and upper band of a 1D slice."""
+    upper, lower = (slots for *_, slots in pat.neighbours)
+    return lower, pat.diag, upper
 
 
 def factor_slice(grid: SpatialGrid, data: np.ndarray):
@@ -310,9 +327,28 @@ def factor_slice(grid: SpatialGrid, data: np.ndarray):
     """
     pat = slice_pattern(grid)
     if grid.dim == 1:
-        upper, lower = (slots for *_, slots in pat.neighbours)
-        return _Tridiagonal(data[lower], data[pat.diag], data[upper])
+        return _Tridiagonal(*(data[slots] for slots in _band_slots(pat)))
     return spla.splu(pat.csr(data).tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+
+def _dgttrs_in_place(lu: list, trans: str):
+    """The solve of one tridiagonal slice that overwrites its rhs with the solution."""
+    dl, d, du, du2, ipiv = lu
+
+    def solve(b):
+        dgttrs(dl, d, du, du2, ipiv, b, trans, 1)
+
+    return solve
+
+
+def _superlu_in_place(lu, trans: str):
+    """The solve of one SuperLU-factored slice that overwrites its rhs with the solution."""
+    solve_lu = lu.solve
+
+    def solve(b):
+        b[...] = solve_lu(b, trans)
+
+    return solve
 
 
 class SliceFactors:
@@ -320,24 +356,40 @@ class SliceFactors:
 
     ``data`` holds the pattern values of slices 1..M (one row each), or a
     single row shared by every slice, whose one factorization serves them
-    all.  ``solve(m, rhs)`` applies (I + tau L^m)^{-1} to an interior
-    block (``grid.interior`` of a full-grid array), one vector
-    (n_interior,) or a stack (k, n_interior) whose rows go to the factors
-    as the k columns of one solve; ``transpose=True`` applies the inverse
-    transpose with the same factors, which is what keeps forward/adjoint
-    pairs exactly dual.
+    all.  In 1D the three bands of every slice are gathered from the whole
+    stack at once and each slice is one dgttrf; in 2D each slice goes to
+    ``factor_slice``.
+
+    ``solves(transpose)`` lists the solve of slice m at m - 1, bound once
+    per factor set and direction: the dgttrs factors in 1D, the SuperLU
+    object in 2D.  Each takes an interior block b (``grid.interior`` of a
+    full-grid array), one contiguous vector (n_interior,) or a Fortran-
+    ordered (n_interior, k) block whose k columns are solved at once, and
+    overwrites it with (I + tau L^m)^{-1} b; ``transpose=True`` applies the
+    inverse transpose with the same factors, which is what keeps
+    forward/adjoint pairs exactly dual.  A march makes one such call per
+    step.
     """
 
     def __init__(self, grid: SpatialGrid, tgrid: TimeGrid, data: np.ndarray):
         self.grid = grid
         self.tgrid = tgrid
-        lus = [factor_slice(grid, row) for row in data]
-        self._lu = lus * tgrid.steps if len(lus) == 1 else lus  # slice m at m - 1
+        if grid.dim == 1:
+            bands = [data[:, slots] for slots in _band_slots(slice_pattern(grid))]
+            lus = [_dgttrf(*row) for row in zip(*bands)]
+        else:
+            lus = [factor_slice(grid, row) for row in data]
+        self._lu = lus
+        self._solves: dict[bool, list] = {}
 
-    def solve(self, m: int, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
-        # a C-ordered (k, n_interior) stack, read transposed, is the
-        # column-major (n_interior, k) block the solvers take
-        return self._lu[m - 1].solve(rhs.T, trans="T" if transpose else "N").T
+    def solves(self, transpose: bool = False) -> list:
+        """The in-place solve of slice m at m - 1, m = 1..M (see the class docstring)."""
+        if transpose not in self._solves:
+            bind = _dgttrs_in_place if self.grid.dim == 1 else _superlu_in_place
+            trans = "T" if transpose else "N"
+            bound = [bind(lu, trans) for lu in self._lu]
+            self._solves[transpose] = bound * self.tgrid.steps if len(bound) == 1 else bound
+        return self._solves[transpose]
 
 
 def _time_constant(*arrays) -> bool:
@@ -397,24 +449,52 @@ def _check_dirichlet(grid: SpatialGrid, v: np.ndarray, what: str) -> None:
 def _interior_block(
     traj: np.ndarray, grid: SpatialGrid, tgrid: TimeGrid, sources: np.ndarray | None
 ) -> np.ndarray:
-    """The interior of slices 1..M of the trajectory ``traj`` a march fills.
+    """The interior of slices 1..M of the trajectory ``traj`` a march fills,
+    time axis first: (M, n_interior) for one trajectory, (M, k, n_interior)
+    for a stack of k.
 
     It holds tau s^m, m = 1..M, gathered once, and each step overwrites its
-    own slot with its solution.  In 1D the interior is a slice, so the block
-    is a view of ``traj``; in 2D it is a separate array, which the march
-    scatters into ``traj`` once, after its last step.
+    own slot, block[m - 1], with its solution, so every slot is one
+    contiguous array the slice solve works on in place.  For one 1D
+    trajectory the interior is a slice of each row, so the block is a view
+    of ``traj``; otherwise it is a separate array, which the march scatters
+    into ``traj`` once, after its last step.
     """
     rows = grid.interior
-    if isinstance(rows, slice):
-        block = traj[..., 1:, rows]
+    if isinstance(rows, slice) and traj.ndim == 2:
+        block = traj[1:, rows]
         if sources is not None:
-            np.multiply(sources[..., 1:, rows], tgrid.tau, out=block)
+            np.multiply(sources[1:, rows], tgrid.tau, out=block)
         return block
+    block = np.empty((tgrid.steps,) + traj.shape[:-2] + (grid.n_interior,))
     if sources is None:
-        return np.empty(traj.shape[:-2] + (tgrid.steps, rows.size))
-    block = sources[..., 1:, :].take(rows, axis=-1)
+        return block
+    if isinstance(rows, slice):
+        np.multiply(np.moveaxis(sources[..., 1:, rows], -2, 0), tgrid.tau, out=block)
+        return block
+    # a gather by index, one trajectory at a time, since take copies a
+    # strided input whole; the indices are in range, and mode "clip" writes
+    # into a contiguous out directly where the default mode would buffer it
+    for j in np.ndindex(traj.shape[:-2]):
+        np.take(sources[j][1:], rows, axis=-1, out=block[(slice(None),) + j], mode="clip")
     block *= tgrid.tau
     return block
+
+
+def _march(solves, block: np.ndarray, x: np.ndarray, sourced: bool) -> None:
+    """Fill the slots of ``block`` in the order of ``solves`` from the seed x.
+
+    Each step adds the previous solution to its slot (or copies it there
+    when the march has no sources) and solves the slot in place: one call
+    to the bound slice solve per step.
+    """
+    for solve, slot in zip(solves, block):
+        if sourced:
+            slot += x
+        else:
+            slot[...] = x
+        solve(slot.T)
+        x = slot
 
 
 def march_forward(
@@ -427,7 +507,8 @@ def march_forward(
     each step solves all k columns at once.  The march works on one
     interior block (``_interior_block``): the sources are gathered into it
     once, before the first step, and it reaches the trajectory at most
-    once, after the last, so boundary values stay zero.
+    once, after the last, so boundary values stay zero.  Each step is one
+    call of the slice's bound solve (``SliceFactors.solves``).
     """
     grid, tgrid = factors.grid, factors.tgrid
     _check_dirichlet(grid, y0, "initial state")
@@ -435,13 +516,9 @@ def march_forward(
     y = np.zeros(y0.shape[:-1] + (tgrid.n_slices, grid.n_nodes))
     y[..., 0, :] = y0
     block = _interior_block(y, grid, tgrid, sources)
-    x = y0[..., rows]
-    for m in range(1, tgrid.n_slices):
-        rhs = x if sources is None else x + block[..., m - 1, :]
-        x = factors.solve(m, rhs)
-        block[..., m - 1, :] = x
+    _march(factors.solves(), block, y0[..., rows], sources is not None)
     if block.base is not y:
-        y[..., 1:, rows] = block
+        y[..., 1:, rows] = np.moveaxis(block, 0, -2)
     if not np.all(np.isfinite(y)):
         raise SolverError("forward march produced non-finite values")
     return y
@@ -453,20 +530,18 @@ def march_adjoint(
     """Exact transpose of march_forward; see the module docstring for the identity.
 
     ``terminal`` is (n,) or a stack (k, n), with sources shaped as in
-    ``march_forward``.
+    ``march_forward``.  The steps run from slice M down to slice 1, each
+    one call of the slice's bound transposed solve.
     """
     grid, tgrid = factors.grid, factors.tgrid
     _check_dirichlet(grid, terminal, "terminal state")
     rows = grid.interior
     p = np.zeros(terminal.shape[:-1] + (tgrid.n_slices, grid.n_nodes))
     block = _interior_block(p, grid, tgrid, sources)
-    x = terminal[..., rows]
-    for m in range(tgrid.steps, 0, -1):
-        rhs = x if sources is None else x + block[..., m - 1, :]
-        x = factors.solve(m, rhs, transpose=True)
-        block[..., m - 1, :] = x
+    _march(reversed(factors.solves(transpose=True)), block[::-1], terminal[..., rows],
+           sources is not None)
     if block.base is not p:
-        p[..., 1:, rows] = block
+        p[..., 1:, rows] = np.moveaxis(block, 0, -2)
     p[..., 0, :] = p[..., 1, :]
     if not np.all(np.isfinite(p)):
         raise SolverError("adjoint march produced non-finite values")
@@ -929,6 +1004,7 @@ def anderson(phi, x0: np.ndarray, grid: SpatialGrid, tgrid: TimeGrid, tol: float
     x = x0
     f_prev = g_prev = None
     for _ in range(max_iter):
+        aux = None  # the last evaluation's aux is not kept alive through this one
         g, aux = phi(x)
         f = stepped_vector(grid, tgrid, g - x)
         history.append(_relative(f, stepped_vector(grid, tgrid, g)))

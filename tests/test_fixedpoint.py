@@ -5,10 +5,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import make_problem
+from conftest import make_problem, scenario_path
+from hiercontrol import fixedpoint, nash
 from hiercontrol.fixedpoint import linearize_at, solve_hierarchic
 from hiercontrol.grids import SpaceTimeField, gradient
-from hiercontrol.nash import coefficients_from_state
+from hiercontrol.nash import coefficients_from_state, compute_nash
+from hiercontrol.scenario import load_scenario
 from hiercontrol.solvers import ANDERSON_DEPTH, anderson, contraction, nonlinearity_preset
 
 
@@ -198,11 +200,16 @@ class TestOuterLoop:
         assert 0.0 < report.outer_contraction < 1.0
         assert report.terminal_norm <= 3.0 * max(report.linearized_terminal_norm, 1e-300)
         assert report.nash is not None
-        # the Nash loop's contraction leaves out the consistency pass
+        # the Nash loop's contraction leaves out the consistency pass; the
+        # warm-started loop may evaluate once, where it is NaN
         nash = report.nash
         loop = list(nash.residuals[: nash.picard_iterations])
         assert len(nash.residuals) == len(loop) + 1
-        assert 0.0 < nash.picard_contraction == contraction(loop) < 1.0
+        np.testing.assert_equal(nash.picard_contraction, contraction(loop))
+        # from v = 0 the loop evaluates more than once and contracts
+        cold = compute_nash(problem, u=report.u)
+        cold_loop = list(cold.residuals[: cold.picard_iterations])
+        assert 0.0 < cold.picard_contraction == contraction(cold_loop) < 1.0
         r1, r2 = report.nash.first_order_residuals
         assert r1 < 1e-6 and r2 < 1e-6
 
@@ -222,3 +229,73 @@ class TestOuterLoop:
         messages = [str(w.message) for w in rec]
         assert any("budget" in m for m in messages)
         assert any("unit ball" in m for m in messages)
+
+
+def _relative_gap(a, b):
+    return float(np.abs(a.values - b.values).max() / np.abs(b.values).max())
+
+
+class TestWarmFinalization:
+    """The finalization starts the Nash loop from the follower pair of the
+    last linearization and reaches the equilibrium of a cold start."""
+
+    def _solve(self, monkeypatch, max_outer=None):
+        s = load_scenario(scenario_path("mild_quasilinear"))
+        problem, tol = s.build_problem(), dict(s.tolerances)
+        # count quasi-linear marches and sensitivity factor sets made under
+        # the finalization's compute_nash
+        seen = {"marches": 0, "factors": 0}
+        inside = []
+        for name, key in (("solve_forward_quasilinear", "marches"), ("sensitivity_factors", "factors")):
+            def counted(*args, _orig=getattr(nash, name), _key=key, **kwargs):
+                seen[_key] += bool(inside)
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(nash, name, counted)
+
+        def finalization(*args, _orig=fixedpoint.compute_nash, **kwargs):
+            inside.append(True)
+            try:
+                return _orig(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(fixedpoint, "compute_nash", finalization)
+        report = solve_hierarchic(
+            problem, s.epsilon, outer_tol=tol["outer_tol"],
+            max_outer=tol["max_outer"] if max_outer is None else max_outer,
+            cg_tol=tol["cg_tol"], nash_tol=tol["nash_tol"], seed=s.seed,
+        )
+        cold = compute_nash(problem, u=report.u, tol=tol["nash_tol"])
+        return report, cold, seen
+
+    @pytest.mark.parametrize("max_outer", [None, 1])
+    def test_equals_the_cold_equilibrium(self, monkeypatch, max_outer):
+        # max_outer = 1 starts from the uncontrolled linearization, far from
+        # converged
+        report, cold, seen = self._solve(monkeypatch, max_outer)
+        if max_outer == 1:
+            assert report.iterations == 1 and not report.converged
+        warm = report.nash
+        for mine, ref in ((warm.v1, cold.v1), (warm.v2, cold.v2), (warm.y, cold.y)):
+            assert _relative_gap(mine, ref) <= 1e-10
+        assert seen["marches"] <= 3 < cold.picard_iterations + 1
+        assert max(warm.first_order_residuals) < 1e-9
+
+    def test_one_factor_set_per_evaluation(self, monkeypatch):
+        # the start is marched on the last context's factors, so compute_nash
+        # builds one set per map evaluation and one for the consistency pass
+        report, _, seen = self._solve(monkeypatch)
+        assert seen["factors"] == report.nash.picard_iterations + 1
+        assert seen["marches"] == report.nash.picard_iterations + 1
+
+    def test_linear_start_is_exact(self):
+        # with linear dynamics the follower pair of the coupled system is the
+        # equilibrium: the loop stops at its first evaluation
+        problem = make_problem(cells=16, steps=32)
+        report = solve_hierarchic(problem, 1e-2)
+        assert report.nash.picard_iterations == 1
+        assert np.isnan(report.nash.picard_contraction)
+        cold = compute_nash(problem, u=report.u)
+        for mine, ref in ((report.nash.v1, cold.v1), (report.nash.v2, cold.v2)):
+            assert _relative_gap(mine, ref) <= 1e-10

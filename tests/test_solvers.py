@@ -206,6 +206,71 @@ class TestStackedMarch:
             march_forward(factors, seeds, None)
 
 
+def _plain_march(grid, tgrid, data, seed, sources, transpose):
+    """A march written out step by step from ``factor_slice`` of each slice row."""
+    lus = [factor_slice(grid, row) for row in data]
+    rows = grid.interior
+    out = np.zeros(seed.shape[:-1] + (tgrid.n_slices, grid.n_nodes))
+    out[..., 0, :] = seed
+    x = seed[..., rows]
+    for m in (range(tgrid.steps, 0, -1) if transpose else range(1, tgrid.n_slices)):
+        rhs = x if sources is None else x + tgrid.tau * sources[..., m, rows]
+        lu = lus[0] if len(lus) == 1 else lus[m - 1]
+        x = lu.solve(np.ascontiguousarray(rhs).T, trans="T" if transpose else "N").T
+        out[..., m, rows] = x
+    if transpose:
+        out[..., 0, :] = out[..., 1, :]
+    return out
+
+
+class TestBoundSolves:
+    """Each march step is one call of the slice's bound solve, bit for bit the
+    plain per-step solve against that slice's factors."""
+
+    @pytest.mark.parametrize("varying", [True, False])
+    @pytest.mark.parametrize("sourced", [True, False])
+    @pytest.mark.parametrize("k", [None, 1, 3])
+    @pytest.mark.parametrize("dim,cells,steps", [(1, 24, 30), (2, 10, 16)])
+    def test_marches_equal_the_plain_loop(self, dim, cells, steps, k, sourced, varying):
+        g, tg = build_grid(dim, cells), build_time_grid(1.0, steps)
+        if varying:
+            c = TestStackedMarch()._roster(g, tg)
+        else:
+            c = constant_coefficients(g, tg, b=1.3, f_adv=0.4, f0=0.2, g=-0.3, g0=0.1)
+        stack = () if k is None else (k,)
+        rng = np.random.default_rng(dim + 2 * (k or 0))
+        s = rng.standard_normal(stack + (tg.n_slices, g.n_nodes))
+        seed = rng.standard_normal(stack + (g.n_nodes,))
+        for a in (s, seed):
+            a[..., g.boundary] = 0.0
+        src = s if sourced else None
+        for slices, build in ((solvers.state_slices, state_factors),
+                              (solvers.sensitivity_slices, sensitivity_factors)):
+            data = slices(c)
+            assert (len(data) == tg.steps) == varying
+            factors = build(c)
+            for march, transpose in ((march_forward, False), (march_adjoint, True)):
+                got = march(factors, seed, src)
+                want = _plain_march(g, tg, data, seed, src, transpose)
+                assert got.tobytes() == want.tobytes()
+
+    def test_solves_are_bound_once_per_direction(self):
+        g, tg = build_grid(1, 16), build_time_grid(1.0, 16)
+        factors = state_factors(constant_coefficients(g, tg))
+        assert factors.solves() is factors.solves(transpose=False)
+        assert factors.solves(transpose=True) is not factors.solves()
+        # a time-constant set has one factorization, so one bound solve
+        assert len(factors.solves()) == tg.steps
+        assert len({id(f) for f in factors.solves()}) == 1
+
+    def test_singular_slice_rejected(self):
+        g, tg = build_grid(1, 16), build_time_grid(1.0, 16)
+        data = slice_operator(g, tg.tau, b=np.ones(g.n_nodes))[None, :].repeat(tg.steps, axis=0)
+        data[2] = 0.0
+        with pytest.raises(solvers.SolverError, match="singular"):
+            solvers.SliceFactors(g, tg, data)
+
+
 class TestSliceOrdering:
     """2D slices are factored in a fill-reducing symmetric ordering."""
 
