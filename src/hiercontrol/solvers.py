@@ -45,26 +45,27 @@ as the tridiagonal solve it feeds.  So it writes the three bands straight
 from a, f_y and f_z, in the summation order of ``slice_operator``, which
 keeps them equal to its entries bit for bit (``_step_matrix``; the tests
 compare the two).
-``factor_slice`` factors a slice: in 1D the matrix is tridiagonal and goes
-to LAPACK dgttrf/dgttrs, whose transposed solve on the same factors keeps
-the adjoint march exact; in 2D it goes to SuperLU with the minimum-degree
-ordering of A^T + A, which suits the structurally symmetric slice pattern
-and leaves about 0.6x the fill of the default COLAMD ordering.
-``SliceFactors`` holds the factors of every slice of a march, with each
-slice's solve bound once per direction, so a march step is one call into
-dgttrs or SuperLU on a contiguous slot, solved in place.
+Every slice matrix, of ``SliceFactors`` or of a quasi-linear refresh, is
+factored by ``factor_slice`` from its bands and solved by the one solve
+``bind_solve`` binds on those factors: in 1D LAPACK dgttrf/dgttrs, whose
+transposed solve on the same factors keeps the adjoint march exact, in 2D
+SuperLU with the minimum-degree ordering of A^T + A, which suits the
+structurally symmetric slice pattern and leaves about 0.6x the fill of the
+default COLAMD ordering.  A march step is one call of that solve on a
+contiguous slot, solved in place.
 
 The quasi-linear forward solver freezes the diffusion a(y, grad y) at the
 current iterate and linearizes f around it, with up to REFRESHES
 within-step refreshes, which stop once one returns its input bit for bit.
 A nonlinearity whose coefficients do not depend on the state (constant a,
 f_y and f_z and f = f_y y + f_z . grad y: the heat and linear-f presets)
-is marched as the linear equation it is, on one factorization and with no
-refresh; for constant a and f = 0 every step equals the linear heat step
-bit for bit.  a and f come as a ``Nonlinearity``: twelve callbacks, the
-values and the first and second derivatives, whose output shapes are
-checked once when it is built, so this module, the follower and leader
-linearizations and the second-order check use the outputs as they come.
+is marched as the linear equation it is, on one factorization, with no
+refresh and on the step loop of the linear marches; for constant a and
+f = 0 every step equals the linear heat step bit for bit.  a and f come
+as a ``Nonlinearity``: twelve callbacks, the values and the first and
+second derivatives, whose output shapes are checked once when it is
+built, so this module, the follower and leader linearizations and the
+second-order check use the outputs as they come.
 Every diffusion, frozen or linearized, must stay at or above one floor,
 RHO0.
 
@@ -281,72 +282,58 @@ def _plus(acc, term):
     return term if acc is None else acc + term
 
 
-def _dgttrf(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> list:
-    """LAPACK dgttrf factors (dl, d, du, du2, ipiv) of one tridiagonal matrix.
+def _slice_bands(grid: SpatialGrid, data: np.ndarray) -> tuple:
+    """The bands of ``factor_slice`` read off pattern values (leading axes
+    stack slices): lower (r, r-1), diagonal and upper (r, r+1) in 1D, the
+    pattern values themselves in 2D."""
+    if grid.dim > 1:
+        return (data,)
+    pat = slice_pattern(grid)
+    upper, lower = (slots for *_, slots in pat.neighbours)
+    return data[..., lower], data[..., pat.diag], data[..., upper]
 
-    ``lower`` holds the entries (r, r-1) and ``upper`` the entries (r, r+1)
-    in row order.  Raises SolverError on a zero pivot.
+
+def factor_slice(grid: SpatialGrid, *bands: np.ndarray):
+    """The raw LU factors of one slice matrix from its bands (``_slice_bands``).
+
+    1D slices are tridiagonal: LAPACK dgttrf returns (dl, d, du, du2, ipiv)
+    and a zero pivot raises SolverError.  2D slices go to SuperLU, which
+    returns its factor object, with the column ordering MMD_AT_PLUS_A,
+    minimum degree on the pattern of A^T + A (Liu, ACM TOMS 1985).  The
+    slice pattern is structurally symmetric, advection included, so that
+    ordering cuts the fill to about 0.6x that of the default COLAMD;
+    SuperLU keeps its partial pivoting.
     """
-    *lu, info = dgttrf(lower, diag, upper)
+    if grid.dim > 1:
+        (data,) = bands
+        return spla.splu(slice_pattern(grid).csr(data).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    *lu, info = dgttrf(*bands)
     if info > 0:
         raise SolverError(f"slice matrix is singular (zero pivot {info})")
     return lu
 
 
-class _Tridiagonal:
-    """LAPACK dgttrf factors of one tridiagonal slice matrix from its bands.
+def bind_solve(grid: SpatialGrid, lu, transpose: bool = False):
+    """The in-place solve of one slice from its ``factor_slice`` factors.
 
-    ``solve`` takes rhs of shape (n,) or (n, k); dgttrs solves the k columns
-    in one call, each bit for bit as it would solve it alone.
+    It takes an interior block b, one contiguous vector (n_interior,) or a
+    Fortran-ordered (n_interior, k) block whose k columns are solved at
+    once, and overwrites it with (I + tau L)^{-1} b, or with the inverse
+    transpose under ``transpose``: one call into dgttrs in 1D, into
+    SuperLU in 2D, each on the same factors in both directions.
     """
+    trans = "T" if transpose else "N"
+    if grid.dim > 1:
+        solve_lu = lu.solve
 
-    def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
-        self._lu = _dgttrf(lower, diag, upper)
+        def solve(b):
+            b[...] = solve_lu(b, trans)
 
-    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-        return dgttrs(*self._lu, rhs, trans=trans)[0]
-
-
-def _band_slots(pat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pattern slots of the lower, diagonal and upper band of a 1D slice."""
-    upper, lower = (slots for *_, slots in pat.neighbours)
-    return lower, pat.diag, upper
-
-
-def factor_slice(grid: SpatialGrid, data: np.ndarray):
-    """LU factors of one slice matrix from its pattern values.
-
-    1D slices are tridiagonal and go to LAPACK dgttrf; 2D slices to SuperLU
-    with the column ordering MMD_AT_PLUS_A, minimum degree on the pattern
-    of A^T + A (Liu, ACM TOMS 1985).  The slice pattern is structurally
-    symmetric, advection included, so that ordering cuts the fill to about
-    0.6x that of the default COLAMD; SuperLU keeps its partial pivoting.
-    Both return an object whose ``solve(rhs, trans)`` applies the inverse
-    (trans="N") or the inverse transpose (trans="T") with the same factors,
-    to rhs of shape (n,) or to the k columns of an (n, k) block at once.
-    """
-    pat = slice_pattern(grid)
-    if grid.dim == 1:
-        return _Tridiagonal(*(data[slots] for slots in _band_slots(pat)))
-    return spla.splu(pat.csr(data).tocsc(), permc_spec="MMD_AT_PLUS_A")
-
-
-def _dgttrs_in_place(lu: list, trans: str):
-    """The solve of one tridiagonal slice that overwrites its rhs with the solution."""
+        return solve
     dl, d, du, du2, ipiv = lu
 
     def solve(b):
         dgttrs(dl, d, du, du2, ipiv, b, trans, 1)
-
-    return solve
-
-
-def _superlu_in_place(lu, trans: str):
-    """The solve of one SuperLU-factored slice that overwrites its rhs with the solution."""
-    solve_lu = lu.solve
-
-    def solve(b):
-        b[...] = solve_lu(b, trans)
 
     return solve
 
@@ -356,38 +343,26 @@ class SliceFactors:
 
     ``data`` holds the pattern values of slices 1..M (one row each), or a
     single row shared by every slice, whose one factorization serves them
-    all.  In 1D the three bands of every slice are gathered from the whole
-    stack at once and each slice is one dgttrf; in 2D each slice goes to
-    ``factor_slice``.
+    all.  The bands of every slice are read off the whole stack at once
+    (``_slice_bands``) and each slice is one ``factor_slice``.
 
-    ``solves(transpose)`` lists the solve of slice m at m - 1, bound once
-    per factor set and direction: the dgttrs factors in 1D, the SuperLU
-    object in 2D.  Each takes an interior block b (``grid.interior`` of a
-    full-grid array), one contiguous vector (n_interior,) or a Fortran-
-    ordered (n_interior, k) block whose k columns are solved at once, and
-    overwrites it with (I + tau L^m)^{-1} b; ``transpose=True`` applies the
-    inverse transpose with the same factors, which is what keeps
-    forward/adjoint pairs exactly dual.  A march makes one such call per
-    step.
+    ``solves(transpose)`` lists the solve of slice m at m - 1, each bound
+    once per factor set and direction by ``bind_solve``; ``transpose=True``
+    applies the inverse transpose with the same factors, which is what
+    keeps forward/adjoint pairs exactly dual.  A march makes one such call
+    per step.
     """
 
     def __init__(self, grid: SpatialGrid, tgrid: TimeGrid, data: np.ndarray):
         self.grid = grid
         self.tgrid = tgrid
-        if grid.dim == 1:
-            bands = [data[:, slots] for slots in _band_slots(slice_pattern(grid))]
-            lus = [_dgttrf(*row) for row in zip(*bands)]
-        else:
-            lus = [factor_slice(grid, row) for row in data]
-        self._lu = lus
+        self._lu = [factor_slice(grid, *row) for row in zip(*_slice_bands(grid, data))]
         self._solves: dict[bool, list] = {}
 
     def solves(self, transpose: bool = False) -> list:
         """The in-place solve of slice m at m - 1, m = 1..M (see the class docstring)."""
         if transpose not in self._solves:
-            bind = _dgttrs_in_place if self.grid.dim == 1 else _superlu_in_place
-            trans = "T" if transpose else "N"
-            bound = [bind(lu, trans) for lu in self._lu]
+            bound = [bind_solve(self.grid, lu, transpose) for lu in self._lu]
             self._solves[transpose] = bound * self.tgrid.steps if len(bound) == 1 else bound
         return self._solves[transpose]
 
@@ -857,24 +832,32 @@ def _frozen_step(nl: Nonlinearity, grid: SpatialGrid, tau: float, m: int, w, gw)
     return fy, fz, bands
 
 
-def _factor_step(grid: SpatialGrid, bands):
-    """Factors of a step matrix from the bands of ``_step_matrix``."""
-    return _Tridiagonal(*bands) if grid.dim == 1 else factor_slice(grid, *bands)
+def _check_blowup(grid: SpatialGrid, m: int, new: np.ndarray, prev=None, norm0: float = 0.0):
+    """Raise BlowUpError at the first slice of ``new`` that diverged.
 
-
-def _solve_step(lu, grid: SpatialGrid, rhs: np.ndarray, m: int) -> np.ndarray:
-    """The full-grid solution of one step from its right-hand side, or
-    BlowUpError at slice m when it is not finite."""
-    rows = grid.interior
-    x = lu.solve(np.ascontiguousarray(rhs[rows]))
-    if not np.all(np.isfinite(x)):
-        raise BlowUpError(
-            f"quasi-linear step produced non-finite values at slice {m}",
-            slice_index=m,
-        )
-    new = np.zeros(grid.n_nodes)
-    new[rows] = x
-    return new
+    ``new`` is one iterate (slice m) or slices m, m+1, ... of a march, one
+    row each.  A slice diverged when it is not finite or, with ``prev``
+    holding the slice before each, when its jump |new - prev| exceeds
+    BLOWUP_FACTOR (1 + max(norm0, |prev|)) in the spatial pairing norm.
+    Past the point of divergence the pairings may overflow; an overflow
+    reads inf, which counts as a jump and raises no floating-point warning.
+    """
+    finite = np.isfinite(new).all(axis=-1)
+    bad = ~finite
+    if prev is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = new - prev
+            jump = np.sqrt(spatial_pairing(grid, step, step))
+            scale = 1.0 + np.maximum(norm0, np.sqrt(spatial_pairing(grid, prev, prev)))
+            bad = bad | (jump > BLOWUP_FACTOR * scale)
+    if not bad.any():
+        return
+    k = int(np.flatnonzero(bad)[0])
+    why = f"produced non-finite values at slice {m + k}"
+    if np.ravel(finite)[k]:
+        why = (f"diverged at slice {m + k}: relative jump "
+               f"{np.ravel(jump)[k] / np.ravel(scale)[k]:.3g} exceeds {BLOWUP_FACTOR}")
+    raise BlowUpError(f"quasi-linear step {why}", slice_index=m + k)
 
 
 def solve_forward_quasilinear(
@@ -892,64 +875,67 @@ def solve_forward_quasilinear(
     one would recompute the same array.  A refresh works on the raw
     iterate: one nodal gradient, the four nonlinearity callbacks and the
     step matrix.  In 1D that matrix is three bands written straight from a,
-    f_y and f_z, bit-equal to the entries of ``slice_operator`` and factored
-    by LAPACK dgttrf, so a refresh builds no sparse matrix; in 2D it is the
-    slice pattern of ``slice_operator`` factored by SuperLU.
+    f_y and f_z, bit-equal to the entries of ``slice_operator``, so a
+    refresh builds no sparse matrix; in 2D it is the slice pattern of
+    ``slice_operator``.  ``factor_slice`` and ``bind_solve`` factor and
+    solve it, as they do every linear march step.
 
     A nonlinearity with ``state_independent`` set (the heat and linear-f
     presets) is the linear equation y_t - div(a grad y) + f_y y + f_z .
     grad y = s with constant coefficients, and is marched as one: a, f_y
     and f_z are evaluated once, the step matrix is checked, built and
-    factored once, before the first step, and each step is one solve of
-    y^{m-1} + tau s^m.  The linearization residual f - f_y y - f_z . grad y
-    that a refresh adds is 0 in exact arithmetic, and under the heat preset
-    0 bit for bit, so heat trajectories equal the refreshed march's.
+    factored once, before the first step, and ``_march`` runs every step on
+    that one bound solve.  The linearization residual f - f_y y - f_z .
+    grad y that a refresh adds is 0 in exact arithmetic, and under the heat
+    preset 0 bit for bit, so heat trajectories equal the refreshed march's.
 
     CoefficientError, with slice and node, reports a diffusion a below
     RHO0.  BlowUpError, with the slice index, marks the point where the
     trust region of the local model is gone and no further slice would be
     meaningful: a refresh whose solve is not finite, a relative jump larger
-    than BLOWUP_FACTOR in one step, or a frozen step matrix I + tau L with a
-    diagonal entry <= 0.  That entry is 1 + tau (diffusion + f_y) at its
-    node; when it is <= 0, so is e_k^T (I + tau L) e_k, and the step matrix
-    is not positive definite: the frozen reaction outgrows diffusion within
-    one step, faster than the implicit step can follow.  A state-independent
-    march reports both coefficient checks at slice 1.
+    than BLOWUP_FACTOR in one step (``_check_blowup``), or a frozen step
+    matrix I + tau L with a diagonal entry <= 0.  That entry is 1 + tau
+    (diffusion + f_y) at its node; when it is <= 0, so is e_k^T (I + tau L)
+    e_k, and the step matrix is not positive definite: the frozen reaction
+    outgrows diffusion within one step, faster than the implicit step can
+    follow.  A state-independent march reports both coefficient checks at
+    slice 1 and checks every slice after its last step, reporting the first
+    that diverged.
     """
     _check_dirichlet(grid, y0.values, "initial state")
     tau = tgrid.tau
-    interior = (~grid.boundary).astype(float)
+    rows = grid.interior
     y = np.zeros((tgrid.n_slices, grid.n_nodes))
     y[0] = y0.values
     norm0 = np.sqrt(spatial_pairing(grid, y0.values, y0.values))
-    linear = nl.state_independent
-    if linear:
+    if nl.state_independent:
         zero = np.zeros(grid.n_nodes)  # the callbacks read only the shape of the state
         _, _, bands = _frozen_step(nl, grid, tau, 1, zero, np.zeros((grid.n_nodes, grid.dim)))
-        lu = _factor_step(grid, bands)
+        block = _interior_block(y, grid, tgrid, source)
+        solve = bind_solve(grid, factor_slice(grid, *bands))
+        _march([solve] * tgrid.steps, block, y0.values[rows], source is not None)
+        if block.base is not y:
+            y[1:, rows] = block
+        _check_blowup(grid, 1, y[1:], y[:-1], norm0)
+        return SpaceTimeField(grid, tgrid, y)
+    interior = (~grid.boundary).astype(float)
     for m in range(1, tgrid.n_slices):
         prev = y[m - 1]
         s_m = 0.0 if source is None else source[m]
-        if linear:
-            w = _solve_step(lu, grid, prev + tau * s_m, m)
-        else:
-            w = prev
-            for _ in range(REFRESHES + 1):
-                gw = gradient(grid, w)
-                fy, fz, bands = _frozen_step(nl, grid, tau, m, w, gw)
-                rhs = prev + tau * (s_m - interior * (nl.f(w, gw) - fy * w - (fz * gw).sum(axis=1)))
-                new = _solve_step(_factor_step(grid, bands), grid, rhs, m)
-                if new.tobytes() == w.tobytes():
-                    break  # every later refresh would recompute the same array
-                w = new
-        jump = np.sqrt(spatial_pairing(grid, w - prev, w - prev))
-        scale = 1.0 + max(norm0, np.sqrt(spatial_pairing(grid, prev, prev)))
-        if jump > BLOWUP_FACTOR * scale:
-            raise BlowUpError(
-                f"quasi-linear step diverged at slice {m}: relative jump "
-                f"{jump / scale:.3g} exceeds {BLOWUP_FACTOR}",
-                slice_index=m,
-            )
+        w = prev
+        for _ in range(REFRESHES + 1):
+            gw = gradient(grid, w)
+            fy, fz, bands = _frozen_step(nl, grid, tau, m, w, gw)
+            rhs = prev + tau * (s_m - interior * (nl.f(w, gw) - fy * w - (fz * gw).sum(axis=1)))
+            x = np.ascontiguousarray(rhs[rows])
+            bind_solve(grid, factor_slice(grid, *bands))(x)
+            _check_blowup(grid, m, x)
+            new = np.zeros(grid.n_nodes)
+            new[rows] = x
+            if new.tobytes() == w.tobytes():
+                break  # every later refresh would recompute the same array
+            w = new
+        _check_blowup(grid, m, w, prev, norm0)
         y[m] = w
     return SpaceTimeField(grid, tgrid, y)
 

@@ -203,14 +203,19 @@ class TestQuasilinearStepPositivity:
 
     def test_growth_resolved_by_diffusion_matches_linear_solver(self):
         # 1 + tau f_y = 1 - 20/16 < 0, but I + tau (-Lap_h - 20) is positive
-        # definite; both march on the factors of one bit-equal matrix
-        grid, tgrid = build_grid(1, 32), build_time_grid(1.0, 16)
+        # definite; both march on the factors of one bit-equal matrix, in 1D
+        # and 2D, with and without a source
         nl = nonlinearity_preset("linear-f", a0=1.0, c1=-20.0)
-        y0 = self._sine(grid, 1.0)
-        ynl = solve_forward_quasilinear(nl, grid, tgrid, y0)
-        c = constant_coefficients(grid, tgrid, b=1.0, f0=-20.0)
-        ylin = march_forward(state_factors(c), y0.values, None)
-        assert ynl.values.tobytes() == ylin.tobytes()
+        for dim, with_source in itertools.product((1, 2), (False, True)):
+            grid, tgrid = build_grid(dim, 32 if dim == 1 else 8), build_time_grid(1.0, 16)
+            y0 = self._sine(grid, 1.0)
+            source = None
+            if with_source:
+                source = np.cos(3.0 * tgrid.times)[:, None] * np.sin(2.0 * np.pi * grid.x)[None, :]
+            ynl = solve_forward_quasilinear(nl, grid, tgrid, y0, source)
+            c = constant_coefficients(grid, tgrid, b=1.0, f0=-20.0)
+            ylin = march_forward(state_factors(c), y0.values, source)
+            assert ynl.values.tobytes() == ylin.tobytes(), (dim, with_source)
 
 
 class TestQuasilinearBands:

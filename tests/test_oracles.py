@@ -116,7 +116,8 @@ class TestKKTOracle:
         for name, module in list(sys.modules.items()):
             if module is None or not (name == "hiercontrol" or name.startswith("hiercontrol.")):
                 continue
-            for attr in ("slice_operator", "factor_slice", "march_forward", "march_adjoint"):
+            for attr in ("slice_operator", "_slice_bands", "factor_slice", "bind_solve",
+                         "SliceFactors", "march_forward", "march_adjoint"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
         got = kkt_nash_oracle(problem, u)

@@ -1,10 +1,14 @@
 """Linear and quasi-linear marching: accuracy, transposition, failure modes."""
 
 import dataclasses
+import itertools
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 import hiercontrol.solvers as solvers
 from hiercontrol.errors import BlowUpError, CoefficientError
@@ -206,17 +210,30 @@ class TestStackedMarch:
             march_forward(factors, seeds, None)
 
 
+def _plain_solver(grid, row):
+    """solve(rhs, trans) of one slice, factored by scipy straight from the
+    bands (1D) or CSR rows (2D) its pattern values fill."""
+    pat = slice_pattern(grid)
+    if grid.dim == 1:
+        (*_, up_slots), (*_, lo_slots) = pat.neighbours
+        *lu, info = dgttrf(row[lo_slots], row[pat.diag], row[up_slots])
+        assert info == 0
+        return lambda rhs, trans: dgttrs(*lu, rhs, trans=trans)[0]
+    A = sp.csr_matrix((row, pat.indices, pat.indptr), shape=(pat.n, pat.n))
+    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
+
+
 def _plain_march(grid, tgrid, data, seed, sources, transpose):
-    """A march written out step by step from ``factor_slice`` of each slice row."""
-    lus = [factor_slice(grid, row) for row in data]
+    """A march written out step by step, each slice row factored by scipy itself."""
+    slice_solves = [_plain_solver(grid, row) for row in data]
     rows = grid.interior
     out = np.zeros(seed.shape[:-1] + (tgrid.n_slices, grid.n_nodes))
     out[..., 0, :] = seed
     x = seed[..., rows]
     for m in (range(tgrid.steps, 0, -1) if transpose else range(1, tgrid.n_slices)):
         rhs = x if sources is None else x + tgrid.tau * sources[..., m, rows]
-        lu = lus[0] if len(lus) == 1 else lus[m - 1]
-        x = lu.solve(np.ascontiguousarray(rhs).T, trans="T" if transpose else "N").T
+        solve = slice_solves[0] if len(slice_solves) == 1 else slice_solves[m - 1]
+        x = solve(np.ascontiguousarray(rhs).T, "T" if transpose else "N").T
         out[..., m, rows] = x
     if transpose:
         out[..., 0, :] = out[..., 1, :]
@@ -467,15 +484,23 @@ class TestQuasilinearForward:
         assert err_c / err_m >= 1.8
 
     def test_heat_preset_matches_linear_solver(self):
-        # both march on the factors of one bit-equal tridiagonal matrix
-        g = build_grid(1, 32)
-        tg = build_time_grid(0.5, 64)
-        nl = nonlinearity_preset("heat", a0=1.0)
-        y0 = _sine_field(g)
-        ynl = solve_forward_quasilinear(nl, g, tg, y0)
-        c = constant_coefficients(g, tg, b=1.0)
-        ylin = march_forward(state_factors(c), y0.values, None)
-        assert ynl.values.tobytes() == ylin.tobytes()
+        # both march on the factors of one bit-equal slice matrix, in 1D and
+        # 2D, with and without a source, under heat and under linear-f
+        cases = (
+            ("heat", {"a0": 1.0}, {"b": 1.0}),
+            ("linear-f", {"a0": 1.0, "c1": 0.5, "c2": 0.3}, {"b": 1.0, "f_adv": 0.3, "f0": 0.5}),
+        )
+        for (name, params, coefficients), dim, with_source in itertools.product(
+            cases, (1, 2), (False, True)
+        ):
+            g = build_grid(dim, 32 if dim == 1 else 8)
+            tg = build_time_grid(0.5, 64)
+            y0 = _sine_field(g)
+            source = _interior_noise(np.random.default_rng(dim), g, tg) if with_source else None
+            ynl = solve_forward_quasilinear(nonlinearity_preset(name, **params), g, tg, y0, source)
+            c = constant_coefficients(g, tg, **coefficients)
+            ylin = march_forward(state_factors(c), y0.values, source)
+            assert ynl.values.tobytes() == ylin.tobytes(), (name, dim, with_source)
 
     @staticmethod
     def _refresh_passes(preset, dim, cells):
@@ -617,6 +642,20 @@ class TestStateIndependentMarch:
         with pytest.raises(BlowUpError, match="positivity") as exc:
             solve_forward_quasilinear(nl, g, tg, _sine_field(g))
         assert exc.value.slice_index == 1
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["warnings", "warnings-as-errors"])
+    def test_first_diverging_slice_is_reported(self, strict):
+        # growth c1 = -100 outruns diffusion (rate about 100 - pi^2); the
+        # values at slice 222 are finite, only the jump's pairing overflows,
+        # and that overflow must neither escape as a warning nor stop the
+        # march at another slice
+        g, tg = build_grid(1, 8), build_time_grid(4.0, 452)
+        nl = nonlinearity_preset("linear-f", a0=1.0, c1=-100.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error" if strict else "default")
+            with pytest.raises(BlowUpError, match="diverged at slice 222") as exc:
+                solve_forward_quasilinear(nl, g, tg, _sine_field(g))
+        assert exc.value.slice_index == 222
 
     def test_diffusion_below_the_floor_is_rejected(self):
         g, tg = build_grid(1, 16), build_time_grid(1.0, 16)
