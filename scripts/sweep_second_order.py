@@ -24,7 +24,7 @@ def main() -> int:
                                                      "scenarios", "heat_lq_16x32.cfg"))
     ap.add_argument("--out", default="second_order_out")
     ap.add_argument("--mu1", type=float, nargs="+",
-                    default=[1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0])
+                    default=[1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0])
     args = ap.parse_args()
     os.makedirs(args.out, exist_ok=True)
 

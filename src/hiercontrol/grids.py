@@ -16,9 +16,9 @@ are enforced exactly rather than approximately:
   discrete adjoint of an advective term is the matching divergence-form
   term with flipped sign.
 
-The interior-only sparsity pattern of a slice matrix I + tau L, with the
-data slot of every diagonal and neighbour entry, is built here once per
-grid shape (``slice_pattern``); the solvers fill its values.
+``solvers.slice_operator`` computes every slice matrix I + tau L on slices
+of the node lattice, equal to the composition of these two operators bit
+for bit.
 
 Fields carry their values on the full node set; boundary entries of a
 Dirichlet field are zero and all solve paths only ever touch interior
@@ -46,8 +46,8 @@ from .errors import CoefficientError, GeometryError, GridMismatchError
 ADMITTED_DIMS = (1, 2)  # the spatial dimensions the package discretizes
 
 
-def _frozen(a: np.ndarray, dtype=None) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=dtype)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
 
@@ -368,77 +368,6 @@ def assemble_divergence_operator(grid: SpatialGrid, diffusion: np.ndarray) -> sp
     )
     A.sum_duplicates()
     return A
-
-
-@dataclass(frozen=True, eq=False)
-class SlicePattern:
-    """Interior-only CSR sparsity of a slice matrix  I + tau L  on one grid shape.
-
-    Rows and columns are the interior unknowns in ``interior_idx`` order.
-    Row r holds the diagonal and, for every axis, the neighbours r -/+ stride
-    that are interior nodes.  ``rows[p]`` is the row of data slot p and
-    ``diag[r]`` the data slot of (r, r);
-    ``neighbours`` holds one (axis, stride, side, rows, slots) entry per axis
-    and side, +1 before -1, where ``rows`` are the interior rows whose
-    neighbour on that side is interior and ``slots`` the data slots of those
-    entries.
-    """
-
-    n: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    rows: np.ndarray
-    diag: np.ndarray
-    neighbours: tuple
-
-    @property
-    def nnz(self) -> int:
-        return self.indices.size
-
-    def csr(self, data: np.ndarray) -> sp.csr_matrix:
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
-
-
-def slice_pattern(grid: SpatialGrid) -> SlicePattern:
-    """The slice pattern of the grid's shape, built once per (dim, cells)."""
-    return _slice_pattern(grid.dim, grid.cells)
-
-
-@functools.lru_cache(maxsize=8)
-def _slice_pattern(dim: int, cells: int) -> SlicePattern:
-    grid = build_grid(dim, cells)
-    ii = grid.interior_idx
-    ni = ii.size
-    pos = np.full(grid.n_nodes, -1)
-    pos[ii] = np.arange(ni)
-    rows, cols, sides = [np.arange(ni)], [np.arange(ni)], []
-    for ax, s in enumerate(grid.strides):
-        for side in (1, -1):
-            nb = pos[ii + side * s]
-            ok = np.flatnonzero(nb >= 0)
-            sides.append((ax, s, side, ok))
-            rows.append(ok)
-            cols.append(nb[ok])
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    order = np.lexsort((cols, rows))
-    slot = np.empty_like(order)
-    slot[order] = np.arange(order.size)
-    neighbours = []
-    start = ni
-    for ax, s, side, ok in sides:
-        neighbours.append((ax, s, side, _frozen_int(ok), _frozen_int(slot[start:start + ok.size])))
-        start += ok.size
-    return SlicePattern(
-        n=ni,
-        indptr=_frozen_int(np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=ni))])),
-        indices=_frozen_int(cols[order]),
-        rows=_frozen_int(rows[order]),
-        diag=_frozen_int(slot[:ni]),
-        neighbours=tuple(neighbours),
-    )
-
-
-_frozen_int = functools.partial(_frozen, dtype=np.int32)
 
 
 # ---------------------------------------------------------------------------

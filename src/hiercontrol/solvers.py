@@ -28,31 +28,24 @@ of a stacked march is the march of seed j and source j; in 1D it equals
 that single march bit for bit, in 2D to rounding, and the identity above
 holds column by column.
 
-Every slice matrix I + tau L^m comes from one assembly path, with one
-exception below.  The grid shape fixes an interior-only CSR pattern
-(``grids.slice_pattern``, built once per shape); ``slice_operator`` writes
-the values of one slice or of a whole stack of slices into it with
-vectorised arithmetic straight from the coefficient arrays, equal bit for
-bit to the flux-form composition of ``assemble_divergence_operator`` and
-``gradient_matrices``.  The linear marches (``state_factors``,
-``sensitivity_factors``), the 2D quasi-linear march and the leader's
-space-time matrix all use it, and a roster family that does not change in
-time is assembled and factored once.  The exception is the 1D quasi-linear
-step: under a state-dependent nonlinearity it rebuilds its matrix up to
-three times per time step from coefficients that only exist at the
-current iterate, and filling the pattern took more than ten times as long
-as the tridiagonal solve it feeds.  So it writes the three bands straight
-from a, f_y and f_z, in the summation order of ``slice_operator``, which
-keeps them equal to its entries bit for bit (``_step_matrix``; the tests
-compare the two).
-Every slice matrix, of ``SliceFactors`` or of a quasi-linear refresh, is
-factored by ``factor_slice`` from its bands and solved by the one solve
-``bind_solve`` binds on those factors: in 1D LAPACK dgttrf/dgttrs, whose
-transposed solve on the same factors keeps the adjoint march exact, in 2D
-SuperLU with the minimum-degree ordering of A^T + A, which suits the
-structurally symmetric slice pattern and leaves about 0.6x the fill of the
-default COLAMD ordering.  A march step is one call of that solve on a
-contiguous slot, solved in place.
+Every slice matrix I + tau L^m, in every dimension, comes from one
+function: ``slice_operator`` computes its diagonal and one (upper, lower)
+off-diagonal pair per axis on slices of the node lattice, as arrays of the
+interior lattice, with vectorised arithmetic straight from the coefficient
+arrays, equal bit for bit to the flux-form composition of
+``assemble_divergence_operator`` and ``gradient_matrices``.  The linear
+marches (``state_factors``, ``sensitivity_factors``) assemble a whole
+stack of slices in one call, and a roster family that does not change in
+time is assembled and factored once; each quasi-linear refresh assembles
+its one slice.  Every slice matrix is factored by ``factor_slice`` from
+those parts and solved by the one solve ``bind_solve`` binds on the
+factors: in 1D LAPACK dgttrf/dgttrs on the three bands, whose transposed
+solve on the same factors keeps the adjoint march exact, in 2D SuperLU on
+a CSC matrix laid out from cached interior-lattice coordinates, with the
+minimum-degree ordering of A^T + A, which suits the structurally
+symmetric slice matrix and leaves about 0.6x the fill of the default
+COLAMD ordering.  A march step is one call of that solve on a contiguous
+slot, solved in place.
 
 The quasi-linear forward solver freezes the diffusion a(y, grad y) at the
 current iterate and linearizes f around it, with up to REFRESHES
@@ -77,10 +70,12 @@ relative stop in the stepped weighted norm.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgttrf, dgttrs
 
@@ -93,7 +88,6 @@ from .grids import (
     SpatialGrid,
     TimeGrid,
     gradient,
-    slice_pattern,
     spatial_pairing,
     stepped_vector,
 )
@@ -232,82 +226,146 @@ def slice_operator(
     f_adv: np.ndarray | None = None,
     f_div: np.ndarray | None = None,
     f0: np.ndarray | None = None,
-) -> np.ndarray:
-    """Values of  I + tau L  on the grid's slice pattern, one slice or a stack.
+) -> tuple:
+    """I + tau L on the interior unknowns as diagonals of the interior lattice.
 
     L = -div(b grad .) + f_adv . grad + div(f_div .) + f0 restricted to the
     interior unknowns; every term is optional.  Coefficients are per node,
     b as (..., n) isotropic or (..., n, dim) diagonal, f_adv and f_div as
-    (..., n, dim), f0 as (..., n); leading axes stack slices and the result
-    has shape (..., nnz).  The diffusion part uses arithmetic-mean faces
-    (b_k + b_{k+s}) / 2 and the first-order parts the central difference
-    +-1/(2h), summed per entry in the order of the flux-form composition
-    assemble_divergence_operator + diag(f_adv) D + D diag(f_div) + diag(f0),
-    so the values equal that composition bit for bit.
+    (..., n, dim), f0 as (..., n); leading axes stack slices, the same for
+    every given coefficient.
+
+    Returns ``(diag, offdiag)`` on the interior lattice, cells - 1 nodes
+    per axis, whose C order is the order of ``interior_idx``.  ``diag`` has
+    the lattice shape; ``offdiag`` holds one (upper, lower) pair per axis:
+    the entries from each interior node to its neighbour one step up,
+    resp. down, that axis, with the last, resp. first, index along the axis
+    dropped, where that neighbour is a boundary node.  In 1D the three are
+    the bands of a tridiagonal matrix.
+
+    Everything is computed on slices of the node lattice.  Each face
+    (b_k + b_{k+1}) / 2 / h^2 is computed once per axis.  The diagonal sums
+    right + left face per axis, in axis order, then f0, and is 1 + tau
+    diag; an off-diagonal entry is tau (-face + f_adv (+-c) + (+-c) f_div
+    at the neighbour), c = 1/(2h).  That is the summation order of the
+    flux-form composition assemble_divergence_operator + diag(f_adv) D +
+    D diag(f_div) + diag(f0), so every entry equals it bit for bit.
     """
-    pat = slice_pattern(grid)
-    ii = grid.interior_idx
+    dim = grid.dim
+    lattice = (grid.cells + 1,) * dim
     h2 = grid.h * grid.h
     c = 1.0 / (2 * grid.h)
+    interior, axes = _lattice_cuts(dim)
+
+    def nodes(v):
+        """Per-node values (..., n) on the node lattice."""
+        return v.reshape(v.shape[:-1] + lattice)
+
+    isotropic = b is not None and b.shape[-1] == grid.n_nodes
+    if isotropic:
+        b_ax = nodes(b)
     diag = None
-    entries = []
-    for ax, s, side, rows, slots in pat.neighbours:
-        nb = ii + side * s
-        val = None
+    offdiag = []
+    for ax, (below, above, right, left, between, up, down) in enumerate(axes):
+        upper = lower = None
         if b is not None:
-            bax = b if b.shape[-1] == grid.n_nodes else b[..., ax]
-            left = ii if side > 0 else nb
-            face = 0.5 * (bax[..., left] + bax[..., left + s]) / h2
-            diag = face if diag is None else diag + face
-            val = -face
+            if not isotropic:
+                b_ax = nodes(b[..., ax])
+            face = 0.5 * (b_ax[below] + b_ax[above]) / h2
+            diag = face[right] if diag is None else diag + face[right]
+            diag = diag + face[left]
+            upper = lower = -face[between]
         if f_adv is not None:
-            val = _plus(val, f_adv[..., ii, ax] * (side * c))
+            adv = nodes(f_adv[..., ax])
+            upper = _plus(upper, adv[up] * c)
+            lower = _plus(lower, adv[down] * (-c))
         if f_div is not None:
-            val = _plus(val, (side * c) * f_div[..., nb, ax])
-        if val is not None:
-            entries.append((slots, tau * val[..., rows]))
+            div = nodes(f_div[..., ax])
+            upper = _plus(upper, c * div[down])
+            lower = _plus(lower, (-c) * div[up])
+        if upper is None:  # no term couples neighbours: f0 alone, if anything
+            lead = () if f0 is None else f0.shape[:-1]
+            upper = lower = np.zeros(lead + tuple(grid.cells - 1 - (k == ax) for k in range(dim)))
+        offdiag.append((tau * upper, tau * lower))
     if f0 is not None:
-        diag = _plus(diag, f0[..., ii])
-    shapes = [v.shape[:-1] for _, v in entries]
-    if diag is not None:
-        shapes.append(diag.shape[:-1])
-    data = np.zeros(np.broadcast_shapes(*shapes) + (pat.nnz,))
-    data[..., pat.diag] = 1.0 if diag is None else 1.0 + tau * diag
-    for slots, v in entries:
-        data[..., slots] = v
-    return data
+        diag = _plus(diag, nodes(f0)[interior])
+    if diag is None:  # no b, no f0: the identity's diagonal
+        given = f_adv if f_adv is not None else f_div
+        diag = np.zeros((() if given is None else given.shape[:-2]) + (grid.cells - 1,) * dim)
+    return 1.0 + tau * diag, tuple(offdiag)
 
 
 def _plus(acc, term):
     return term if acc is None else acc + term
 
 
-def _slice_bands(grid: SpatialGrid, data: np.ndarray) -> tuple:
-    """The bands of ``factor_slice`` read off pattern values (leading axes
-    stack slices): lower (r, r-1), diagonal and upper (r, r+1) in 1D, the
-    pattern values themselves in 2D."""
-    if grid.dim > 1:
-        return (data,)
-    pat = slice_pattern(grid)
-    upper, lower = (slots for *_, slots in pat.neighbours)
-    return data[..., lower], data[..., pat.diag], data[..., upper]
+@functools.lru_cache(maxsize=None)
+def _lattice_cuts(dim: int) -> tuple:
+    """The index tuples ``slice_operator`` reads the node lattice and the
+    face lattice with: the interior nodes, then per axis the two nodes of
+    every face on a lattice line through interior nodes (below, above),
+    the faces right and left of each interior node and the faces between
+    two interior nodes (right, left, between), and the interior nodes with
+    an interior neighbour up, resp. down, the axis (up, down)."""
+    inner, every = slice(1, -1), slice(None)
+
+    def cut(ax, part, rest):
+        return (Ellipsis,) + (rest,) * ax + (part,) + (rest,) * (dim - 1 - ax)
+
+    return (Ellipsis,) + (inner,) * dim, tuple(
+        (cut(ax, slice(None, -1), inner), cut(ax, slice(1, None), inner),
+         cut(ax, slice(1, None), every), cut(ax, slice(None, -1), every), cut(ax, inner, every),
+         cut(ax, slice(1, -2), inner), cut(ax, slice(2, -1), inner))
+        for ax in range(dim)
+    )
 
 
-def factor_slice(grid: SpatialGrid, *bands: np.ndarray):
-    """The raw LU factors of one slice matrix from its bands (``_slice_bands``).
+@functools.lru_cache(maxsize=8)
+def _csc_layout(dim: int, cells: int) -> tuple:
+    """(order, indices, indptr) of the CSC matrix of a 2D slice: entry k of
+    the column-major data is entry order[k] of the concatenated
+    ``slice_operator`` parts diag, upper_0, lower_0, upper_1, lower_1, ...,
+    read off the interior-lattice coordinates of each part."""
+    lattice = (cells - 1,) * dim
+    idx = np.arange(np.prod(lattice)).reshape(lattice)
+    rows, cols = [idx.ravel()], [idx.ravel()]
+    for ax in range(dim):
+        below = idx[(slice(None),) * ax + (slice(None, -1),)].ravel()
+        above = idx[(slice(None),) * ax + (slice(1, None),)].ravel()
+        rows += [below, above]  # upper: (p, p + e_ax); lower: (p + e_ax, p)
+        cols += [above, below]
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    order = np.lexsort((rows, cols))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=idx.size))])
+    layout = tuple(a.astype(np.int32) for a in (order, rows[order], indptr))
+    for a in layout:
+        a.setflags(write=False)
+    return layout
 
-    1D slices are tridiagonal: LAPACK dgttrf returns (dl, d, du, du2, ipiv)
-    and a zero pivot raises SolverError.  2D slices go to SuperLU, which
-    returns its factor object, with the column ordering MMD_AT_PLUS_A,
-    minimum degree on the pattern of A^T + A (Liu, ACM TOMS 1985).  The
-    slice pattern is structurally symmetric, advection included, so that
-    ordering cuts the fill to about 0.6x that of the default COLAMD;
-    SuperLU keeps its partial pivoting.
+
+def factor_slice(grid: SpatialGrid, diag: np.ndarray, offdiag):
+    """The raw LU factors of one slice matrix from its ``slice_operator`` parts.
+
+    1D slices are tridiagonal: LAPACK dgttrf on (lower, diag, upper)
+    returns (dl, d, du, du2, ipiv).  2D slices go to SuperLU as a CSC
+    matrix laid out by ``_csc_layout``, which keeps the entries that are
+    exactly zero, and it returns its factor object, with the column
+    ordering MMD_AT_PLUS_A, minimum degree on the pattern of A^T + A (Liu,
+    ACM TOMS 1985).  The slice matrix is structurally symmetric, advection
+    included, so that ordering cuts the fill to about 0.6x that of the
+    default COLAMD; SuperLU keeps its partial pivoting.  A singular slice
+    raises SolverError in both.
     """
     if grid.dim > 1:
-        (data,) = bands
-        return spla.splu(slice_pattern(grid).csr(data).tocsc(), permc_spec="MMD_AT_PLUS_A")
-    *lu, info = dgttrf(*bands)
+        order, indices, indptr = _csc_layout(grid.dim, grid.cells)
+        data = np.concatenate([diag, *(v for pair in offdiag for v in pair)], axis=None)[order]
+        A = sp.csc_matrix((data, indices, indptr), shape=(diag.size, diag.size))
+        try:
+            return spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:
+            raise SolverError(f"slice matrix is singular ({exc})") from exc
+    ((upper, lower),) = offdiag
+    *lu, info = dgttrf(lower, diag, upper)
     if info > 0:
         raise SolverError(f"slice matrix is singular (zero pivot {info})")
     return lu
@@ -339,12 +397,11 @@ def bind_solve(grid: SpatialGrid, lu, transpose: bool = False):
 
 
 class SliceFactors:
-    """Factorizations of (I + tau L^m) on the interior subspace, one per slice.
+    """Factorizations of (I + tau L^m) on the interior unknowns, one per slice.
 
-    ``data`` holds the pattern values of slices 1..M (one row each), or a
-    single row shared by every slice, whose one factorization serves them
-    all.  The bands of every slice are read off the whole stack at once
-    (``_slice_bands``) and each slice is one ``factor_slice``.
+    ``op`` is the ``slice_operator`` output of slices 1..M, one stacked row
+    each, or of a single row shared by every slice, whose one
+    factorization serves them all.  Each row is one ``factor_slice``.
 
     ``solves(transpose)`` lists the solve of slice m at m - 1, each bound
     once per factor set and direction by ``bind_solve``; ``transpose=True``
@@ -353,10 +410,12 @@ class SliceFactors:
     per step.
     """
 
-    def __init__(self, grid: SpatialGrid, tgrid: TimeGrid, data: np.ndarray):
+    def __init__(self, grid: SpatialGrid, tgrid: TimeGrid, op: tuple):
         self.grid = grid
         self.tgrid = tgrid
-        self._lu = [factor_slice(grid, *row) for row in zip(*_slice_bands(grid, data))]
+        diag, offdiag = op
+        self._lu = [factor_slice(grid, d, [(upper[m], lower[m]) for upper, lower in offdiag])
+                    for m, d in enumerate(diag)]
         self._solves: dict[bool, list] = {}
 
     def solves(self, transpose: bool = False) -> list:
@@ -376,7 +435,7 @@ def _time_constant(*arrays) -> bool:
 
 
 def _roster_slices(c: LinearCoefficients, b, f_adv=None, f_div=None, f0=None):
-    """Pattern values of I + tau L at slices 1..M of a roster family.
+    """``slice_operator`` of I + tau L at slices 1..M of a roster family.
 
     A time-constant family is assembled once and returned as one row.
     """
@@ -385,12 +444,12 @@ def _roster_slices(c: LinearCoefficients, b, f_adv=None, f_div=None, f0=None):
     return slice_operator(c.grid, c.tgrid.tau, *(None if a is None else a[sel] for a in fams))
 
 
-def state_slices(c: LinearCoefficients) -> np.ndarray:
+def state_slices(c: LinearCoefficients) -> tuple:
     """I + tau L_y at slices 1..M, L_y = -div(b grad .) + f_adv . grad + f0."""
     return _roster_slices(c, c.b, f_adv=c.f_adv, f0=c.f0)
 
 
-def sensitivity_slices(c: LinearCoefficients) -> np.ndarray:
+def sensitivity_slices(c: LinearCoefficients) -> tuple:
     """I + tau L_p at slices 1..M, L_p = -div(B grad .) + div(g .) - g0."""
     return _roster_slices(c, c.B, f_div=c.g, f0=None if c.g0 is None else -c.g0)
 
@@ -780,34 +839,8 @@ def combine_control_source(
     return out
 
 
-def _step_matrix(grid: SpatialGrid, tau: float, a: np.ndarray, fy: np.ndarray, fz: np.ndarray):
-    """I + tau L of one quasi-linear step, L = -div(a grad .) + fz . grad + fy.
-
-    Returns ``(bands, diagonal)``: the arrays that fix the matrix, and its
-    diagonal over the interior unknowns.  In 1D the bands are (lower,
-    diagonal, upper) of the tridiagonal matrix, written straight from the
-    nodal coefficients: faces F = (a_k + a_{k+1}) / 2 / h^2, diagonal
-    1 + tau ((F_right + F_left) + fy), upper tau (-F_right + fz c) and lower
-    tau (-F_left + fz (-c)) with c = 1 / (2h).  That is the summation order
-    of ``slice_operator``, so each band equals its entries bit for bit.  In
-    2D the one band is the slice pattern values from ``slice_operator``.
-    """
-    if grid.dim > 1:
-        data = slice_operator(grid, tau, b=a, f_adv=fz, f0=fy)
-        return (data,), data[slice_pattern(grid).diag]
-    h2 = grid.h * grid.h
-    c = 1.0 / (2 * grid.h)
-    face = 0.5 * (a[:-1] + a[1:]) / h2
-    right, left = face[1:], face[:-1]
-    fzi = fz[1:-1, 0]
-    diag = 1.0 + tau * ((right + left) + fy[1:-1])
-    upper = tau * (-right + fzi * c)
-    lower = tau * (-left + fzi * (-c))
-    return (lower[1:], diag, upper[:-1]), diag
-
-
 def _frozen_step(nl: Nonlinearity, grid: SpatialGrid, tau: float, m: int, w, gw):
-    """f_y, f_z and the step matrix bands of slice m, frozen at (w, grad w).
+    """f_y, f_z and the step matrix (``slice_operator``) of slice m at (w, grad w).
 
     Raises CoefficientError when a falls below RHO0 and BlowUpError when
     the step matrix has a diagonal entry <= 0, each naming slice m.
@@ -821,7 +854,8 @@ def _frozen_step(nl: Nonlinearity, grid: SpatialGrid, tau: float, m: int, w, gw)
         )
     fy = nl.f_y(w, gw)
     fz = nl.f_z(w, gw)
-    bands, d = _step_matrix(grid, tau, a_vals, fy, fz)
+    op = slice_operator(grid, tau, b=a_vals, f_adv=fz, f0=fy)
+    d = op[0].ravel()
     if float(d.min()) <= 0.0:
         k = int(d.argmin())
         raise BlowUpError(
@@ -829,35 +863,47 @@ def _frozen_step(nl: Nonlinearity, grid: SpatialGrid, tau: float, m: int, w, gw)
             f"diagonal 1 + tau (diffusion + f_y) = {d[k]:.3g} <= 0",
             slice_index=m,
         )
-    return fy, fz, bands
+    return fy, fz, op
 
 
 def _check_blowup(grid: SpatialGrid, m: int, new: np.ndarray, prev=None, norm0: float = 0.0):
     """Raise BlowUpError at the first slice of ``new`` that diverged.
 
-    ``new`` is one iterate (slice m) or slices m, m+1, ... of a march, one
-    row each.  A slice diverged when it is not finite or, with ``prev``
-    holding the slice before each, when its jump |new - prev| exceeds
-    BLOWUP_FACTOR (1 + max(norm0, |prev|)) in the spatial pairing norm.
-    Past the point of divergence the pairings may overflow; an overflow
-    reads inf, which counts as a jump and raises no floating-point warning.
+    ``new`` is one iterate (slice m) or, with ``prev`` holding the slice
+    before each, slices m, m+1, ... of a march, one row each.  A slice
+    diverged when it is not finite or when it jumps (``_check_jump``).
     """
-    finite = np.isfinite(new).all(axis=-1)
-    bad = ~finite
-    if prev is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            step = new - prev
-            jump = np.sqrt(spatial_pairing(grid, step, step))
-            scale = 1.0 + np.maximum(norm0, np.sqrt(spatial_pairing(grid, prev, prev)))
-            bad = bad | (jump > BLOWUP_FACTOR * scale)
+    first = None
+    if not np.isfinite(new).all():
+        first = int(np.argmin(np.isfinite(new).all(axis=-1)))
+    if prev is not None:  # a jump before the first non-finite slice comes first
+        _check_jump(grid, m, new[:first], prev[:first], norm0)
+    if first is not None:
+        raise BlowUpError(f"quasi-linear step produced non-finite values at slice {m + first}",
+                          slice_index=m + first)
+
+
+def _check_jump(grid: SpatialGrid, m: int, new: np.ndarray, prev: np.ndarray, norm0: float):
+    """Raise BlowUpError at the first slice of ``new`` (slice m, or slices
+    m, m+1, ..., one row each) whose jump |new - prev| from the slice before
+    it exceeds BLOWUP_FACTOR (1 + max(norm0, |prev|)) in the spatial
+    pairing norm.  Past the point of divergence the pairings may overflow;
+    an overflow reads inf, which counts as a jump and raises no
+    floating-point warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = new - prev
+        jump = np.sqrt(spatial_pairing(grid, step, step))
+        scale = 1.0 + np.maximum(norm0, np.sqrt(spatial_pairing(grid, prev, prev)))
+        bad = jump > BLOWUP_FACTOR * scale
     if not bad.any():
         return
     k = int(np.flatnonzero(bad)[0])
-    why = f"produced non-finite values at slice {m + k}"
-    if np.ravel(finite)[k]:
-        why = (f"diverged at slice {m + k}: relative jump "
-               f"{np.ravel(jump)[k] / np.ravel(scale)[k]:.3g} exceeds {BLOWUP_FACTOR}")
-    raise BlowUpError(f"quasi-linear step {why}", slice_index=m + k)
+    raise BlowUpError(
+        f"quasi-linear step diverged at slice {m + k}: relative jump "
+        f"{np.ravel(jump)[k] / np.ravel(scale)[k]:.3g} exceeds {BLOWUP_FACTOR}",
+        slice_index=m + k,
+    )
 
 
 def solve_forward_quasilinear(
@@ -874,11 +920,10 @@ def solve_forward_quasilinear(
     stop early once one returns its input bit for bit, since every later
     one would recompute the same array.  A refresh works on the raw
     iterate: one nodal gradient, the four nonlinearity callbacks and the
-    step matrix.  In 1D that matrix is three bands written straight from a,
-    f_y and f_z, bit-equal to the entries of ``slice_operator``, so a
-    refresh builds no sparse matrix; in 2D it is the slice pattern of
-    ``slice_operator``.  ``factor_slice`` and ``bind_solve`` factor and
-    solve it, as they do every linear march step.
+    step matrix from ``slice_operator``, which ``factor_slice`` and
+    ``bind_solve`` factor and solve, as they do every linear march step.
+    Each refresh checks that its solve is finite, so each step only checks
+    its jump.
 
     A nonlinearity with ``state_independent`` set (the heat and linear-f
     presets) is the linear equation y_t - div(a grad y) + f_y y + f_z .
@@ -893,7 +938,7 @@ def solve_forward_quasilinear(
     RHO0.  BlowUpError, with the slice index, marks the point where the
     trust region of the local model is gone and no further slice would be
     meaningful: a refresh whose solve is not finite, a relative jump larger
-    than BLOWUP_FACTOR in one step (``_check_blowup``), or a frozen step
+    than BLOWUP_FACTOR in one step (``_check_jump``), or a frozen step
     matrix I + tau L with a diagonal entry <= 0.  That entry is 1 + tau
     (diffusion + f_y) at its node; when it is <= 0, so is e_k^T (I + tau L)
     e_k, and the step matrix is not positive definite: the frozen reaction
@@ -910,32 +955,31 @@ def solve_forward_quasilinear(
     norm0 = np.sqrt(spatial_pairing(grid, y0.values, y0.values))
     if nl.state_independent:
         zero = np.zeros(grid.n_nodes)  # the callbacks read only the shape of the state
-        _, _, bands = _frozen_step(nl, grid, tau, 1, zero, np.zeros((grid.n_nodes, grid.dim)))
+        _, _, op = _frozen_step(nl, grid, tau, 1, zero, np.zeros((grid.n_nodes, grid.dim)))
         block = _interior_block(y, grid, tgrid, source)
-        solve = bind_solve(grid, factor_slice(grid, *bands))
+        solve = bind_solve(grid, factor_slice(grid, *op))
         _march([solve] * tgrid.steps, block, y0.values[rows], source is not None)
         if block.base is not y:
             y[1:, rows] = block
         _check_blowup(grid, 1, y[1:], y[:-1], norm0)
         return SpaceTimeField(grid, tgrid, y)
-    interior = (~grid.boundary).astype(float)
     for m in range(1, tgrid.n_slices):
         prev = y[m - 1]
         s_m = 0.0 if source is None else source[m]
         w = prev
         for _ in range(REFRESHES + 1):
             gw = gradient(grid, w)
-            fy, fz, bands = _frozen_step(nl, grid, tau, m, w, gw)
-            rhs = prev + tau * (s_m - interior * (nl.f(w, gw) - fy * w - (fz * gw).sum(axis=1)))
+            fy, fz, op = _frozen_step(nl, grid, tau, m, w, gw)
+            rhs = prev + tau * (s_m - (nl.f(w, gw) - fy * w - (fz * gw).sum(axis=1)))
             x = np.ascontiguousarray(rhs[rows])
-            bind_solve(grid, factor_slice(grid, *bands))(x)
+            bind_solve(grid, factor_slice(grid, *op))(x)
             _check_blowup(grid, m, x)
             new = np.zeros(grid.n_nodes)
             new[rows] = x
             if new.tobytes() == w.tobytes():
                 break  # every later refresh would recompute the same array
             w = new
-        _check_blowup(grid, m, w, prev, norm0)
+        _check_jump(grid, m, w, prev, norm0)  # w is finite: a refresh checked it
         y[m] = w
     return SpaceTimeField(grid, tgrid, y)
 

@@ -1,19 +1,22 @@
-"""Slice-pattern assembly against the flux-form composition it replaces.
+"""Slice assembly against the flux-form composition it replaces.
 
-The reference functions in ``reference`` build every matrix the way the
-solvers did before the slice pattern existed: assemble_divergence_operator
-plus gradient_matrices products, restricted to interior rows and columns,
-and the space-time matrix block by block.  The pattern fill must reproduce
-the slices bit for bit, and the coupled sweep must solve the block-assembled
-space-time system.
+The reference functions in ``reference`` build every matrix the slow,
+obvious way: assemble_divergence_operator plus gradient_matrices products,
+restricted to interior rows and columns, and the space-time matrix block
+by block.  ``slice_operator``'s diagonals, laid out here by ``sp.diags``,
+must reproduce the slices bit for bit, and the coupled sweep must solve
+the block-assembled space-time system.
 """
 
 import dataclasses
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hiercontrol.solvers as solvers
@@ -26,13 +29,13 @@ from hiercontrol.grids import (
     SpaceTimeField,
     build_grid,
     build_time_grid,
-    slice_pattern,
     stepped_pairing,
 )
 from hiercontrol.leader import GramianContext, leader_duality_gap, solve_leader
 from hiercontrol.solvers import (
     LinearCoefficients,
     constant_coefficients,
+    factor_slice,
     march_adjoint,
     march_forward,
     nonlinearity_preset,
@@ -59,32 +62,55 @@ def _random_roster(rng, grid, tgrid, diagonal_B=False):
     )
 
 
+def _matrix(grid, diag, offdiag):
+    """The interior matrix of one slice from its ``slice_operator`` parts.
+
+    Axis ax couples unknowns (cells - 1)^(dim - 1 - ax) apart in the
+    interior order; padding each part with a zero at its dropped lattice
+    index makes it that whole diagonal.
+    """
+    k = grid.cells - 1
+    n = k**grid.dim
+    diagonals, offsets = [diag.ravel()], [0]
+    for ax, (upper, lower) in enumerate(offdiag):
+        stride = k ** (grid.dim - 1 - ax)
+        pad = [(0, 0)] * grid.dim
+        pad[ax] = (0, 1)
+        diagonals.append(np.pad(upper, pad).ravel()[: n - stride])
+        pad[ax] = (1, 0)
+        diagonals.append(np.pad(lower, pad).ravel()[stride:])
+        offsets += [stride, -stride]
+    return sp.diags(diagonals, offsets, shape=(n, n))
+
+
+def _coefficients(rng, grid, terms, stack=(), anisotropic=False):
+    """slice_operator keywords with the terms flagged in ``terms`` (b,
+    f_adv, f_div, f0) drawn at random, each with leading axes ``stack``."""
+    n, dim = grid.n_nodes, grid.dim
+    has_b, has_adv, has_div, has_f0 = terms
+    return dict(
+        b=rng.uniform(0.5, 2.0, stack + ((n, dim) if anisotropic else (n,))) if has_b else None,
+        f_adv=rng.standard_normal(stack + (n, dim)) if has_adv else None,
+        f_div=rng.standard_normal(stack + (n, dim)) if has_div else None,
+        f0=rng.standard_normal(stack + (n,)) if has_f0 else None,
+    )
+
+
 class TestSliceFill:
     @pytest.mark.parametrize("dim,cells", [(1, 12), (2, 9)])
     @pytest.mark.parametrize("terms", list(itertools.product((False, True), repeat=4)))
     def test_matches_flux_form_composition(self, dim, cells, terms):
         grid = build_grid(dim, cells)
-        n = grid.n_nodes
-        rng = np.random.default_rng(sum(terms) + 10 * dim)
-        has_b, has_adv, has_div, has_f0 = terms
-        kw = dict(
-            b=rng.uniform(0.5, 2.0, n) if has_b else None,
-            f_adv=rng.standard_normal((n, dim)) if has_adv else None,
-            f_div=rng.standard_normal((n, dim)) if has_div else None,
-            f0=rng.standard_normal(n) if has_f0 else None,
-        )
+        kw = _coefficients(np.random.default_rng(sum(terms) + 10 * dim), grid, terms)
         tau = 0.0137
-        pat = slice_pattern(grid)
-        data = slice_operator(grid, tau, **kw)
-        ref = reference_slice(grid, tau, **kw).toarray()
-        assert np.array_equal(pat.csr(data).toarray(), ref)
+        got = _matrix(grid, *slice_operator(grid, tau, **kw)).toarray()
+        assert got.tobytes() == reference_slice(grid, tau, **kw).toarray().tobytes()
 
     def test_diagonal_diffusion_matches(self):
         grid = build_grid(2, 9)
         b = np.random.default_rng(4).uniform(0.5, 2.0, (grid.n_nodes, 2))
-        pat = slice_pattern(grid)
         ref = reference_slice(grid, 0.01, b=b).toarray()
-        assert np.array_equal(pat.csr(slice_operator(grid, 0.01, b=b)).toarray(), ref)
+        assert _matrix(grid, *slice_operator(grid, 0.01, b=b)).toarray().tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("dim,cells", [(1, 12), (2, 9)])
     def test_stacked_fill_equals_per_slice_fill(self, dim, cells):
@@ -92,20 +118,61 @@ class TestSliceFill:
         rng = np.random.default_rng(6)
         b = rng.uniform(0.5, 2.0, (5, grid.n_nodes))
         f_adv = rng.standard_normal((5, grid.n_nodes, dim))
-        stacked = slice_operator(grid, 0.02, b=b, f_adv=f_adv)
+        diag, offdiag = slice_operator(grid, 0.02, b=b, f_adv=f_adv)
         for m in range(5):
-            assert np.array_equal(stacked[m], slice_operator(grid, 0.02, b=b[m], f_adv=f_adv[m]))
+            one_diag, one_offdiag = slice_operator(grid, 0.02, b=b[m], f_adv=f_adv[m])
+            assert diag[m].tobytes() == one_diag.tobytes()
+            for (upper, lower), (one_upper, one_lower) in zip(offdiag, one_offdiag, strict=True):
+                assert upper[m].tobytes() == one_upper.tobytes()
+                assert lower[m].tobytes() == one_lower.tobytes()
 
     def test_pattern_cached_per_shape(self):
-        assert slice_pattern(build_grid(1, 16)) is slice_pattern(build_grid(1, 16))
-        assert slice_pattern(build_grid(1, 16)) is not slice_pattern(build_grid(1, 17))
+        # the CSC layout of a 2D slice is built once per grid shape
+        assert solvers._csc_layout(2, 16) is solvers._csc_layout(2, 16)
+        assert solvers._csc_layout(2, 16) is not solvers._csc_layout(2, 17)
 
     def test_constant_roster_assembles_one_slice(self):
         grid, tgrid = build_grid(1, 16), build_time_grid(1.0, 16)
-        assert state_slices(constant_coefficients(grid, tgrid, b=1.0, f0=0.5)).shape[0] == 1
+        diag, _ = state_slices(constant_coefficients(grid, tgrid, b=1.0, f0=0.5))
+        assert diag.shape[0] == 1
         rng = np.random.default_rng(2)
-        varying = _random_roster(rng, grid, tgrid)
-        assert state_slices(varying).shape[0] == tgrid.steps
+        diag, _ = state_slices(_random_roster(rng, grid, tgrid))
+        assert diag.shape[0] == tgrid.steps
+
+
+class TestSliceAssembly:
+    """Every slice_operator output is the flux-form composition bit for bit,
+    and a 2D slice reaches SuperLU with every entry, exact zeros included."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        grid_shape=st.one_of(st.tuples(st.just(1), st.integers(8, 64)),
+                             st.tuples(st.just(2), st.integers(8, 16))),
+        tau=st.floats(1e-4, 1.0),
+        terms=st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()),
+        stack=st.sampled_from([(), (1,), (3,)]),
+        anisotropic=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_parts_equal_flux_form_composition(self, grid_shape, tau, terms, stack, anisotropic,
+                                               seed):
+        assume(any(terms) or not stack)  # a stack is read off its coefficients
+        grid = build_grid(*grid_shape)
+        kw = _coefficients(np.random.default_rng(seed), grid, terms, stack, anisotropic)
+        diag, offdiag = slice_operator(grid, tau, **kw)
+        for j in np.ndindex(stack):
+            parts = diag[j], [(upper[j], lower[j]) for upper, lower in offdiag]
+            ref = reference_slice(grid, tau, **{k: None if v is None else v[j] for k, v in kw.items()})
+            ref = ref.toarray().tobytes()
+            assert _matrix(grid, *parts).toarray().tobytes() == ref
+            if grid.dim == 1:
+                continue
+            # dropping an exact zero would change the minimum-degree ordering and the fill
+            with mock.patch.object(spla, "splu", wraps=spla.splu) as spy:
+                factor_slice(grid, *parts)
+            (A,), _ = spy.call_args
+            assert A.nnz == parts[0].size + sum(upper.size + lower.size for upper, lower in parts[1])
+            assert A.toarray().tobytes() == ref
 
 
 class TestSpaceTimeMatrix:
@@ -182,7 +249,7 @@ class TestTridiagonalDuality:
                                params={"q": 1.0, "c": 1.0}, nu=(0.0, 0.0), y0_amp=0.5)
         z = solve_forward_quasilinear(problem.nl, problem.grid, problem.tgrid, problem.y0)
         ctx = linearize_at(problem, z)
-        assert state_slices(ctx.c).shape[0] == problem.tgrid.steps
+        assert state_slices(ctx.c)[0].shape[0] == problem.tgrid.steps
         sol = solve_leader(ctx, 1e-3)
         assert leader_duality_gap(ctx, sol) < 1e-12
 
@@ -219,30 +286,8 @@ class TestQuasilinearStepPositivity:
 
 
 class TestQuasilinearBands:
-    """The 1D quasi-linear step writes its three bands without slice_operator."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        cells=st.integers(8, 64),
-        tau=st.floats(1e-4, 1.0),
-        seed=st.integers(0, 2**32 - 1),
-        rho0=st.floats(1e-3, 10.0),
-    )
-    def test_bands_equal_slice_operator(self, cells, tau, seed, rho0):
-        grid = build_grid(1, cells)
-        rng = np.random.default_rng(seed)
-        n = grid.n_nodes
-        a = rho0 * (1.0 + rng.exponential(size=n))
-        fy = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
-        fz = rng.standard_normal((n, 1)) * 10.0 ** rng.uniform(-3, 3)
-        (lower, diag, upper), d = solvers._step_matrix(grid, tau, a, fy, fz)
-        data = slice_operator(grid, tau, b=a, f_adv=fz, f0=fy)
-        pat = slice_pattern(grid)
-        (*_, up_slots), (*_, lo_slots) = pat.neighbours
-        assert d is diag
-        assert diag.tobytes() == data[pat.diag].tobytes()
-        assert upper.tobytes() == data[up_slots].tobytes()
-        assert lower.tobytes() == data[lo_slots].tobytes()
+    """The 1D quasi-linear march on the bands of slice_operator equals the
+    march on the bands of the flux-form composition, bit for bit."""
 
     @pytest.mark.parametrize("preset,params", [
         ("mild-quasilinear", {"q": 1.0, "c": 1.0}),
@@ -260,14 +305,15 @@ class TestQuasilinearBands:
         if with_source:
             source = np.cos(3.0 * tgrid.times)[:, None] * np.sin(2.0 * np.pi * grid.x)[None, :]
         bands = solve_forward_quasilinear(nl, grid, tgrid, Field(grid, y0), source)
+        calls = []
 
-        def assembled(grid, tau, a, fy, fz):
-            # the bands as factor_slice reads them off the filled pattern
-            data = slice_operator(grid, tau, b=a, f_adv=fz, f0=fy)
-            pat = slice_pattern(grid)
-            (*_, up_slots), (*_, lo_slots) = pat.neighbours
-            return (data[lo_slots], data[pat.diag], data[up_slots]), data[pat.diag]
+        def assembled(grid, tau, b, f_adv, f0):
+            # the bands of the sparse composition, read off its dense matrix
+            calls.append(tau)
+            A = reference_slice(grid, tau, b=b, f_adv=f_adv, f0=f0).toarray()
+            return np.diag(A).copy(), ((np.diag(A, 1).copy(), np.diag(A, -1).copy()),)
 
-        monkeypatch.setattr(solvers, "_step_matrix", assembled)
+        monkeypatch.setattr(solvers, "slice_operator", assembled)
         reference = solve_forward_quasilinear(nl, grid, tgrid, Field(grid, y0), source)
+        assert calls
         assert bands.values.tobytes() == reference.values.tobytes()

@@ -116,7 +116,7 @@ class TestKKTOracle:
         for name, module in list(sys.modules.items()):
             if module is None or not (name == "hiercontrol" or name.startswith("hiercontrol.")):
                 continue
-            for attr in ("slice_operator", "_slice_bands", "factor_slice", "bind_solve",
+            for attr in ("slice_operator", "factor_slice", "bind_solve",
                          "SliceFactors", "march_forward", "march_adjoint"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
@@ -316,10 +316,7 @@ class TestSecondOrder:
         assert seen == [1e-9, 1e-9]
 
     def test_sweep_script_passes_the_scenario_nash_tol(self, monkeypatch, tmp_path):
-        path = Path(__file__).resolve().parents[1] / "scripts" / "sweep_second_order.py"
-        spec = importlib.util.spec_from_file_location("sweep_second_order", path)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
+        script = _sweep_script()
         seen = {}
 
         def spy(problem, mu1_values, **kwargs):
@@ -332,6 +329,22 @@ class TestSecondOrder:
                                           str(tmp_path), "--mu1", "20"])
         assert script.main() == 0
         assert seen["tol"] == 1e-12  # tolerances.nash_tol of the scenario
+
+    def test_sweep_script_runs_with_its_defaults(self, monkeypatch, tmp_path):
+        # every default mu1 reaches a Nash equilibrium on the default scenario
+        script = _sweep_script()
+        monkeypatch.setattr(sys, "argv", ["sweep_second_order.py", "--out", str(tmp_path)])
+        assert script.main() == 0
+        with open(tmp_path / "mu1_sweep.json", encoding="utf-8") as fh:
+            assert len(json.load(fh)["rep_values"]) == 6
+
+
+def _sweep_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "sweep_second_order.py"
+    spec = importlib.util.spec_from_file_location("sweep_second_order", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,6 @@ from hiercontrol.grids import (
     Field,
     build_grid,
     build_time_grid,
-    slice_pattern,
     stepped_pairing,
 )
 from hiercontrol.solvers import (
@@ -210,22 +209,39 @@ class TestStackedMarch:
             march_forward(factors, seeds, None)
 
 
-def _plain_solver(grid, row):
-    """solve(rhs, trans) of one slice, factored by scipy straight from the
-    bands (1D) or CSR rows (2D) its pattern values fill."""
-    pat = slice_pattern(grid)
+def _plain_matrix(diag, offdiag):
+    """The CSC matrix of one slice from its slice_operator parts, every entry
+    kept, exact zeros included: entry (p, p + e_ax) of the interior lattice
+    is the upper part of axis ax at p, entry (p + e_ax, p) its lower part."""
+    idx = np.arange(diag.size).reshape(diag.shape)
+    rows, cols, vals = [idx.ravel()], [idx.ravel()], [diag.ravel()]
+    for ax, (upper, lower) in enumerate(offdiag):
+        first = idx[(slice(None),) * ax + (slice(None, -1),)].ravel()
+        second = idx[(slice(None),) * ax + (slice(1, None),)].ravel()
+        rows += [first, second]
+        cols += [second, first]
+        vals += [upper.ravel(), lower.ravel()]
+    return sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(diag.size, diag.size))
+
+
+def _plain_solver(grid, diag, offdiag):
+    """solve(rhs, trans) of one slice, factored by scipy straight from its
+    bands (1D) or its CSC matrix (2D)."""
     if grid.dim == 1:
-        (*_, up_slots), (*_, lo_slots) = pat.neighbours
-        *lu, info = dgttrf(row[lo_slots], row[pat.diag], row[up_slots])
+        ((upper, lower),) = offdiag
+        *lu, info = dgttrf(lower, diag, upper)
         assert info == 0
         return lambda rhs, trans: dgttrs(*lu, rhs, trans=trans)[0]
-    A = sp.csr_matrix((row, pat.indices, pat.indptr), shape=(pat.n, pat.n))
-    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
+    return spla.splu(_plain_matrix(diag, offdiag), permc_spec="MMD_AT_PLUS_A").solve
 
 
-def _plain_march(grid, tgrid, data, seed, sources, transpose):
-    """A march written out step by step, each slice row factored by scipy itself."""
-    slice_solves = [_plain_solver(grid, row) for row in data]
+def _plain_march(grid, tgrid, op, seed, sources, transpose):
+    """A march written out step by step, each slice of the slice_operator
+    output ``op`` factored by scipy itself."""
+    diag, offdiag = op
+    slice_solves = [_plain_solver(grid, d, [(upper[m], lower[m]) for upper, lower in offdiag])
+                    for m, d in enumerate(diag)]
     rows = grid.interior
     out = np.zeros(seed.shape[:-1] + (tgrid.n_slices, grid.n_nodes))
     out[..., 0, :] = seed
@@ -263,12 +279,12 @@ class TestBoundSolves:
         src = s if sourced else None
         for slices, build in ((solvers.state_slices, state_factors),
                               (solvers.sensitivity_slices, sensitivity_factors)):
-            data = slices(c)
-            assert (len(data) == tg.steps) == varying
+            op = slices(c)
+            assert (len(op[0]) == tg.steps) == varying
             factors = build(c)
             for march, transpose in ((march_forward, False), (march_adjoint, True)):
                 got = march(factors, seed, src)
-                want = _plain_march(g, tg, data, seed, src, transpose)
+                want = _plain_march(g, tg, op, seed, src, transpose)
                 assert got.tobytes() == want.tobytes()
 
     def test_solves_are_bound_once_per_direction(self):
@@ -282,10 +298,21 @@ class TestBoundSolves:
 
     def test_singular_slice_rejected(self):
         g, tg = build_grid(1, 16), build_time_grid(1.0, 16)
-        data = slice_operator(g, tg.tau, b=np.ones(g.n_nodes))[None, :].repeat(tg.steps, axis=0)
-        data[2] = 0.0
         with pytest.raises(solvers.SolverError, match="singular"):
-            solvers.SliceFactors(g, tg, data)
+            solvers.SliceFactors(g, tg, self._zeroed_slice(g, tg))
+
+    def test_singular_2d_slice_rejected(self):
+        # SuperLU's own RuntimeError would escape the CLI's error mapping
+        g, tg = build_grid(2, 8), build_time_grid(1.0, 16)
+        with pytest.raises(solvers.SolverError, match="singular"):
+            solvers.SliceFactors(g, tg, self._zeroed_slice(g, tg))
+
+    def _zeroed_slice(self, g, tg):
+        """Heat slices 1..M with every diagonal of slice 3 zeroed."""
+        diag, offdiag = slice_operator(g, tg.tau, b=np.ones((tg.steps, g.n_nodes)))
+        for part in (diag, *(v for pair in offdiag for v in pair)):
+            part[2] = 0.0
+        return diag, offdiag
 
 
 class TestSliceOrdering:
@@ -304,8 +331,8 @@ class TestSliceOrdering:
     @pytest.mark.parametrize("name", ["heat", "advection"])
     def test_fill_and_solves(self, name):
         g, slices = self._slices()
-        A = slice_pattern(g).csr(slices[name]).tocsc()
-        lu = factor_slice(g, slices[name])
+        A = _plain_matrix(*slices[name])
+        lu = factor_slice(g, *slices[name])
         default = spla.splu(A)
         assert lu.L.nnz + lu.U.nnz <= 0.7 * (default.L.nnz + default.U.nnz)
         rhs = np.random.default_rng(8).standard_normal(A.shape[0])
