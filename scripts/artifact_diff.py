@@ -23,7 +23,8 @@ HIERCONTROL_THREADS=1:
 * ``leader`` on heat_1d, on mild_quasilinear and on heat_2d, the one 2D
   run of the leader solution rebuilt from the Krylov basis,
 * ``nash`` on gradient_diffusion,
-* ``weights`` on heat_2d,
+* ``weights`` on heat_1d, whose rho_hat column reaches e^434, and on
+  heat_2d,
 * ``solve`` and ``nash`` on two scenarios derived from heat_lq_16x32 whose
   nonlinearity is ``cubic-f`` (a0 = 1, c = 1) or ``burgers-f`` (a0 = 1,
   c = 0.5), the presets no shipped scenario uses, and on two derived from
@@ -78,6 +79,7 @@ FIXED_RUNS = (
     ("leader-mild_quasilinear", ["leader"], "mild_quasilinear"),
     ("leader-heat_2d", ["leader"], "heat_2d"),
     ("nash-gradient_diffusion", ["nash"], "gradient_diffusion"),
+    ("weights-heat_1d", ["weights"], "heat_1d"),
     ("weights-heat_2d", ["weights"], "heat_2d"),
 )
 

@@ -55,7 +55,6 @@ from .weights import (
     eval_terminal_weights,
     eval_weights,
     lambda_auto,
-    observation_weight,
 )
 from .solvers import (
     LinearCoefficients,
@@ -154,7 +153,6 @@ __all__ = [
     "linearize_at",
     "load_scenario",
     "nonlinearity_preset",
-    "observation_weight",
     "oracle_nash_gap",
     "probe_carleman",
     "probe_observability",

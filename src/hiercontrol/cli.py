@@ -28,10 +28,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="scenario file (YAML)")
         sp.add_argument("--out", default=".", help="output directory (created if missing)")
 
+    # an override option's dest is the scenario key it replaces
     sp = sub.add_parser("solve", help="full quasi-linear hierarchic control run")
     common(sp)
-    sp.add_argument("--epsilon", type=float, default=None, help="override scenario epsilon")
-    sp.add_argument("--max-outer", type=int, default=None, help="override outer iteration cap")
+    sp.add_argument("--epsilon", dest="weights.epsilon", type=float, help="override scenario epsilon")
+    sp.add_argument("--max-outer", dest="tolerances.max_outer", type=int,
+                    help="override outer iteration cap")
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("nash", help="follower equilibrium at a frozen leader control")
@@ -40,17 +42,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("leader", help="penalized null control on the frozen linearization")
     common(sp)
-    sp.add_argument("--epsilon", type=float, default=None, help="penalty parameter")
-    sp.add_argument("--lambda", dest="lam", type=float, default=None, help="weight exponent")
-    sp.add_argument("--mu", type=float, default=None, help="weight shape parameter")
-    sp.add_argument("--cg-tol", type=float, default=None, help="relative CG tolerance")
-    sp.add_argument("--cg-max", type=int, default=None, help="CG iteration cap")
+    sp.add_argument("--epsilon", dest="weights.epsilon", type=float, help="penalty parameter")
+    sp.add_argument("--lambda", dest="weights.lambda", type=float, help="weight exponent")
+    sp.add_argument("--mu", dest="weights.mu", type=float, help="weight shape parameter")
+    sp.add_argument("--cg-tol", dest="tolerances.cg_tol", type=float, help="relative CG tolerance")
+    sp.add_argument("--cg-max", dest="tolerances.cg_max", type=int, help="CG iteration cap")
     sp.set_defaults(func=cmd_leader)
 
     sp = sub.add_parser("weights", help="dump the Carleman weight fields as CSV")
     common(sp)
-    sp.add_argument("--lambda", dest="lam", type=float, default=None, help="weight exponent")
-    sp.add_argument("--mu", type=float, default=None, help="weight shape parameter")
+    sp.add_argument("--lambda", dest="weights.lambda", type=float, help="weight exponent")
+    sp.add_argument("--mu", dest="weights.mu", type=float, help="weight shape parameter")
     sp.set_defaults(func=cmd_weights)
 
     sp = sub.add_parser("verify", help="independent oracles and inequality probes")
@@ -66,11 +68,19 @@ def _outdir(args) -> str:
 
 
 def _load(args):
-    from .scenario import load_scenario
+    """The scenario, its given overrides written over their keys and read
+    as the file's values are, and its problem."""
+    from .scenario import load_scenario, scenario_from_tree, scenario_to_tree
 
     s = load_scenario(args.config)
-    problem = s.build_problem()
-    return s, problem
+    given = {k: v for k, v in vars(args).items() if "." in k and v is not None}
+    if given:
+        tree = scenario_to_tree(s)
+        for path, value in given.items():
+            section, key = path.split(".")
+            tree[section][key] = value
+        s = scenario_from_tree(tree)
+    return s, s.build_problem()
 
 
 def _uncontrolled(problem):
@@ -101,13 +111,11 @@ def cmd_solve(args) -> int:
     s, problem = _load(args)
     out = _outdir(args)
     weights = s.build_carleman_weights(problem)
-    epsilon = s.epsilon if args.epsilon is None else args.epsilon
-    max_outer = s.tolerance("max_outer") if args.max_outer is None else args.max_outer
     rep = solve_hierarchic(
         problem,
-        epsilon=epsilon,
+        epsilon=s.epsilon,
         outer_tol=s.tolerance("outer_tol"),
-        max_outer=int(max_outer),
+        max_outer=int(s.tolerance("max_outer")),
         cg_tol=s.tolerance("cg_tol"),
         cg_max=int(s.tolerance("cg_max")),
         weights=weights,
@@ -184,20 +192,15 @@ def cmd_leader(args) -> int:
     from .fixedpoint import linearize_at
     from .leader import inner_tolerance, leader_duality_gap, solve_leader
     from .outputs import emit_csv, emit_report, emit_svg
-    from .weights import build_weights
 
     s, problem = _load(args)
     out = _outdir(args)
-    lam = s.lam if args.lam is None else args.lam
-    mu = s.mu_weight if args.mu is None else args.mu
-    weights = build_weights(problem.grid, problem.tgrid, problem.focus_box(), mu=mu, lam=lam)
-    epsilon = s.epsilon if args.epsilon is None else args.epsilon
-    cg_tol = s.tolerance("cg_tol") if args.cg_tol is None else args.cg_tol
-    cg_max = int(s.tolerance("cg_max")) if args.cg_max is None else args.cg_max
+    weights = s.build_carleman_weights(problem)
+    cg_tol = s.tolerance("cg_tol")
 
     z0 = _uncontrolled(problem)
     ctx = linearize_at(problem, z0, weights=weights)
-    sol = solve_leader(ctx, epsilon, cg_tol=cg_tol, cg_max=cg_max)
+    sol = solve_leader(ctx, s.epsilon, cg_tol=cg_tol, cg_max=int(s.tolerance("cg_max")))
     emit_report(
         sol,
         os.path.join(out, "leader_report.json"),
@@ -255,27 +258,23 @@ def cmd_weights(args) -> int:
     import numpy as np
 
     from .outputs import coordinate_header, emit_report, write_block
-    from .weights import build_weights, eval_terminal_weights, eval_weights
+    from .weights import SAMPLED
 
     s, problem = _load(args)
     out = _outdir(args)
-    lam = s.lam if args.lam is None else args.lam
-    mu = s.mu_weight if args.mu is None else args.mu
-    w = build_weights(problem.grid, problem.tgrid, problem.focus_box(), mu=mu, lam=lam)
+    w = s.build_carleman_weights(problem)
     grid, tgrid = problem.grid, problem.tgrid
 
     header = ["t", *coordinate_header(grid.dim), "beta", "nu", "rho_hat"]
 
-    # beta and nu blow up at t=0 and t=T; interior slices only
-    times = tgrid.times[1:-1]
+    # one row per node on each slice the weight fields sample
+    times = tgrid.times[SAMPLED]
     block = np.empty((times.size, grid.n_nodes, len(header)))
     block[..., 0] = times[:, None]
     block[..., 1:-3] = grid.nodes
-    for k, t in enumerate(times):
-        ev = eval_weights(w, t)
-        block[k, :, -3] = ev["beta"]
-        block[k, :, -2] = ev["nu"]
-        block[k, :, -1] = eval_terminal_weights(w, t)["rho_hat"]
+    block[..., -3] = w.beta[SAMPLED]
+    block[..., -2] = w.nu[SAMPLED]
+    block[..., -1] = w.rho_hat[SAMPLED, None]
 
     path = os.path.join(out, "weights.csv")
     write_block(path, header, block.reshape(-1, len(header)))
@@ -286,7 +285,7 @@ def cmd_weights(args) -> int:
             "mu": w.mu,
             "eta_max": w.eta_max,
             "focus_box": [list(iv) for iv in problem.focus_box()],
-            "rows": (tgrid.steps - 1) * grid.n_nodes,
+            "rows": times.size * grid.n_nodes,
         },
         os.path.join(out, "weights_report.json"),
     )
@@ -361,11 +360,10 @@ def main(argv=None) -> int:
     from .errors import (
         BlowUpError,
         ConditioningError,
+        HierControlError,
         NonConvergenceError,
         OracleError,
-        ValidationError,
     )
-    from .errors import HierControlError
 
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -377,7 +375,7 @@ def main(argv=None) -> int:
     except OracleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ValidationError, HierControlError, OSError) as exc:
+    except (HierControlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,8 +22,9 @@ the penalized-HUM equation
     (Lambda + eps I) phi_T = -b,
 
 with Lambda the control-to-terminal-state Gramian and b the terminal value of
-the free (u = 0) coupled response.  Lambda is applied implicitly: one
-coupled solve with K^T gives phi from phi_T, one with K gives y(T) from
+the free (u = 0) coupled response.  rho_tilde^(-2) is the field
+``rho_tilde_inv2`` the weights sampled once.  Lambda is applied implicitly:
+one coupled solve with K^T gives phi from phi_T, one with K gives y(T) from
 u = d phi, so Lambda = E K^{-1} D K^{-T} E^T is symmetric positive
 semidefinite to the inner tolerance and a conjugate-gradient solve applies.
 The controlled terminal state equals -eps phi_T identically; the residual
@@ -101,7 +102,7 @@ from .solvers import (
     sensitivity_factors,
     state_factors,
 )
-from .weights import CarlemanWeights, observation_weight_trajectory
+from .weights import CarlemanWeights
 
 PICARD_MAX = 400
 STAGNATION_WINDOW = 20
@@ -204,10 +205,8 @@ class GramianContext:
         self.picard_tol = picard_tol
 
         xi0 = problem.xi("leader")
-        self.w7 = observation_weight_trajectory(weights)
-        # control weight: u = d * phi = xi_0 exp(2 lambda nu) beta^7 phi,
-        # which vanishes at the endpoint slices
-        self.d = xi0[None, :] * self.w7
+        # control weight: u = d * phi = xi_0 rho_tilde^-2 phi
+        self.d = xi0[None, :] * weights.rho_tilde_inv2
         self.xi0 = xi0
         self.leader_support = np.flatnonzero(xi0)
         self.xi_star = problem.xi("tracking")
@@ -501,8 +500,8 @@ def solve_leader(
     ``control_effect`` is |y(T)| / |b|, what is left of the free terminal
     state; ``terminal_defect`` divides the same residual by |y(T)|.
     """
-    if epsilon <= 0:
-        raise ValidationError(f"penalty epsilon must be positive, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValidationError(f"penalty epsilon must be positive and finite, got {epsilon}")
     eps = float(epsilon)
     grid, tgrid = ctx.grid, ctx.tgrid
     inner_tol = inner_tolerance(ctx, cg_tol)

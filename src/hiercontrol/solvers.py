@@ -48,8 +48,8 @@ COLAMD ordering.  A march step is one call of that solve on a contiguous
 slot, solved in place.
 
 The quasi-linear forward solver freezes the diffusion a(y, grad y) at the
-current iterate and linearizes f around it, with up to REFRESHES
-within-step refreshes, which stop once one returns its input bit for bit.
+current iterate and linearizes f around it, with REFRESHES within-step
+refreshes.
 A nonlinearity whose coefficients do not depend on the state (constant a,
 f_y and f_z and f = f_y y + f_z . grad y: the heat and linear-f presets)
 is marched as the linear equation it is, on one factorization, with no
@@ -916,11 +916,9 @@ def solve_forward_quasilinear(
     """Semi-implicit march for the quasi-linear state equation.
 
     Each step freezes a at the previous slice and linearizes f there, then
-    refreshes both at the new iterate up to REFRESHES times; the refreshes
-    stop early once one returns its input bit for bit, since every later
-    one would recompute the same array.  A refresh works on the raw
-    iterate: one nodal gradient, the four nonlinearity callbacks and the
-    step matrix from ``slice_operator``, which ``factor_slice`` and
+    refreshes both at the new iterate REFRESHES times.  A refresh works on
+    the raw iterate: one nodal gradient, the four nonlinearity callbacks
+    and the step matrix from ``slice_operator``, which ``factor_slice`` and
     ``bind_solve`` factor and solve, as they do every linear march step.
     Each refresh checks that its solve is finite, so each step only checks
     its jump.
@@ -974,11 +972,8 @@ def solve_forward_quasilinear(
             x = np.ascontiguousarray(rhs[rows])
             bind_solve(grid, factor_slice(grid, *op))(x)
             _check_blowup(grid, m, x)
-            new = np.zeros(grid.n_nodes)
-            new[rows] = x
-            if new.tobytes() == w.tobytes():
-                break  # every later refresh would recompute the same array
-            w = new
+            w = np.zeros(grid.n_nodes)
+            w[rows] = x
         _check_jump(grid, m, w, prev, norm0)  # w is finite: a refresh checked it
         y[m] = w
     return SpaceTimeField(grid, tgrid, y)

@@ -14,7 +14,9 @@ every ``Nonlinearity`` carries.  Every roster is
 ``nash.coefficients_from_state``; the probes sample its state side.
 Every check returns a result with its ``name``, ``budget`` and ``passed``,
 deciding ``passed`` against the budget constant beside it; a probe has no
-budget and passes on finite ratios.
+budget and passes on finite ratios.  The probes weigh their energies with
+the fields the context's ``CarlemanWeights`` sampled on the time grid and
+sample no weight themselves.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .nash import (
     sensitivity_states,
 )
 from .solvers import march_adjoint, march_forward, sensitivity_factors
-from .weights import CarlemanWeights, eval_terminal_weights, eval_weights, observation_weight_trajectory
 
 SECOND_ORDER_STEP = 1e-3
 PROBE_NOISE_DB = -40.0
@@ -505,19 +506,15 @@ def probe_observability(
     RHS:  tau sum_m int_{omega_tilde_0} exp(2 lambda nu) beta^7 phi^2.
     Samples are random low-mode terminal data; ratios should stay bounded
     under refinement if the discrete system inherits the observability of
-    the continuum one.  The weights are the context's.
+    the continuum one.  The weights, and their sampled fields
+    ``rho_hat_inv2`` and ``rho_tilde_inv2``, are the context's.
     """
     w = ctx.weights
     grid, tgrid = ctx.grid, ctx.tgrid
     rng = np.random.default_rng(seed)
-    obs_traj = observation_weight_trajectory(w)
+    obs = w.rho_tilde_inv2
     inner_mask = ctx.problem.cutoffs["leader"].inner_mask
-    # rho_hat^-2 per slice, zero at both endpoint slices like obs_traj, so
-    # the stepped rule over 1..M sums the interior slices 1..M-1
-    rho2 = np.zeros((tgrid.n_slices, 1))
-    for m in range(1, tgrid.steps):
-        lr = eval_terminal_weights(w, tgrid.times[m])["log_rho_hat"]
-        rho2[m] = np.exp(-2.0 * lr)
+    rho2 = w.rho_hat_inv2[:, None]
 
     def energies():
         for _ in range(samples):
@@ -527,7 +524,7 @@ def probe_observability(
             lhs = spatial_pairing(grid, phi[0], phi[0])
             for th in res.thetas():
                 lhs += stepped_pairing(grid, tgrid, rho2 * th, th)
-            rhs = stepped_pairing(grid, tgrid, obs_traj * phi, phi, mask=inner_mask)
+            rhs = stepped_pairing(grid, tgrid, obs * phi, phi, mask=inner_mask)
             yield lhs, rhs
 
     return _ratio_report("observability", energies(), w, grid, tgrid, seed)
@@ -544,7 +541,8 @@ def probe_carleman(
     from random low-mode terminal data (source-free, so the source term of
     the estimate drops).  LHS stacks the weighted gradient and zeroth-order
     energies  exp(2 lambda nu)(lambda mu^2 beta |grad v|^2 + lambda^3 mu^4
-    beta^3 v^2)  over interior time slices; RHS is the same zeroth-order
+    beta^3 v^2)  over the time slices, with the weights' sampled fields
+    ``energy_grad`` and ``energy_zero``; RHS is the same zeroth-order
     energy restricted to the focus region.  The backward equation is the
     adjoint of the state side (b, f_adv, f0) of the context's roster, marched
     on the context's state factors; the weights are the context's.
@@ -553,29 +551,17 @@ def probe_carleman(
     grid, tgrid = ctx.grid, ctx.tgrid
     rng = np.random.default_rng(seed)
     factors = ctx.state_factors
-    lam, mu = weights.lam, weights.mu
     obs_mask = weights.focus_mask
     if not obs_mask.any():
         raise ValidationError("focus region contains no interior nodes")
-
-    # slice-wise weight fields at interior times, assembled in log space;
-    # zero at both endpoint slices, so the stepped rule sums slices 1..M-1
-    w_grad = np.zeros((tgrid.n_slices, grid.n_nodes))
-    w_zero = np.zeros((tgrid.n_slices, grid.n_nodes))
-    for m in range(1, tgrid.steps):
-        ev = eval_weights(weights, tgrid.times[m])
-        log_beta = np.log(ev["beta"])
-        base = 2.0 * lam * ev["nu"]
-        w_grad[m] = np.exp(base + np.log(lam * mu**2) + log_beta)
-        w_zero[m] = np.exp(base + np.log(lam**3 * mu**4) + 3.0 * log_beta)
+    w_grad, w_zero = weights.energy_grad, weights.energy_zero
 
     def energies():
         for _ in range(samples):
             v_T = _low_mode_terminal(grid, 10, rng)
             v = march_adjoint(factors, v_T, None)
-            grad_sq = np.zeros((tgrid.n_slices, grid.n_nodes))
-            g = gradient(grid, v[1:-1])
-            grad_sq[1:-1] = (g * g).sum(axis=-1)
+            g = gradient(grid, v)
+            grad_sq = (g * g).sum(axis=-1)
             zero_order = w_zero * v
             lhs = stepped_pairing(grid, tgrid, w_grad, grad_sq)
             lhs += stepped_pairing(grid, tgrid, zero_order, v)

@@ -11,20 +11,28 @@ falls inside the focus, then rescaled to max eta = 1.  In 2D the profile is
 the product of two such 1D profiles.
 
 From eta and parameters (mu, lambda) the usual singular-in-time families
-follow, with theta(t) = t (T - t):
+follow, with theta(t) = t (T - t) and, for the terminal weight, l(t) =
+T^2/4 for t <= T/2 and l(t) = theta(t) after, so it is finite at t = 0:
 
-    beta  = exp(mu eta) / theta          beta0 = 1 / theta
+    beta  = exp(mu eta) / theta
     nu    = (exp(mu eta) - exp(2 mu eta_max)) / theta      (negative)
-    nu0   = (1 - exp(2 mu eta_max)) / theta
+    nu_bar_star(t) = (min_x exp(mu eta) - exp(2 mu eta_max)) / l
+    rho_hat(t)     = exp(-lambda nu_bar_star(t))
 
-and the terminal-time variants built on l(t) = T^2/4 for t <= T/2 and
-l(t) = theta(t) after, so they are finite at t = 0:
+rho_hat is non-decreasing and blows up at t = T; it is evaluated in log
+space, with libm's exp, and reads inf only where exp overflows.
+``eval_weights`` and ``eval_terminal_weights`` are these formulas, at one
+time or an array of times.
 
-    beta_bar = exp(mu eta) / l           nu_bar = (exp(mu eta) - exp(2 mu eta_max)) / l
-    nu_bar_star(t) = min_x nu_bar        rho_hat(t) = exp(-lambda nu_bar_star(t))
-
-rho_hat is non-decreasing and blows up at t = T; quantities derived from it
-are evaluated in log space where overflow would otherwise occur.
+``CarlemanWeights`` samples them on the time grid: beta, nu, rho_hat,
+rho_hat^-2 and exp(2 lambda nu + c + p log beta) for the leader's control
+and observation weight ``rho_tilde_inv2`` = exp(2 lambda nu) beta^7
+(p, c = 7, 0) and the Carleman energy weights ``energy_grad`` (1,
+log lambda mu^2) and ``energy_zero`` (3, log lambda^3 mu^4).  Each field is
+computed on first use from one call of each formula, cached and read-only.
+The formulas are singular at t = 0 or T, so every field fills the interior
+slices 1..M-1 (``SAMPLED``) and leaves rows 0 and M zero; the stepped rule
+over 1..M then sums exactly the interior slices.
 
 lambda defaults to a balance rule: the observation weight
 exp(2 lambda nu) beta^7 is made to peak at exactly 1 over the cylinder
@@ -36,6 +44,7 @@ through the scenario file.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,6 +54,8 @@ from .errors import EtaConstructionError, WeightDomainError
 from .grids import Field, SpatialGrid, TimeGrid, box_mask, gradient, _frozen, _normalize_box
 
 ETA_TOL_GRAD = 1e-3
+# the time slices a sampled weight field holds: the interior slices 1..M-1
+SAMPLED = slice(1, -1)
 
 
 def _eta_coeffs(c: float, xstar: float) -> np.ndarray:
@@ -159,6 +170,19 @@ def lambda_auto(mu: float, eta_max: float, T: float) -> float:
     return 7.0 * math.log(beta_c) / (2.0 * nu_c)
 
 
+def _sampled(interior):
+    """A field on the time grid: rows SAMPLED are ``interior(w)``, rows 0
+    and M are zero; computed on first use, cached and read-only."""
+
+    def field(w: CarlemanWeights) -> np.ndarray:
+        rows = interior(w)
+        out = np.zeros((w.tgrid.n_slices, *rows.shape[1:]))
+        out[SAMPLED] = rows
+        return _frozen(out)
+
+    return functools.cached_property(field)
+
+
 @dataclass(frozen=True, eq=False)
 class CarlemanWeights:
     """Weight family bound to a grid, a horizon and a focus region."""
@@ -172,12 +196,30 @@ class CarlemanWeights:
     eta_max: float
     focus_mask: np.ndarray
 
-    @property
-    def T(self) -> float:
-        return self.tgrid.T
-
     def exp_mu_eta(self) -> np.ndarray:
         return np.exp(self.mu * self.eta)
+
+    # the fields sampled on the time grid (module docstring)
+    beta = _sampled(lambda w: w._interior["beta"])
+    nu = _sampled(lambda w: w._interior["nu"])
+    rho_hat = _sampled(lambda w: w._interior["rho_hat"])
+    rho_hat_inv2 = _sampled(lambda w: np.exp(-2.0 * w._interior["log_rho_hat"]))
+    rho_tilde_inv2 = _sampled(lambda w: w._exp_weight(7.0, 0.0))
+    energy_grad = _sampled(lambda w: w._exp_weight(1.0, np.log(w.lam * w.mu**2)))
+    energy_zero = _sampled(lambda w: w._exp_weight(3.0, np.log(w.lam**3 * w.mu**4)))
+
+    @functools.cached_property
+    def _interior(self) -> dict[str, np.ndarray]:
+        """Both formulas at the interior slice times, one call each, and log beta."""
+        times = self.tgrid.times[SAMPLED]
+        ev = {**eval_weights(self, times), **eval_terminal_weights(self, times)}
+        ev["log_beta"] = np.log(ev["beta"])
+        return ev
+
+    def _exp_weight(self, p: float, c: float) -> np.ndarray:
+        """exp(2 lambda nu + c + p log beta) on the interior slices."""
+        ev = self._interior
+        return np.exp(2.0 * self.lam * ev["nu"] + c + p * ev["log_beta"])
 
 
 def build_weights(
@@ -187,14 +229,14 @@ def build_weights(
     mu: float = 2.0,
     lam: float | None = None,
 ) -> CarlemanWeights:
-    if mu <= 0:
-        raise WeightDomainError(f"mu must be positive, got {mu}")
+    if not (math.isfinite(mu) and mu > 0):
+        raise WeightDomainError(f"mu must be positive and finite, got {mu}")
     eta = build_eta(grid, focus)
     eta_max = 1.0
     if lam is None:
         lam = lambda_auto(mu, eta_max, tgrid.T)
-    if lam <= 0:
-        raise WeightDomainError(f"lambda must be positive, got {lam}")
+    if not (math.isfinite(lam) and lam > 0):
+        raise WeightDomainError(f"lambda must be positive and finite, got {lam}")
     return CarlemanWeights(
         grid=grid,
         tgrid=tgrid,
@@ -207,66 +249,46 @@ def build_weights(
     )
 
 
-def _theta(T: float, t: float) -> float:
+def _theta(T: float, t):
     return t * (T - t)
 
 
-def eval_weights(w: CarlemanWeights, t: float) -> dict[str, np.ndarray]:
-    """beta, beta0, nu, nu0 at an interior time 0 < t < T (singular at the ends)."""
-    T = w.T
-    if not (0.0 < t < T):
+def eval_weights(w: CarlemanWeights, t) -> dict[str, np.ndarray]:
+    """beta and nu, shape t.shape + (n_nodes,), at interior times 0 < t < T."""
+    T = w.tgrid.T
+    t = np.asarray(t, dtype=float)
+    if not np.all((0.0 < t) & (t < T)):
         raise WeightDomainError(f"weights are singular at t={t}; need 0 < t < T={T}")
-    th = _theta(T, t)
+    th = _theta(T, t)[..., None]
     emu = w.exp_mu_eta()
     cap = math.exp(2.0 * w.mu * w.eta_max)
-    beta0 = 1.0 / th
-    return {
-        "beta": emu / th,
-        "beta0": np.full(w.grid.n_nodes, beta0),
-        "nu": (emu - cap) / th,
-        "nu0": np.full(w.grid.n_nodes, (1.0 - cap) / th),
-    }
+    return {"beta": emu / th, "nu": (emu - cap) / th}
 
 
-def eval_terminal_weights(w: CarlemanWeights, t: float) -> dict[str, float | np.ndarray]:
-    """l, beta_bar, nu_bar, nu_bar_star, log_rho_hat, rho_hat for 0 <= t < T.
-
-    rho_hat may overflow to inf close to T; log_rho_hat is always finite on
-    the sampled grid and is what monotonicity checks should use.
-    """
-    T = w.T
-    if not (0.0 <= t < T):
-        raise WeightDomainError(f"terminal weights need 0 <= t < T={T}, got t={t}")
-    l = T * T / 4.0 if t <= T / 2.0 else _theta(T, t)
-    emu = w.exp_mu_eta()
-    cap = math.exp(2.0 * w.mu * w.eta_max)
-    nu_bar = (emu - cap) / l
-    nu_bar_star = float((np.min(emu) - cap) / l)
-    log_rho_hat = -w.lam * nu_bar_star
-    return {
-        "l": l,
-        "beta_bar": emu / l,
-        "nu_bar": nu_bar,
-        "nu_bar_star": nu_bar_star,
-        "log_rho_hat": log_rho_hat,
-        "rho_hat": math.exp(log_rho_hat) if log_rho_hat < 709.0 else math.inf,
-    }
-
-
-def observation_weight(w: CarlemanWeights, t: float) -> np.ndarray:
-    """exp(2 lambda nu) beta^7 at an interior time; decays to 0 at both ends."""
-    vals = eval_weights(w, t)
-    return np.exp(2.0 * w.lam * vals["nu"] + 7.0 * np.log(vals["beta"]))
-
-
-def observation_weight_trajectory(w: CarlemanWeights) -> np.ndarray:
-    """Slice-sampled observation weight with the endpoint slices forced to zero.
-
-    Shape (M+1, n_nodes).  The limits at t=0 and t=T are zero; forcing the
-    endpoint rows avoids evaluating the singular formulas there.
-    """
-    out = np.zeros((w.tgrid.n_slices, w.grid.n_nodes))
-    for m in range(1, w.tgrid.steps):
-        out[m] = observation_weight(w, float(w.tgrid.times[m]))
+def _libm_exp(x) -> np.ndarray:
+    """math.exp elementwise, inf where it overflows a double: numpy's exp
+    differs from libm's in the last bit on some arguments."""
+    x = np.asarray(x)
+    out = np.empty(x.shape)
+    for i, v in enumerate(x.flat):
+        try:
+            out.flat[i] = math.exp(v)
+        except OverflowError:
+            out.flat[i] = math.inf
     return out
 
+
+def eval_terminal_weights(w: CarlemanWeights, t) -> dict[str, np.ndarray]:
+    """l, log_rho_hat and rho_hat, shaped like t, at times 0 <= t < T.
+
+    rho_hat is inf where exp(log_rho_hat) overflows, close to T;
+    log_rho_hat is always finite and is what monotonicity checks should use.
+    """
+    T = w.tgrid.T
+    t = np.asarray(t, dtype=float)
+    if not np.all((0.0 <= t) & (t < T)):
+        raise WeightDomainError(f"terminal weights need 0 <= t < T={T}, got t={t}")
+    l = np.where(t <= T / 2.0, T * T / 4.0, _theta(T, t))
+    cap = math.exp(2.0 * w.mu * w.eta_max)
+    log_rho_hat = -w.lam * ((np.min(w.exp_mu_eta()) - cap) / l)
+    return {"l": l, "log_rho_hat": log_rho_hat, "rho_hat": _libm_exp(log_rho_hat)}

@@ -25,7 +25,7 @@ from hiercontrol.verification import (
     probe_carleman,
     probe_observability,
 )
-from hiercontrol.weights import eval_terminal_weights, eval_weights, observation_weight_trajectory
+from hiercontrol.weights import eval_terminal_weights, eval_weights
 
 _SCN = {}
 _PROB = {}
@@ -231,7 +231,7 @@ class TestAcceptance:
             eval_terminal_weights(w, float(t))["log_rho_hat"] for t in w.tgrid.times[:-1]
         ]
         rho_ok = all(b >= a - 1e-15 for a, b in zip(logs, logs[1:])) and logs[0] > 0.0
-        traj = observation_weight_trajectory(w)
+        traj = w.rho_tilde_inv2
         ends_ok = float(np.abs(traj[0]).max()) == 0.0 and float(np.abs(traj[-1]).max()) == 0.0
         ok = beta_ok and neg_ok and l_ok and rho_ok and ends_ok
         detail = (

@@ -335,10 +335,26 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_max_outer_override_below_one(self, tmp_path, capsys, cap):
-        # the override bypasses the scenario loader's check on max_outer
+        # the override is checked as the scenario file's tolerances.max_outer
         rc, _ = _run(tmp_path, "solve", "--config", LQ, "--max-outer", cap)
         assert rc == 2
         assert "max_outer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,option,value,key", [
+        ("leader", "--epsilon", "nan", "weights.epsilon"),
+        ("leader", "--epsilon", "inf", "weights.epsilon"),
+        ("solve", "--epsilon", "nan", "weights.epsilon"),
+        ("leader", "--cg-tol", "nan", "tolerances.cg_tol"),
+        ("leader", "--cg-max", "0", "tolerances.cg_max"),
+        ("weights", "--mu", "nan", "weights.mu"),
+        ("weights", "--lambda", "nan", "weights.lambda"),
+        ("leader", "--lambda", "inf", "weights.lambda"),
+    ])
+    def test_bad_override_names_its_key(self, tmp_path, capsys, command, option, value, key):
+        # an override is validated by the reader of the scenario key it replaces
+        rc, _ = _run(tmp_path, command, "--config", LQ, option, value)
+        assert rc == 2
+        assert key in capsys.readouterr().err
 
     def test_parse_error_position(self, tmp_path, capsys):
         bad = os.path.join(tmp_path, "torn.cfg")

@@ -213,6 +213,26 @@ class TestOuterLoop:
         r1, r2 = report.nash.first_order_residuals
         assert r1 < 1e-6 and r2 < 1e-6
 
+    def test_weights_sampled_once_per_solve(self, monkeypatch):
+        # every linearization reads the one weight object's cached fields:
+        # the per-time formula runs once, not once per outer iteration
+        from hiercontrol import weights
+
+        calls = []
+
+        def spy(*args, _orig=weights.eval_weights):
+            calls.append(1)
+            return _orig(*args)
+
+        monkeypatch.setattr(weights, "eval_weights", spy)
+        problem = make_problem(
+            cells=16, steps=32, preset="mild-quasilinear",
+            params={"q": 0.05, "c": 0.1}, y0_amp=0.1, target_amp=0.0,
+        )
+        report = solve_hierarchic(problem, 1e-2, seed=7)
+        assert report.iterations >= 2
+        assert len(calls) == 1
+
     def test_report_carries_solutions(self):
         problem = make_problem(cells=16, steps=32)
         report = solve_hierarchic(problem, 1e-2)

@@ -181,8 +181,9 @@ class TestLeaderSolve:
         np.testing.assert_allclose(y, sol.y.values, rtol=1e-11, atol=1e-300)
 
     def test_epsilon_validation(self, ctx16):
-        with pytest.raises(ValidationError, match="epsilon"):
-            solve_leader(ctx16, 0.0)
+        for epsilon in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="epsilon"):
+                solve_leader(ctx16, epsilon)
 
     def test_cg_budget_enforced(self, ctx16):
         with pytest.raises(NonConvergenceError) as exc:

@@ -545,15 +545,15 @@ class TestQuasilinearForward:
         solve_forward_quasilinear(counted_nl, g, tg, _sine_field(g, amp=0.5))
         return len(calls), tg.steps
 
-    @pytest.mark.parametrize("preset,per_step", [("heat", 2), ("mild-quasilinear", 3)])
+    @pytest.mark.parametrize("preset,per_step", [("heat", 3), ("mild-quasilinear", 3)])
     def test_refreshes_stop_at_a_fixed_point(self, preset, per_step):
-        # a refresh that returns its input bit for bit ends the step: under
-        # the heat preset the first refresh already does, under a quasi-linear
-        # diffusion both refreshes run
+        # every step makes the frozen pass and all REFRESHES refreshes, also
+        # under the heat preset, whose first refresh returns its input
+        assert solvers.REFRESHES + 1 == per_step
         passes, steps = self._refresh_passes(preset, 1, 32)
         assert passes == per_step * steps
 
-    @pytest.mark.parametrize("preset,per_step", [("heat", 2), ("mild-quasilinear", 3)])
+    @pytest.mark.parametrize("preset,per_step", [("heat", 3), ("mild-quasilinear", 3)])
     def test_refreshes_stop_at_a_fixed_point_2d(self, preset, per_step):
         passes, steps = self._refresh_passes(preset, 2, 8)
         assert passes == per_step * steps
