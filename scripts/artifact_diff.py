@@ -30,7 +30,9 @@ HIERCONTROL_THREADS=1:
   c = 0.5), the presets no shipped scenario uses, and on two derived from
   heat_2d whose nonlinearity is ``linear-f`` (a0 = 1, c1 = 0.5, c2 = 0.3),
   the 2D path with lower-order terms, or ``mild-quasilinear`` (a0 = 1,
-  q = 1, c = 0.5), the 2D march that refreshes its step matrix,
+  q = 1, c = 0.5), the 2D march that refreshes its step matrix, and on one
+  derived from heat_2d with ``linear-f`` (a0 = 1, c1 = 0.5, c2 = 0), whose
+  constant reaction without advection keeps every slice in the sine basis,
 * ``solve`` on one scenario derived from mild_quasilinear with
   ``max_outer: 1``, whose Nash finalization starts from the follower pair
   of an unconverged linearization.
@@ -92,6 +94,8 @@ DERIVED = {
         "nonlinearity": {"preset": "burgers-f", "params": {"a0": 1.0, "c": 0.5}}}),
     "heat_2d-linear-f": ("heat_2d", ("solve", "nash"), {
         "nonlinearity": {"preset": "linear-f", "params": {"a0": 1.0, "c1": 0.5, "c2": 0.3}}}),
+    "heat_2d-linear-f-reaction": ("heat_2d", ("solve", "nash"), {
+        "nonlinearity": {"preset": "linear-f", "params": {"a0": 1.0, "c1": 0.5, "c2": 0.0}}}),
     "heat_2d-mild-quasilinear": ("heat_2d", ("solve", "nash"), {
         "nonlinearity": {"preset": "mild-quasilinear", "params": {"a0": 1.0, "q": 1.0, "c": 0.5}}}),
     "mild_quasilinear-max_outer-1": ("mild_quasilinear", ("solve",), {

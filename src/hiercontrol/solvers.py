@@ -40,12 +40,19 @@ time is assembled and factored once; each quasi-linear refresh assembles
 its one slice.  Every slice matrix is factored by ``factor_slice`` from
 those parts and solved by the one solve ``bind_solve`` binds on the
 factors: in 1D LAPACK dgttrf/dgttrs on the three bands, whose transposed
-solve on the same factors keeps the adjoint march exact, in 2D SuperLU on
-a CSC matrix laid out from cached interior-lattice coordinates, with the
-minimum-degree ordering of A^T + A, which suits the structurally
-symmetric slice matrix and leaves about 0.6x the fill of the default
-COLAMD ordering.  A march step is one call of that solve on a contiguous
-slot, solved in place.
+solve on the same factors keeps the adjoint march exact.  In 2D a slice
+whose diagonal is one value and whose off-diagonal parts along each axis
+are one value, compared exactly (constant coefficients without
+advection: every slice of a heat or constant-reaction roster), is
+diagonal in the discrete sine basis and is solved by transforms with the
+cached sine matrix S (S X S, a scaling by the reciprocal eigenvalues,
+S X S again); the matrix is symmetric, so one solve serves both
+directions, and it inverts the same matrix as an LU would, to rounding.
+Every other 2D slice goes to SuperLU on a CSC matrix laid out from cached
+interior-lattice coordinates, with the minimum-degree ordering of
+A^T + A, which suits the structurally symmetric slice matrix and leaves
+about 0.6x the fill of the default COLAMD ordering.  A march step is one
+call of that solve on a contiguous slot, solved in place.
 
 The quasi-linear forward solver freezes the diffusion a(y, grad y) at the
 current iterate and linearizes f around it, with REFRESHES within-step
@@ -72,7 +79,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -343,20 +350,79 @@ def _csc_layout(dim: int, cells: int) -> tuple:
     return layout
 
 
+@functools.lru_cache(maxsize=8)
+def _sine_basis(cells: int) -> np.ndarray:
+    """S = sqrt(2/N) sin(pi i j / N), i, j = 1..N-1, N = cells: the
+    orthonormal, symmetric eigenvector matrix of every constant tridiagonal
+    matrix on N - 1 nodes (S S = I), cached per size and read-only."""
+    i = np.arange(1, cells)
+    basis = np.sqrt(2.0 / cells) * np.sin(np.pi * np.outer(i, i) / cells)
+    basis.setflags(write=False)
+    return basis
+
+
+class _SineFactors(NamedTuple):
+    """A constant symmetric lattice slice, diagonal in the sine basis:
+    the basis S and 1/lambda on the interior lattice."""
+
+    basis: np.ndarray
+    inverse: np.ndarray
+
+
+def _sine_factors(grid: SpatialGrid, diag: np.ndarray, offdiag) -> _SineFactors | None:
+    """The sine-basis factors of a slice whose diagonal is one value d and
+    whose upper and lower parts along each axis are one value c_ax, compared
+    exactly, or None for any other slice.  Its eigenvalues are lambda_k =
+    d + 2 sum_ax c_ax cos(pi k_ax / N) on the interior lattice."""
+    if np.ptp(diag) != 0:
+        return None
+    n = grid.cells
+    cos = np.cos(np.pi * np.arange(1, n) / n)
+    lam = np.full(diag.shape, diag.flat[0])
+    for ax, (upper, lower) in enumerate(offdiag):
+        c = upper.flat[0] if upper.size else 0.0
+        if not ((upper == c).all() and (lower == c).all()):
+            return None
+        lam += 2.0 * c * cos.reshape((-1,) + (1,) * (grid.dim - 1 - ax))
+    if not lam.all():
+        raise SolverError("slice matrix is singular (a zero eigenvalue in the sine basis)")
+    return _SineFactors(_sine_basis(n), 1.0 / lam)
+
+
+def _sine_transform(basis: np.ndarray, x: np.ndarray, out: np.ndarray | None = None):
+    """x, of shape (k,) + interior lattice, with ``basis`` applied along
+    every lattice axis: S X S in 2D."""
+    n = len(basis)
+    for p in range(1, x.ndim - 1):
+        x = np.matmul(basis, x.reshape(-1, n, n ** (x.ndim - 1 - p))).reshape(x.shape)
+    return np.matmul(x, basis, out=out)
+
+
 def factor_slice(grid: SpatialGrid, diag: np.ndarray, offdiag):
-    """The raw LU factors of one slice matrix from its ``slice_operator`` parts.
+    """The factors of one slice matrix from its ``slice_operator`` parts.
 
     1D slices are tridiagonal: LAPACK dgttrf on (lower, diag, upper)
-    returns (dl, d, du, du2, ipiv).  2D slices go to SuperLU as a CSC
+    returns (dl, d, du, du2, ipiv).  A slice of dimension >= 2 whose
+    diagonal is one value d and whose upper and lower parts along each axis
+    are one value c_ax (compared exactly: constant coefficients without
+    advection, the identity included) is d I + sum_ax c_ax (shift up + shift
+    down along ax), diagonal in the discrete sine basis (fast
+    diagonalization, Lynch, Rice & Thomas 1964); its factors are the cached
+    basis S and the reciprocals of the eigenvalues d + 2 sum_ax c_ax
+    cos(pi k_ax / N).  They invert the same matrix SuperLU would, to
+    rounding.  Every other slice of dimension >= 2 goes to SuperLU as a CSC
     matrix laid out by ``_csc_layout``, which keeps the entries that are
     exactly zero, and it returns its factor object, with the column
     ordering MMD_AT_PLUS_A, minimum degree on the pattern of A^T + A (Liu,
     ACM TOMS 1985).  The slice matrix is structurally symmetric, advection
     included, so that ordering cuts the fill to about 0.6x that of the
     default COLAMD; SuperLU keeps its partial pivoting.  A singular slice
-    raises SolverError in both.
+    raises SolverError on every path.
     """
     if grid.dim > 1:
+        sine = _sine_factors(grid, diag, offdiag)
+        if sine is not None:
+            return sine
         order, indices, indptr = _csc_layout(grid.dim, grid.cells)
         data = np.concatenate([diag, *(v for pair in offdiag for v in pair)], axis=None)[order]
         A = sp.csc_matrix((data, indices, indptr), shape=(diag.size, diag.size))
@@ -378,8 +444,23 @@ def bind_solve(grid: SpatialGrid, lu, transpose: bool = False):
     Fortran-ordered (n_interior, k) block whose k columns are solved at
     once, and overwrites it with (I + tau L)^{-1} b, or with the inverse
     transpose under ``transpose``: one call into dgttrs in 1D, into
-    SuperLU in 2D, each on the same factors in both directions.
+    SuperLU otherwise, each on the same factors in both directions.  Sine
+    factors bind one solve for both directions, since their matrix is
+    symmetric: the block, viewed as (k,) + interior lattice, is transformed
+    by S along every lattice axis, scaled by 1/lambda and transformed back
+    into place.
     """
+    if isinstance(lu, _SineFactors):
+        basis, inverse = lu
+        lattice = (-1,) + inverse.shape
+
+        def solve(b):
+            x = b.T.reshape(lattice, copy=False)
+            y = _sine_transform(basis, x)
+            y *= inverse
+            _sine_transform(basis, y, out=x)
+
+        return solve
     trans = "T" if transpose else "N"
     if grid.dim > 1:
         solve_lu = lu.solve
@@ -406,8 +487,9 @@ class SliceFactors:
     ``solves(transpose)`` lists the solve of slice m at m - 1, each bound
     once per factor set and direction by ``bind_solve``; ``transpose=True``
     applies the inverse transpose with the same factors, which is what
-    keeps forward/adjoint pairs exactly dual.  A march makes one such call
-    per step.
+    keeps forward/adjoint pairs exactly dual (a slice factored in the sine
+    basis is symmetric, and its two solves are the same).  A march makes
+    one such call per step.
     """
 
     def __init__(self, grid: SpatialGrid, tgrid: TimeGrid, op: tuple):

@@ -163,10 +163,18 @@ def lambda_auto(mu: float, eta_max: float, T: float) -> float:
 
     The maximum sits at the eta peak at t = T/2, where
     beta_c = 4 exp(mu eta_max) / T^2 and |nu_c| = 4 (exp(2 mu eta_max) -
-    exp(mu eta_max)) / T^2.
+    exp(mu eta_max)) / T^2.  WeightDomainError when exp(2 mu eta_max)
+    overflows a double (mu eta_max above about 354).
     """
-    beta_c = 4.0 * math.exp(mu * eta_max) / (T * T)
-    nu_c = 4.0 * (math.exp(2.0 * mu * eta_max) - math.exp(mu * eta_max)) / (T * T)
+    try:
+        peak, peak2 = math.exp(mu * eta_max), math.exp(2.0 * mu * eta_max)
+    except OverflowError:
+        raise WeightDomainError(
+            f"lambda auto needs exp(2 mu eta_max), which overflows at mu={mu}, "
+            f"eta_max={eta_max}; give a smaller mu or lambda explicitly"
+        ) from None
+    beta_c = 4.0 * peak / (T * T)
+    nu_c = 4.0 * (peak2 - peak) / (T * T)
     return 7.0 * math.log(beta_c) / (2.0 * nu_c)
 
 
@@ -189,7 +197,6 @@ class CarlemanWeights:
 
     grid: SpatialGrid
     tgrid: TimeGrid
-    focus: tuple
     mu: float
     lam: float
     eta: np.ndarray
@@ -240,7 +247,6 @@ def build_weights(
     return CarlemanWeights(
         grid=grid,
         tgrid=tgrid,
-        focus=_normalize_box(grid.dim, focus),
         mu=float(mu),
         lam=float(lam),
         eta=_frozen(eta.values),

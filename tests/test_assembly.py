@@ -83,6 +83,13 @@ def _matrix(grid, diag, offdiag):
     return sp.diags(diagonals, offsets, shape=(n, n))
 
 
+def _constant_lattice(diag, offdiag):
+    """True when a slice has one diagonal value and, per axis, one value in
+    both off-diagonal parts: the slices factored in the sine basis."""
+    return np.unique(diag).size == 1 and all(
+        np.unique(np.concatenate([upper, lower], axis=None)).size <= 1 for upper, lower in offdiag)
+
+
 def _coefficients(rng, grid, terms, stack=(), anisotropic=False):
     """slice_operator keywords with the terms flagged in ``terms`` (b,
     f_adv, f_div, f0) drawn at random, each with leading axes ``stack``."""
@@ -142,7 +149,8 @@ class TestSliceFill:
 
 class TestSliceAssembly:
     """Every slice_operator output is the flux-form composition bit for bit,
-    and a 2D slice reaches SuperLU with every entry, exact zeros included."""
+    a 2D slice that is not a constant lattice reaches SuperLU with every
+    entry, exact zeros included, and a constant one is solved without it."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -162,14 +170,25 @@ class TestSliceAssembly:
         diag, offdiag = slice_operator(grid, tau, **kw)
         for j in np.ndindex(stack):
             parts = diag[j], [(upper[j], lower[j]) for upper, lower in offdiag]
-            ref = reference_slice(grid, tau, **{k: None if v is None else v[j] for k, v in kw.items()})
-            ref = ref.toarray().tobytes()
+            ref_matrix = reference_slice(grid, tau,
+                                         **{k: None if v is None else v[j] for k, v in kw.items()})
+            ref = ref_matrix.toarray().tobytes()
             assert _matrix(grid, *parts).toarray().tobytes() == ref
             if grid.dim == 1:
                 continue
-            # dropping an exact zero would change the minimum-degree ordering and the fill
             with mock.patch.object(spla, "splu", wraps=spla.splu) as spy:
-                factor_slice(grid, *parts)
+                lu = factor_slice(grid, *parts)
+            if _constant_lattice(*parts):
+                # diagonal in the sine basis: no SuperLU; the bound solve inverts the matrix
+                spy.assert_not_called()
+                rhs = np.random.default_rng(seed).standard_normal(parts[0].size)
+                want = spla.spsolve(ref_matrix.tocsc(), rhs)
+                got = rhs.copy()
+                solvers.bind_solve(grid, lu)(got)
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+                continue
+            # dropping an exact zero would change the minimum-degree ordering and the fill
+            spy.assert_called_once()
             (A,), _ = spy.call_args
             assert A.nnz == parts[0].size + sum(upper.size + lower.size for upper, lower in parts[1])
             assert A.toarray().tobytes() == ref

@@ -356,6 +356,12 @@ class TestFailureModes:
         assert rc == 2
         assert key in capsys.readouterr().err
 
+    def test_lambda_auto_overflow(self, tmp_path, capsys):
+        # the auto lambda evaluates exp(2 mu eta_max), which overflows at mu = 1000
+        rc, _ = _run(tmp_path, "weights", "--config", LQ, "--mu", "1000")
+        assert rc == 2
+        assert "mu=1000" in capsys.readouterr().err
+
     def test_parse_error_position(self, tmp_path, capsys):
         bad = os.path.join(tmp_path, "torn.cfg")
         with open(bad, "w", encoding="utf-8") as fh:

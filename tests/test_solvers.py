@@ -1,8 +1,10 @@
 """Linear and quasi-linear marching: accuracy, transposition, failure modes."""
 
 import dataclasses
+import functools
 import itertools
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,10 +16,14 @@ import hiercontrol.solvers as solvers
 from hiercontrol.errors import BlowUpError, CoefficientError
 from hiercontrol.grids import (
     Field,
+    SpaceTimeField,
     build_grid,
     build_time_grid,
     stepped_pairing,
 )
+from hiercontrol.leader import GramianContext, leader_duality_gap, solve_leader
+from hiercontrol.nash import coefficients_from_state
+from hiercontrol.scenario import load_scenario
 from hiercontrol.solvers import (
     LinearCoefficients,
     Nonlinearity,
@@ -33,7 +39,8 @@ from hiercontrol.solvers import (
     state_factors,
 )
 
-from conftest import standard_cutoffs
+from conftest import scenario_path, standard_cutoffs
+from reference import direct, reference_slice
 
 
 def _sine_field(grid, amp=1.0, k=1):
@@ -316,12 +323,13 @@ class TestBoundSolves:
 
 
 class TestSliceOrdering:
-    """2D slices are factored in a fill-reducing symmetric ordering."""
+    """2D slices that reach SuperLU are factored in a fill-reducing symmetric
+    ordering; both have a variable diffusion, so neither is a constant lattice."""
 
     def _slices(self):
         g = build_grid(2, 40)
         x, y = g.nodes[:, 0], g.nodes[:, 1]
-        heat = slice_operator(g, 0.01, b=np.ones(g.n_nodes))
+        heat = slice_operator(g, 0.01, b=1.0 + 0.5 * x * y)
         adv = slice_operator(
             g, 0.01, b=1.0 + 0.5 * x * y,
             f_adv=np.stack([3.0 * np.cos(y), -2.0 + x], axis=-1), f0=np.sin(x),
@@ -339,6 +347,87 @@ class TestSliceOrdering:
         for trans, M in (("N", A), ("T", A.T.tocsc())):
             ref = spla.spsolve(M, rhs)
             assert np.abs(lu.solve(rhs, trans=trans) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+class TestSineSlices:
+    """Slices of dimension >= 2 with one diagonal value and one off-diagonal
+    value per axis are solved in the sine basis, every other one by SuperLU."""
+
+    @pytest.mark.parametrize("kw", [
+        pytest.param({"b": 1.0}, id="heat"),
+        pytest.param({"b": (1.3, 0.4)}, id="anisotropic"),
+        pytest.param({"b": 0.8, "f0": 2.5}, id="reaction"),
+        pytest.param({}, id="identity"),
+    ])
+    @pytest.mark.parametrize("cells", [8, 13])
+    def test_solves_equal_superlu_of_the_reference(self, kw, cells):
+        g = build_grid(2, cells)
+        coeffs = {}
+        if "b" in kw:
+            coeffs["b"] = np.broadcast_to(np.asarray(kw["b"], dtype=float),
+                                          (g.n_nodes,) + np.shape(kw["b"])).copy()
+        if "f0" in kw:
+            coeffs["f0"] = np.full(g.n_nodes, kw["f0"])
+        tau = 0.02
+        with mock.patch.object(spla, "splu", wraps=spla.splu) as spy:
+            lu = factor_slice(g, *slice_operator(g, tau, **coeffs))
+        spy.assert_not_called()
+        A = reference_slice(g, tau, **coeffs).tocsc()
+        ref = spla.splu(A)
+        rng = np.random.default_rng(cells)
+        for k, transpose in itertools.product((1, 2), (False, True)):
+            rhs = np.asfortranarray(rng.standard_normal((A.shape[0], k)))
+            want = ref.solve(rhs, trans="T" if transpose else "N")
+            for got in (rhs.copy(order="F"), np.ascontiguousarray(rhs[:, 0])):
+                solvers.bind_solve(g, lu, transpose)(got)
+                expect = want if got.ndim == 2 else want[:, 0]
+                assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("name,superlu", [
+        ("constant-heat", False), ("perturbed-heat", True), ("constant-advection", True),
+    ])
+    def test_routing(self, name, superlu):
+        g = build_grid(2, 10)
+        diag, offdiag = slice_operator(
+            g, 0.01, b=np.ones(g.n_nodes),
+            f_adv=np.full((g.n_nodes, 2), 0.5) if name == "constant-advection" else None,
+        )
+        if name == "perturbed-heat":
+            diag[3, 4] = np.nextafter(diag[3, 4], 2.0)
+        with mock.patch.object(spla, "splu", wraps=spla.splu) as spy:
+            lu = factor_slice(g, diag, offdiag)
+        assert spy.called == superlu
+        rhs = np.random.default_rng(1).standard_normal(diag.size)
+        A = _plain_matrix(diag, offdiag)
+        for transpose in (False, True):
+            x = rhs.copy()
+            solvers.bind_solve(g, lu, transpose)(x)
+            assert np.abs((A.T if transpose else A) @ x - rhs).max() <= 1e-13 * np.abs(rhs).max()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_transform_is_the_kronecker_product(self, dim):
+        # the transform runs over every lattice axis, so a 3D slice needs no branch
+        basis = solvers._sine_basis(6)
+        x = np.random.default_rng(dim).standard_normal((2,) + (5,) * dim)
+        kron = functools.reduce(np.kron, [basis] * dim)
+        want = x.reshape(2, -1) @ kron.T
+        got = solvers._sine_transform(basis, x).reshape(2, -1)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(basis @ basis - np.eye(5)).max() <= 1e-14
+
+    def test_heat_2d_leader_matches_the_direct_oracle(self):
+        s = load_scenario(scenario_path("heat_2d"))
+        problem = s.build_problem()
+        weights = s.build_carleman_weights(problem)
+        zero = SpaceTimeField(problem.grid, problem.tgrid,
+                              np.zeros((problem.tgrid.n_slices, problem.grid.n_nodes)))
+        ctx = GramianContext(problem, weights, coefficients_from_state(problem.nl, zero),
+                             picard_tol=1e-13)
+        sol = solve_leader(ctx, s.epsilon, cg_tol=s.tolerance("cg_tol"))
+        exact = solve_leader(direct(ctx), s.epsilon, cg_tol=s.tolerance("cg_tol"))
+        assert leader_duality_gap(ctx, sol) <= 1e-10
+        scale = np.abs(exact.u.values).max()
+        assert np.abs(sol.u.values - exact.u.values).max() <= 1e-9 * scale
 
 
 class TestRosterValidation:

@@ -175,6 +175,15 @@ class TestObservationWeight:
             with pytest.raises(WeightDomainError, match="finite"):
                 build_weights(g, tg, (0.4, 0.6), **{"mu": 1.0, "lam": 0.1, **bad})
 
+    def test_lambda_auto_overflow_rejected(self):
+        # exp(2 mu eta_max) overflows a double from mu of about 354
+        g, tg = build_grid(1, 16), build_time_grid(1.0, 32)
+        with pytest.raises(WeightDomainError, match="mu=1000"):
+            build_weights(g, tg, (0.4, 0.6), mu=1000.0)
+        with pytest.raises(WeightDomainError, match="eta_max=1.0"):
+            lambda_auto(360.0, 1.0, 1.0)
+        assert lambda_auto(350.0, 1.0, 1.0) > 0.0
+
     @settings(max_examples=40, deadline=None)
     @given(
         mu=st.floats(min_value=0.2, max_value=3.0),
